@@ -308,8 +308,8 @@ def support_arc(cd: CdParams, q, N_max: int, method: str = "thm44",
     half = fn(cd, q, half_n)
     arc = Arc(full.theta1, full.theta2, closed=True)
     return SupportArc(arc, full, N_max,
-                      stabilized_lower=abs(full.A - half.A) < stab_tol,
-                      stabilized_upper=abs(full.B - half.B) < stab_tol)
+                      stabilized_lower=bool(abs(full.A - half.A) < stab_tol),
+                      stabilized_upper=bool(abs(full.B - half.B) < stab_tol))
 
 
 @dataclass(frozen=True)

@@ -11,21 +11,28 @@ x = cos(theta / 2) transplants them to real functions W_n on [-1, 1],
     W_{n+1}(x) = (x - c_{n+1} sqrt(1 - x^2)) W_n(x) - d_{n+1} W_{n-1}(x),
 
 with W_n(x) = 2^{-n} e^{-i n theta / 2} R_n(e^{i theta}).  Zeros of W_N are
-located by walking degrees upward: the zeros of W_{n-1} together with the
-endpoints bracket exactly one zero of W_n each, and bisection on the sign of
-W_n (whose recurrence evaluates with exact sign under scaling) pins them
-down with guaranteed enclosures.
+found by counting.  The ratios r_k = W_k(x) / W_{k-1}(x) follow
+
+    r_1 = x - c_1 s,    r_k = (x - c_k s) - d_k / r_{k-1},    s = sqrt(1 - x^2),
+
+and W_0 .. W_n is a generalized Sturm sequence, so the number of negative
+r_k with k <= n is the number of zeros of W_n above x.  Bisection on that
+count (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)) pins down the j-th
+largest zero of any degree on its own, with no brackets carried between
+degrees; a zero ratio is replaced by a tiny positive one so the recursion
+never divides by zero (Demmel, Dhillon & Ren, ETNA 3 (1995)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, InvariantError
+from .errors import BoundaryCaseError, InputError, InvariantError
 from .transforms import CdParams
 
 TWO_PI = 2.0 * math.pi
@@ -33,6 +40,10 @@ TWO_PI = 2.0 * math.pi
 # Rescale the running recurrence pair every this many steps to keep the
 # magnitudes representable; growth per step is bounded by ~(1 + |c| + 1).
 _RESCALE_EVERY = 32
+
+# Stand-in for a ratio W_k / W_{k-1} that rounds to zero; d_k / _TINY stays
+# finite for every admissible d_k <= 1.
+_TINY = 1e-100
 
 
 class ScaledValue(NamedTuple):
@@ -92,20 +103,8 @@ def eval_W(cd: CdParams, n: int, x: float) -> ScaledValue:
     c, d = _coeffs(cd, n)
     if not -1.0 <= x <= 1.0:
         raise InputError(f"x must lie in [-1, 1], got {x}")
-    s = math.sqrt(max(0.0, 1.0 - x * x))
-    w_prev = 0.0
-    w = 1.0
-    exp2 = 0
-    for k in range(n):
-        w, w_prev = (x - c[k] * s) * w - (d[k - 1] * w_prev if k else 0.0), w
-        if (k + 1) % _RESCALE_EVERY == 0:
-            m = max(abs(w), abs(w_prev))
-            if m > 0.0:
-                e = math.frexp(m)[1]
-                w = math.ldexp(w, -e)
-                w_prev = math.ldexp(w_prev, -e)
-                exp2 += e
-    return ScaledValue(w, exp2)
+    mant, exp2 = _eval_W_grid(c, d, n, np.array([x], dtype=float))
+    return ScaledValue(float(mant[0]), int(exp2[0]))
 
 
 def _eval_W_grid(c: np.ndarray, d: np.ndarray, n: int, xs: np.ndarray,
@@ -142,11 +141,53 @@ def _eval_W_grid(c: np.ndarray, d: np.ndarray, n: int, xs: np.ndarray,
     return w, exp2
 
 
-def _w_sign_fn(c: np.ndarray, d: np.ndarray, n: int):
-    def signs(xs: np.ndarray) -> np.ndarray:
-        return np.sign(_eval_W_grid(c, d, n, xs)[0])
+def _count_above(c, d, degree, x):
+    """Number of zeros of W_degree above ``x``: the negative r_k, k <= degree.
 
-    return signs
+    ``x`` is either one Python float, with ``c`` and ``d`` given as lists so
+    the loop runs on Python floats, or an array of points, where ``degree``
+    may also give one degree per point.  A ratio that rounds to zero becomes
+    ``_TINY``: W_k(x) = 0 then counts with the sign of W_{k-1}(x), and the
+    next step divides by a representable number.
+    """
+    s = (np.sqrt if isinstance(x, np.ndarray) else math.sqrt)(1.0 - x * x)
+    top = int(np.max(degree))
+    # r_k counts when it is below its limit: 0 up to the point's own degree
+    # and -inf past it, so one pass serves points of different degrees
+    limits = (repeat(0.0) if np.ndim(degree) == 0 else
+              (np.where(k < degree, 0.0, -np.inf) for k in range(top)))
+    r = 1.0
+    count = 0
+    # d_1 = 0 makes the first step r_1 = x - c_1 s
+    for ck, dk, limit in zip(c[:top], chain((0.0,), d), limits):
+        r = x - ck * s - dk / r
+        r = r + (r == 0.0) * _TINY
+        count = count + (r < limit)
+    return count
+
+
+def _bisect_zeros(cd: CdParams, N: int, degree, j, xtol: float) -> np.ndarray:
+    """x of the j-th largest zero of W_degree, for each (degree, j) pair.
+
+    ``N`` is the largest degree asked for.  Each point bisects [-1, 1] on
+    whether at least j zeros lie above the midpoint.  The brackets are driven
+    to machine precision whatever ``xtol`` asks, since neighbouring zeros can
+    sit closer than any coarse tolerance near support endpoints.
+    """
+    if N < 1:
+        raise InputError(f"degree must be >= 1, got {N}")
+    if xtol <= 0:
+        raise InputError("xtol must be positive")
+    c, d = _coeffs(cd, N)
+    iters = max(int(math.ceil(math.log2(2.0 / xtol))) + 1, 56)
+    lo = np.full(len(j), -1.0)
+    hi = np.full(len(j), 1.0)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        above = _count_above(c, d, degree, mid) >= j
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -176,113 +217,41 @@ class ZeroList:
             if x[0] >= 1.0 or x[-1] <= -1.0:
                 raise InvariantError("zeros must be interior to (-1, 1)")
 
-    @classmethod
-    def from_ascending_x(cls, n: int, asc: np.ndarray) -> "ZeroList":
-        x = np.ascontiguousarray(asc[::-1])
-        theta = 2.0 * np.arccos(np.clip(x, -1.0, 1.0))
-        return cls(n, x, theta)
-
-
-def _bisect_brackets(sign_fn, lo, hi, sign_lo, iters: int):
-    """Vector bisection; keeps the sign change inside [lo, hi] throughout."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        sm = sign_fn(mid)
-        hit = sm == 0.0
-        go_lo = (sm == sign_lo) & ~hit
-        lo = np.where(hit, mid, np.where(go_lo, mid, lo))
-        hi = np.where(hit, mid, np.where(go_lo, hi, mid))
-    return 0.5 * (lo + hi)
-
 
 def zeros_ladder(cd: CdParams, N: int, xtol: float = 1e-12):
     """Zeros (ascending in x) of every member W_1 .. W_N.
 
-    Level n brackets come from level n - 1 augmented by the endpoints; the
-    sign pattern of W_n at those points is checked against the interlacing
-    prediction and any mismatch aborts, since it can only mean corrupted
-    coefficients.
+    All N (N + 1) / 2 zeros are bisected in one pass, one point per
+    (degree, j) pair: the count for degree n is the count for N stopped
+    after n steps.
     """
-    if N < 1:
-        raise InputError(f"degree must be >= 1, got {N}")
-    if xtol <= 0:
-        raise InputError("xtol must be positive")
-    c, d = _coeffs(cd, N)
-    # Always drive the brackets to machine precision: zeros of consecutive
-    # degrees can sit closer together than any coarse xtol near support
-    # endpoints, and the next level's sign predictions need the sharp values.
-    iters = max(int(math.ceil(math.log2(2.0 / xtol))) + 1, 56)
-    ladder = []
-    asc = np.array([c[0] / math.hypot(1.0, c[0])])
-    ladder.append(asc)
-    for level in range(2, N + 1):
-        pts = np.concatenate(([-1.0], asc, [1.0]))
-        sign_fn = _w_sign_fn(c, d, level)
-        mant, exp2, peak = _eval_W_grid(c, d, level, pts, track_peak=True)
-        with np.errstate(divide="ignore"):
-            log2_val = np.where(mant == 0.0, -np.inf,
-                                np.log2(np.abs(mant) + (mant == 0.0)) + exp2)
-        # Values below the accumulated rounding noise have meaningless signs;
-        # interlacing guarantees the theoretical pattern there, so take it.
-        # (This happens when zeros of consecutive degrees nearly collide.)
-        noise_floor = peak - 52.0 + math.log2(32.0 * level * level)
-        reliable = log2_val > noise_floor
-        got = np.sign(mant)
-        k = np.arange(level + 1)
-        expected = np.where((level - k) % 2 == 0, 1.0, -1.0)
-        mismatch = reliable & (got != expected) & (got != 0.0)
-        if mismatch.any():
-            bad = int(np.argmax(mismatch))
-            raise InvariantError(
-                f"bracket sign pattern broken at degree {level}, point index {bad}: "
-                "coefficients corrupted")
-        asc = _bisect_brackets(sign_fn, pts[:-1], pts[1:], expected[:-1], iters)
-        # Exact float ties can appear when zeros cluster below representable
-        # separation; the true ordering is strict, so restore it within 1 ulp.
-        for i in np.nonzero(np.diff(asc) <= 0.0)[0]:
-            asc[i + 1] = np.nextafter(asc[i], 1.0)
-        ladder.append(asc)
-    return ladder
+    sizes = np.arange(1, N + 1)
+    degree = np.repeat(sizes, sizes)
+    j = np.arange(len(degree)) - degree * (degree - 1) // 2 + 1
+    x = _bisect_zeros(cd, N, degree, j, xtol)
+    return [level[::-1] for level in np.split(x, np.cumsum(sizes)[:-1])]
 
 
 def zeros_W(cd: CdParams, N: int, xtol: float = 1e-12) -> ZeroList:
-    """All N zeros of W_N, bracketed inductively and bisected to ``xtol``."""
-    asc = zeros_ladder(cd, N, xtol)[-1]
-    return ZeroList.from_ascending_x(N, asc)
+    """All N zeros of W_N, each bisected on the zero count to ``xtol`` or finer.
 
-
-def zeros_R(cd: CdParams, N: int, xtol: float = 1e-12,
-            residual_check: bool = True) -> ZeroList:
-    """Zeros of R_N as angles theta = 2 arccos(x) from the transplant.
-
-    ``residual_check`` re-evaluates the transplant at each zero and at the
-    midpoints of neighbouring gaps; a zero whose magnitude is not locally
-    small signals corruption.
+    A zero that rounds to an endpoint or ties its neighbour cannot be told
+    apart in double precision and raises :class:`BoundaryCaseError`.
     """
-    zl = zeros_W(cd, N, xtol)
-    if residual_check and N >= 1:
-        c, d = _coeffs(cd, N)
-        asc = zl.x[::-1]
-        refs = np.concatenate(([0.5 * (-1.0 + asc[0])],
-                               0.5 * (asc[:-1] + asc[1:]),
-                               [0.5 * (asc[-1] + 1.0)]))
-        m_z, e_z, pk_z = _eval_W_grid(c, d, N, asc, track_peak=True)
-        m_r, e_r = _eval_W_grid(c, d, N, refs)
+    x = _bisect_zeros(cd, N, N, np.arange(1, N + 1), xtol)
+    unresolved = np.abs(x) >= 1.0
+    unresolved[1:] |= x[1:] >= x[:-1]
+    if unresolved.any():
+        j = int(np.argmax(unresolved)) + 1
+        raise BoundaryCaseError(
+            j, f"zero {j} of degree {N} is not resolvable in double precision: "
+               "it rounds to x = +-1 or ties its neighbour")
+    return ZeroList(N, x, 2.0 * np.arccos(x))
 
-        def log2_abs(m, e):
-            with np.errstate(divide="ignore"):
-                return np.where(m == 0.0, -np.inf, np.log2(np.abs(m) + (m == 0.0)) + e)
 
-        lz = log2_abs(m_z, e_z)
-        lr = log2_abs(m_r, e_r)
-        local = np.maximum(lr[:-1], lr[1:])
-        floor = pk_z - 52.0 + math.log2(32.0 * N * N)
-        bad_mask = (lz > floor + 10.0) & (lz >= local - 10.0)
-        if bad_mask.any():
-            bad = int(np.argmax(bad_mask))
-            raise InvariantError(
-                f"residual at zero {bad + 1} of degree {N} is not locally small")
-    return zl
+def zeros_R(cd: CdParams, N: int, xtol: float = 1e-12) -> ZeroList:
+    """Zeros of R_N as angles theta = 2 arccos(x) of the zeros of W_N."""
+    return zeros_W(cd, N, xtol)
 
 
 def count_zeros_in_arc(zl: ZeroList, arc) -> int:

@@ -18,10 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from .chainseq import (ChainSeq, ScalingSeq, UltrasphericalRule, ismail_li_constant,
-                       make_scaling)
-from .errors import InputError, NonConvergenceError
-from .recurrence import zeros_W
+from .chainseq import (ChainSeq, ScalingSeq, UltrasphericalRule, chain_failure_index,
+                       ismail_li_constant, make_scaling)
+from .errors import InputError, NonConvergenceError, NotChainSequenceError
+from .recurrence import _count_above, zeros_W
 from .transforms import CdParams, VerblunskySeq, cd_from_verblunsky
 
 # Relative half-width of the band around the constant-scaling threshold in
@@ -50,37 +50,26 @@ def constant_scaling_threshold(d: ChainSeq, xtol: float = 1e-12) -> float:
 
 
 def _largest_zero_sturm(d: np.ndarray, xtol: float) -> float:
-    """Largest zero of the symmetric W_N via Sturm-count bisection.
+    """Largest zero of the symmetric W_N via Sturm-count bisection on [0, 1].
 
     With c = 0 the W_n are the characteristic polynomials of the Jacobi
-    matrix with zero diagonal and off-diagonal entries sqrt(d); counting
-    negative pivots of the shifted LDL' factorization counts eigenvalues
-    above the shift, so plain bisection on that count isolates the largest
-    one without walking the interlacing ladder.
+    matrix with zero diagonal and off-diagonal entries sqrt(d), so only the
+    top zero is bisected, on Python floats.  A zero at or above x = 1 means
+    ``d`` is not a chain sequence at this length; that raises
+    :class:`NotChainSequenceError` where the bisection would saturate at 1.
     """
     n = len(d) + 1
+    c = [0.0] * n
+    d = d.tolist()
+    if _count_above(c, d, n, 1.0) > 0:
+        bad = chain_failure_index(ChainSeq.from_values(d)) or n - 1
+        raise NotChainSequenceError(
+            bad, f"d is not a positive chain sequence at n={bad}: the symmetric "
+                 f"W_{n} has a zero at or above x = 1")
     lo, hi = 0.0, 1.0
-
-    tiny = 1e-100  # zero-pivot replacement; keeps d / r representable
-
-    def count_above(x: float) -> int:
-        neg = 0
-        r = x
-        if r == 0.0:
-            r = tiny
-        if r < 0.0:
-            neg += 1
-        for k in range(len(d)):
-            r = x - d[k] / r
-            if r == 0.0:
-                r = tiny
-            if r < 0.0:
-                neg += 1
-        return neg
-
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        if count_above(mid) >= 1:
+        if _count_above(c, d, n, mid) >= 1:
             lo = mid
         else:
             hi = mid

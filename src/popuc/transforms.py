@@ -44,7 +44,17 @@ TWO_PI = 2.0 * math.pi
 _DIVISION_GUARD = 1e-15
 
 
+def _require_finite(values: np.ndarray, name: str, first: int) -> None:
+    """Reject NaN and +-inf, naming the coefficient; ``first`` is the index
+    of ``values[0]``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise InputError(f"{name}_{bad + first} = {values[bad]} is not finite")
+
+
 def _validate_alpha(values: np.ndarray) -> np.ndarray:
+    _require_finite(values, "Verblunsky coefficient alpha", 0)
     mod = np.abs(values)
     if len(values) and mod.max() >= 1.0:
         bad = int(np.argmax(mod >= 1.0))
@@ -282,10 +292,12 @@ class CdParams:
         """Build from raw (c, d); the g attached is the maximal parameter
         sequence, i.e. the family member carrying no mass at z = 1."""
         c = np.asarray(c, dtype=float)
+        _require_finite(c, "c", 1)
         if isinstance(d, ChainSeq):
             dseq = d
         else:
             dseq = ChainSeq.from_values(d)
+        _require_finite(dseq.values, "d", 2)
         if len(dseq.values) != len(c) - 1:
             raise InputError(
                 f"need len(d) = len(c) - 1, got {len(dseq.values)} and {len(c)}")

@@ -130,8 +130,52 @@ class TestZeros:
         assert theta[0] == pytest.approx(2 * math.pi / 3, rel=1e-10)
         assert theta[1] == pytest.approx(4 * math.pi / 3, rel=1e-10)
 
+    def test_unresolvable_zero_exit_code(self, tmp_path):
+        # valid but extreme input: c_2 = 1e8 puts the top zero within rounding of x = 1
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.3, 1e8, -1, 0.5, 1.2, -0.7],
+                                          "d": [0.2] * 5}}))
+        code, _, err = run(["zeros", "--input", str(src), "--n", "6"])
+        assert code == 3
+        assert "degree 6" in err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv", [["bounds", "--n", "4"],
+                                      ["transform", "--n", "4"],
+                                      ["zeros", "--n", "4"]])
+    def test_nan_in_inline_c(self, tmp_path, argv):
+        src = tmp_path / "cd.json"
+        src.write_text('{"cd": {"c": [0.1, NaN, 0.3, 0.2], "d": [0.2, 0.2, 0.2]}}')
+        code, _, err = run(argv + ["--input", str(src)])
+        assert code == 2
+        assert "c_2" in err and "not finite" in err
+
+    def test_inf_in_inline_d(self, tmp_path):
+        src = tmp_path / "cd.json"
+        src.write_text('{"cd": {"c": [0.1, 0.2, 0.3], "d": [0.2, Infinity]}}')
+        code, _, err = run(["zeros", "--input", str(src), "--n", "3"])
+        assert code == 2
+        assert "d_3" in err
+
+    def test_nan_alpha(self, tmp_path):
+        src = tmp_path / "alpha.json"
+        src.write_text('{"alpha": [[0.1, 0.0], [NaN, 0.0]]}')
+        code, _, err = run(["bounds", "--input", str(src), "--n", "2"])
+        assert code == 2
+        assert "alpha_1" in err
+
 
 class TestSupportArc:
+    def test_json_round_trip(self):
+        code, out, _ = run(["support-arc", "--family", "geronimus",
+                            "--params", "alpha_re=-0.5", "--n", "20",
+                            "--q-mode", "family-default", "--output", "json"])
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert json.loads(json.dumps(row)) == row
+        assert row["stabilized_lower"] is True and row["stabilized_upper"] is True
+
     def test_alternating_optimal(self):
         code, out, _ = run(["support-arc", "--family", "alternating",
                             "--params", "b1=0.6,b2=0.6,c=0.5",
@@ -257,6 +301,13 @@ class TestScalingThreshold:
         assert code == 0
         thr = float(out.splitlines()[1].split(",")[1])
         assert thr == pytest.approx(0.75, abs=0.01)
+
+    def test_infinite_not_chain_sequence(self):
+        # 0.3 > 1/4: the bracket [0, 1] used to saturate and exit 0
+        code, _, err = run(["scaling-threshold", "--infinite",
+                            "--d-const", "0.3", "--tol", "1e-6"])
+        assert code == 2
+        assert "chain sequence" in err
 
     def test_infinite_nonconvergence_exit_code(self):
         code, _, err = run(["scaling-threshold", "--infinite",

@@ -1,11 +1,12 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import popuc as pp
-from popuc.recurrence import _eval_W_grid
+from popuc.recurrence import _count_above, _eval_W_grid
 
 from conftest import assert_interlacing, random_alpha, random_cd_q
 
@@ -157,6 +158,74 @@ class TestZerosW:
             assert pp.count_zeros_in_arc(
                 zl, (5 * math.pi / 3 + eps, 2 * math.pi)) == 0
             assert zl.theta[0] > math.pi / 3 - eps
+
+
+def mp_sign_W(c, d, n, x):
+    """Sign of W_n(x) from the product recurrence in 40-digit arithmetic;
+    ``c`` and ``d`` are lists of mpf."""
+    s = mpmath.sqrt(1 - x * x)
+    w_prev, w = mpmath.mpf(1), x - c[0] * s
+    for ck, dk in zip(c[1:n], d):
+        w, w_prev = (x - ck * s) * w - dk * w_prev, w
+    return mpmath.sign(w)
+
+
+ORACLE_SOURCES = {
+    "lambda-eta": pp.VerblunskySeq.lambda_eta(1.0, 1.0),
+    "geronimus": pp.VerblunskySeq.geronimus(-0.5),
+    "alternating": pp.VerblunskySeq.alternating(0.6, 0.6, 0.5),
+}
+
+
+class TestZerosOracle:
+    @pytest.mark.parametrize("N", [300, 1000])
+    @pytest.mark.parametrize("source", ["random", *ORACLE_SOURCES])
+    def test_sign_change_at_every_zero(self, rng, source, N):
+        # every zero must separate opposite signs of W_N evaluated in 40
+        # digits at x +- 1e-9
+        if source == "random":
+            cd, _ = random_cd_q(rng, N)
+        else:
+            cd = pp.cd_from_verblunsky(ORACLE_SOURCES[source], n_terms=N)
+        zl = pp.zeros_W(cd, N)
+        with mpmath.workdps(40):
+            c = [mpmath.mpf(v) for v in cd.c.tolist()]
+            d = [mpmath.mpf(v) for v in cd.d.values.tolist()]
+            eps = mpmath.mpf("1e-9")
+            for j, x in enumerate(zl.x.tolist(), start=1):
+                x = mpmath.mpf(x)
+                above = mp_sign_W(c, d, N, x + eps)
+                below = mp_sign_W(c, d, N, x - eps)
+                assert above * below < 0, f"no sign change at zero {j} of W_{N}"
+
+
+class TestCountAbove:
+    def test_float_and_array_agree(self, rng):
+        cd, _ = random_cd_q(rng, 60)
+        c, d = cd.c.tolist(), cd.d.values.tolist()
+        xs = np.concatenate((rng.uniform(-1.0, 1.0, 40), pp.zeros_W(cd, 60).x,
+                             [-1.0, 0.0, 1.0]))
+        counts = {}
+        for n in (1, 2, 17, 60):
+            counts[n] = _count_above(c, d, n, xs)
+            assert [_count_above(c, d, n, x) for x in xs.tolist()] == counts[n].tolist()
+        # one degree per point reads each count off the same pass
+        mixed = np.resize([1, 2, 17, 60], len(xs))
+        np.testing.assert_array_equal(
+            _count_above(c, d, mixed, xs),
+            [counts[n][i] for i, n in enumerate(mixed.tolist())])
+
+    def test_counts_zeros_above(self):
+        c, d = [0.0] * 9, [0.25] * 8
+        zeros = np.cos(np.arange(1, 10) * math.pi / 10)
+        assert _count_above(c, d, 9, 1.0) == 0
+        assert _count_above(c, d, 9, -1.0) == 9
+        mids = 0.5 * (zeros[:-1] + zeros[1:])
+        np.testing.assert_array_equal(_count_above(c, d, 9, mids), np.arange(1, 9))
+        # x = 0 is an exact zero of every odd degree; the zero-ratio guard
+        # keeps the float path from dividing by zero and counts it as not above
+        assert [_count_above(c, d, n, 0.0) for n in range(1, 10)] == \
+            [n // 2 for n in range(1, 10)]
 
 
 class TestZerosR:
