@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .chainseq import ChainSeq, ScalingSeq, chain_failure_index, make_scaling
+from .chainseq import ChainSeq, ScalingSeq, _chunks, chain_failure_index, make_scaling
 from .errors import BoundaryCaseError, InputError, ScalingError
 from .recurrence import TWO_PI
 from .transforms import CdParams, VerblunskySeq, rotated_cd
@@ -175,14 +176,15 @@ def enclosure_thm44(cd: CdParams, q, N: int, validate: bool = True) -> Enclosure
     best_lo = math.inf
     best_hi = -math.inf
     arg_lo = arg_hi = None
-    for m in range(2, N + 1):
-        roots = quadratic_roots(cd.c[m - 2], cd.c[m - 1], qv[m - 2])
-        x_lo = _x_from_u(roots.u_minus)
-        x_hi = _x_from_u(roots.u_plus)
-        if x_lo < best_lo:
-            best_lo, arg_lo = x_lo, m
-        if x_hi > best_hi:
-            best_hi, arg_hi = x_hi, m
+    for i, c_prev, c_next, q_blk in _chunks(cd.c[:N - 1], cd.c[1:N], qv):
+        for m, a, b, qm in zip(count(i + 2), c_prev, c_next, q_blk):
+            roots = quadratic_roots(a, b, qm)
+            x_lo = _x_from_u(roots.u_minus)
+            x_hi = _x_from_u(roots.u_plus)
+            if x_lo < best_lo:
+                best_lo, arg_lo = x_lo, m
+            if x_hi > best_hi:
+                best_hi, arg_hi = x_hi, m
     return Enclosure(best_lo, best_hi, arg_lo, arg_hi, "thm44")
 
 
@@ -190,8 +192,8 @@ def _staggered_max(q: np.ndarray, N: int) -> np.ndarray:
     """q_n^{(1,N)}: q_2, max(q_n, q_{n+1}) for 2 <= n <= N-1, then q_N."""
     out = np.empty(N)
     out[0] = q[0]
-    for n in range(2, N):
-        out[n - 1] = max(q[n - 2], q[n - 1])
+    # max(a, b) keeps a unless b > a
+    out[1:N - 1] = np.where(q[1:N - 1] > q[:N - 2], q[1:N - 1], q[:N - 2])
     out[N - 1] = q[N - 2]
     return out
 
@@ -204,22 +206,21 @@ def enclosure_thm46(cd: CdParams, q, N: int, validate: bool = True) -> Enclosure
     best_lo = math.inf
     best_hi = -math.inf
     arg_lo = arg_hi = None
-    for n in range(1, N + 1):
-        cn = cd.c[n - 1]
-        qn = qs[n - 1]
-        root = math.sqrt(cn * cn + (1.0 - qn))
-        sq = math.sqrt(qn)
-        u1 = (cn + root) / (1.0 + sq)
-        x_lo = _x_from_quarter(u1)
-        den = -cn + root
-        if den == 0.0:
-            x_hi = 1.0
-        else:
-            x_hi = _x_from_quarter((1.0 + sq) / den)
-        if x_lo < best_lo:
-            best_lo, arg_lo = x_lo, n
-        if x_hi > best_hi:
-            best_hi, arg_hi = x_hi, n
+    for i, c_blk, q_blk in _chunks(cd.c[:N], qs):
+        for n, cn, qn in zip(count(i + 1), c_blk, q_blk):
+            root = math.sqrt(cn * cn + (1.0 - qn))
+            sq = math.sqrt(qn)
+            u1 = (cn + root) / (1.0 + sq)
+            x_lo = _x_from_quarter(u1)
+            den = -cn + root
+            if den == 0.0:
+                x_hi = 1.0
+            else:
+                x_hi = _x_from_quarter((1.0 + sq) / den)
+            if x_lo < best_lo:
+                best_lo, arg_lo = x_lo, n
+            if x_hi > best_hi:
+                best_hi, arg_hi = x_hi, n
     return Enclosure(best_lo, best_hi, arg_lo, arg_hi, "thm46")
 
 
@@ -232,25 +233,21 @@ def enclosure_cor45(cd: CdParams, N: int) -> Enclosure:
     """
     _check_degree(cd, N)
     sums = cd.c[:N - 1] + cd.c[1:N]
-    if (sums > 0.0).all():
-        best_lo = math.inf
-        arg_lo = None
-        for m in range(2, N + 1):
-            u = (cd.c[m - 2] * cd.c[m - 1] - 1.0) / (cd.c[m - 2] + cd.c[m - 1])
-            x = _x_from_u(u)
-            if x < best_lo:
-                best_lo, arg_lo = x, m
-        return Enclosure(best_lo, 1.0, arg_lo, None, "cor45")
-    if (sums < 0.0).all():
-        best_hi = -math.inf
-        arg_hi = None
-        for m in range(2, N + 1):
-            u = (cd.c[m - 2] * cd.c[m - 1] - 1.0) / (cd.c[m - 2] + cd.c[m - 1])
-            x = _x_from_u(u)
-            if x > best_hi:
-                best_hi, arg_hi = x, m
-        return Enclosure(-1.0, best_hi, None, arg_hi, "cor45")
-    return Enclosure(-1.0, 1.0, None, None, "cor45")
+    lower = bool((sums > 0.0).all())
+    if not lower and not (sums < 0.0).all():
+        return Enclosure(-1.0, 1.0, None, None, "cor45")
+    # the bound side is the lower one for positive sums, the upper one for
+    # negative sums
+    best = math.inf if lower else -math.inf
+    arg = None
+    for i, c_prev, c_next in _chunks(cd.c[:N - 1], cd.c[1:N]):
+        for m, a, b in zip(count(i + 2), c_prev, c_next):
+            x = _x_from_u((a * b - 1.0) / (a + b))
+            if (x < best) if lower else (x > best):
+                best, arg = x, m
+    if lower:
+        return Enclosure(best, 1.0, arg, None, "cor45")
+    return Enclosure(-1.0, best, None, arg, "cor45")
 
 
 def enclosure_cor47(cd: CdParams, N: int) -> Enclosure:
@@ -370,15 +367,19 @@ def gap_certificate(alpha: VerblunskySeq, theta1: float, theta2: float,
                                 "probe point lies on the cotangent direction of "
                                 f"c_{int(np.argmax(tiny)) + 1}; arc endpoint sits on "
                                 "the support boundary")
-    d = cd.d.values
     m = np.empty(N)
     prev = 0.0
-    for n in range(1, N + 1):
-        val = d[n - 1] / (t[n - 1] * t[n] * (1.0 - prev))
-        m[n - 1] = val
-        if not 0.0 < val < 1.0:
-            return GapCertificate("violated", N, n, True, m[:n])
-        prev = val
+    # m_n = d_{n+1} / (t_n t_{n+1} (1 - m_{n-1}))
+    for i, d_blk, tt_blk in _chunks(cd.d.values[:N], t[:N] * t[1:N + 1]):
+        out = []
+        for dn, tt in zip(d_blk, tt_blk):
+            prev = dn / (tt * (1.0 - prev))
+            out.append(prev)
+            if not 0.0 < prev < 1.0:
+                n = i + len(out)
+                m[i:n] = out
+                return GapCertificate("violated", N, n, True, m[:n])
+        m[i:i + len(out)] = out
     return GapCertificate("verified", N, None, True, m)
 
 

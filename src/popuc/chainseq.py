@@ -39,6 +39,9 @@ SP_THRESHOLD = 1e-10
 # rule-generated sequences.
 HORIZON_CAP = 2 ** 20
 
+# Terms read at a time by the sequential recursions (see ``_chunks``).
+_CHUNK = 4096
+
 FINITE = "finite"
 TRUNCATED_INFINITE = "truncated-infinite"
 
@@ -219,17 +222,33 @@ class ScalingSeq:
         return len(self.values)
 
 
+def _chunks(*arrays: np.ndarray):
+    """(start, list, ...) over consecutive ``_CHUNK``-term slices of arrays of
+    equal length, the lists holding Python scalars.
+
+    Sequential recursions run on Python floats, which cost a fraction of
+    numpy scalars per operation; reading ``_CHUNK`` terms at a time keeps the
+    lists short whatever the sequence length.
+    """
+    for i in range(0, len(arrays[0]), _CHUNK):
+        yield (i, *(a[i:i + _CHUNK].tolist() for a in arrays))
+
+
 def _minimal_raw(d: np.ndarray) -> np.ndarray:
     """Forward parameter recursion; raises at the first inadmissible term."""
     count = len(d)
     g = np.empty(count + 1)
     g[0] = 0.0
-    for n in range(1, count + 1):
-        gn = d[n - 1] / (1.0 - g[n - 1])
-        upper = 1.0 + BOUNDARY_TOL if n == count else 1.0
-        if not (0.0 < gn < upper):
-            raise NotChainSequenceError(n)
-        g[n] = gn
+    prev = 0.0
+    for i, block in _chunks(d):
+        out = []
+        for n, dn in enumerate(block, i + 1):
+            prev = dn / (1.0 - prev)
+            if not 0.0 < prev < 1.0 and not (n == count
+                                             and 0.0 < prev < 1.0 + BOUNDARY_TOL):
+                raise NotChainSequenceError(n)
+            out.append(prev)
+        g[i + 1:i + 1 + len(out)] = out
     return g
 
 
@@ -261,13 +280,19 @@ def _backward_maximal(d: np.ndarray) -> np.ndarray:
     """Backward recursion M_{N+1} = 1, M_n = 1 - d_{n+1} / M_{n+1}."""
     count = len(d)
     m = np.empty(count + 1)
-    m[count] = 1.0
-    for n in range(count - 1, -1, -1):
-        val = 1.0 - d[n] / m[n + 1]
-        if val <= 0.0:
-            raise NotChainSequenceError(n + 1, "maximal parameters undefined: "
-                                        f"backward recursion left (0, 1] at n={n + 1}")
-        m[n] = val
+    # on the reversed views the recursion runs forward, chunk by chunk
+    m_rev = m[::-1]
+    m_rev[0] = val = 1.0
+    for i, block in _chunks(d[::-1]):
+        out = []
+        for j, dn in enumerate(block, i):
+            val = 1.0 - dn / val
+            if val <= 0.0:
+                n = count - j
+                raise NotChainSequenceError(n, "maximal parameters undefined: "
+                                            f"backward recursion left (0, 1] at n={n}")
+            out.append(val)
+        m_rev[i + 1:i + 1 + len(out)] = out
     return m
 
 
@@ -340,8 +365,8 @@ def make_scaling(d: ChainSeq, q) -> ScalingSeq:
     out_of_range = ~((q > 0.0) & (q <= 1.0))
     if out_of_range.any():
         bad = int(np.argmax(out_of_range)) + 1
-        raise ScalingError(bad, f"scaling invalid at n={bad}: q_{{{bad + 1}}}={q[bad - 1]!r} "
-                           "out of (0, 1]")
+        raise ScalingError(bad, f"scaling invalid at n={bad}: "
+                           f"q_{{{bad + 1}}}={float(q[bad - 1])!r} out of (0, 1]")
     ratio = ChainSeq.from_values(d.values / q)
     bad = chain_failure_index(ratio)
     if bad is not None:

@@ -18,13 +18,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Optional
 
 import numpy as np
 
 from . import scaling as scaling_mod
 from .bounds import gap_certificate, support_arc, _METHODS
-from .chainseq import (ChainSeq, ismail_li_constant, make_scaling, ScalingSeq)
+from .chainseq import ChainSeq, ScalingSeq, _CHUNK, ismail_li_constant, make_scaling
 from .errors import (BoundaryCaseError, InputError, InvariantError,
                      NonConvergenceError, PopucError)
 from .recurrence import zeros_R
@@ -105,6 +106,12 @@ def _load_input_file(path: str, horizon: int):
         return VerblunskySeq.from_values(values), None
     if "family" in blob:
         params = blob.get("params", {})
+        if not isinstance(params, dict):
+            raise InputError('"params" must map parameter names to numbers')
+        for key, val in params.items():
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise InputError(f"family parameter {key!r} must be a number, "
+                                 f"got {val!r}")
         return _family_from_params(blob["family"], params, horizon), None
     if "cd" in blob:
         block = blob["cd"]
@@ -188,17 +195,28 @@ def _fmt_angle(theta: float, degrees: bool) -> str:
     return f"{theta:.7f} rad"
 
 
-def _emit(rows: list, header: list, cfg: JobConfig, stream) -> None:
+def _emit(header: list, rows, cfg: JobConfig, stream) -> None:
+    """Write ``rows``, an iterable of value sequences in ``header`` order.
+
+    Rows are consumed one at a time, so a generator never holds the whole
+    table.  Values are Python scalars; csv renders floats by repr.
+    """
     if cfg.output == "json":
-        payload = {"command": cfg.command, "rows": rows}
-        stream.write(json.dumps(payload, indent=None, separators=(",", ":")))
-        stream.write("\n")
+        # the bytes of json.dumps({"command": ..., "rows": [...]}), encoded
+        # _CHUNK rows at a time
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        stream.write(f'{{"command":{encode(cfg.command)},"rows":[')
+        rows = iter(rows)
+        sep = ""
+        while block := [dict(zip(header, row)) for row in islice(rows, _CHUNK)]:
+            stream.write(sep)
+            stream.write(encode(block)[1:-1])
+            sep = ","
+        stream.write("]}\n")
         return
-    writer = csv.DictWriter(stream, fieldnames=header, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: (repr(v) if isinstance(v, float) else v)
-                         for k, v in row.items()})
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 TABLE_HEADER = ["N", "bound_theta_first", "argext_plus", "theta_first",
@@ -236,7 +254,7 @@ def cmd_tables(args, stream, err) -> int:
     which = int(args.which)
     cfg = JobConfig(command="tables", output=args.output, degrees=args.degrees)
     rows = table_rows(which, xtol=args.tol)
-    _emit(rows, TABLE_HEADER, cfg, stream)
+    _emit(TABLE_HEADER, ([r[k] for k in TABLE_HEADER] for r in rows), cfg, stream)
     err.write(f"table {which}: {len(rows)} rows (N = "
               f"{', '.join(str(r['N']) for r in rows)})\n")
     return 0
@@ -254,20 +272,16 @@ def cmd_bounds(args, stream, err) -> int:
         cd = _cd_at(cfg, N)
         q = _scaling_at(cfg, cd, N)
         enc = _METHODS[cfg.method](cd, q, N)
-        rows.append({
-            "N": N, "method": enc.method,
-            "A": float(enc.A), "B": float(enc.B),
-            "theta1": float(enc.theta1), "theta2": float(enc.theta2),
-            "argmin_index": enc.argmin_index, "argmax_index": enc.argmax_index,
-            "q_mode": cfg.q_mode,
-        })
+        rows.append((N, enc.method, float(enc.A), float(enc.B), float(enc.theta1),
+                     float(enc.theta2), enc.argmin_index, enc.argmax_index,
+                     cfg.q_mode))
     header = ["N", "method", "A", "B", "theta1", "theta2", "argmin_index",
               "argmax_index", "q_mode"]
-    _emit(rows, header, cfg, stream)
-    last = rows[-1]
-    err.write(f"bounds[{cfg.method}] N={last['N']}: arc "
-              f"{_fmt_angle(float(last['theta1']), cfg.degrees)} .. "
-              f"{_fmt_angle(float(last['theta2']), cfg.degrees)}\n")
+    _emit(header, rows, cfg, stream)
+    N, _, _, _, theta1, theta2, *_ = rows[-1]
+    err.write(f"bounds[{cfg.method}] N={N}: arc "
+              f"{_fmt_angle(theta1, cfg.degrees)} .. "
+              f"{_fmt_angle(theta2, cfg.degrees)}\n")
     return 0
 
 
@@ -277,10 +291,8 @@ def cmd_zeros(args, stream, err) -> int:
     for N in _n_values(args):
         cd = _cd_at(cfg, N)
         zl = zeros_R(cd, N, xtol=args.tol)
-        for j in range(N):
-            rows.append({"N": N, "j": j + 1, "theta": float(zl.theta[j]),
-                         "x": float(zl.x[j])})
-    _emit(rows, ["N", "j", "theta", "x"], cfg, stream)
+        rows += zip([N] * N, range(1, N + 1), zl.theta.tolist(), zl.x.tolist())
+    _emit(["N", "j", "theta", "x"], rows, cfg, stream)
     err.write(f"zeros: {len(rows)} rows\n")
     return 0
 
@@ -297,21 +309,17 @@ def cmd_support_arc(args, stream, err) -> int:
         cd = _cd_at(cfg, N)
         q = _scaling_at(cfg, cd, N)
         sa = support_arc(cd, q, N, method=cfg.method)
-        rows.append({
-            "N": N, "method": cfg.method,
-            "theta1": float(sa.theta1), "theta2": float(sa.theta2),
-            "A": float(sa.enclosure.A), "B": float(sa.enclosure.B),
-            "stabilized_lower": sa.stabilized_lower,
-            "stabilized_upper": sa.stabilized_upper,
-        })
+        rows.append((N, cfg.method, float(sa.theta1), float(sa.theta2),
+                     float(sa.enclosure.A), float(sa.enclosure.B),
+                     sa.stabilized_lower, sa.stabilized_upper))
     header = ["N", "method", "theta1", "theta2", "A", "B",
               "stabilized_lower", "stabilized_upper"]
-    _emit(rows, header, cfg, stream)
-    last = rows[-1]
-    err.write(f"support-arc N={last['N']}: "
-              f"[{_fmt_angle(float(last['theta1']), cfg.degrees)}, "
-              f"{_fmt_angle(float(last['theta2']), cfg.degrees)}] "
-              f"stabilized={last['stabilized_lower'] and last['stabilized_upper']}\n")
+    _emit(header, rows, cfg, stream)
+    N, _, theta1, theta2, _, _, lower, upper = rows[-1]
+    err.write(f"support-arc N={N}: "
+              f"[{_fmt_angle(theta1, cfg.degrees)}, "
+              f"{_fmt_angle(theta2, cfg.degrees)}] "
+              f"stabilized={lower and upper}\n")
     return 0
 
 
@@ -324,17 +332,11 @@ def cmd_gap(args, stream, err) -> int:
         raise InputError("gap needs a coefficient source (--input or --family)")
     cert = gap_certificate(cfg.alpha, args.theta1, args.theta2, n)
     if args.trace:
-        rows = [{"n": i + 1, "m": float(v)} for i, v in enumerate(cert.m)]
-        _emit(rows, ["n", "m"], cfg, stream)
+        _emit(["n", "m"], zip(range(1, len(cert.m) + 1), cert.m.tolist()), cfg, stream)
     else:
-        rows = [{
-            "verdict": cert.verdict,
-            "horizon": cert.horizon,
-            "violated_at": cert.violated_at,
-            "c1_condition": cert.c1_condition,
-        }]
-        _emit(rows, ["verdict", "horizon", "violated_at", "c1_condition"], cfg,
-              stream)
+        _emit(["verdict", "horizon", "violated_at", "c1_condition"],
+              [(cert.verdict, cert.horizon, cert.violated_at, cert.c1_condition)],
+              cfg, stream)
     if cert.verified:
         err.write(f"gap: verified to N={cert.horizon}\n")
     else:
@@ -351,23 +353,15 @@ def cmd_transform(args, stream, err) -> int:
         cd = cfg.cd_inline
         alpha = verblunsky_from_cd(cd, t=args.t, tol=args.tol)
         values = alpha.prefix(cd.n)
-        rows = [{"n": k, "alpha_re": float(v.real), "alpha_im": float(v.imag)}
-                for k, v in enumerate(values)]
-        _emit(rows, ["n", "alpha_re", "alpha_im"], cfg, stream)
-        err.write(f"transform: recovered {len(rows)} coefficients at t={args.t}\n")
+        _emit(["n", "alpha_re", "alpha_im"],
+              zip(range(cd.n), values.real.tolist(), values.imag.tolist()), cfg, stream)
+        err.write(f"transform: recovered {cd.n} coefficients at t={args.t}\n")
         return 0
     cd = _cd_at(cfg, n)
-    rows = []
-    for k in range(cd.n):
-        rows.append({
-            "n": k + 1,
-            "c": float(cd.c[k]),
-            "g": float(cd.g.values[k]),
-            "d_next": float(cd.d.values[k]) if k < len(cd.d.values) else "",
-            "tau_re": float(cd.tau.values[k].real),
-            "tau_im": float(cd.tau.values[k].imag),
-        })
-    _emit(rows, ["n", "c", "g", "d_next", "tau_re", "tau_im"], cfg, stream)
+    tau = cd.tau.values[:cd.n]
+    rows = zip(range(1, cd.n + 1), cd.c.tolist(), cd.g.values.tolist(),
+               chain(cd.d.values.tolist(), [""]), tau.real.tolist(), tau.imag.tolist())
+    _emit(["n", "c", "g", "d_next", "tau_re", "tau_im"], rows, cfg, stream)
     if args.roundtrip:
         if cfg.alpha is None:
             raise InputError("--roundtrip needs an alpha source")
@@ -390,7 +384,7 @@ def cmd_scaling_threshold(args, stream, err) -> int:
         else:
             raise InputError("--infinite needs --d-const or a lambda-eta family")
         thr = scaling_mod.constant_scaling_threshold_infinite(d, tol=args.tol)
-        rows = [{"kind": "infinite", "threshold": float(thr)}]
+        kind = "infinite"
     else:
         if args.n is None:
             raise InputError("finite threshold needs --n")
@@ -398,9 +392,9 @@ def cmd_scaling_threshold(args, stream, err) -> int:
         cd = _cd_at(cfg, N)
         d = ChainSeq.from_values(cd.d.values[:N - 1])
         thr = scaling_mod.constant_scaling_threshold(d)
-        rows = [{"kind": f"finite-N={N}", "threshold": float(thr)}]
-    _emit(rows, ["kind", "threshold"], cfg, stream)
-    err.write(f"scaling-threshold: {rows[0]['threshold']}\n")
+        kind = f"finite-N={N}"
+    _emit(["kind", "threshold"], [(kind, float(thr))], cfg, stream)
+    err.write(f"scaling-threshold: {float(thr)}\n")
     return 0
 
 

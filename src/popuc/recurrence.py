@@ -166,6 +166,13 @@ def _count_above(c, d, degree, x):
     return count
 
 
+def _bisection_steps(xtol: float) -> int:
+    """Halvings of [-1, 1] that zero bisection takes for ``xtol``."""
+    if xtol <= 0:
+        raise InputError("xtol must be positive")
+    return max(int(math.ceil(math.log2(2.0 / xtol))) + 1, 56)
+
+
 def _bisect_zeros(cd: CdParams, N: int, degree, j, xtol: float) -> np.ndarray:
     """x of the j-th largest zero of W_degree, for each (degree, j) pair.
 
@@ -176,13 +183,10 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j, xtol: float) -> np.ndarray:
     """
     if N < 1:
         raise InputError(f"degree must be >= 1, got {N}")
-    if xtol <= 0:
-        raise InputError("xtol must be positive")
     c, d = _coeffs(cd, N)
-    iters = max(int(math.ceil(math.log2(2.0 / xtol))) + 1, 56)
     lo = np.full(len(j), -1.0)
     hi = np.full(len(j), 1.0)
-    for _ in range(iters):
+    for _ in range(_bisection_steps(xtol)):
         mid = 0.5 * (lo + hi)
         above = _count_above(c, d, degree, mid) >= j
         lo = np.where(above, mid, lo)

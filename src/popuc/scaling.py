@@ -20,8 +20,10 @@ import numpy as np
 
 from .chainseq import (ChainSeq, ScalingSeq, UltrasphericalRule, chain_failure_index,
                        ismail_li_constant, make_scaling)
-from .errors import InputError, NonConvergenceError, NotChainSequenceError
-from .recurrence import _count_above, zeros_W
+from .errors import (BoundaryCaseError, InputError, NonConvergenceError,
+                     NotChainSequenceError)
+# zeros_W stays importable from here: perfbench's tracer wraps this binding
+from .recurrence import _bisection_steps, _count_above, zeros_W  # noqa: F401
 from .transforms import CdParams, VerblunskySeq, cd_from_verblunsky
 
 # Relative half-width of the band around the constant-scaling threshold in
@@ -45,8 +47,22 @@ def constant_scaling_threshold(d: ChainSeq, xtol: float = 1e-12) -> float:
     N = len(d.values) + 1
     if N < 2:
         raise InputError("threshold needs at least one chain-sequence term")
-    zl = zeros_W(_symmetric_cd(d), N, xtol)
-    return float(zl.x[0] ** 2)
+    cd = _symmetric_cd(d)
+    # the top zero alone, by the same bisection steps as zeros_W
+    c, dl = cd.c.tolist(), cd.d.values.tolist()
+    lo, hi = -1.0, 1.0
+    for _ in range(_bisection_steps(xtol)):
+        mid = 0.5 * (lo + hi)
+        if _count_above(c, dl, N, mid) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    x = 0.5 * (lo + hi)
+    if x >= 1.0:
+        raise BoundaryCaseError(
+            1, f"zero 1 of degree {N} is not resolvable in double precision: "
+               "it rounds to x = +-1 or ties its neighbour")
+    return x ** 2
 
 
 def _largest_zero_sturm(d: np.ndarray, xtol: float) -> float:

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chainseq import (ChainSeq, ParamSeq, chain_failure_index, maximal_params,
-                       SP_THRESHOLD)
+                       SP_THRESHOLD, _chunks)
 from .errors import InputError, InvariantError, NotChainSequenceError
 
 TWO_PI = 2.0 * math.pi
@@ -42,6 +42,24 @@ TWO_PI = 2.0 * math.pi
 # |1 - tau * alpha| below this means the input is corrupted: analytically the
 # product stays at distance >= 1 - |alpha| > 0 from 1.
 _DIVISION_GUARD = 1e-15
+
+
+def _cdiv(nr: float, ni: float, dr: float, di: float) -> tuple:
+    """(nr + i ni) / (dr + i di) on Python floats, as (real, imag), rounded
+    exactly as numpy's complex128 division rounds.
+
+    That is Smith's algorithm (Smith, CACM 5 (1962), Alg. 116) with the
+    scale applied as a reciprocal; CPython's complex ``/`` rounds differently
+    on many inputs.  A real divisor m is (m, 0.0).  The divisor must be
+    nonzero.
+    """
+    if abs(dr) >= abs(di):
+        rat = di / dr
+        scl = 1.0 / (dr + di * rat)
+        return (nr + ni * rat) * scl, (ni - nr * rat) * scl
+    rat = dr / di
+    scl = 1.0 / (di + dr * rat)
+    return (nr * rat + ni) * scl, (ni * rat - nr) * scl
 
 
 def _require_finite(values: np.ndarray, name: str, first: int) -> None:
@@ -229,29 +247,53 @@ def tau_from_verblunsky(alpha: VerblunskySeq, n: Optional[int] = None,
     drift = 0.0
     if rotation is None:
         tau = 1.0 + 0.0j
-        phase = None
     else:
-        theta = _normalize_rotation(rotation)
-        phase = cmath.exp(1j * theta)
-        tau = phase
+        rotation = _normalize_rotation(rotation)
+        tau = cmath.exp(1j * rotation)
     out[0] = tau
-    for k in range(n):
-        prod = tau * a[k]
-        denom = 1.0 - prod
-        if abs(denom) < _DIVISION_GUARD:
-            raise InvariantError(
-                f"tau recursion denominator vanished at step {k + 1}; "
-                "coefficients corrupted")
-        if phase is None:
-            tau = (tau - a[k].conjugate()) / denom
-        else:
-            tau = phase * tau * (1.0 - prod.conjugate()) / denom
-        mod = abs(tau)
-        drift = max(drift, abs(mod - 1.0))
-        tau /= mod
-        out[k + 1] = tau
-    return TauSeq(out, rotation=None if rotation is None else _normalize_rotation(rotation),
-                  max_drift=drift)
+    # The recursion runs on the parts of tau and of alpha_k as Python floats,
+    # each operation written as numpy's complex128 arithmetic performs it,
+    # so the sequence matches a numpy evaluation bit for bit.
+    tr, ti = tau.real, tau.imag
+    ph_r, ph_i = tr, ti  # e^{i theta}, read only when rotated
+    for i, a_re, a_im in _chunks(a.real, a.imag):
+        res_re = []
+        res_im = []
+        for ar, ai in zip(a_re, a_im):
+            # prod = tau alpha_k, denom = 1 - prod
+            pr = tr * ar - ti * ai
+            pi = tr * ai + ti * ar
+            dr = 1.0 - pr
+            di = 0.0 - pi
+            # |denom| >= dr, so the modulus is needed only when dr is small
+            if dr < _DIVISION_GUARD and abs(complex(dr, di)) < _DIVISION_GUARD:
+                raise InvariantError(
+                    f"tau recursion denominator vanished at step {i + len(res_re) + 1}; "
+                    "coefficients corrupted")
+            if rotation is None:
+                # tau - conj(alpha_k)
+                nr = tr - ar
+                ni = ti + ai
+            else:
+                # e^{i theta} tau (1 - conj(prod))
+                er = ph_r * tr - ph_i * ti
+                ei = ph_r * ti + ph_i * tr
+                qi = 0.0 + pi
+                nr = er * dr - ei * qi
+                ni = er * qi + ei * dr
+            xr, xi = _cdiv(nr, ni, dr, di)
+            mod = abs(complex(xr, xi))
+            if abs(mod - 1.0) > drift:
+                drift = abs(mod - 1.0)
+            # _cdiv(xr, xi, mod, 0.0), written out
+            scl = 1.0 / mod
+            tr = (xr + xi * 0.0) * scl
+            ti = (xi - xr * 0.0) * scl
+            res_re.append(tr)
+            res_im.append(ti)
+        out.real[i + 1:i + 1 + len(res_re)] = res_re
+        out.imag[i + 1:i + 1 + len(res_im)] = res_im
+    return TauSeq(out, rotation=rotation, max_drift=drift)
 
 
 @dataclass(frozen=True)
@@ -322,12 +364,16 @@ def _tau_from_c(c: np.ndarray) -> TauSeq:
     tau = 1.0 + 0.0j
     out[0] = tau
     drift = 0.0
-    for k, ck in enumerate(c):
-        tau = tau * (1.0 - 1j * ck) / (1.0 + 1j * ck)
-        mod = abs(tau)
-        drift = max(drift, abs(mod - 1.0))
-        tau /= mod
-        out[k + 1] = tau
+    for i, block in _chunks(c):
+        res = []
+        for ck in block:
+            tau = tau * (1.0 - 1j * ck) / (1.0 + 1j * ck)
+            mod = abs(tau)
+            if abs(mod - 1.0) > drift:
+                drift = abs(mod - 1.0)
+            tau /= mod
+            res.append(tau)
+        out[i + 1:i + 1 + len(res)] = res
     return TauSeq(out, max_drift=drift)
 
 
@@ -398,28 +444,37 @@ def verblunsky_from_cd(cd: CdParams, t: float = 0.0,
     alpha = np.empty(n, dtype=complex)
     head = (1.0 - t) * m1_max
     stored = cd.g.values
-    orbit: Optional[np.ndarray]
-    if abs(head - stored[0]) <= 4.0 * np.finfo(float).eps * max(stored[0], 1e-300):
-        orbit = stored
-    else:
-        orbit = None
-    m = stored[0] if orbit is not None else head
-    for k in range(n):
-        if not (0.0 < m < 1.0) and not (k == 0 and m == 0.0):
-            if k == n - 1 and m >= 1.0:
-                # the finite-truncation member with no mass at z = 1 is a
-                # terminating measure: its last coefficient is unimodular and
-                # falls outside the open-disk contract
-                raise InputError(
-                    "member terminates: the final augmented parameter reached 1 "
-                    "(finite truncation at t = 0); request t > 0 or provide a "
-                    "rule-backed chain sequence")
-            raise InvariantError(
-                f"augmented parameter recursion left (0, 1) at step {k + 1}")
-        ck = cd.c[k]
-        alpha[k] = (1.0 - 2.0 * m - 1j * ck) / ((1.0 - 1j * ck) * tau[k])
-        if k < n - 1:
-            m = orbit[k + 1] if orbit is not None else d[k] / (1.0 - m)
+    use_orbit = abs(head - stored[0]) <= 4.0 * np.finfo(float).eps * max(stored[0],
+                                                                         1e-300)
+    m = float(stored[0] if use_orbit else head)
+    # m_{k+1} is the stored g_{k+2}, or d_{k+2} / (1 - m_k); the padding term
+    # is read after the last step and never used
+    feed = np.append(stored[1:n] if use_orbit else d[:n - 1], 0.0)
+    for i, c_blk, tau_blk, feed_blk in _chunks(cd.c, tau[:n], feed):
+        res_re = []
+        res_im = []
+        for ck, tk, fk in zip(c_blk, tau_blk, feed_blk):
+            if not (0.0 < m < 1.0) and not (i + len(res_re) == 0 and m == 0.0):
+                k = i + len(res_re)
+                if k == n - 1 and m >= 1.0:
+                    # the finite-truncation member with no mass at z = 1 is a
+                    # terminating measure: its last coefficient is unimodular
+                    # and falls outside the open-disk contract
+                    raise InputError(
+                        "member terminates: the final augmented parameter reached "
+                        "1 (finite truncation at t = 0); request t > 0 or provide "
+                        "a rule-backed chain sequence")
+                raise InvariantError(
+                    f"augmented parameter recursion left (0, 1) at step {k + 1}")
+            # (1 - 2 m - i c_k) / ((1 - i c_k) tau_k) as numpy evaluates it
+            ick = 1j * ck
+            den = (1.0 - ick) * tk
+            ar, ai = _cdiv(1.0 - 2.0 * m - ick.real, 0.0 - ick.imag, den.real, den.imag)
+            res_re.append(ar)
+            res_im.append(ai)
+            m = fk if use_orbit else fk / (1.0 - m)
+        alpha.real[i:i + len(res_re)] = res_re
+        alpha.imag[i:i + len(res_im)] = res_im
     return VerblunskySeq.from_values(alpha)
 
 
@@ -430,10 +485,10 @@ def mass_at_one(cd: CdParams, tol: float = 1e-12) -> float:
     back into :func:`verblunsky_from_cd` reproduces the generating
     coefficients.
     """
-    m1 = maximal_params(cd.d, tol=tol).values[0]
+    m1 = float(maximal_params(cd.d, tol=tol).values[0])
     if m1 <= 0.0:
         return 0.0
-    return min(max(1.0 - cd.g.values[0] / m1, 0.0), math.nextafter(1.0, 0.0))
+    return min(max(1.0 - float(cd.g.values[0]) / m1, 0.0), math.nextafter(1.0, 0.0))
 
 
 def has_point_mass_at_one(cd: CdParams, tol: float = 1e-8) -> bool:

@@ -93,6 +93,16 @@ class TestBounds:
         assert code == 2
         assert "scaling invalid at n=2" in err
 
+    def test_scaling_error_prints_plain_float(self, tmp_path):
+        qfile = tmp_path / "q.json"
+        qfile.write_text(json.dumps([1.0, 1.5] + [1.0] * 9))
+        code, _, err = run(["bounds", "--family", "geronimus",
+                            "--params", "alpha_re=-0.5", "--n", "12",
+                            "--q-mode", "custom", "--q-file", str(qfile)])
+        assert code == 2
+        assert "q_{3}=1.5 " in err
+        assert "np.float64" not in err
+
     def test_n_too_small(self):
         code, _, err = run(["bounds", "--family", "geronimus",
                             "--params", "alpha_re=-0.5", "--n", "1"])
@@ -256,6 +266,14 @@ class TestTransform:
         residual = float(err.split("residual")[1].split()[0])
         assert residual < 1e-9
 
+    def test_roundtrip_prints_plain_mass(self):
+        code, _, err = run(["transform", "--family", "geronimus",
+                            "--params", "alpha_re=0.3,alpha_im=0.4",
+                            "--n", "30", "--roundtrip"])
+        assert code == 0
+        assert "np.float64" not in err
+        assert 0.0 <= float(err.split("at t=")[1]) < 1.0
+
     def test_reverse_from_cd(self, tmp_path):
         src = tmp_path / "cd.json"
         src.write_text(json.dumps({"cd": {"c": [0.0] * 6, "d": [0.25] * 5}}))
@@ -343,3 +361,15 @@ class TestExitCodeContract:
     def test_unknown_family(self):
         code, _, err = run(["bounds", "--family", "nope", "--n", "4"])
         assert code == 2
+
+    @pytest.mark.parametrize("family, params, bad", [
+        ("geronimus", {"alpha_re": "x"}, "alpha_re"),
+        ("alternating", {"b1": 0.5, "b2": [0.5]}, "b2"),
+        ("lambda-eta", {"lam": 1.0, "eta": None}, "eta"),
+    ])
+    def test_non_numeric_json_family_parameter(self, tmp_path, family, params, bad):
+        src = tmp_path / "family.json"
+        src.write_text(json.dumps({"family": family, "params": params}))
+        code, _, err = run(["zeros", "--input", str(src), "--n", "4"])
+        assert code == 2
+        assert err.startswith("error: ") and repr(bad) in err
