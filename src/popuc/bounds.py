@@ -26,7 +26,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .chainseq import ChainSeq, ScalingSeq, _chunks, chain_failure_index, make_scaling
+from .chainseq import (ChainSeq, ScalingSeq, _chunks, _forward_params,
+                       chain_failure_index, make_scaling)
 from .errors import BoundaryCaseError, InputError, ScalingError
 from .recurrence import TWO_PI
 from .transforms import CdParams, VerblunskySeq, rotated_cd
@@ -236,18 +237,13 @@ def enclosure_cor45(cd: CdParams, N: int) -> Enclosure:
     lower = bool((sums > 0.0).all())
     if not lower and not (sums < 0.0).all():
         return Enclosure(-1.0, 1.0, None, None, "cor45")
-    # the bound side is the lower one for positive sums, the upper one for
-    # negative sums
-    best = math.inf if lower else -math.inf
-    arg = None
-    for i, c_prev, c_next in _chunks(cd.c[:N - 1], cd.c[1:N]):
-        for m, a, b in zip(count(i + 2), c_prev, c_next):
-            x = _x_from_u((a * b - 1.0) / (a + b))
-            if (x < best) if lower else (x > best):
-                best, arg = x, m
+    # at q = 1 the pairwise quadratic keeps one finite root,
+    # (c_{n-1} c_n - 1) / (c_{n-1} + c_n), on the bound side: the lower one for
+    # positive sums, the upper one for negative sums
+    enc = enclosure_thm44(cd, np.ones(N - 1), N, validate=False)
     if lower:
-        return Enclosure(best, 1.0, arg, None, "cor45")
-    return Enclosure(-1.0, best, None, arg, "cor45")
+        return Enclosure(enc.A, 1.0, enc.argmin_index, None, "cor45")
+    return Enclosure(-1.0, enc.B, None, enc.argmax_index, "cor45")
 
 
 def enclosure_cor47(cd: CdParams, N: int) -> Enclosure:
@@ -367,20 +363,9 @@ def gap_certificate(alpha: VerblunskySeq, theta1: float, theta2: float,
                                 "probe point lies on the cotangent direction of "
                                 f"c_{int(np.argmax(tiny)) + 1}; arc endpoint sits on "
                                 "the support boundary")
-    m = np.empty(N)
-    prev = 0.0
-    # m_n = d_{n+1} / (t_n t_{n+1} (1 - m_{n-1}))
-    for i, d_blk, tt_blk in _chunks(cd.d.values[:N], t[:N] * t[1:N + 1]):
-        out = []
-        for dn, tt in zip(d_blk, tt_blk):
-            prev = dn / (tt * (1.0 - prev))
-            out.append(prev)
-            if not 0.0 < prev < 1.0:
-                n = i + len(out)
-                m[i:n] = out
-                return GapCertificate("violated", N, n, True, m[:n])
-        m[i:i + len(out)] = out
-    return GapCertificate("verified", N, None, True, m)
+    # m_n = d_{n+1} / (t_n t_{n+1} (1 - m_{n-1})), m_0 = 0
+    m, n = _forward_params(cd.d.values[:N], scale=t[:N] * t[1:N + 1])
+    return GapCertificate("verified" if n is None else "violated", N, n, True, m[1:])
 
 
 def two_interval_enclosure(cd: CdParams, A: float, B: float, C: float, D: float,

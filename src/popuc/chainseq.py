@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,7 +61,7 @@ class ChainRule:
 
 class ConstantRule(ChainRule):
     def __init__(self, value: float):
-        if value <= 0:
+        if not value > 0:
             raise InputError(f"chain sequence elements must be positive, got {value}")
         self.value = float(value)
 
@@ -79,7 +80,7 @@ class UltrasphericalRule(ChainRule):
     """d_{n+1} = n (n + 2*lam + 1) / (4 (n + lam)(n + lam + 1)), lam >= -1/2."""
 
     def __init__(self, lam: float):
-        if lam < -0.5:
+        if not lam >= -0.5:
             raise InputError(f"ultraspherical parameter must be >= -1/2, got {lam}")
         self.lam = float(lam)
 
@@ -234,21 +235,39 @@ def _chunks(*arrays: np.ndarray):
         yield (i, *(a[i:i + _CHUNK].tolist() for a in arrays))
 
 
-def _minimal_raw(d: np.ndarray) -> np.ndarray:
-    """Forward parameter recursion; raises at the first inadmissible term."""
-    count = len(d)
-    g = np.empty(count + 1)
-    g[0] = 0.0
-    prev = 0.0
+def _forward_params(d: np.ndarray, head: float = 0.0,
+                    scale: Optional[np.ndarray] = None):
+    """Forward parameter recursion g_1 = head,
+    g_{n+1} = d_{n+1} / (s_{n+1} (1 - g_n)).
+
+    The chain test, the gap-certificate ratios and the reverse transform all
+    walk this recursion.  ``scale`` holds s_2, s_3, ... (1 when omitted).
+    The head lies in [0, 1).  Returns ``(g, n)``: g holds g_1 up to and
+    including the first g_{n+1} outside (0, 1), whose position in g is n, or
+    the whole sequence with n = None.
+    """
+    g = np.empty(len(d) + 1)
+    g[0] = prev = float(head)
     for i, block in _chunks(d):
+        s_blk = repeat(1.0) if scale is None else scale[i:i + _CHUNK].tolist()
         out = []
-        for n, dn in enumerate(block, i + 1):
-            prev = dn / (1.0 - prev)
-            if not 0.0 < prev < 1.0 and not (n == count
-                                             and 0.0 < prev < 1.0 + BOUNDARY_TOL):
-                raise NotChainSequenceError(n)
+        for dn, sn in zip(block, s_blk):
+            prev = dn / (sn * (1.0 - prev))
             out.append(prev)
+            if not 0.0 < prev < 1.0:
+                n = i + len(out)
+                g[i + 1:n + 1] = out
+                return g[:n + 1], n
         g[i + 1:i + 1 + len(out)] = out
+    return g, None
+
+
+def _minimal_raw(d: np.ndarray) -> np.ndarray:
+    """Minimal parameters g_1 = 0, g_2, ...; raises at the first inadmissible
+    term, except that the final one may reach 1 + ``BOUNDARY_TOL``."""
+    g, n = _forward_params(d)
+    if n is not None and not (n == len(d) and 0.0 < g[n] < 1.0 + BOUNDARY_TOL):
+        raise NotChainSequenceError(n)
     return g
 
 
@@ -304,7 +323,7 @@ def maximal_params(d: ChainSeq, tol: float = 1e-12) -> ParamSeq:
     is available; otherwise the backward recursion is repeated at doubling
     horizons until M_1 moves by less than ``tol``, up to ``HORIZON_CAP``.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InputError("tol must be positive")
     if d.kind == FINITE:
         return ParamSeq(_backward_maximal(d.values), "maximal")
@@ -377,7 +396,7 @@ def make_scaling(d: ChainSeq, q) -> ScalingSeq:
 
 def ultraspherical_chain(lam: float, n: int) -> float:
     """Element d_{n+1} of the ultraspherical chain sequence, lam >= -1/2."""
-    if lam < -0.5:
+    if not lam >= -0.5:
         raise InputError(f"ultraspherical parameter must be >= -1/2, got {lam}")
     if n < 1:
         raise InputError(f"index must be >= 1, got {n}")

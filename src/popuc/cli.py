@@ -65,7 +65,11 @@ def _parse_params(text: str) -> dict:
         if "=" not in chunk:
             raise InputError(f"malformed --params entry {chunk!r}; expected k=v")
         key, val = chunk.split("=", 1)
-        out[key.strip()] = float(val)
+        key = key.strip()
+        try:
+            out[key] = float(val)
+        except ValueError:
+            raise InputError(f"--params value for {key!r} must be a number, got {val!r}")
     return out
 
 
@@ -97,6 +101,9 @@ def _load_input_file(path: str, horizon: int):
             blob = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"cannot parse {path}: {exc}")
+    if not isinstance(blob, dict):
+        raise InputError(f'{path} must hold a JSON object with "alpha", "family" '
+                         'or "cd"')
     if "alpha" in blob:
         pairs = blob["alpha"]
         try:
@@ -153,9 +160,9 @@ def _n_values(args) -> list:
 
 def _cd_at(cfg: JobConfig, n_terms: int) -> CdParams:
     if cfg.cd_inline is not None:
-        if cfg.cd_inline.n < n_terms:
+        if not 0 < n_terms <= cfg.cd_inline.n:
             raise InputError(f"inline cd carries {cfg.cd_inline.n} coefficients, "
-                             f"{n_terms} needed")
+                             f"{n_terms} requested")
         return cfg.cd_inline
     if cfg.alpha is None:
         raise InputError("no coefficient source; use --input or --family")
@@ -326,7 +333,7 @@ def cmd_support_arc(args, stream, err) -> int:
 def cmd_gap(args, stream, err) -> int:
     if args.theta1 is None or args.theta2 is None:
         raise InputError("gap needs --theta1 and --theta2")
-    n = args.n or 1000
+    n = 1000 if args.n is None else args.n
     cfg = _resolve_source(args, horizon=n + 1)
     if cfg.alpha is None:
         raise InputError("gap needs a coefficient source (--input or --family)")
@@ -345,7 +352,7 @@ def cmd_gap(args, stream, err) -> int:
 
 
 def cmd_transform(args, stream, err) -> int:
-    n = args.n or 16
+    n = 16 if args.n is None else args.n
     cfg = _resolve_source(args, horizon=n)
     if args.reverse:
         if cfg.cd_inline is None:
@@ -375,7 +382,7 @@ def cmd_transform(args, stream, err) -> int:
 
 
 def cmd_scaling_threshold(args, stream, err) -> int:
-    cfg = _resolve_source(args, horizon=(args.n or 16))
+    cfg = _resolve_source(args, horizon=16 if args.n is None else args.n)
     if args.infinite:
         if args.d_const is not None:
             d = ChainSeq.constant(args.d_const)

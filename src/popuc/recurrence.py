@@ -168,8 +168,8 @@ def _count_above(c, d, degree, x):
 
 def _bisection_steps(xtol: float) -> int:
     """Halvings of [-1, 1] that zero bisection takes for ``xtol``."""
-    if xtol <= 0:
-        raise InputError("xtol must be positive")
+    if not 0 < xtol < math.inf:
+        raise InputError(f"xtol must be positive and finite, got {xtol}")
     return max(int(math.ceil(math.log2(2.0 / xtol))) + 1, 56)
 
 

@@ -101,8 +101,8 @@ def constant_scaling_threshold_infinite(d: ChainSeq, tol: float = 1e-6) -> float
     """
     if d.kind != "truncated-infinite":
         raise InputError("infinite threshold needs a rule-backed chain sequence")
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise InputError(f"tol must be positive and finite, got {tol}")
     xtol = min(tol / 100.0, 1e-10)
     horizon = 64
     prev = _largest_zero_sturm(d.prefix(horizon - 1), xtol) ** 2

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chainseq import (ChainSeq, ParamSeq, chain_failure_index, maximal_params,
-                       SP_THRESHOLD, _chunks)
+                       SP_THRESHOLD, _chunks, _forward_params)
 from .errors import InputError, InvariantError, NotChainSequenceError
 
 TWO_PI = 2.0 * math.pi
@@ -439,43 +439,30 @@ def verblunsky_from_cd(cd: CdParams, t: float = 0.0,
         raise InputError("no mass-variant family: chain sequence is "
                          "single-parameter (maximal head is 0)")
     n = cd.n
-    d = cd.d.values
-    tau = _tau_from_c(cd.c).values
-    alpha = np.empty(n, dtype=complex)
     head = (1.0 - t) * m1_max
     stored = cd.g.values
     use_orbit = abs(head - stored[0]) <= 4.0 * np.finfo(float).eps * max(stored[0],
                                                                          1e-300)
-    m = float(stored[0] if use_orbit else head)
-    # m_{k+1} is the stored g_{k+2}, or d_{k+2} / (1 - m_k); the padding term
-    # is read after the last step and never used
-    feed = np.append(stored[1:n] if use_orbit else d[:n - 1], 0.0)
-    for i, c_blk, tau_blk, feed_blk in _chunks(cd.c, tau[:n], feed):
-        res_re = []
-        res_im = []
-        for ck, tk, fk in zip(c_blk, tau_blk, feed_blk):
-            if not (0.0 < m < 1.0) and not (i + len(res_re) == 0 and m == 0.0):
-                k = i + len(res_re)
-                if k == n - 1 and m >= 1.0:
-                    # the finite-truncation member with no mass at z = 1 is a
-                    # terminating measure: its last coefficient is unimodular
-                    # and falls outside the open-disk contract
-                    raise InputError(
-                        "member terminates: the final augmented parameter reached "
-                        "1 (finite truncation at t = 0); request t > 0 or provide "
-                        "a rule-backed chain sequence")
-                raise InvariantError(
-                    f"augmented parameter recursion left (0, 1) at step {k + 1}")
-            # (1 - 2 m - i c_k) / ((1 - i c_k) tau_k) as numpy evaluates it
-            ick = 1j * ck
-            den = (1.0 - ick) * tk
-            ar, ai = _cdiv(1.0 - 2.0 * m - ick.real, 0.0 - ick.imag, den.real, den.imag)
-            res_re.append(ar)
-            res_im.append(ai)
-            m = fk if use_orbit else fk / (1.0 - m)
-        alpha.real[i:i + len(res_re)] = res_re
-        alpha.imag[i:i + len(res_im)] = res_im
-    return VerblunskySeq.from_values(alpha)
+    # m_1 .. m_n: the stored orbit, or the walk from the head, which stops at
+    # the first term outside (0, 1); only m_1 may be 0
+    m = stored if use_orbit else _forward_params(cd.d.values, head=head)[0]
+    ok = (m > 0.0) & (m < 1.0)
+    ok[0] |= m[0] == 0.0
+    if not ok.all():
+        k = int(np.argmin(ok))
+        if k == n - 1 and m[k] >= 1.0:
+            # the finite-truncation member with no mass at z = 1 is a
+            # terminating measure: its last coefficient is unimodular and
+            # falls outside the open-disk contract
+            raise InputError(
+                "member terminates: the final augmented parameter reached "
+                "1 (finite truncation at t = 0); request t > 0 or provide "
+                "a rule-backed chain sequence")
+        raise InvariantError(
+            f"augmented parameter recursion left (0, 1) at step {k + 1}")
+    ic = 1j * cd.c
+    tau = _tau_from_c(cd.c).values[:n]
+    return VerblunskySeq.from_values((1.0 - 2.0 * m - ic) / ((1.0 - ic) * tau))
 
 
 def mass_at_one(cd: CdParams, tol: float = 1e-12) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import popuc as pp
-from popuc.chainseq import _backward_maximal
+from popuc.chainseq import _CHUNK, _backward_maximal, _forward_params
 
 from conftest import random_cd_q
 
@@ -34,6 +34,31 @@ class TestMinimalParams:
             g = pp.minimal_params(d).values
             recon = (1.0 - g[:-1]) * g[1:]
             assert np.max(np.abs(recon - d.values) / d.values) < 1e-13
+
+
+class TestForwardParams:
+    @staticmethod
+    def plain_walk(d, head, scale):
+        g = [head]
+        for dn, sn in zip(d.tolist(), scale.tolist()):
+            g.append(dn / (sn * (1.0 - g[-1])))
+            if not 0.0 < g[-1] < 1.0:
+                return np.array(g), len(g) - 1
+        return np.array(g), None
+
+    @pytest.mark.parametrize("at", [_CHUNK - 1, _CHUNK, _CHUNK + 1, None])
+    def test_head_and_scale_across_chunk_edges(self, at):
+        rng = np.random.default_rng(7)
+        h = rng.uniform(0.15, 0.85, 3 * _CHUNK + 1)
+        # d <= 0.7 / 4 and s >= 0.95 keep every g in (0, 1/2] from a head <= 1/2
+        d = 0.7 * (1.0 - h[:-1]) * h[1:]
+        scale = rng.uniform(0.95, 1.05, len(d))
+        if at is not None:
+            d[at - 1] = 5.0  # g at position ``at`` leaves (0, 1)
+        g, n = _forward_params(d, head=0.3, scale=scale)
+        ref, ref_n = self.plain_walk(d, 0.3, scale)
+        assert n == ref_n == at
+        np.testing.assert_array_equal(g.view(np.int64), ref.view(np.int64))
 
 
 class TestIsChainSequence:

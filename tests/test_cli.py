@@ -373,3 +373,52 @@ class TestExitCodeContract:
         code, _, err = run(["zeros", "--input", str(src), "--n", "4"])
         assert code == 2
         assert err.startswith("error: ") and repr(bad) in err
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("blob", ['"cd"', "5"])
+    def test_input_file_not_an_object(self, tmp_path, blob):
+        src = tmp_path / "top.json"
+        src.write_text(blob)
+        code, _, err = run(["zeros", "--input", str(src), "--n", "4"])
+        assert code == 2
+        assert err.startswith("error: ") and str(src) in err
+
+    def test_non_numeric_params_value(self):
+        code, _, err = run(["bounds", "--family", "geronimus",
+                            "--params", "alpha_re=x", "--n", "5"])
+        assert code == 2
+        assert err.startswith("error: ") and "'alpha_re'" in err
+
+    @pytest.mark.parametrize("argv", [
+        # --n 0 used to fall back to the default horizon
+        ["gap", "--family", "geronimus", "--params", "alpha_re=-0.5",
+         "--theta1", "5.3", "--theta2", "7.2", "--n", "0"],
+        ["transform", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "0"],
+        # non-finite tolerances
+        ["zeros", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "5",
+         "--tol", "nan"],
+        ["zeros", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "5",
+         "--tol", "inf"],
+        ["tables", "1", "--tol", "nan"],
+        ["tables", "1", "--tol", "inf"],
+        ["scaling-threshold", "--infinite", "--d-const", "0.2", "--tol", "nan"],
+        ["scaling-threshold", "--infinite", "--d-const", "0.2", "--tol", "inf"],
+        # NaN chain-sequence rules
+        ["scaling-threshold", "--d-const", "nan", "--infinite"],
+        ["scaling-threshold", "--family", "lambda-eta", "--params", "lam=nan,eta=1",
+         "--infinite"],
+    ])
+    def test_numeric_input_rejected(self, argv):
+        code, out, err = run(argv)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["transform", "scaling-threshold"])
+    def test_zero_degree_on_inline_cd(self, tmp_path, command):
+        # an inline cd source used to serve --n 0 as if no degree were asked
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.0] * 20, "d": [0.2] * 19}}))
+        code, out, err = run([command, "--input", str(src), "--n", "0"])
+        assert code == 2
+        assert out == "" and err.startswith("error: ")

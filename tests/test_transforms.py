@@ -174,6 +174,33 @@ class TestVerblunskyFromCd:
         with pytest.raises(pp.InputError):
             pp.verblunsky_from_cd(cd, t=1.0)
 
+    @staticmethod
+    def zero_head_cd(c1, n=12):
+        # lam = -1/2 makes the ultraspherical chain single-parameter: M_1 = 0,
+        # so the augmented head is 0, which is admissible at step 1 only
+        c = np.linspace(-1.0, 1.0, n)
+        c[0] = c1
+        cd = pp.CdParams.from_sequences(
+            c, pp.ChainSeq.ultraspherical(-0.5, horizon=n - 1))
+        assert cd.g.values[0] == 0.0
+        return cd
+
+    def test_zero_maximal_head(self):
+        # (1 - i c_1) / (1 - i c_1) rounds to 1 - 2^-53 at c_1 = 0.61
+        cd = self.zero_head_cd(0.61)
+        rec = pp.verblunsky_from_cd(cd).prefix(cd.n)
+        tau = pp.transforms._tau_from_c(cd.c).values
+        expect = np.array([(1.0 - 2.0 * m - 1j * ck) / ((1.0 - 1j * ck) * tk)
+                           for m, ck, tk in zip(cd.g.values, cd.c, tau)])
+        assert rec[0] == 1.0 - 2.0 ** -53
+        np.testing.assert_array_equal(rec.view(np.int64), expect.view(np.int64))
+
+    def test_zero_maximal_head_unimodular_alpha(self):
+        # with c_1 = 0 the member's alpha_0 is exactly 1: an input error (exit
+        # 2), not a breach of the parameter range (exit 4)
+        with pytest.raises(pp.InputError, match="alpha_0 has modulus 1 >= 1"):
+            pp.verblunsky_from_cd(self.zero_head_cd(0.0))
+
 
 class TestMassAtOne:
     def test_geronimus_criterion_grid(self):
