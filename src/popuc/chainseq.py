@@ -14,7 +14,8 @@ parametrizes a distinct factorization.
 Finite sequences use the same notion, except that the very last parameter is
 allowed to reach the closed endpoint 1: the extremal constant sequences of
 Ismail and Li attain it exactly, so the validity test below accepts a final
-parameter within ``BOUNDARY_TOL`` of 1.
+parameter within ``BOUNDARY_TOL`` of 1, or within twice its forward rounding
+error bound when that is larger (see ``_final_param_ok``).
 """
 
 from __future__ import annotations
@@ -186,10 +187,8 @@ class ParamSeq:
         interior = values[1:-1] if len(values) > 2 else values[1:0]
         if len(interior) and not ((interior > 0.0) & (interior < 1.0)).all():
             raise InputError("interior parameters must lie in (0, 1)")
-        if len(values) > 1:
-            last = values[-1]
-            if not (0.0 < last < 1.0 + BOUNDARY_TOL):
-                raise InputError(f"final parameter out of range: {last}")
+        if len(values) > 1 and not _final_param_ok(values):
+            raise InputError(f"final parameter out of range: {values[-1]}")
         if self.flavor == "minimal" and values[0] != 0.0:
             raise InputError("minimal parameter sequences start at 0")
 
@@ -262,11 +261,32 @@ def _forward_params(d: np.ndarray, head: float = 0.0,
     return g, None
 
 
+def _final_param_ok(g: np.ndarray) -> bool:
+    """Whether the final parameter g_N of ``g`` (all earlier ones in (0, 1))
+    is admissible: positive and below 1 + max(``BOUNDARY_TOL``, 2 e_N).
+
+    e_N bounds the forward rounding error of g_N through the linearized
+    recursion e_1 = 0, e_{k+1} = e_k g_{k+1} / (1 - g_k) + 3 u g_{k+1},
+    u = 2^-53: the derivative of g_{k+1} = d_{k+1} / (1 - g_k) carries e_k
+    forward, and the subtraction, the division and the rounding of a scaled
+    d_{k+1} = d / q add a relative u each.  It is computed only for a g_N
+    that has already failed the ``BOUNDARY_TOL`` test.
+    """
+    last = float(g[-1])
+    if 0.0 < last < 1.0 + BOUNDARY_TOL:
+        return True
+    e = 0.0
+    for _, prev, cur in _chunks(g[:-1], g[1:]):
+        for gk, gnext in zip(prev, cur):
+            e = (e / (1.0 - gk) + 3.0 * 2.0 ** -53) * gnext
+    return 0.0 < last < 1.0 + 2.0 * e
+
+
 def _minimal_raw(d: np.ndarray) -> np.ndarray:
     """Minimal parameters g_1 = 0, g_2, ...; raises at the first inadmissible
-    term, except that the final one may reach 1 + ``BOUNDARY_TOL``."""
+    term, except that the final one may pass ``_final_param_ok``."""
     g, n = _forward_params(d)
-    if n is not None and not (n == len(d) and 0.0 < g[n] < 1.0 + BOUNDARY_TOL):
+    if n is not None and not (n == len(d) and _final_param_ok(g)):
         raise NotChainSequenceError(n)
     return g
 

@@ -13,19 +13,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Optional
 
 import numpy as np
 
 from . import scaling as scaling_mod
 from .bounds import gap_certificate, support_arc, _METHODS
-from .chainseq import ChainSeq, ScalingSeq, _CHUNK, ismail_li_constant, make_scaling
+from .chainseq import ChainSeq, ScalingSeq, _CHUNK, make_scaling
 from .errors import (BoundaryCaseError, InputError, InvariantError,
                      NonConvergenceError, PopucError)
 from .recurrence import zeros_R
@@ -38,23 +37,6 @@ TABLE_FAMILIES = {
     2: {"lam": 10.0, "eta": 0.01},
     3: {"lam": -0.25, "eta": 1.0},
 }
-
-
-@dataclass
-class JobConfig:
-    """Resolved invocation: coefficient source, command parameters, output."""
-
-    command: str
-    alpha: Optional[VerblunskySeq] = None
-    cd_inline: Optional[CdParams] = None
-    n_values: list = field(default_factory=list)
-    q_mode: str = "trivial"
-    q_const: Optional[float] = None
-    q_values: Optional[np.ndarray] = None
-    method: str = "thm44"
-    output: str = "csv"
-    tol: float = 1e-12
-    degrees: bool = False
 
 
 def _parse_params(text: str) -> dict:
@@ -131,69 +113,58 @@ def _load_input_file(path: str, horizon: int):
     raise InputError(f'{path} must contain "alpha", "family" or "cd"')
 
 
-def _resolve_source(args, horizon: int) -> JobConfig:
-    cfg = JobConfig(command=args.command)
-    cfg.output = args.output
-    cfg.degrees = args.degrees
-    cfg.tol = args.tol
-    if getattr(args, "method", None):
-        cfg.method = args.method
-    if getattr(args, "input", None):
-        cfg.alpha, cfg.cd_inline = _load_input_file(args.input, horizon)
-    elif getattr(args, "family", None):
-        cfg.alpha = _family_from_params(args.family, _parse_params(args.params),
-                                        horizon)
-    return cfg
+def _source(args, horizon: int):
+    """(alpha, cd) from --input or --family; at most one of them is set."""
+    if args.input:
+        return _load_input_file(args.input, horizon)
+    if args.family:
+        return _family_from_params(args.family, _parse_params(args.params), horizon), None
+    return None, None
 
 
 def _n_values(args) -> list:
-    if getattr(args, "n_list", None):
+    if args.n_list:
         try:
-            values = [int(v) for v in args.n_list.split(",")]
+            return [int(v) for v in args.n_list.split(",")]
         except ValueError:
             raise InputError(f"malformed --n-list {args.n_list!r}")
-        return values
-    if getattr(args, "n", None) is None:
+    if args.n is None:
         raise InputError("specify --n or --n-list")
     return [args.n]
 
 
-def _cd_at(cfg: JobConfig, n_terms: int) -> CdParams:
-    if cfg.cd_inline is not None:
-        if not 0 < n_terms <= cfg.cd_inline.n:
-            raise InputError(f"inline cd carries {cfg.cd_inline.n} coefficients, "
+def _cd_at(alpha, cd_inline, n_terms: int) -> CdParams:
+    if cd_inline is not None:
+        if not 0 < n_terms <= cd_inline.n:
+            raise InputError(f"inline cd carries {cd_inline.n} coefficients, "
                              f"{n_terms} requested")
-        return cfg.cd_inline
-    if cfg.alpha is None:
+        return cd_inline
+    if alpha is None:
         raise InputError("no coefficient source; use --input or --family")
-    return cd_from_verblunsky(cfg.alpha, n_terms=n_terms)
+    return cd_from_verblunsky(alpha, n_terms=n_terms)
 
 
-def _scaling_at(cfg: JobConfig, cd: CdParams, N: int) -> ScalingSeq:
-    d = ChainSeq.from_values(cd.d.values[:N - 1])
-    mode = cfg.q_mode
+def _scaling_at(args, alpha, cd: CdParams, N: int, q_values) -> ScalingSeq:
+    """The --q-mode scaling at degree N; ``q_values`` holds the --q-file terms."""
+    mode = args.q_mode
     if mode == "trivial":
         return ScalingSeq.trivial(N - 1)
-    if mode == "constant":
-        if cfg.q_const is None:
-            raise InputError("--q-mode constant needs --q-const")
-        return make_scaling(d, np.full(N - 1, cfg.q_const))
-    if mode == "ismail-li":
-        return make_scaling(d, d.values / ismail_li_constant(N))
-    if mode == "legendre":
-        return make_scaling(d, d.values / scaling_mod.legendre_dominant(N).values)
+    if mode in ("ismail-li", "legendre"):
+        return scaling_mod._dominant_scaling(cd.d.values, mode, N)
     if mode == "family-default":
-        if cfg.alpha is None or cfg.alpha.family == "inline":
+        if alpha is None or alpha.family == "inline":
             raise InputError("family-default scaling needs a named family source")
-        return scaling_mod.default_scaling_for(cfg.alpha, N, cd=cd)
-    if mode == "custom":
-        if cfg.q_values is None:
-            raise InputError("--q-mode custom needs --q-file")
-        if len(cfg.q_values) < N - 1:
-            raise InputError(f"custom scaling has {len(cfg.q_values)} terms, "
-                             f"{N - 1} needed")
-        return make_scaling(d, cfg.q_values[:N - 1])
-    raise InputError(f"unknown q-mode {mode!r}")
+        return scaling_mod.default_scaling_for(alpha, N, cd=cd)
+    d = ChainSeq.from_values(cd.d.values[:N - 1])
+    if mode == "constant":
+        if args.q_const is None:
+            raise InputError("--q-mode constant needs --q-const")
+        return make_scaling(d, np.full(N - 1, args.q_const))
+    if q_values is None:
+        raise InputError("--q-mode custom needs --q-file")
+    if len(q_values) < N - 1:
+        raise InputError(f"custom scaling has {len(q_values)} terms, {N - 1} needed")
+    return make_scaling(d, q_values[:N - 1])
 
 
 def _fmt_angle(theta: float, degrees: bool) -> str:
@@ -202,17 +173,18 @@ def _fmt_angle(theta: float, degrees: bool) -> str:
     return f"{theta:.7f} rad"
 
 
-def _emit(header: list, rows, cfg: JobConfig, stream) -> None:
-    """Write ``rows``, an iterable of value sequences in ``header`` order.
+def _emit(header: list, rows, stream, output: str, command: str) -> None:
+    """Write ``rows``, an iterable of value sequences in ``header`` order, as
+    ``output`` (csv or json) for ``command``.
 
     Rows are consumed one at a time, so a generator never holds the whole
     table.  Values are Python scalars; csv renders floats by repr.
     """
-    if cfg.output == "json":
+    if output == "json":
         # the bytes of json.dumps({"command": ..., "rows": [...]}), encoded
         # _CHUNK rows at a time
         encode = json.JSONEncoder(separators=(",", ":")).encode
-        stream.write(f'{{"command":{encode(cfg.command)},"rows":[')
+        stream.write(f'{{"command":{encode(command)},"rows":[')
         rows = iter(rows)
         sep = ""
         while block := [dict(zip(header, row)) for row in islice(rows, _CHUNK)]:
@@ -259,74 +231,65 @@ def table_rows(which: int, xtol: float = 1e-12) -> list:
 
 def cmd_tables(args, stream, err) -> int:
     which = int(args.which)
-    cfg = JobConfig(command="tables", output=args.output, degrees=args.degrees)
     rows = table_rows(which, xtol=args.tol)
-    _emit(TABLE_HEADER, ([r[k] for k in TABLE_HEADER] for r in rows), cfg, stream)
+    _emit(TABLE_HEADER, ([r[k] for k in TABLE_HEADER] for r in rows), stream,
+          args.output, args.command)
     err.write(f"table {which}: {len(rows)} rows (N = "
               f"{', '.join(str(r['N']) for r in rows)})\n")
     return 0
 
 
 def cmd_bounds(args, stream, err) -> int:
-    cfg = _resolve_source(args, horizon=max(_n_values(args)))
-    cfg.q_mode = args.q_mode
-    cfg.q_const = args.q_const
-    cfg.q_values = _load_q_file(args.q_file) if args.q_file else None
+    """``bounds`` and ``support-arc``: per degree of --n or --n-list, the
+    enclosure of the extreme zeros or the support arc it gives."""
+    n_values = _n_values(args)
+    alpha, cd_inline = _source(args, horizon=max(n_values))
+    q_values = _load_q_file(args.q_file) if args.q_file else None
+    arc = args.command == "support-arc"
     rows = []
-    for N in _n_values(args):
+    for N in n_values:
         if N < 2:
-            raise InputError(f"bound commands need N >= 2, got {N}")
-        cd = _cd_at(cfg, N)
-        q = _scaling_at(cfg, cd, N)
-        enc = _METHODS[cfg.method](cd, q, N)
-        rows.append((N, enc.method, float(enc.A), float(enc.B), float(enc.theta1),
-                     float(enc.theta2), enc.argmin_index, enc.argmax_index,
-                     cfg.q_mode))
-    header = ["N", "method", "A", "B", "theta1", "theta2", "argmin_index",
-              "argmax_index", "q_mode"]
-    _emit(header, rows, cfg, stream)
-    N, _, _, _, theta1, theta2, *_ = rows[-1]
-    err.write(f"bounds[{cfg.method}] N={N}: arc "
-              f"{_fmt_angle(theta1, cfg.degrees)} .. "
-              f"{_fmt_angle(theta2, cfg.degrees)}\n")
+            raise InputError(f"support-arc needs N >= 2, got {N}" if arc
+                             else f"bound commands need N >= 2, got {N}")
+        cd = _cd_at(alpha, cd_inline, N)
+        q = _scaling_at(args, alpha, cd, N, q_values)
+        if arc:
+            sa = support_arc(cd, q, N, method=args.method)
+            rows.append((N, args.method, float(sa.theta1), float(sa.theta2),
+                         float(sa.enclosure.A), float(sa.enclosure.B),
+                         sa.stabilized_lower, sa.stabilized_upper))
+        else:
+            enc = _METHODS[args.method](cd, q, N)
+            rows.append((N, enc.method, float(enc.A), float(enc.B), float(enc.theta1),
+                         float(enc.theta2), enc.argmin_index, enc.argmax_index,
+                         args.q_mode))
+    if arc:
+        header = ["N", "method", "theta1", "theta2", "A", "B",
+                  "stabilized_lower", "stabilized_upper"]
+    else:
+        header = ["N", "method", "A", "B", "theta1", "theta2", "argmin_index",
+                  "argmax_index", "q_mode"]
+    _emit(header, rows, stream, args.output, args.command)
+    last = dict(zip(header, rows[-1]))
+    theta1, theta2 = (_fmt_angle(last[k], args.degrees) for k in ("theta1", "theta2"))
+    if arc:
+        err.write(f"support-arc N={last['N']}: [{theta1}, {theta2}] stabilized="
+                  f"{last['stabilized_lower'] and last['stabilized_upper']}\n")
+    else:
+        err.write(f"bounds[{args.method}] N={last['N']}: arc {theta1} .. {theta2}\n")
     return 0
 
 
 def cmd_zeros(args, stream, err) -> int:
-    cfg = _resolve_source(args, horizon=max(_n_values(args)))
+    n_values = _n_values(args)
+    alpha, cd_inline = _source(args, horizon=max(n_values))
     rows = []
-    for N in _n_values(args):
-        cd = _cd_at(cfg, N)
+    for N in n_values:
+        cd = _cd_at(alpha, cd_inline, N)
         zl = zeros_R(cd, N, xtol=args.tol)
         rows += zip([N] * N, range(1, N + 1), zl.theta.tolist(), zl.x.tolist())
-    _emit(["N", "j", "theta", "x"], rows, cfg, stream)
+    _emit(["N", "j", "theta", "x"], rows, stream, args.output, args.command)
     err.write(f"zeros: {len(rows)} rows\n")
-    return 0
-
-
-def cmd_support_arc(args, stream, err) -> int:
-    cfg = _resolve_source(args, horizon=max(_n_values(args)))
-    cfg.q_mode = args.q_mode
-    cfg.q_const = args.q_const
-    cfg.q_values = _load_q_file(args.q_file) if args.q_file else None
-    rows = []
-    for N in _n_values(args):
-        if N < 2:
-            raise InputError(f"support-arc needs N >= 2, got {N}")
-        cd = _cd_at(cfg, N)
-        q = _scaling_at(cfg, cd, N)
-        sa = support_arc(cd, q, N, method=cfg.method)
-        rows.append((N, cfg.method, float(sa.theta1), float(sa.theta2),
-                     float(sa.enclosure.A), float(sa.enclosure.B),
-                     sa.stabilized_lower, sa.stabilized_upper))
-    header = ["N", "method", "theta1", "theta2", "A", "B",
-              "stabilized_lower", "stabilized_upper"]
-    _emit(header, rows, cfg, stream)
-    N, _, theta1, theta2, _, _, lower, upper = rows[-1]
-    err.write(f"support-arc N={N}: "
-              f"[{_fmt_angle(theta1, cfg.degrees)}, "
-              f"{_fmt_angle(theta2, cfg.degrees)}] "
-              f"stabilized={lower and upper}\n")
     return 0
 
 
@@ -334,16 +297,16 @@ def cmd_gap(args, stream, err) -> int:
     if args.theta1 is None or args.theta2 is None:
         raise InputError("gap needs --theta1 and --theta2")
     n = 1000 if args.n is None else args.n
-    cfg = _resolve_source(args, horizon=n + 1)
-    if cfg.alpha is None:
+    alpha, _ = _source(args, horizon=n + 1)
+    if alpha is None:
         raise InputError("gap needs a coefficient source (--input or --family)")
-    cert = gap_certificate(cfg.alpha, args.theta1, args.theta2, n)
+    cert = gap_certificate(alpha, args.theta1, args.theta2, n)
     if args.trace:
-        _emit(["n", "m"], zip(range(1, len(cert.m) + 1), cert.m.tolist()), cfg, stream)
+        header, rows = ["n", "m"], zip(range(1, len(cert.m) + 1), cert.m.tolist())
     else:
-        _emit(["verdict", "horizon", "violated_at", "c1_condition"],
-              [(cert.verdict, cert.horizon, cert.violated_at, cert.c1_condition)],
-              cfg, stream)
+        header = ["verdict", "horizon", "violated_at", "c1_condition"]
+        rows = [(cert.verdict, cert.horizon, cert.violated_at, cert.c1_condition)]
+    _emit(header, rows, stream, args.output, args.command)
     if cert.verified:
         err.write(f"gap: verified to N={cert.horizon}\n")
     else:
@@ -353,28 +316,28 @@ def cmd_gap(args, stream, err) -> int:
 
 def cmd_transform(args, stream, err) -> int:
     n = 16 if args.n is None else args.n
-    cfg = _resolve_source(args, horizon=n)
+    alpha, cd = _source(args, horizon=n)
     if args.reverse:
-        if cfg.cd_inline is None:
+        if cd is None:
             raise InputError("--reverse needs a cd source (--input with \"cd\")")
-        cd = cfg.cd_inline
-        alpha = verblunsky_from_cd(cd, t=args.t, tol=args.tol)
-        values = alpha.prefix(cd.n)
+        values = verblunsky_from_cd(cd, t=args.t, tol=args.tol).prefix(cd.n)
         _emit(["n", "alpha_re", "alpha_im"],
-              zip(range(cd.n), values.real.tolist(), values.imag.tolist()), cfg, stream)
+              zip(range(cd.n), values.real.tolist(), values.imag.tolist()), stream,
+              args.output, args.command)
         err.write(f"transform: recovered {cd.n} coefficients at t={args.t}\n")
         return 0
-    cd = _cd_at(cfg, n)
+    cd = _cd_at(alpha, cd, n)
     tau = cd.tau.values[:cd.n]
     rows = zip(range(1, cd.n + 1), cd.c.tolist(), cd.g.values.tolist(),
                chain(cd.d.values.tolist(), [""]), tau.real.tolist(), tau.imag.tolist())
-    _emit(["n", "c", "g", "d_next", "tau_re", "tau_im"], rows, cfg, stream)
+    _emit(["n", "c", "g", "d_next", "tau_re", "tau_im"], rows, stream, args.output,
+          args.command)
     if args.roundtrip:
-        if cfg.alpha is None:
+        if alpha is None:
             raise InputError("--roundtrip needs an alpha source")
         t_star = mass_at_one(cd)
         recovered = verblunsky_from_cd(cd, t=t_star, tol=args.tol).prefix(cd.n)
-        residual = float(np.abs(recovered - cfg.alpha.prefix(cd.n)).max())
+        residual = float(np.abs(recovered - alpha.prefix(cd.n)).max())
         err.write(f"transform: roundtrip residual {residual:.3e} at t={t_star!r}\n")
     else:
         err.write(f"transform: {cd.n} coefficient rows\n")
@@ -382,12 +345,12 @@ def cmd_transform(args, stream, err) -> int:
 
 
 def cmd_scaling_threshold(args, stream, err) -> int:
-    cfg = _resolve_source(args, horizon=16 if args.n is None else args.n)
+    alpha, cd_inline = _source(args, horizon=16 if args.n is None else args.n)
     if args.infinite:
         if args.d_const is not None:
             d = ChainSeq.constant(args.d_const)
-        elif cfg.alpha is not None and cfg.alpha.family == "lambda-eta":
-            d = ChainSeq.ultraspherical(cfg.alpha.params["lam"])
+        elif alpha is not None and alpha.family == "lambda-eta":
+            d = ChainSeq.ultraspherical(alpha.params["lam"])
         else:
             raise InputError("--infinite needs --d-const or a lambda-eta family")
         thr = scaling_mod.constant_scaling_threshold_infinite(d, tol=args.tol)
@@ -396,11 +359,11 @@ def cmd_scaling_threshold(args, stream, err) -> int:
         if args.n is None:
             raise InputError("finite threshold needs --n")
         N = args.n
-        cd = _cd_at(cfg, N)
+        cd = _cd_at(alpha, cd_inline, N)
         d = ChainSeq.from_values(cd.d.values[:N - 1])
         thr = scaling_mod.constant_scaling_threshold(d)
         kind = f"finite-N={N}"
-    _emit(["kind", "threshold"], [(kind, float(thr))], cfg, stream)
+    _emit(["kind", "threshold"], [(kind, float(thr))], stream, args.output, args.command)
     err.write(f"scaling-threshold: {float(thr)}\n")
     return 0
 
@@ -430,15 +393,24 @@ def _add_common_flags(p):
                    help="render angles in the stderr summary in degrees")
 
 
-def _add_q_flags(p):
+def _add_enclosure_parser(sub, name: str, help: str) -> None:
+    """``bounds`` and ``support-arc`` take the same flags."""
+    p = sub.add_parser(name, help=help)
+    _add_source_flags(p)
     p.add_argument("--q-mode", default="trivial",
                    choices=("trivial", "constant", "ismail-li", "legendre",
                             "family-default", "custom"))
     p.add_argument("--q-const", type=float, default=None)
     p.add_argument("--q-file", help="JSON array with custom scaling values")
+    p.add_argument("--n", type=int)
+    p.add_argument("--n-list")
+    p.add_argument("--method", default="thm44", choices=tuple(_METHODS))
+    _add_common_flags(p)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared after that."""
     parser = argparse.ArgumentParser(
         prog="popuc",
         description="Unit-circle measures: chain-sequence parametrization, "
@@ -449,14 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("1", "2", "3"))
     _add_common_flags(p)
 
-    p = sub.add_parser("bounds", help="extreme-zero enclosure at degree N")
-    _add_source_flags(p)
-    _add_q_flags(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-list")
-    p.add_argument("--method", default="thm44",
-                   choices=("thm44", "thm46", "cor45", "cor47"))
-    _add_common_flags(p)
+    _add_enclosure_parser(sub, "bounds", "extreme-zero enclosure at degree N")
 
     p = sub.add_parser("zeros", help="all zeros of the degree-N member")
     _add_source_flags(p)
@@ -464,14 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list")
     _add_common_flags(p)
 
-    p = sub.add_parser("support-arc", help="support arc estimate at a horizon")
-    _add_source_flags(p)
-    _add_q_flags(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-list")
-    p.add_argument("--method", default="thm44",
-                   choices=("thm44", "thm46", "cor45", "cor47"))
-    _add_common_flags(p)
+    _add_enclosure_parser(sub, "support-arc", "support arc estimate at a horizon")
 
     p = sub.add_parser("gap", help="certificate that an arc avoids the support")
     _add_source_flags(p)
@@ -507,7 +465,7 @@ _HANDLERS = {
     "tables": cmd_tables,
     "bounds": cmd_bounds,
     "zeros": cmd_zeros,
-    "support-arc": cmd_support_arc,
+    "support-arc": cmd_bounds,
     "gap": cmd_gap,
     "transform": cmd_transform,
     "scaling-threshold": cmd_scaling_threshold,
@@ -517,9 +475,8 @@ _HANDLERS = {
 def main(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -154,6 +154,23 @@ def legendre_dominant(N: int) -> ChainSeq:
     return ChainSeq.from_values(base / scale)
 
 
+def _dominant_scaling(d: np.ndarray, dominant: str, N: int) -> ScalingSeq:
+    """Scaling q = d / dhat over the first N - 1 terms of ``d``, validated.
+
+    ``dominant`` names dhat at degree N: ``ismail-li`` (the extremal
+    constant), ``legendre`` (the rescaled Legendre dominant) or ``quarter``
+    (the constant 1/4).
+    """
+    if dominant == "ismail-li":
+        dhat = ismail_li_constant(N)
+    elif dominant == "legendre":
+        dhat = legendre_dominant(N).values
+    else:
+        dhat = 0.25
+    d = d[:N - 1]
+    return make_scaling(ChainSeq.from_values(d), d / dhat)
+
+
 def default_scaling_for(alpha: VerblunskySeq, N: int,
                         cd: Optional[CdParams] = None) -> ScalingSeq:
     """Per-family dominant chain sequence turned into a scaling for degree N.
@@ -168,16 +185,11 @@ def default_scaling_for(alpha: VerblunskySeq, N: int,
         raise InputError(f"N must be >= 2, got {N}")
     if cd is None:
         cd = cd_from_verblunsky(alpha, n_terms=N)
-    d = cd.d.values[:N - 1]
     family = alpha.family
     if family == "geronimus":
-        dhat = np.full(N - 1, 0.25)
+        dominant = "quarter"
     elif family == "lambda-eta":
-        lam = alpha.params["lam"]
-        if lam >= 0.0:
-            dhat = np.full(N - 1, ismail_li_constant(N))
-        else:
-            dhat = legendre_dominant(N).values
+        dominant = "ismail-li" if alpha.params["lam"] >= 0.0 else "legendre"
     elif family == "alternating":
         b1 = alpha.params["b1"]
         b2 = alpha.params["b2"]
@@ -185,7 +197,7 @@ def default_scaling_for(alpha: VerblunskySeq, N: int,
             raise InputError(
                 "no default scaling for alternating family with b1 != b2 outside "
                 "|b1|, |b2| >= 1/2 and b1*b2 > 0; supply q explicitly")
-        dhat = np.full(N - 1, 0.25)
+        dominant = "quarter"
     else:
         raise InputError(f"no default scaling for family {family!r}; supply q")
-    return make_scaling(ChainSeq.from_values(d), d / dhat)
+    return _dominant_scaling(cd.d.values, dominant, N)

@@ -434,15 +434,17 @@ def verblunsky_from_cd(cd: CdParams, t: float = 0.0,
     """
     if not (0.0 <= t < 1.0):
         raise InputError(f"t must lie in [0, 1), got {t}")
-    m1_max = maximal_params(cd.d, tol=tol).values[0]
+    m1_max = _maximal_head(cd.d, tol)
     if t > 0.0 and m1_max <= SP_THRESHOLD:
         raise InputError("no mass-variant family: chain sequence is "
                          "single-parameter (maximal head is 0)")
     n = cd.n
     head = (1.0 - t) * m1_max
     stored = cd.g.values
-    use_orbit = abs(head - stored[0]) <= 4.0 * np.finfo(float).eps * max(stored[0],
-                                                                         1e-300)
+    # a stored head at or above M_1 (by rounding) is the member with no mass
+    # at z = 1 as well
+    use_orbit = (abs(head - stored[0]) <= 4.0 * np.finfo(float).eps
+                 * max(stored[0], 1e-300)) or (t == 0.0 and stored[0] >= m1_max)
     # m_1 .. m_n: the stored orbit, or the walk from the head, which stops at
     # the first term outside (0, 1); only m_1 may be 0
     m = stored if use_orbit else _forward_params(cd.d.values, head=head)[0]
@@ -472,7 +474,7 @@ def mass_at_one(cd: CdParams, tol: float = 1e-12) -> float:
     back into :func:`verblunsky_from_cd` reproduces the generating
     coefficients.
     """
-    m1 = float(maximal_params(cd.d, tol=tol).values[0])
+    m1 = _maximal_head(cd.d, tol)
     if m1 <= 0.0:
         return 0.0
     return min(max(1.0 - float(cd.g.values[0]) / m1, 0.0), math.nextafter(1.0, 0.0))
@@ -485,5 +487,13 @@ def has_point_mass_at_one(cd: CdParams, tol: float = 1e-8) -> bool:
     for a constant parameter sequence g this is the classical criterion
     g < 1/2.
     """
-    m1 = maximal_params(cd.d).values[0]
-    return m1 - cd.g.values[0] > tol
+    return _maximal_head(cd.d) - cd.g.values[0] > tol
+
+
+def _maximal_head(d: ChainSeq, tol: float = 1e-12) -> float:
+    """Maximal head M_1 of ``d``; 1 for an empty chain sequence, which
+    constrains no parameter (the supremum head 1 is not attained, so no
+    parameter sequence carries it)."""
+    if len(d.values) == 0:
+        return 1.0
+    return float(maximal_params(d, tol=tol).values[0])

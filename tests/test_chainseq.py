@@ -238,3 +238,39 @@ class TestIsmailLiExtremality:
         above = pp.ChainSeq.from_values([base * (1 + 1e-9)] * (N - 1))
         assert pp.is_chain_sequence(below)
         assert not pp.is_chain_sequence(above)
+
+
+class TestExtremalConstantEveryDegree:
+    """The final parameter of the extremal constant sequence reaches 1; its
+    forward rounding error grows with N (1.1e-10 at N = 500), past the fixed
+    BOUNDARY_TOL from N = 77 on."""
+
+    def test_ismail_li_accepted_at_every_degree(self):
+        for N in range(2, 1001):
+            d = pp.ChainSeq.from_values(np.full(N - 1, pp.ismail_li_constant(N)))
+            assert pp.is_chain_sequence(d), N
+            assert pp.minimal_params(d).values[-1] > 1.0 - 1e-8
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
+    def test_lambda_eta_default_scaling_at_every_degree(self, lam):
+        # q = d / IL, so the scaled sequence d / q is the constant IL again
+        for N in range(2, 1001):
+            alpha = pp.VerblunskySeq.lambda_eta(lam, 1.0, horizon=N)
+            q = pp.default_scaling_for(alpha, N)
+            assert len(q) == N - 1
+
+    @pytest.mark.parametrize("N", [77, 100, 500, 1000])
+    def test_strict_boundary_still_flips(self, N):
+        base = pp.ismail_li_constant(N)
+        below = pp.ChainSeq.from_values([base * (1 - 1e-9)] * (N - 1))
+        above = pp.ChainSeq.from_values([base * (1 + 1e-9)] * (N - 1))
+        assert pp.is_chain_sequence(below)
+        assert not pp.is_chain_sequence(above)
+
+    def test_parameter_sequence_agrees_with_the_test(self):
+        d = pp.ChainSeq.from_values(np.full(499, pp.ismail_li_constant(500)))
+        g = pp.minimal_params(d).values
+        assert g[-1] - 1.0 > pp.chainseq.BOUNDARY_TOL
+        assert pp.ParamSeq(g).values[-1] == g[-1]
+        with pytest.raises(pp.InputError, match="final parameter out of range"):
+            pp.ParamSeq(np.append(g[:-1], 1.0 + 1e-6))

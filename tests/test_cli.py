@@ -2,6 +2,7 @@ import io
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,108 @@ class TestSupportArc:
         vplus = math.acos((0.25 - 0.36 + (1 - 0.36)) / 1.25)
         assert float(rec["theta1"]) == pytest.approx(vplus, abs=1e-9)
         assert rec["stabilized_lower"] == "True"
+
+
+ENCLOSURE_HEADERS = {
+    "bounds": ["N", "method", "A", "B", "theta1", "theta2", "argmin_index",
+               "argmax_index", "q_mode"],
+    "support-arc": ["N", "method", "theta1", "theta2", "A", "B",
+                    "stabilized_lower", "stabilized_upper"],
+}
+
+
+class TestEnclosureCommands:
+    """``bounds`` and ``support-arc`` run one handler; each keeps its header,
+    summary line and degree message."""
+
+    @pytest.mark.parametrize("command", ["bounds", "support-arc"])
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    @pytest.mark.parametrize("degrees", [("--n", "12"), ("--n-list", "5,8,12")])
+    def test_rows_summary_and_small_degree(self, command, output, degrees):
+        argv = [command, "--family", "lambda-eta", "--params", "lam=1,eta=0.5",
+                "--q-mode", "family-default", "--method", "thm46",
+                "--output", output]
+        code, out, err = run(argv + list(degrees))
+        assert code == 0
+        header = ENCLOSURE_HEADERS[command]
+        if output == "csv":
+            lines = out.splitlines()
+            assert lines[0].split(",") == header
+            rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        else:
+            blob = json.loads(out)
+            assert blob["command"] == command
+            rows = blob["rows"]
+            assert all(list(row) == header for row in rows)
+        assert [int(row["N"]) for row in rows] == [
+            int(v) for v in degrees[1].split(",")]
+        assert all(row["method"] == "thm46" for row in rows)
+        theta1, theta2 = (f"{float(rows[-1][k]):.7f} rad" for k in ("theta1", "theta2"))
+        if command == "bounds":
+            assert err == f"bounds[thm46] N=12: arc {theta1} .. {theta2}\n"
+            assert all(row["q_mode"] == "family-default" for row in rows)
+        else:
+            assert re.fullmatch(rf"support-arc N=12: \[{theta1}, {theta2}\] "
+                                r"stabilized=(True|False)\n", err)
+        small = "1" if degrees[0] == "--n" else "5,1"
+        code, out, err = run(argv + [degrees[0], small])
+        message = ("support-arc needs N >= 2" if command == "support-arc"
+                   else "bound commands need N >= 2")
+        assert (code, out, err) == (2, "", f"error: {message}, got 1\n")
+
+
+class TestPaperBoundaries:
+    """Inputs on the paper's own boundaries that used to exit 2 or 4."""
+
+    @pytest.mark.parametrize("command", ["bounds", "support-arc"])
+    @pytest.mark.parametrize("n", [77, 100])
+    def test_extremal_default_scaling_encloses_zeros(self, command, n):
+        family = ["--family", "lambda-eta", "--params", "lam=1,eta=1", "--n", str(n)]
+        code, out, _ = run([command] + family + ["--q-mode", "family-default",
+                                                 "--output", "json"])
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        code, out, _ = run(["zeros"] + family + ["--output", "json"])
+        assert code == 0
+        theta = [z["theta"] for z in json.loads(out)["rows"]]
+        assert row["theta1"] <= min(theta) and max(theta) <= row["theta2"]
+
+    @pytest.mark.parametrize("command", ["bounds", "support-arc"])
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_ismail_li_scaling_at_large_degree(self, command, n):
+        code, _, err = run([command, "--family", "lambda-eta", "--params",
+                            "lam=0,eta=1", "--n", str(n), "--q-mode", "ismail-li"])
+        assert code == 0, err
+
+    def test_roundtrip_with_mass_rounded_to_zero(self, tmp_path):
+        gen = np.random.default_rng(1001)
+        mod = 0.9 * np.sqrt(gen.uniform(0.0, 1.0, 643))
+        values = mod * np.exp(1j * gen.uniform(0.0, 2 * math.pi, 643))
+        src = tmp_path / "alpha.json"
+        src.write_text(json.dumps({"alpha": [[v.real, v.imag] for v in values]}))
+        code, _, err = run(["transform", "--input", str(src), "--n", "643",
+                            "--roundtrip"])
+        assert code == 0, err
+        assert err.endswith("at t=0.0\n")
+        assert float(err.split("residual")[1].split()[0]) < 1e-13
+
+    def test_one_coefficient_roundtrip(self):
+        code, out, err = run(["transform", "--family", "geronimus",
+                              "--params", "alpha_re=0.3", "--n", "1", "--roundtrip"])
+        assert code == 0, err
+        assert len(out.splitlines()) == 2
+        assert float(err.split("residual")[1].split()[0]) < 1e-15
+
+    @pytest.mark.parametrize("t, code", [("0.3", 0), ("0", 2)])
+    def test_one_coefficient_reverse(self, tmp_path, t, code):
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.3], "d": []}}))
+        got, out, err = run(["transform", "--input", str(src), "--reverse", "--t", t])
+        assert got == code
+        if code:
+            assert "member terminates" in err
+        else:
+            assert len(out.splitlines()) == 2
 
 
 class TestGap:

@@ -201,6 +201,34 @@ class TestVerblunskyFromCd:
         with pytest.raises(pp.InputError, match="alpha_0 has modulus 1 >= 1"):
             pp.verblunsky_from_cd(self.zero_head_cd(0.0))
 
+    def test_stored_head_above_maximal_at_zero_mass(self):
+        # the computed g_1 exceeds the computed M_1 by 2.4e-16, so the mass
+        # clips to 0; the stored orbit is then the mass-free member, while a
+        # walk from M_1 leaves (0, 1) at step 91
+        gen = np.random.default_rng(1001)
+        mod = 0.9 * np.sqrt(gen.uniform(0.0, 1.0, 643))
+        values = mod * np.exp(1j * gen.uniform(0.0, 2 * np.pi, 643))
+        cd = pp.cd_from_verblunsky(pp.VerblunskySeq.from_values(values))
+        m1 = pp.maximal_params(cd.d).values[0]
+        assert cd.g.values[0] > m1 and pp.mass_at_one(cd) == 0.0
+        rec = pp.verblunsky_from_cd(cd, t=0.0).prefix(643)
+        assert np.abs(rec - values).max() < 1e-13
+
+    def test_one_coefficient_source(self):
+        # no chain constraint: M_1 = 1, so every t > 0 gives a member and
+        # t = 0 gives the terminating one
+        cd = pp.CdParams.from_sequences([0.3], [])
+        rec = pp.verblunsky_from_cd(cd, t=0.3).prefix(1)
+        assert rec[0] == pytest.approx((1 - 2 * 0.7 - 0.3j) / ((1 - 0.3j)), abs=1e-15)
+        with pytest.raises(pp.InputError, match="member terminates"):
+            pp.verblunsky_from_cd(cd, t=0.0)
+        ger = pp.cd_from_verblunsky(pp.VerblunskySeq.geronimus(0.3, horizon=1))
+        t = pp.mass_at_one(ger)
+        assert t == pytest.approx(1.0 - ger.g.values[0])
+        assert pp.has_point_mass_at_one(ger)
+        rec = pp.verblunsky_from_cd(ger, t=t).prefix(1)
+        assert rec[0] == pytest.approx(0.3, abs=1e-15)
+
 
 class TestMassAtOne:
     def test_geronimus_criterion_grid(self):
