@@ -265,12 +265,13 @@ def _final_param_ok(g: np.ndarray) -> bool:
     """Whether the final parameter g_N of ``g`` (all earlier ones in (0, 1))
     is admissible: positive and below 1 + max(``BOUNDARY_TOL``, 2 e_N).
 
-    e_N bounds the forward rounding error of g_N through the linearized
-    recursion e_1 = 0, e_{k+1} = e_k g_{k+1} / (1 - g_k) + 3 u g_{k+1},
-    u = 2^-53: the derivative of g_{k+1} = d_{k+1} / (1 - g_k) carries e_k
-    forward, and the subtraction, the division and the rounding of a scaled
-    d_{k+1} = d / q add a relative u each.  It is computed only for a g_N
-    that has already failed the ``BOUNDARY_TOL`` test.
+    e_N bounds the forward rounding error of g_N by the linearized recursion
+    e_1 = 0, e_{k+1} = e_k g_{k+1} / (1 - g_k) + 3 u g_{k+1}, u = 2^-53 (one u
+    each for the subtraction, the division and the rounding of a scaled
+    d = d / q).  The linearization drops terms of relative size
+    e_k / (1 - g_k), so the bound counts only while that stays below sqrt(u)
+    at every k < N; then 2 e_N < 3.1e-8.  It is computed only for a g_N that
+    has already failed the ``BOUNDARY_TOL`` test.
     """
     last = float(g[-1])
     if 0.0 < last < 1.0 + BOUNDARY_TOL:
@@ -278,6 +279,8 @@ def _final_param_ok(g: np.ndarray) -> bool:
     e = 0.0
     for _, prev, cur in _chunks(g[:-1], g[1:]):
         for gk, gnext in zip(prev, cur):
+            if e > 2.0 ** -26 * (1.0 - gk):
+                return False
             e = (e / (1.0 - gk) + 3.0 * 2.0 ** -53) * gnext
     return 0.0 < last < 1.0 + 2.0 * e
 

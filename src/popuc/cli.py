@@ -75,14 +75,18 @@ def _family_from_params(name: str, params: dict, horizon: int) -> VerblunskySeq:
                      "or lambda-eta")
 
 
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"cannot parse {path}: {exc}")
+
+
 def _load_input_file(path: str, horizon: int):
     """JSON input: {"alpha": [[re, im], ...]} or {"family":..., "params":...}
     or {"cd": {"c": [...], "d": [...]}}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            blob = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"cannot parse {path}: {exc}")
+    blob = _read_json(path)
     if not isinstance(blob, dict):
         raise InputError(f'{path} must hold a JSON object with "alpha", "family" '
                          'or "cd"')
@@ -167,12 +171,6 @@ def _scaling_at(args, alpha, cd: CdParams, N: int, q_values) -> ScalingSeq:
     return make_scaling(d, q_values[:N - 1])
 
 
-def _fmt_angle(theta: float, degrees: bool) -> str:
-    if degrees:
-        return f"{math.degrees(theta):.7f} deg"
-    return f"{theta:.7f} rad"
-
-
 def _emit(header: list, rows, stream, output: str, command: str) -> None:
     """Write ``rows``, an iterable of value sequences in ``header`` order, as
     ``output`` (csv or json) for ``command``.
@@ -239,44 +237,55 @@ def cmd_tables(args, stream, err) -> int:
     return 0
 
 
+def _bounds_row(args, cd: CdParams, q: ScalingSeq, N: int) -> tuple:
+    enc = _METHODS[args.method](cd, q, N)
+    return (N, enc.method, float(enc.A), float(enc.B), float(enc.theta1),
+            float(enc.theta2), enc.argmin_index, enc.argmax_index, args.q_mode)
+
+
+def _arc_row(args, cd: CdParams, q: ScalingSeq, N: int) -> tuple:
+    sa = support_arc(cd, q, N, method=args.method)
+    return (N, args.method, float(sa.theta1), float(sa.theta2), float(sa.enclosure.A),
+            float(sa.enclosure.B), sa.stabilized_lower, sa.stabilized_upper)
+
+
+# Per command: the row of one degree, header, N < 2 message and stderr line.
+_ENCLOSURE_JOBS = {
+    "bounds": (_bounds_row, "N method A B theta1 theta2 argmin_index argmax_index "
+               "q_mode", "bound commands need N >= 2, got {}",
+               "bounds[{method}] N={N}: arc {theta1} .. {theta2}\n"),
+    "support-arc": (_arc_row, "N method theta1 theta2 A B stabilized_lower "
+                    "stabilized_upper", "support-arc needs N >= 2, got {}",
+                    "support-arc N={N}: [{theta1}, {theta2}] stabilized={stabilized}\n"),
+}
+
+
 def cmd_bounds(args, stream, err) -> int:
     """``bounds`` and ``support-arc``: per degree of --n or --n-list, the
     enclosure of the extreme zeros or the support arc it gives."""
+    row, header, too_small, summary = _ENCLOSURE_JOBS[args.command]
     n_values = _n_values(args)
     alpha, cd_inline = _source(args, horizon=max(n_values))
-    q_values = _load_q_file(args.q_file) if args.q_file else None
-    arc = args.command == "support-arc"
+    q_values = None
+    if args.q_file:
+        data = _read_json(args.q_file)
+        try:
+            q_values = np.asarray(data, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError(f"{args.q_file} must hold a JSON array of numbers")
     rows = []
     for N in n_values:
         if N < 2:
-            raise InputError(f"support-arc needs N >= 2, got {N}" if arc
-                             else f"bound commands need N >= 2, got {N}")
+            raise InputError(too_small.format(N))
         cd = _cd_at(alpha, cd_inline, N)
-        q = _scaling_at(args, alpha, cd, N, q_values)
-        if arc:
-            sa = support_arc(cd, q, N, method=args.method)
-            rows.append((N, args.method, float(sa.theta1), float(sa.theta2),
-                         float(sa.enclosure.A), float(sa.enclosure.B),
-                         sa.stabilized_lower, sa.stabilized_upper))
-        else:
-            enc = _METHODS[args.method](cd, q, N)
-            rows.append((N, enc.method, float(enc.A), float(enc.B), float(enc.theta1),
-                         float(enc.theta2), enc.argmin_index, enc.argmax_index,
-                         args.q_mode))
-    if arc:
-        header = ["N", "method", "theta1", "theta2", "A", "B",
-                  "stabilized_lower", "stabilized_upper"]
-    else:
-        header = ["N", "method", "A", "B", "theta1", "theta2", "argmin_index",
-                  "argmax_index", "q_mode"]
-    _emit(header, rows, stream, args.output, args.command)
-    last = dict(zip(header, rows[-1]))
-    theta1, theta2 = (_fmt_angle(last[k], args.degrees) for k in ("theta1", "theta2"))
-    if arc:
-        err.write(f"support-arc N={last['N']}: [{theta1}, {theta2}] stabilized="
-                  f"{last['stabilized_lower'] and last['stabilized_upper']}\n")
-    else:
-        err.write(f"bounds[{args.method}] N={last['N']}: arc {theta1} .. {theta2}\n")
+        rows.append(row(args, cd, _scaling_at(args, alpha, cd, N, q_values), N))
+    _emit(header.split(), rows, stream, args.output, args.command)
+    last = dict(zip(header.split(), rows[-1]))
+    for k in ("theta1", "theta2"):
+        last[k] = (f"{math.degrees(last[k]):.7f} deg" if args.degrees
+                   else f"{last[k]:.7f} rad")
+    err.write(summary.format(**last, stabilized=last.get("stabilized_lower")
+                             and last.get("stabilized_upper")))
     return 0
 
 
@@ -366,18 +375,6 @@ def cmd_scaling_threshold(args, stream, err) -> int:
     _emit(["kind", "threshold"], [(kind, float(thr))], stream, args.output, args.command)
     err.write(f"scaling-threshold: {float(thr)}\n")
     return 0
-
-
-def _load_q_file(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"cannot parse {path}: {exc}")
-    try:
-        return np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError(f"{path} must hold a JSON array of numbers")
 
 
 def _add_source_flags(p):

@@ -259,7 +259,7 @@ class TestExtremalConstantEveryDegree:
             q = pp.default_scaling_for(alpha, N)
             assert len(q) == N - 1
 
-    @pytest.mark.parametrize("N", [77, 100, 500, 1000])
+    @pytest.mark.parametrize("N", [77, 100, 500, 1000, 1500, 2000, 5000])
     def test_strict_boundary_still_flips(self, N):
         base = pp.ismail_li_constant(N)
         below = pp.ChainSeq.from_values([base * (1 - 1e-9)] * (N - 1))
@@ -274,3 +274,23 @@ class TestExtremalConstantEveryDegree:
         assert pp.ParamSeq(g).values[-1] == g[-1]
         with pytest.raises(pp.InputError, match="final parameter out of range"):
             pp.ParamSeq(np.append(g[:-1], 1.0 + 1e-6))
+
+    def test_rounding_bound_needs_small_first_order_terms(self):
+        # every parameter before the last is 1 - 2^-7 and the walk is exact,
+        # but the linearized bound grows 127-fold a step and would reach
+        # 1e6 at the end: the final 2.0 must not pass
+        eps = 2.0 ** -7
+        d = np.array([1 - eps] + [eps * (1 - eps)] * 9 + [2 * eps])
+        g = np.array([0.0] + [1 - eps] * 10 + [2.0])
+        assert np.array_equal(pp.chainseq._forward_params(d)[0], g)
+        assert not pp.is_chain_sequence(pp.ChainSeq.from_values(d))
+        with pytest.raises(pp.InputError, match="final parameter out of range"):
+            pp.ParamSeq(g)
+
+    def test_tolerance_is_capped(self):
+        # at N = 3000 the walk of the extremal constant ends 1.1e-7 above 1,
+        # past the 2 sqrt(u) the first-order bound may grant
+        d = np.full(2999, pp.ismail_li_constant(3000))
+        g = pp.chainseq._forward_params(d)[0]
+        assert 1e-7 < g[-1] - 1.0
+        assert not pp.is_chain_sequence(pp.ChainSeq.from_values(d))
