@@ -59,11 +59,17 @@ class ChainRule:
         """Closed-form maximal parameters M_1 .. M_count, if known."""
         return None
 
+    def threshold_closed(self) -> Optional[float]:
+        """Closed-form infinite constant-scaling threshold, if known: the limit
+        of the squared largest zeros of the symmetric W_N as N grows."""
+        return None
+
 
 class ConstantRule(ChainRule):
     def __init__(self, value: float):
-        if not value > 0:
-            raise InputError(f"chain sequence elements must be positive, got {value}")
+        if not 0 < value < math.inf:
+            raise InputError(
+                f"chain sequence elements must be positive and finite, got {value}")
         self.value = float(value)
 
     def terms(self, count):
@@ -76,13 +82,22 @@ class ConstantRule(ChainRule):
             return None
         return np.full(count, 0.5 * (1.0 + math.sqrt(disc)))
 
+    def threshold_closed(self):
+        # the finite thresholds 4 d cos^2(pi / (N + 1)) increase to 4 d
+        if self.value > 0.25:
+            raise InputError(f"constant d = {self.value!r} > 1/4 is not an "
+                             "infinite positive chain sequence")
+        return 4.0 * self.value
+
 
 class UltrasphericalRule(ChainRule):
     """d_{n+1} = n (n + 2*lam + 1) / (4 (n + lam)(n + lam + 1)), lam >= -1/2."""
 
     def __init__(self, lam: float):
-        if not lam >= -0.5:
-            raise InputError(f"ultraspherical parameter must be >= -1/2, got {lam}")
+        # (n + lam)(n + lam + 1) overflows from lam = 1.3e154 on
+        if not -0.5 <= lam <= 1e150:
+            raise InputError(
+                f"ultraspherical parameter must lie in [-1/2, 1e150], got {lam}")
         self.lam = float(lam)
 
     def terms(self, count):
@@ -94,6 +109,11 @@ class UltrasphericalRule(ChainRule):
         n = np.arange(0, count, dtype=float)
         lam = self.lam
         return (n + 2 * lam + 1) / (2 * (n + lam + 1))
+
+    def threshold_closed(self):
+        # d_n -> 1/4, so the essential spectrum of the symmetric Jacobi matrix
+        # ends at 1, and the chain property leaves no eigenvalue above it.
+        return 1.0
 
 
 class CallableRule(ChainRule):
@@ -419,11 +439,9 @@ def make_scaling(d: ChainSeq, q) -> ScalingSeq:
 
 def ultraspherical_chain(lam: float, n: int) -> float:
     """Element d_{n+1} of the ultraspherical chain sequence, lam >= -1/2."""
-    if not lam >= -0.5:
-        raise InputError(f"ultraspherical parameter must be >= -1/2, got {lam}")
     if n < 1:
         raise InputError(f"index must be >= 1, got {n}")
-    return 0.25 * n * (n + 2 * lam + 1) / ((n + lam) * (n + lam + 1))
+    return float(UltrasphericalRule(lam).terms(n)[-1])
 
 
 def ismail_li_constant(N: int) -> float:

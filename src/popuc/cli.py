@@ -18,6 +18,7 @@ import io
 import json
 import math
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain, islice
 
 import numpy as np
@@ -335,9 +336,9 @@ def cmd_transform(args, stream, err) -> int:
               args.output, args.command)
         err.write(f"transform: recovered {cd.n} coefficients at t={args.t}\n")
         return 0
-    cd = _cd_at(alpha, cd, n)
-    tau = cd.tau.values[:cd.n]
-    rows = zip(range(1, cd.n + 1), cd.c.tolist(), cd.g.values.tolist(),
+    cd = _cd_at(alpha, cd, n)  # an inline cd may carry more than n rows
+    tau = cd.tau.values[:n]
+    rows = zip(range(1, n + 1), cd.c.tolist(), cd.g.values.tolist(),
                chain(cd.d.values.tolist(), [""]), tau.real.tolist(), tau.imag.tolist())
     _emit(["n", "c", "g", "d_next", "tau_re", "tau_im"], rows, stream, args.output,
           args.command)
@@ -345,11 +346,11 @@ def cmd_transform(args, stream, err) -> int:
         if alpha is None:
             raise InputError("--roundtrip needs an alpha source")
         t_star = mass_at_one(cd)
-        recovered = verblunsky_from_cd(cd, t=t_star, tol=args.tol).prefix(cd.n)
-        residual = float(np.abs(recovered - alpha.prefix(cd.n)).max())
+        recovered = verblunsky_from_cd(cd, t=t_star, tol=args.tol).prefix(n)
+        residual = float(np.abs(recovered - alpha.prefix(n)).max())
         err.write(f"transform: roundtrip residual {residual:.3e} at t={t_star!r}\n")
     else:
-        err.write(f"transform: {cd.n} coefficient rows\n")
+        err.write(f"transform: {n} coefficient rows\n")
     return 0
 
 
@@ -473,7 +474,9 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        args = build_parser().parse_args(argv)
+        # argparse writes usage, errors and --help to sys.stdout/sys.stderr
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

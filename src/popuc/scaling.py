@@ -4,7 +4,9 @@ Constant scalings admit a sharp threshold: q is a valid constant scaling for
 a finite chain sequence of N - 1 terms exactly when q exceeds the squared
 largest zero of the symmetric (c = 0) recurrence member W_N built from it.
 For conceptually infinite sequences the threshold is the limit of those
-squared zeros and validity holds at the threshold itself (non-strict).
+squared zeros and validity holds at the threshold itself (non-strict): 4 d
+for a constant d <= 1/4, and 1 for the ultraspherical sequences, whose terms
+tend to 1/4.
 
 The ultraspherical family supplies the standard dominants: for lam >= 0 the
 extremal constant of Ismail and Li, for -1/2 < lam < 0 a rescaled Legendre
@@ -18,10 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .chainseq import (ChainSeq, ScalingSeq, UltrasphericalRule, chain_failure_index,
-                       ismail_li_constant, make_scaling)
-from .errors import (BoundaryCaseError, InputError, NonConvergenceError,
-                     NotChainSequenceError)
+from .chainseq import (ChainSeq, ScalingSeq, UltrasphericalRule, ismail_li_constant,
+                       make_scaling)
+from .errors import BoundaryCaseError, InputError, NonConvergenceError
 # zeros_W stays importable from here: perfbench's tracer wraps this binding
 from .recurrence import _bisection_steps, _count_above, zeros_W  # noqa: F401
 from .transforms import CdParams, VerblunskySeq, cd_from_verblunsky
@@ -33,11 +34,6 @@ BOUNDARY_BAND = 1e-12
 _STURM_HORIZON_CAP = 2 ** 14
 
 
-def _symmetric_cd(d: ChainSeq) -> CdParams:
-    """c = 0 member over ``d``; its W_n are polynomials in x."""
-    return CdParams.from_sequences(np.zeros(len(d.values) + 1), d)
-
-
 def constant_scaling_threshold(d: ChainSeq, xtol: float = 1e-12) -> float:
     """Squared largest zero of the symmetric W_N over the N - 1 terms of ``d``.
 
@@ -47,8 +43,9 @@ def constant_scaling_threshold(d: ChainSeq, xtol: float = 1e-12) -> float:
     N = len(d.values) + 1
     if N < 2:
         raise InputError("threshold needs at least one chain-sequence term")
-    cd = _symmetric_cd(d)
-    # the top zero alone, by the same bisection steps as zeros_W
+    # the top zero alone of the c = 0 member over d, whose W_n are
+    # polynomials in x, by the same bisection steps as zeros_W
+    cd = CdParams.from_sequences(np.zeros(N), d)
     c, dl = cd.c.tolist(), cd.d.values.tolist()
     lo, hi = -1.0, 1.0
     for _ in range(_bisection_steps(xtol)):
@@ -65,67 +62,44 @@ def constant_scaling_threshold(d: ChainSeq, xtol: float = 1e-12) -> float:
     return x ** 2
 
 
-def _largest_zero_sturm(d: np.ndarray, xtol: float) -> float:
-    """Largest zero of the symmetric W_N via Sturm-count bisection on [0, 1].
-
-    With c = 0 the W_n are the characteristic polynomials of the Jacobi
-    matrix with zero diagonal and off-diagonal entries sqrt(d), so only the
-    top zero is bisected, on Python floats.  A zero at or above x = 1 means
-    ``d`` is not a chain sequence at this length; that raises
-    :class:`NotChainSequenceError` where the bisection would saturate at 1.
-    """
-    n = len(d) + 1
-    c = [0.0] * n
-    d = d.tolist()
-    if _count_above(c, d, n, 1.0) > 0:
-        bad = chain_failure_index(ChainSeq.from_values(d)) or n - 1
-        raise NotChainSequenceError(
-            bad, f"d is not a positive chain sequence at n={bad}: the symmetric "
-                 f"W_{n} has a zero at or above x = 1")
-    lo, hi = 0.0, 1.0
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if _count_above(c, d, n, mid) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def constant_scaling_threshold_infinite(d: ChainSeq, tol: float = 1e-6) -> float:
     """Limit of the squared largest symmetric zeros at growing horizons.
 
     A constant q is a scaling sequence for the infinite ``d`` iff
-    q >= threshold (non-strict at the limit).  The limit is approached from
-    below, doubling the horizon until the move is under ``tol``.
+    q >= threshold (non-strict at the limit).  A rule with a closed form
+    (``ChainRule.threshold_closed``) gives the limit exactly and ``tol`` is
+    only checked.  Otherwise the finite thresholds of doubling prefixes are
+    extrapolated until they move by less than ``tol``; they increase to the
+    limit, so that value is only a lower bound on it.
     """
     if d.kind != "truncated-infinite":
         raise InputError("infinite threshold needs a rule-backed chain sequence")
     if not 0 < tol < math.inf:
         raise InputError(f"tol must be positive and finite, got {tol}")
-    xtol = min(tol / 100.0, 1e-10)
-    horizon = 64
-    prev = _largest_zero_sturm(d.prefix(horizon - 1), xtol) ** 2
-    while True:
-        horizon *= 2
-        if horizon > _STURM_HORIZON_CAP:
-            raise NonConvergenceError(
-                f"threshold extrapolation did not stabilize to {tol:g} "
-                f"within horizon {_STURM_HORIZON_CAP}")
-        cur = _largest_zero_sturm(d.prefix(horizon - 1), xtol) ** 2
-        if abs(cur - prev) < tol:
+    closed = d.rule.threshold_closed()
+    if closed is not None:
+        return closed
+    prev, horizon = None, 64
+    while horizon <= _STURM_HORIZON_CAP:
+        cur = constant_scaling_threshold(ChainSeq.from_values(d.prefix(horizon - 1)))
+        if prev is not None and abs(cur - prev) < tol:
             return cur
-        prev = cur
+        prev, horizon = cur, 2 * horizon
+    raise NonConvergenceError(f"threshold extrapolation did not stabilize to {tol:g} "
+                              f"within horizon {_STURM_HORIZON_CAP}")
 
 
 def constant_scaling_verdict(d: ChainSeq, q: float, tol: float = 1e-12) -> str:
     """Classify a constant ``q`` against the threshold: valid/invalid/boundary.
 
     Values within ``BOUNDARY_BAND`` (relatively) of the threshold are flagged
-    ``boundary`` since strictness there is float-undecidable.
+    ``boundary`` since strictness there is float-undecidable.  For a
+    rule-backed ``d`` without a closed-form threshold the extrapolated value
+    is only a lower bound on the limit, so a ``valid`` just above it may not
+    be.
     """
     if d.kind == "truncated-infinite":
-        thr = constant_scaling_threshold_infinite(d, tol=max(tol, 1e-8))
+        thr = constant_scaling_threshold_infinite(d, tol=tol)
         strict = False
     else:
         thr = constant_scaling_threshold(d)

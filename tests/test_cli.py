@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import popuc as pp
 from popuc import cli
@@ -377,6 +378,22 @@ class TestTransform:
         assert "np.float64" not in err
         assert 0.0 <= float(err.split("at t=")[1]) < 1.0
 
+    def test_inline_cd_prefix_rows(self, tmp_path):
+        # --n k prints the first k rows of the whole-cd table, byte for byte
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.1, -0.2, 0.3, 0.0, 0.5, -0.6],
+                                          "d": [0.2, 0.15, 0.24, 0.1, 0.2]}}))
+        code, whole, _ = run(["transform", "--input", str(src), "--n", "6"])
+        assert code == 0
+        for k in range(1, 7):
+            code, out, err = run(["transform", "--input", str(src), "--n", str(k)])
+            assert code == 0
+            assert out.splitlines() == whole.splitlines()[:k + 1]
+            assert err == f"transform: {k} coefficient rows\n"
+        code, out, err = run(["transform", "--input", str(src), "--n", "7"])
+        assert code == 2
+        assert out == "" and "6 coefficients, 7 requested" in err
+
     def test_reverse_from_cd(self, tmp_path):
         src = tmp_path / "cd.json"
         src.write_text(json.dumps({"cd": {"c": [0.0] * 6, "d": [0.25] * 5}}))
@@ -431,10 +448,33 @@ class TestScalingThreshold:
         assert "chain sequence" in err
 
     def test_infinite_nonconvergence_exit_code(self):
-        code, _, err = run(["scaling-threshold", "--infinite",
+        # the limit is known in closed form, so the default --tol is met
+        code, out, _ = run(["scaling-threshold", "--infinite",
                             "--d-const", "0.25", "--tol", "1e-12"])
-        assert code == 3
-        assert "stabilize" in err
+        assert code == 0
+        assert out.splitlines()[1] == "infinite,1.0"
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.one_of(st.floats(), st.sampled_from(
+               [0.25, math.nextafter(0.25, 1.0), -0.5, math.nextafter(-0.5, 0.0),
+                1e150, 1e200, 5e-324])),
+           tol=st.one_of(st.floats(), st.just(1e-12)), family=st.booleans())
+    def test_infinite_fuzzed_inputs(self, value, tol, family):
+        # value is --d-const, or lam of a lambda-eta source
+        if family:
+            source = ["--family", "lambda-eta", "--params", f"lam={value!r},eta=1"]
+            valid, expect = -0.5 < value <= 1e150, "1.0"
+        else:
+            source = [f"--d-const={value!r}"]  # "=" keeps -1e+16 a value
+            valid, expect = 0.0 < value <= 0.25, repr(4.0 * value)
+        code, out, err = run(["scaling-threshold", *source, "--infinite",
+                              f"--tol={tol!r}"])
+        if valid and 0.0 < tol < math.inf:
+            assert code == 0, err
+            assert out.splitlines()[1] == f"infinite,{expect}"
+        else:
+            assert code == 2, err
+            assert out == "" and err.startswith("error: ")
 
 
 class TestExitCodeContract:
@@ -476,6 +516,22 @@ class TestExitCodeContract:
         code, _, err = run(["zeros", "--input", str(src), "--n", "4"])
         assert code == 2
         assert err.startswith("error: ") and repr(bad) in err
+
+
+class TestArgparseStreams:
+    def test_usage_error_goes_to_given_stderr(self, capsys):
+        code, out, err = run(["bounds", "--bogus"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: popuc") and "--bogus" in err
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_goes_to_given_stdout(self, capsys):
+        code, out, err = run(["--help"])
+        assert code == 0
+        assert out.startswith("usage: popuc") and "scaling-threshold" in out
+        assert err == ""
+        assert capsys.readouterr() == ("", "")
 
 
 class TestRejectedInput:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from decimal import Decimal, localcontext
 
 import mpmath
 import numpy as np
@@ -160,14 +161,24 @@ class TestZerosW:
             assert zl.theta[0] > math.pi / 3 - eps
 
 
-def mp_sign_W(c, d, n, x):
-    """Sign of W_n(x) from the product recurrence in 40-digit arithmetic;
-    ``c`` and ``d`` are lists of mpf."""
-    s = mpmath.sqrt(1 - x * x)
-    w_prev, w = mpmath.mpf(1), x - c[0] * s
+def _sign_W(c, d, n, x, one, sqrt):
+    """Sign of W_n(x) from the product recurrence, in the arithmetic of the
+    numbers ``c``, ``d`` and ``x`` (``one`` is 1 and ``sqrt`` the root in it)."""
+    s = sqrt(1 - x * x)
+    w_prev, w = one, x - c[0] * s
     for ck, dk in zip(c[1:n], d):
         w, w_prev = (x - ck * s) * w - dk * w_prev, w
-    return mpmath.sign(w)
+    return (w > 0) - (w < 0)
+
+
+def dec_sign_W(c, d, n, x):
+    """``_sign_W`` on lists of Decimal, in the current decimal context."""
+    return _sign_W(c, d, n, x, Decimal(1), Decimal.sqrt)
+
+
+def mp_sign_W(c, d, n, x):
+    """``_sign_W`` on lists of mpf, at the current mpmath precision."""
+    return _sign_W(c, d, n, x, mpmath.mpf(1), mpmath.sqrt)
 
 
 ORACLE_SOURCES = {
@@ -182,21 +193,41 @@ class TestZerosOracle:
     @pytest.mark.parametrize("source", ["random", *ORACLE_SOURCES])
     def test_sign_change_at_every_zero(self, rng, source, N):
         # every zero must separate opposite signs of W_N evaluated in 40
-        # digits at x +- 1e-9
+        # decimal digits at x +- 1e-9 (doubles convert to Decimal exactly)
         if source == "random":
             cd, _ = random_cd_q(rng, N)
         else:
             cd = pp.cd_from_verblunsky(ORACLE_SOURCES[source], n_terms=N)
         zl = pp.zeros_W(cd, N)
-        with mpmath.workdps(40):
-            c = [mpmath.mpf(v) for v in cd.c.tolist()]
-            d = [mpmath.mpf(v) for v in cd.d.values.tolist()]
-            eps = mpmath.mpf("1e-9")
+        with localcontext() as ctx:
+            ctx.prec = 40
+            c = [Decimal(v) for v in cd.c.tolist()]
+            d = [Decimal(v) for v in cd.d.values.tolist()]
+            eps = Decimal("1e-9")
             for j, x in enumerate(zl.x.tolist(), start=1):
-                x = mpmath.mpf(x)
-                above = mp_sign_W(c, d, N, x + eps)
-                below = mp_sign_W(c, d, N, x - eps)
+                x = Decimal(x)
+                above = dec_sign_W(c, d, N, x + eps)
+                below = dec_sign_W(c, d, N, x - eps)
                 assert above * below < 0, f"no sign change at zero {j} of W_{N}"
+
+    def test_decimal_oracle_matches_mpmath(self, rng):
+        # the decimal oracle above against mpmath at the same 40 digits, at
+        # every zero +- 1e-9 and at 50 random points
+        N = 300
+        cd, _ = random_cd_q(rng, N)
+        xs = pp.zeros_W(cd, N).x.tolist()
+        points = [(x, sgn) for x in xs for sgn in (1, -1)]
+        points += [(x, 0) for x in rng.uniform(-1.0, 1.0, 50).tolist()]
+        with localcontext() as ctx, mpmath.workdps(40):
+            ctx.prec = 40
+            c_dec = [Decimal(v) for v in cd.c.tolist()]
+            d_dec = [Decimal(v) for v in cd.d.values.tolist()]
+            c_mp = [mpmath.mpf(v) for v in cd.c.tolist()]
+            d_mp = [mpmath.mpf(v) for v in cd.d.values.tolist()]
+            for x, sgn in points:
+                got = dec_sign_W(c_dec, d_dec, N, Decimal(x) + sgn * Decimal("1e-9"))
+                ref = mp_sign_W(c_mp, d_mp, N, mpmath.mpf(x) + sgn * mpmath.mpf("1e-9"))
+                assert got == ref != 0, f"oracles disagree at x = {x!r} {sgn:+d}e-9"
 
 
 class TestCountAbove:

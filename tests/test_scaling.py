@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import popuc as pp
-from popuc.scaling import _largest_zero_sturm
 
 from conftest import random_cd_q
 
@@ -46,21 +45,19 @@ class TestConstantThreshold:
         assert pp.constant_scaling_verdict(d, 1.2) == "invalid"
 
     def test_sturm_route_matches_ladder(self, rng):
+        # the threshold bisects the top zero alone, by the steps of zeros_W
         for _ in range(10):
             n = int(rng.integers(3, 40))
             cd, _ = random_cd_q(rng, n)
             sym = pp.CdParams.from_sequences(np.zeros(n), cd.d.values)
             ladder_top = pp.zeros_W(sym, n).x[0]
-            sturm_top = _largest_zero_sturm(cd.d.values, 1e-12)
-            assert abs(ladder_top - sturm_top) < 1e-9
+            assert pp.constant_scaling_threshold(cd.d) == ladder_top ** 2
 
 
 class TestInfiniteThreshold:
     def test_chebyshev_limit(self):
         d = pp.ChainSeq.constant(0.25, horizon=8)
-        thr = pp.constant_scaling_threshold_infinite(d, tol=1e-4)
-        assert thr == pytest.approx(1.0, abs=0.02)
-        assert thr < 1.0  # approached from below
+        assert pp.constant_scaling_threshold_infinite(d, tol=1e-4) == 1.0
 
     def test_scaled_chebyshev_limit(self):
         d = pp.ChainSeq.constant(3 / 16, horizon=8)
@@ -73,9 +70,52 @@ class TestInfiniteThreshold:
         assert thr > 0.99
 
     def test_nonconvergence_guard(self):
-        d = pp.ChainSeq.constant(0.25, horizon=8)
+        # a rule without a closed form extrapolates; its finite thresholds
+        # cos^2(pi / (N + 1)) still move by 1e-7 at the horizon cap
+        d = pp.ChainSeq.from_rule(lambda n: 0.25, horizon=8)
         with pytest.raises(pp.NonConvergenceError):
             pp.constant_scaling_threshold_infinite(d, tol=1e-12)
+
+    def test_extrapolation_is_a_lower_bound(self):
+        d = pp.ChainSeq.from_rule(lambda n: 0.2, horizon=8)
+        thr = pp.constant_scaling_threshold_infinite(d, tol=1e-6)
+        assert 0.8 - 1e-5 < thr < 0.8
+        assert pp.constant_scaling_verdict(d, 0.8 - 1e-4, tol=1e-6) == "invalid"
+
+    def test_closed_forms(self):
+        assert pp.ChainSeq.constant(0.2).rule.threshold_closed() == 0.8
+        for lam in (-0.5, -0.4, 0.0, 1.0, 10.0):
+            assert pp.ChainSeq.ultraspherical(lam).rule.threshold_closed() == 1.0
+        assert pp.ChainSeq.from_rule(lambda n: 0.2).rule.threshold_closed() is None
+        with pytest.raises(pp.InputError, match="chain sequence"):
+            pp.ChainSeq.constant(0.3).rule.threshold_closed()
+        for bad in (math.nan, math.inf):
+            with pytest.raises(pp.InputError):
+                pp.ChainSeq.constant(bad)
+            with pytest.raises(pp.InputError):
+                pp.ChainSeq.ultraspherical(bad)
+
+    @pytest.mark.parametrize("rule, arg", [
+        ("constant", 0.15), ("constant", 0.2), ("constant", 0.25),
+        ("ultraspherical", -0.4), ("ultraspherical", 0.0), ("ultraspherical", 1.0),
+    ])
+    def test_closed_form_is_sharp(self, rule, arg):
+        # on a 10^4-term prefix q = threshold is a scaling and a q 1e-6 below
+        # it is not
+        d = getattr(pp.ChainSeq, rule)(arg, horizon=8)
+        thr = pp.constant_scaling_threshold_infinite(d)
+        prefix = pp.ChainSeq.from_values(d.prefix(10 ** 4))
+        assert pp.make_scaling(prefix, np.full(10 ** 4, thr))
+        with pytest.raises(pp.ScalingError):
+            pp.make_scaling(prefix, np.full(10 ** 4, thr * (1 - 1e-6)))
+
+    def test_verdict_on_rule_backed_sequences(self):
+        d = pp.ChainSeq.constant(0.2)
+        assert pp.constant_scaling_verdict(d, 0.8) == "boundary"
+        assert pp.constant_scaling_verdict(d, 0.8 * (1 + 1e-6)) == "valid"
+        assert pp.constant_scaling_verdict(d, 0.8 * (1 - 1e-6)) == "invalid"
+        assert pp.constant_scaling_verdict(pp.ChainSeq.ultraspherical(1.0), 0.99) == \
+            "invalid"
 
     def test_requires_rule(self):
         with pytest.raises(pp.InputError):
