@@ -149,17 +149,16 @@ class Enclosure:
         return 2.0 * math.acos(self.A)
 
 
-def _coerce_scaling(cd: CdParams, q, N: int, validate: bool) -> np.ndarray:
-    """Scaling values q_2 .. q_N, validated against d_2 .. d_N."""
-    if isinstance(q, ScalingSeq):
-        vals = q.values
-    else:
-        vals = np.asarray(q, dtype=float)
+def _coerce_scaling(cd: CdParams, q, N: int) -> np.ndarray:
+    """Scaling values q_2 .. q_N, walked against d_2 .. d_N by ``make_scaling``
+    unless ``q`` is a ScalingSeq whose ``chain`` starts with these d."""
+    vals = q.values if isinstance(q, ScalingSeq) else np.asarray(q, dtype=float)
     if len(vals) < N - 1:
         raise InputError(f"need {N - 1} scaling terms for degree {N}, have {len(vals)}")
-    vals = vals[:N - 1]
-    if validate:
-        make_scaling(ChainSeq.from_values(cd.d.values[:N - 1]), vals)
+    chain = getattr(q, "chain", None)
+    vals, d = vals[:N - 1], cd.d.values[:N - 1]
+    if chain is None or not np.array_equal(chain.values[:N - 1], d):
+        make_scaling(ChainSeq.from_values(d), vals)
     return vals
 
 
@@ -170,10 +169,11 @@ def _check_degree(cd: CdParams, N: int):
         raise InputError(f"need coefficients c_1..c_{N}, have {cd.n}")
 
 
-def enclosure_thm44(cd: CdParams, q, N: int, validate: bool = True) -> Enclosure:
-    """Pairwise quadratic enclosure from u^{(+-)}(c_{n-1}, c_n, q_n), n = 2..N."""
+def enclosure_thm44(cd: CdParams, q, N: int) -> Enclosure:
+    """Pairwise quadratic enclosure from u^{(+-)}(c_{n-1}, c_n, q_n), n = 2..N;
+    d/q is walked unless ``q`` is a ScalingSeq whose ``chain`` is this d."""
     _check_degree(cd, N)
-    qv = _coerce_scaling(cd, q, N, validate)
+    qv = _coerce_scaling(cd, q, N)
     best_lo = math.inf
     best_hi = -math.inf
     arg_lo = arg_hi = None
@@ -199,10 +199,10 @@ def _staggered_max(q: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def enclosure_thm46(cd: CdParams, q, N: int, validate: bool = True) -> Enclosure:
-    """Single-coefficient enclosure using staggered maxima of the scaling."""
+def enclosure_thm46(cd: CdParams, q, N: int) -> Enclosure:
+    """Single-coefficient enclosure from staggered maxima of q, checked as thm44's."""
     _check_degree(cd, N)
-    qv = _coerce_scaling(cd, q, N, validate)
+    qv = _coerce_scaling(cd, q, N)
     qs = _staggered_max(qv, N)
     best_lo = math.inf
     best_hi = -math.inf
@@ -240,7 +240,7 @@ def enclosure_cor45(cd: CdParams, N: int) -> Enclosure:
     # at q = 1 the pairwise quadratic keeps one finite root,
     # (c_{n-1} c_n - 1) / (c_{n-1} + c_n), on the bound side: the lower one for
     # positive sums, the upper one for negative sums
-    enc = enclosure_thm44(cd, np.ones(N - 1), N, validate=False)
+    enc = enclosure_thm44(cd, ScalingSeq(np.ones(N - 1), cd.d), N)
     if lower:
         return Enclosure(enc.A, 1.0, enc.argmin_index, None, "cor45")
     return Enclosure(-1.0, enc.B, None, enc.argmax_index, "cor45")
@@ -248,15 +248,15 @@ def enclosure_cor45(cd: CdParams, N: int) -> Enclosure:
 
 def enclosure_cor47(cd: CdParams, N: int) -> Enclosure:
     """Single-coefficient enclosure at the trivial scaling q = 1."""
-    enc = enclosure_thm46(cd, np.ones(N - 1), N, validate=False)
+    enc = enclosure_thm46(cd, ScalingSeq(np.ones(N - 1), cd.d), N)
     return Enclosure(enc.A, enc.B, enc.argmin_index, enc.argmax_index, "cor47")
 
 
 _METHODS = {
     "thm44": enclosure_thm44,
     "thm46": enclosure_thm46,
-    "cor45": lambda cd, q, N, validate=True: enclosure_cor45(cd, N),
-    "cor47": lambda cd, q, N, validate=True: enclosure_cor47(cd, N),
+    "cor45": lambda cd, q, N: enclosure_cor45(cd, N),
+    "cor47": lambda cd, q, N: enclosure_cor47(cd, N),
 }
 
 

@@ -221,22 +221,23 @@ class ScalingSeq:
     """Scaling sequence {q_{n+1}} with q in (0, 1]; ``values[k]`` is q_{k+2}.
 
     Dividing a chain sequence termwise by a valid scaling sequence leaves a
-    chain sequence; ``make_scaling`` is the validating constructor.
+    chain sequence.  ``chain``, when set, is a d for which d/q over the first
+    ``len(values)`` terms, and so over every prefix, is known to be one (by
+    the walk of ``make_scaling``, by comparison, or at q = 1 for every d).
     """
 
     values: np.ndarray
+    chain: Optional[ChainSeq] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if len(values) and not ((values > 0.0) & (values <= 1.0)).all():
-            bad = int(np.argmax(~((values > 0.0) & (values <= 1.0)))) + 1
-            raise ScalingError(bad, f"scaling invalid at n={bad}: q out of (0, 1]")
-
-    @classmethod
-    def trivial(cls, count: int) -> "ScalingSeq":
-        return cls(np.ones(count))
+        out_of_range = ~((values > 0.0) & (values <= 1.0))
+        if out_of_range.any():
+            bad = int(np.argmax(out_of_range)) + 1
+            raise ScalingError(bad, f"scaling invalid at n={bad}: "
+                               f"q_{{{bad + 1}}}={float(values[bad - 1])!r} out of (0, 1]")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -416,25 +417,21 @@ def comparison_test(d: ChainSeq, dhat: ChainSeq) -> bool:
 
 
 def make_scaling(d: ChainSeq, q) -> ScalingSeq:
-    """Validate ``q`` as a scaling sequence for ``d`` and wrap it.
+    """Validate ``q`` as a scaling sequence for ``d``; wrap it with chain d.
 
-    Checks q in (0, 1] termwise, then that d/q is still a positive chain
-    sequence.  Raises :class:`ScalingError` carrying the first failing index.
+    Checks q in (0, 1] termwise, then walks d/q to check that it is still a
+    positive chain sequence.  Raises :class:`ScalingError` carrying the first
+    failing index.
     """
     q = np.asarray(q, dtype=float)
     if len(q) != len(d.values):
         raise InputError(f"scaling length {len(q)} does not match {len(d.values)} terms")
-    out_of_range = ~((q > 0.0) & (q <= 1.0))
-    if out_of_range.any():
-        bad = int(np.argmax(out_of_range)) + 1
-        raise ScalingError(bad, f"scaling invalid at n={bad}: "
-                           f"q_{{{bad + 1}}}={float(q[bad - 1])!r} out of (0, 1]")
-    ratio = ChainSeq.from_values(d.values / q)
-    bad = chain_failure_index(ratio)
+    scaling = ScalingSeq(q, d)  # the (0, 1] check, before dividing by q
+    bad = chain_failure_index(ChainSeq.from_values(d.values / q))
     if bad is not None:
         raise ScalingError(bad, f"scaling invalid at n={bad}: d/q is not a "
                            f"positive chain sequence at term n={bad}")
-    return ScalingSeq(q)
+    return scaling
 
 
 def ultraspherical_chain(lam: float, n: int) -> float:

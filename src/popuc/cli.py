@@ -3,7 +3,7 @@
 Subcommands: ``tables``, ``bounds``, ``zeros``, ``support-arc``, ``gap``,
 ``transform``, ``scaling-threshold``.  Machine output goes to stdout as CSV
 (header row, LF endings) or JSON; a one-line human summary goes to stderr,
-and ``--degrees`` converts the angles in that summary only.
+and ``--degrees`` (``bounds``, ``support-arc``) converts its angles only.
 
 Exit codes: 0 success, 2 input validation, 3 numerical non-convergence or
 boundary case, 4 internal invariant breach.
@@ -153,7 +153,7 @@ def _scaling_at(args, alpha, cd: CdParams, N: int, q_values) -> ScalingSeq:
     """The --q-mode scaling at degree N; ``q_values`` holds the --q-file terms."""
     mode = args.q_mode
     if mode == "trivial":
-        return ScalingSeq.trivial(N - 1)
+        return ScalingSeq(np.ones(N - 1), cd.d)
     if mode in ("ismail-li", "legendre"):
         return scaling_mod._dominant_scaling(cd.d.values, mode, N)
     if mode == "family-default":
@@ -371,7 +371,7 @@ def cmd_scaling_threshold(args, stream, err) -> int:
         N = args.n
         cd = _cd_at(alpha, cd_inline, N)
         d = ChainSeq.from_values(cd.d.values[:N - 1])
-        thr = scaling_mod.constant_scaling_threshold(d)
+        thr = scaling_mod.constant_scaling_threshold(d, xtol=args.tol)
         kind = f"finite-N={N}"
     _emit(["kind", "threshold"], [(kind, float(thr))], stream, args.output, args.command)
     err.write(f"scaling-threshold: {float(thr)}\n")
@@ -384,11 +384,10 @@ def _add_source_flags(p):
     p.add_argument("--params", default="", help="family parameters k=v,...")
 
 
-def _add_common_flags(p):
+def _add_common_flags(p, tol: bool = True):
     p.add_argument("--output", choices=("csv", "json"), default="csv")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--degrees", action="store_true",
-                   help="render angles in the stderr summary in degrees")
+    if tol:
+        p.add_argument("--tol", type=float, default=1e-12)
 
 
 def _add_enclosure_parser(sub, name: str, help: str) -> None:
@@ -403,7 +402,9 @@ def _add_enclosure_parser(sub, name: str, help: str) -> None:
     p.add_argument("--n", type=int)
     p.add_argument("--n-list")
     p.add_argument("--method", default="thm44", choices=tuple(_METHODS))
-    _add_common_flags(p)
+    p.add_argument("--degrees", action="store_true",
+                   help="render angles in the stderr summary in degrees")
+    _add_common_flags(p, tol=False)
 
 
 @functools.cache
@@ -435,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta2", type=float)
     p.add_argument("--n", type=int, help="certificate horizon")
     p.add_argument("--trace", action="store_true", help="emit the ratio trace")
-    _add_common_flags(p)
+    _add_common_flags(p, tol=False)
 
     p = sub.add_parser("transform", help="alpha -> (c, d, g, tau) or back")
     _add_source_flags(p)

@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chainseq import (ChainSeq, ScalingSeq, UltrasphericalRule, ismail_li_constant,
-                       make_scaling)
+from .chainseq import ChainSeq, ScalingSeq, UltrasphericalRule, ismail_li_constant
 from .errors import BoundaryCaseError, InputError, NonConvergenceError
 # zeros_W stays importable from here: perfbench's tracer wraps this binding
 from .recurrence import _bisection_steps, _count_above, zeros_W  # noqa: F401
@@ -129,11 +128,14 @@ def legendre_dominant(N: int) -> ChainSeq:
 
 
 def _dominant_scaling(d: np.ndarray, dominant: str, N: int) -> ScalingSeq:
-    """Scaling q = d / dhat over the first N - 1 terms of ``d``, validated.
+    """Scaling q = d / dhat over the first N - 1 terms of ``d``.
 
     ``dominant`` names dhat at degree N: ``ismail-li`` (the extremal
     constant), ``legendre`` (the rescaled Legendre dominant) or ``quarter``
-    (the constant 1/4).
+    (the constant 1/4), each a chain sequence by theorem.  d/q is not walked:
+    q <= 1 holds exactly when d <= dhat (d / dhat rounds above 1 if d > dhat),
+    which makes d a chain sequence by Wall's comparison test and q a scaling
+    for it, d/q being dhat up to the rounding of q.
     """
     if dominant == "ismail-li":
         dhat = ismail_li_constant(N)
@@ -142,12 +144,12 @@ def _dominant_scaling(d: np.ndarray, dominant: str, N: int) -> ScalingSeq:
     else:
         dhat = 0.25
     d = d[:N - 1]
-    return make_scaling(ChainSeq.from_values(d), d / dhat)
+    return ScalingSeq(d / dhat, ChainSeq.from_values(d))
 
 
 def default_scaling_for(alpha: VerblunskySeq, N: int,
                         cd: Optional[CdParams] = None) -> ScalingSeq:
-    """Per-family dominant chain sequence turned into a scaling for degree N.
+    """Per-family dominant turned into a scaling for degree N, with no walk of d/q.
 
     geronimus      -> constant dominant 1/4 (q = 4 d, constant)
     lambda-eta     -> Ismail-Li constant for lam >= 0, rescaled Legendre

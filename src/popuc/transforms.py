@@ -166,6 +166,9 @@ class VerblunskySeq:
         The tau sequence is the product of the exactly unimodular ratios
         (k + lam - i eta) / (k + lam + i eta), k = 1..n.
         """
+        for name, value in (("lam", lam), ("eta", eta)):
+            if not math.isfinite(value):
+                raise InputError(f"lambda-eta {name} must be finite, got {value}")
         if lam <= -0.5:
             raise InputError(f"lambda must be > -1/2, got {lam}")
         b = complex(lam, eta)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from popuc import CdParams
+from popuc import CdParams, chainseq
 from popuc.recurrence import _eval_W_grid
 
 
@@ -70,3 +70,17 @@ def assert_interlacing(cd, ladder):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Lengths of the chain sequences walked by the minimal-parameter test."""
+    lengths = []
+    walk = chainseq._minimal_raw
+
+    def counted(d):
+        lengths.append(len(d))
+        return walk(d)
+
+    monkeypatch.setattr(chainseq, "_minimal_raw", counted)
+    return lengths

@@ -184,6 +184,42 @@ class TestEnclosures:
         with pytest.raises(pp.ScalingError):
             pp.enclosure_thm44(cd, np.full(9, 1.5), 10)
 
+    def test_scaling_walked_unless_valid_for_this_d(self):
+        # q = 1/2 is a scaling for d = 0.1 (d/q = 0.2 <= 1/4), not for d = 0.2
+        c = np.zeros(12)
+        small = pp.CdParams.from_sequences(c, np.full(11, 0.1))
+        big = pp.CdParams.from_sequences(c, np.full(11, 0.2))
+        q = pp.make_scaling(small.d, np.full(11, 0.5))
+        assert q.chain is small.d
+        for enclosure in (pp.enclosure_thm44, pp.enclosure_thm46):
+            enclosure(small, q, 12)
+            enclosure(small, q, 7)  # a prefix of a valid scaling is valid
+            # a chain one ulp off this d proves nothing for it
+            near = pp.ChainSeq.from_values(np.full(11, np.nextafter(0.2, 0.0)))
+            for other in (q, pp.ScalingSeq(q.values), q.values,
+                          pp.ScalingSeq(q.values, near)):
+                with pytest.raises(pp.ScalingError):
+                    enclosure(big, other, 12)
+        # a dominant scaling built for one cd proves nothing for another
+        alpha = pp.VerblunskySeq.lambda_eta(1.0, 1.0, horizon=12)
+        dominant = pp.default_scaling_for(alpha, 12)
+        pp.enclosure_thm44(pp.cd_from_verblunsky(alpha, n_terms=12), dominant, 12)
+        with pytest.raises(pp.ScalingError):
+            pp.enclosure_thm44(pp.CdParams.from_sequences(c, np.full(11, 0.24)),
+                               dominant, 12)
+
+    def test_hand_made_scaling_is_walked(self, walks):
+        cd = pp.CdParams.from_sequences(np.zeros(12), np.full(11, 0.1))
+        walks.clear()
+        pp.enclosure_thm44(cd, pp.ScalingSeq(np.full(11, 0.5)), 12)
+        pp.enclosure_thm44(cd, np.full(11, 0.5), 12)
+        assert walks == [11, 11]
+        # make_scaling walks once; the enclosure and q = 1 do not
+        pp.enclosure_thm44(cd, pp.make_scaling(cd.d, np.full(11, 0.5)), 12)
+        pp.enclosure_cor45(cd, 12)
+        pp.enclosure_cor47(cd, 12)
+        assert walks == [11, 11, 11]
+
     def test_weaker_bound_contains_sharper_on_named_families(self):
         # observed empirically on the named families; not asserted as a
         # universal law

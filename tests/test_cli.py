@@ -270,6 +270,17 @@ class TestPaperBoundaries:
                             "lam=0,eta=1", "--n", str(n), "--q-mode", "ismail-li"])
         assert code == 0, err
 
+    @pytest.mark.parametrize("command", ["bounds", "support-arc"])
+    @pytest.mark.parametrize("mode", ["ismail-li", "family-default"])
+    @pytest.mark.parametrize("n", [1210, 1500, 3000])
+    def test_dominant_scaling_where_the_walk_failed(self, command, mode, n):
+        # the rounded extremal constant is no chain sequence here, so a walk
+        # of d/q rejected these scalings; the comparison test accepts them
+        code, out, err = run([command, "--family", "lambda-eta", "--params",
+                              "lam=1,eta=1", "--n", str(n), "--q-mode", mode])
+        assert code == 0, err
+        assert out.splitlines()[1].startswith(f"{n},")
+
     def test_roundtrip_with_mass_rounded_to_zero(self, tmp_path):
         gen = np.random.default_rng(1001)
         mod = 0.9 * np.sqrt(gen.uniform(0.0, 1.0, 643))
@@ -567,6 +578,16 @@ class TestRejectedInput:
         ["scaling-threshold", "--d-const", "nan", "--infinite"],
         ["scaling-threshold", "--family", "lambda-eta", "--params", "lam=nan,eta=1",
          "--infinite"],
+        ["scaling-threshold", "--family", "lambda-eta", "--params", "lam=1,eta=nan",
+         "--infinite"],
+        ["scaling-threshold", "--family", "lambda-eta", "--params", "lam=1,eta=inf",
+         "--infinite"],
+        # used to leak numpy's invalid-value warning before exiting 2
+        ["transform", "--family", "lambda-eta", "--params", "lam=nan,eta=1e300",
+         "--n", "5"],
+        # the finite threshold bisects to --tol, as zeros does
+        ["scaling-threshold", "--family", "geronimus", "--params", "alpha_re=0.3",
+         "--n", "5", "--tol", "nan"],
     ])
     def test_numeric_input_rejected(self, argv):
         code, out, err = run(argv)
@@ -581,3 +602,60 @@ class TestRejectedInput:
         code, out, err = run([command, "--input", str(src), "--n", "0"])
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+
+class TestFlagsWhereRead:
+    """--tol and --degrees are registered only on the commands that read them."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["bounds", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "5"],
+         ["--tol", "1e-9"]),
+        (["support-arc", "--family", "geronimus", "--params", "alpha_re=0.3",
+          "--n", "5"], ["--tol", "1e-9"]),
+        (["gap", "--family", "geronimus", "--params", "alpha_re=-0.5",
+          "--theta1", "5.3", "--theta2", "7.2", "--n", "10"], ["--tol", "1e-9"]),
+        (["tables", "1"], ["--degrees"]),
+        (["zeros", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "5"],
+         ["--degrees"]),
+        (["gap", "--family", "geronimus", "--params", "alpha_re=-0.5",
+          "--theta1", "5.3", "--theta2", "7.2", "--n", "10"], ["--degrees"]),
+        (["transform", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "5"],
+         ["--degrees"]),
+        (["scaling-threshold", "--d-const", "0.2", "--infinite"], ["--degrees"]),
+    ])
+    def test_unread_flag_is_a_usage_error(self, argv, flag):
+        assert run(argv)[0] == 0
+        code, out, err = run(argv + flag)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: popuc ") and f"unrecognized arguments: {flag[0]}" \
+            in err
+
+    def test_finite_threshold_tol_keeps_the_default_bits(self, tmp_path):
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.0] * 10, "d": [0.2] * 9}}))
+        rows = {tol: run(["scaling-threshold", "--input", str(src), "--n", "10"]
+                         + (["--tol", tol] if tol else []))[1] for tol in (None, "1e-12")}
+        thr = pp.constant_scaling_threshold(pp.ChainSeq.from_values([0.2] * 9))
+        assert rows[None] == rows["1e-12"] == f"kind,threshold\nfinite-N=10,{thr!r}\n"
+
+
+class TestWalkCounts:
+    """d/q is walked once per degree where a scaling is built by
+    ``make_scaling``, and never for the trivial and dominant scalings."""
+
+    def test_constant_scaling_walked_once_per_degree(self, tmp_path, walks):
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.1] * 50, "d": [0.1] * 49}}))
+        code, _, err = run(["bounds", "--input", str(src), "--n-list", "20,40",
+                            "--q-mode", "constant", "--q-const", "0.8"])
+        assert code == 0, err
+        # the inline cd's own chain test, then one walk of d/q per degree
+        assert walks == [49, 19, 39]
+
+    @pytest.mark.parametrize("command", ["bounds", "support-arc"])
+    @pytest.mark.parametrize("mode", ["trivial", "ismail-li", "family-default"])
+    def test_trivial_and_dominant_scalings_not_walked(self, walks, command, mode):
+        code, _, err = run([command, "--family", "lambda-eta", "--params",
+                            "lam=1,eta=1", "--n", "40", "--q-mode", mode])
+        assert code == 0, err
+        assert walks == []

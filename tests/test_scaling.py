@@ -6,6 +6,7 @@ import pytest
 import popuc as pp
 
 from conftest import random_cd_q
+from popuc.recurrence import _count_above
 
 
 class TestConstantThreshold:
@@ -200,3 +201,30 @@ class TestDefaultScaling:
         aseq = pp.VerblunskySeq.from_values(np.zeros(6))
         with pytest.raises(pp.InputError):
             pp.default_scaling_for(aseq, 6)
+
+
+class TestDominantScalingEveryDegree:
+    """The Ismail-Li scalings q = d / dhat are valid by comparison at every
+    degree: q <= 1 means d <= dhat.  Walking d/q instead failed from N = 1210
+    on, at the degrees where the extremal constant rounds up."""
+
+    DEGREES = sorted({*range(2, 401), *range(2, 5001, 37), 1209, 1210, 1500, 3000,
+                      5000})
+
+    @pytest.mark.parametrize("lam, eta", [(1.0, 1.0), (0.5, -2.0)])
+    def test_zeros_inside_the_enclosure(self, lam, eta):
+        alpha = pp.VerblunskySeq.lambda_eta(lam, eta, horizon=5000)
+        for N in self.DEGREES:
+            cd = pp.cd_from_verblunsky(alpha, n_terms=N)
+            q = pp.default_scaling_for(alpha, N, cd=cd)
+            dominant = pp.scaling._dominant_scaling(cd.d.values, "ismail-li", N)
+            assert np.array_equal(q.values, dominant.values), N
+            enc = pp.enclosure_thm44(cd, q, N)
+            c, d = cd.c.tolist(), cd.d.values.tolist()
+            # the extremal scaling is exact at N = 2
+            margin = 1e-15 if N == 2 else 1e-14
+            assert _count_above(c, d, N, enc.B + margin) == 0, N
+            assert _count_above(c, d, N, enc.A - margin) == N, N
+            if N == 2:
+                assert _count_above(c, d, N, enc.B - margin) == 1
+                assert _count_above(c, d, N, enc.A + margin) == 1

@@ -95,6 +95,13 @@ class TestCdFromVerblunsky:
         with pytest.raises(pp.InputError):
             pp.VerblunskySeq.from_values([0.5, 1.0 + 0j])
 
+    @pytest.mark.parametrize("lam, eta, name", [
+        (math.nan, 1.0, "lam"), (math.inf, 1.0, "lam"), (1.0, math.nan, "eta"),
+        (1.0, -math.inf, "eta"), (math.nan, 1e300, "lam")])
+    def test_lambda_eta_parameters_finite(self, lam, eta, name):
+        with pytest.raises(pp.InputError, match=f"lambda-eta {name} must be finite"):
+            pp.VerblunskySeq.lambda_eta(lam, eta)
+
 
 class TestRotation:
     def test_full_turn_equals_unrotated(self, rng):
