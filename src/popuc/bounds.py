@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .chainseq import (ChainSeq, ScalingSeq, _chunks, _forward_params,
+from .chainseq import (ChainSeq, ScalingSeq, _chunks, _forward_params, _frozen,
                        chain_failure_index, make_scaling)
 from .errors import BoundaryCaseError, InputError, ScalingError
 from .recurrence import TWO_PI
@@ -322,9 +322,7 @@ class GapCertificate:
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _frozen(self.m))
 
     @property
     def verified(self) -> bool:

@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NotChainSequenceError, NonConvergenceError, ScalingError
+from .errors import InputError, NotChainSequenceError, ScalingError
 
 # Slack accepted on the *final* parameter of a finite sequence (see module
 # docstring); interior parameters are tested strictly against (0, 1).
@@ -37,10 +37,6 @@ BOUNDARY_TOL = 1e-12
 # M_1 = 0 versus M_1 > 0 is not decidable in floating point.
 SP_THRESHOLD = 1e-10
 
-# Hard cap on the backward-recursion horizon used for maximal parameters of
-# rule-generated sequences.
-HORIZON_CAP = 2 ** 20
-
 # Terms read at a time by the sequential recursions (see ``_chunks``).
 _CHUNK = 4096
 
@@ -48,21 +44,30 @@ FINITE = "finite"
 TRUNCATED_INFINITE = "truncated-infinite"
 
 
+def _frozen(values, dtype=float) -> np.ndarray:
+    """Read-only view of ``values`` as a ``dtype`` array; no bytes are copied,
+    so a caller's own array stays writeable."""
+    view = np.asarray(values, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
+
+
 class ChainRule:
-    """Term generator for a rule-backed (conceptually infinite) sequence."""
+    """Term generator for a rule-backed (conceptually infinite) sequence,
+    with the closed forms of its infinite-sequence quantities."""
 
     def terms(self, count: int) -> np.ndarray:
         """First ``count`` elements d_2 .. d_{count+1}."""
         raise NotImplementedError
 
-    def maximal_params_closed(self, count: int) -> Optional[np.ndarray]:
-        """Closed-form maximal parameters M_1 .. M_count, if known."""
-        return None
+    def maximal_params_closed(self, count: int) -> np.ndarray:
+        """Maximal parameters M_1 .. M_count."""
+        raise NotImplementedError
 
-    def threshold_closed(self) -> Optional[float]:
-        """Closed-form infinite constant-scaling threshold, if known: the limit
-        of the squared largest zeros of the symmetric W_N as N grows."""
-        return None
+    def threshold_closed(self) -> float:
+        """Infinite constant-scaling threshold: the limit of the squared
+        largest zeros of the symmetric W_N as N grows."""
+        raise NotImplementedError
 
 
 class ConstantRule(ChainRule):
@@ -75,18 +80,19 @@ class ConstantRule(ChainRule):
     def terms(self, count):
         return np.full(count, self.value)
 
-    def maximal_params_closed(self, count):
-        # Larger root of (1 - M) M = value; exists only for value <= 1/4.
-        disc = 1.0 - 4.0 * self.value
-        if disc < 0:
-            return None
-        return np.full(count, 0.5 * (1.0 + math.sqrt(disc)))
-
-    def threshold_closed(self):
-        # the finite thresholds 4 d cos^2(pi / (N + 1)) increase to 4 d
+    def _require_chain(self):
         if self.value > 0.25:
             raise InputError(f"constant d = {self.value!r} > 1/4 is not an "
                              "infinite positive chain sequence")
+
+    def maximal_params_closed(self, count):
+        # larger root of (1 - M) M = value
+        self._require_chain()
+        return np.full(count, 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * self.value)))
+
+    def threshold_closed(self):
+        # the finite thresholds 4 d cos^2(pi / (N + 1)) increase to 4 d
+        self._require_chain()
         return 4.0 * self.value
 
 
@@ -116,16 +122,6 @@ class UltrasphericalRule(ChainRule):
         return 1.0
 
 
-class CallableRule(ChainRule):
-    """Adapter over a plain ``n -> d_{n+1}`` function (n >= 1)."""
-
-    def __init__(self, fn: Callable[[int], float]):
-        self.fn = fn
-
-    def terms(self, count):
-        return np.array([self.fn(n) for n in range(1, count + 1)], dtype=float)
-
-
 @dataclass(frozen=True)
 class ChainSeq:
     """A finite positive-real sequence, optionally backed by a rule.
@@ -133,8 +129,9 @@ class ChainSeq:
     ``values[k]`` is the element d_{k+2}, i.e. the sequence is indexed the way
     it enters the three-term recurrences (its first element pairs with the
     second recurrence step).  ``kind`` is ``finite`` for plain arrays and
-    ``truncated-infinite`` for rule-backed sequences, where ``values`` caches
-    the first ``horizon`` elements but more can be generated on demand.
+    ``truncated-infinite`` for rule-backed sequences, where ``values`` holds
+    the first ``horizon`` elements and ``rule`` the closed forms of the
+    infinite sequence.
     """
 
     values: np.ndarray
@@ -142,8 +139,7 @@ class ChainSeq:
     rule: Optional[ChainRule] = field(default=None, repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
+        values = _frozen(self.values)
         object.__setattr__(self, "values", values)
         if self.kind not in (FINITE, TRUNCATED_INFINITE):
             raise InputError(f"unknown chain sequence kind {self.kind!r}")
@@ -170,23 +166,8 @@ class ChainSeq:
         rule = UltrasphericalRule(lam)
         return cls(rule.terms(horizon), TRUNCATED_INFINITE, rule)
 
-    @classmethod
-    def from_rule(cls, fn: Callable[[int], float], horizon: int = 128) -> "ChainSeq":
-        rule = CallableRule(fn)
-        return cls(rule.terms(horizon), TRUNCATED_INFINITE, rule)
-
     def __len__(self) -> int:
         return len(self.values)
-
-    def prefix(self, count: int) -> np.ndarray:
-        """First ``count`` elements, generated from the rule if needed."""
-        if count <= len(self.values):
-            return self.values[:count]
-        if self.rule is None:
-            raise InputError(
-                f"finite chain sequence has {len(self.values)} terms, {count} requested"
-            )
-        return self.rule.terms(count)
 
 
 @dataclass(frozen=True)
@@ -197,8 +178,7 @@ class ParamSeq:
     flavor: str = "generic"  # minimal | maximal | generic
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
+        values = _frozen(self.values)
         object.__setattr__(self, "values", values)
         if len(values) == 0:
             raise InputError("parameter sequence cannot be empty")
@@ -230,8 +210,7 @@ class ScalingSeq:
     chain: Optional[ChainSeq] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
+        values = _frozen(self.values)
         object.__setattr__(self, "values", values)
         out_of_range = ~((values > 0.0) & (values <= 1.0))
         if out_of_range.any():
@@ -359,36 +338,13 @@ def _backward_maximal(d: np.ndarray) -> np.ndarray:
     return m
 
 
-def maximal_params(d: ChainSeq, tol: float = 1e-12) -> ParamSeq:
-    """Maximal parameter sequence {M_n} of ``d``.
-
-    Finite sequences use the exact backward recursion anchored at
-    M_{N+1} = 1.  Rule-backed sequences use the rule's closed form when one
-    is available; otherwise the backward recursion is repeated at doubling
-    horizons until M_1 moves by less than ``tol``, up to ``HORIZON_CAP``.
-    """
-    if not tol > 0:
-        raise InputError("tol must be positive")
+def maximal_params(d: ChainSeq) -> ParamSeq:
+    """Maximal parameter sequence {M_n} of ``d``: the exact backward
+    recursion anchored at M_{N+1} = 1 for a finite sequence, the rule's
+    closed form for a rule-backed one."""
     if d.kind == FINITE:
         return ParamSeq(_backward_maximal(d.values), "maximal")
-
-    want = len(d.values) + 1
-    closed = d.rule.maximal_params_closed(want)
-    if closed is not None:
-        return ParamSeq(closed, "maximal")
-
-    horizon = max(2 * want, 256)
-    prev = _backward_maximal(d.prefix(horizon))[0]
-    while True:
-        horizon *= 2
-        if horizon > HORIZON_CAP:
-            raise NonConvergenceError(
-                f"maximal parameter undetermined at tol={tol:g} "
-                f"(horizon cap {HORIZON_CAP} reached)")
-        full = _backward_maximal(d.prefix(horizon))
-        if abs(full[0] - prev) < tol:
-            return ParamSeq(full[:want], "maximal")
-        prev = full[0]
+    return ParamSeq(d.rule.maximal_params_closed(len(d.values) + 1), "maximal")
 
 
 def is_non_SP(d: ChainSeq, tol: float = SP_THRESHOLD) -> bool:
@@ -397,7 +353,7 @@ def is_non_SP(d: ChainSeq, tol: float = SP_THRESHOLD) -> bool:
     Heads within ``tol`` of zero are classified single-parameter, since the
     exact dichotomy is analytic only.
     """
-    m1 = maximal_params(d, tol=min(tol, 1e-12)).values[0]
+    m1 = maximal_params(d).values[0]
     return m1 > tol
 
 
@@ -427,7 +383,8 @@ def make_scaling(d: ChainSeq, q) -> ScalingSeq:
     if len(q) != len(d.values):
         raise InputError(f"scaling length {len(q)} does not match {len(d.values)} terms")
     scaling = ScalingSeq(q, d)  # the (0, 1] check, before dividing by q
-    bad = chain_failure_index(ChainSeq.from_values(d.values / q))
+    with np.errstate(over="ignore"):  # a d/q that overflows fails the walk
+        bad = chain_failure_index(ChainSeq.from_values(d.values / q))
     if bad is not None:
         raise ScalingError(bad, f"scaling invalid at n={bad}: d/q is not a "
                            f"positive chain sequence at term n={bad}")

@@ -330,27 +330,27 @@ def cmd_transform(args, stream, err) -> int:
     if args.reverse:
         if cd is None:
             raise InputError("--reverse needs a cd source (--input with \"cd\")")
-        values = verblunsky_from_cd(cd, t=args.t, tol=args.tol).prefix(cd.n)
+        values = verblunsky_from_cd(cd, t=args.t).prefix(cd.n)
         _emit(["n", "alpha_re", "alpha_im"],
               zip(range(cd.n), values.real.tolist(), values.imag.tolist()), stream,
               args.output, args.command)
         err.write(f"transform: recovered {cd.n} coefficients at t={args.t}\n")
         return 0
     cd = _cd_at(alpha, cd, n)  # an inline cd may carry more than n rows
+    summary = f"transform: {n} coefficient rows\n"
+    if args.roundtrip:  # before any row, so that a failure prints none
+        if alpha is None:
+            raise InputError("--roundtrip needs an alpha source")
+        t_star = mass_at_one(cd)
+        recovered = verblunsky_from_cd(cd, t=t_star).prefix(n)
+        residual = float(np.abs(recovered - alpha.prefix(n)).max())
+        summary = f"transform: roundtrip residual {residual:.3e} at t={t_star!r}\n"
     tau = cd.tau.values[:n]
     rows = zip(range(1, n + 1), cd.c.tolist(), cd.g.values.tolist(),
                chain(cd.d.values.tolist(), [""]), tau.real.tolist(), tau.imag.tolist())
     _emit(["n", "c", "g", "d_next", "tau_re", "tau_im"], rows, stream, args.output,
           args.command)
-    if args.roundtrip:
-        if alpha is None:
-            raise InputError("--roundtrip needs an alpha source")
-        t_star = mass_at_one(cd)
-        recovered = verblunsky_from_cd(cd, t=t_star, tol=args.tol).prefix(n)
-        residual = float(np.abs(recovered - alpha.prefix(n)).max())
-        err.write(f"transform: roundtrip residual {residual:.3e} at t={t_star!r}\n")
-    else:
-        err.write(f"transform: {n} coefficient rows\n")
+    err.write(summary)
     return 0
 
 
@@ -363,7 +363,10 @@ def cmd_scaling_threshold(args, stream, err) -> int:
             d = ChainSeq.ultraspherical(alpha.params["lam"])
         else:
             raise InputError("--infinite needs --d-const or a lambda-eta family")
-        thr = scaling_mod.constant_scaling_threshold_infinite(d, tol=args.tol)
+        # the limit is a closed form; --tol is only checked
+        if not 0 < args.tol < math.inf:
+            raise InputError(f"tol must be positive and finite, got {args.tol}")
+        thr = scaling_mod.constant_scaling_threshold_infinite(d)
         kind = "infinite"
     else:
         if args.n is None:
@@ -447,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mass at z = 1 for --reverse")
     p.add_argument("--roundtrip", action="store_true",
                    help="report the alpha -> cd -> alpha residual on stderr")
-    _add_common_flags(p)
+    _add_common_flags(p, tol=False)
 
     p = sub.add_parser("scaling-threshold",
                        help="sharp constant-scaling threshold of the chain sequence")

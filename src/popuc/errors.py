@@ -38,7 +38,11 @@ class ScalingError(InputError):
 
 
 class NonConvergenceError(PopucError):
-    """An iterative refinement did not stabilize within its horizon cap."""
+    """An iterative refinement did not stabilize within its horizon cap.
+
+    Nothing in the package raises it now; it stays exported, and the CLI
+    maps it to exit code 3.
+    """
 
 
 class BoundaryCaseError(PopucError):

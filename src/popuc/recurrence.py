@@ -26,12 +26,14 @@ never divides by zero (Demmel, Dhillon & Ren, ETNA 3 (1995)).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
+from .chainseq import _frozen
 from .errors import BoundaryCaseError, InputError, InvariantError
 from .transforms import CdParams
 
@@ -186,11 +188,17 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j, xtol: float) -> np.ndarray:
     c, d = _coeffs(cd, N)
     lo = np.full(len(j), -1.0)
     hi = np.full(len(j), 1.0)
-    for _ in range(_bisection_steps(xtol)):
-        mid = 0.5 * (lo + hi)
-        above = _count_above(c, d, degree, mid) >= j
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
+    # a ratio r_k so near 0 that d_{k+1} / r_k overflows makes r_{k+1}
+    # infinite, with the sign it has to count by; the warning is filtered
+    # rather than switched off by np.errstate, under which every ufunc of the
+    # loop runs a few per cent slower
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+        for _ in range(_bisection_steps(xtol)):
+            mid = 0.5 * (lo + hi)
+            above = _count_above(c, d, degree, mid) >= j
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -207,10 +215,7 @@ class ZeroList:
     theta: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        theta = np.asarray(self.theta, dtype=float)
-        x.setflags(write=False)
-        theta.setflags(write=False)
+        x, theta = _frozen(self.x), _frozen(self.theta)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "theta", theta)
         if len(x) != self.n or len(theta) != self.n:

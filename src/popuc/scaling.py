@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .chainseq import ChainSeq, ScalingSeq, UltrasphericalRule, ismail_li_constant
-from .errors import BoundaryCaseError, InputError, NonConvergenceError
+from .errors import BoundaryCaseError, InputError
 # zeros_W stays importable from here: perfbench's tracer wraps this binding
 from .recurrence import _bisection_steps, _count_above, zeros_W  # noqa: F401
 from .transforms import CdParams, VerblunskySeq, cd_from_verblunsky
@@ -29,8 +29,6 @@ from .transforms import CdParams, VerblunskySeq, cd_from_verblunsky
 # Relative half-width of the band around the constant-scaling threshold in
 # which float arithmetic cannot decide strict-versus-nonstrict membership.
 BOUNDARY_BAND = 1e-12
-
-_STURM_HORIZON_CAP = 2 ** 14
 
 
 def constant_scaling_threshold(d: ChainSeq, xtol: float = 1e-12) -> float:
@@ -61,44 +59,26 @@ def constant_scaling_threshold(d: ChainSeq, xtol: float = 1e-12) -> float:
     return x ** 2
 
 
-def constant_scaling_threshold_infinite(d: ChainSeq, tol: float = 1e-6) -> float:
-    """Limit of the squared largest symmetric zeros at growing horizons.
+def constant_scaling_threshold_infinite(d: ChainSeq) -> float:
+    """Limit of the squared largest symmetric zeros at growing horizons, from
+    the rule's closed form (``ChainRule.threshold_closed``).
 
     A constant q is a scaling sequence for the infinite ``d`` iff
-    q >= threshold (non-strict at the limit).  A rule with a closed form
-    (``ChainRule.threshold_closed``) gives the limit exactly and ``tol`` is
-    only checked.  Otherwise the finite thresholds of doubling prefixes are
-    extrapolated until they move by less than ``tol``; they increase to the
-    limit, so that value is only a lower bound on it.
+    q >= threshold (non-strict at the limit).
     """
     if d.kind != "truncated-infinite":
         raise InputError("infinite threshold needs a rule-backed chain sequence")
-    if not 0 < tol < math.inf:
-        raise InputError(f"tol must be positive and finite, got {tol}")
-    closed = d.rule.threshold_closed()
-    if closed is not None:
-        return closed
-    prev, horizon = None, 64
-    while horizon <= _STURM_HORIZON_CAP:
-        cur = constant_scaling_threshold(ChainSeq.from_values(d.prefix(horizon - 1)))
-        if prev is not None and abs(cur - prev) < tol:
-            return cur
-        prev, horizon = cur, 2 * horizon
-    raise NonConvergenceError(f"threshold extrapolation did not stabilize to {tol:g} "
-                              f"within horizon {_STURM_HORIZON_CAP}")
+    return d.rule.threshold_closed()
 
 
-def constant_scaling_verdict(d: ChainSeq, q: float, tol: float = 1e-12) -> str:
+def constant_scaling_verdict(d: ChainSeq, q: float) -> str:
     """Classify a constant ``q`` against the threshold: valid/invalid/boundary.
 
     Values within ``BOUNDARY_BAND`` (relatively) of the threshold are flagged
-    ``boundary`` since strictness there is float-undecidable.  For a
-    rule-backed ``d`` without a closed-form threshold the extrapolated value
-    is only a lower bound on the limit, so a ``valid`` just above it may not
-    be.
+    ``boundary`` since strictness there is float-undecidable.
     """
     if d.kind == "truncated-infinite":
-        thr = constant_scaling_threshold_infinite(d, tol=tol)
+        thr = constant_scaling_threshold_infinite(d)
         strict = False
     else:
         thr = constant_scaling_threshold(d)

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chainseq import (ChainSeq, ParamSeq, chain_failure_index, maximal_params,
-                       SP_THRESHOLD, _chunks, _forward_params)
+                       SP_THRESHOLD, _chunks, _forward_params, _frozen)
 from .errors import InputError, InvariantError, NotChainSequenceError
 
 TWO_PI = 2.0 * math.pi
@@ -106,9 +106,7 @@ class VerblunskySeq:
 
     @classmethod
     def from_values(cls, values) -> "VerblunskySeq":
-        arr = np.asarray(values, dtype=complex)
-        _validate_alpha(arr)
-        arr.setflags(write=False)
+        arr = _validate_alpha(_frozen(values, complex))
         return cls("inline", len(arr), {}, lambda n: arr[:n])
 
     @classmethod
@@ -215,9 +213,7 @@ class TauSeq:
     max_drift: float = 0.0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(self.values, complex))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -314,8 +310,7 @@ class CdParams:
     tau: TauSeq
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        c.setflags(write=False)
+        c = _frozen(self.c)
         object.__setattr__(self, "c", c)
         if len(self.g) != len(c):
             raise InputError("parameter sequence length must match c")
@@ -333,7 +328,7 @@ class CdParams:
         return len(self.c)
 
     @classmethod
-    def from_sequences(cls, c, d, tol: float = 1e-12) -> "CdParams":
+    def from_sequences(cls, c, d) -> "CdParams":
         """Build from raw (c, d); the g attached is the maximal parameter
         sequence, i.e. the family member carrying no mass at z = 1."""
         c = np.asarray(c, dtype=float)
@@ -355,7 +350,7 @@ class CdParams:
             # supremum head 1 is not attained; use the symmetric member
             g = ParamSeq(np.array([0.5]), "generic")
         else:
-            m = maximal_params(dseq, tol=tol)
+            m = maximal_params(dseq)
             g = ParamSeq(m.values[:len(c)], "maximal")
         tau = _tau_from_c(c)
         return cls(c, dseq, g, tau)
@@ -417,8 +412,7 @@ def rotated_cd(alpha: VerblunskySeq, theta2: float,
     return cd_from_verblunsky(alpha, n_terms, rotation=theta2)
 
 
-def verblunsky_from_cd(cd: CdParams, t: float = 0.0,
-                       tol: float = 1e-12) -> VerblunskySeq:
+def verblunsky_from_cd(cd: CdParams, t: float = 0.0) -> VerblunskySeq:
     """Coefficients of the family member with mass ``t`` at z = 1.
 
     Forms the augmented sequence d_1 = (1 - t) M_1, d_2, ... and runs its
@@ -437,7 +431,7 @@ def verblunsky_from_cd(cd: CdParams, t: float = 0.0,
     """
     if not (0.0 <= t < 1.0):
         raise InputError(f"t must lie in [0, 1), got {t}")
-    m1_max = _maximal_head(cd.d, tol)
+    m1_max = _maximal_head(cd.d)
     if t > 0.0 and m1_max <= SP_THRESHOLD:
         raise InputError("no mass-variant family: chain sequence is "
                          "single-parameter (maximal head is 0)")
@@ -470,14 +464,14 @@ def verblunsky_from_cd(cd: CdParams, t: float = 0.0,
     return VerblunskySeq.from_values((1.0 - 2.0 * m - ic) / ((1.0 - ic) * tau))
 
 
-def mass_at_one(cd: CdParams, tol: float = 1e-12) -> float:
+def mass_at_one(cd: CdParams) -> float:
     """Mass t at z = 1 of the measure whose parameter sequence is ``cd.g``.
 
     Computed as t = 1 - g_1 / M_1 and clipped into [0, 1); feeding the result
     back into :func:`verblunsky_from_cd` reproduces the generating
     coefficients.
     """
-    m1 = _maximal_head(cd.d, tol)
+    m1 = _maximal_head(cd.d)
     if m1 <= 0.0:
         return 0.0
     return min(max(1.0 - float(cd.g.values[0]) / m1, 0.0), math.nextafter(1.0, 0.0))
@@ -493,10 +487,10 @@ def has_point_mass_at_one(cd: CdParams, tol: float = 1e-8) -> bool:
     return _maximal_head(cd.d) - cd.g.values[0] > tol
 
 
-def _maximal_head(d: ChainSeq, tol: float = 1e-12) -> float:
+def _maximal_head(d: ChainSeq) -> float:
     """Maximal head M_1 of ``d``; 1 for an empty chain sequence, which
     constrains no parameter (the supremum head 1 is not attained, so no
     parameter sequence carries it)."""
     if len(d.values) == 0:
         return 1.0
-    return float(maximal_params(d, tol=tol).values[0])
+    return float(maximal_params(d).values[0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import popuc as pp
+from popuc import chainseq
 from popuc.chainseq import _CHUNK, _backward_maximal, _forward_params
 
 from conftest import random_cd_q
@@ -89,13 +90,14 @@ class TestMaximalParams:
                                    rtol=1e-14)
 
     def test_constant_fixed_point_numeric(self):
-        # rule without a closed form exercises the horizon-doubling path
+        # a constant rule answers with its closed form, the fixed point
         alpha = 0.3
         d_val = (1 - alpha ** 2) * (1 + alpha) ** 2 / (4 * (1 + alpha) ** 2)
-        d = pp.ChainSeq.from_rule(lambda n: d_val, horizon=8)
-        m1 = pp.maximal_params(d, tol=1e-13).values[0]
+        d = pp.ChainSeq.constant(d_val, horizon=8)
+        m = pp.maximal_params(d).values
         fixed = 0.5 * (1 + math.sqrt(1 - 4 * d_val))
-        assert abs(m1 - fixed) < 1e-11
+        assert len(m) == 9
+        assert abs(m - fixed).max() < 1e-11
 
     def test_finite_backward_matches_fixed_point(self):
         alpha = 0.3
@@ -104,12 +106,17 @@ class TestMaximalParams:
         fixed = 0.5 * (1 + math.sqrt(1 - 4 * d_val))
         assert abs(m.values[0] - fixed) < 1e-12
 
-    def test_nonconvergence_at_boundary_rate(self):
-        # constant 1/4 hidden behind a generic rule converges like 1/H, which
-        # cannot reach 1e-12 within the horizon cap
-        d = pp.ChainSeq.from_rule(lambda n: 0.25, horizon=8)
-        with pytest.raises(pp.NonConvergenceError):
-            pp.maximal_params(d, tol=1e-12)
+    def test_constant_above_quarter_is_rejected_at_once(self, monkeypatch):
+        # d > 1/4 is no infinite chain sequence: no recursion is walked
+        def walked(d):
+            raise AssertionError(f"walked {len(d)} terms")
+
+        monkeypatch.setattr(chainseq, "_backward_maximal", walked)
+        monkeypatch.setattr(chainseq, "_forward_params", walked)
+        d = pp.ChainSeq.constant(0.3)
+        for query in (pp.maximal_params, pp.is_non_SP):
+            with pytest.raises(pp.InputError, match="> 1/4 is not an infinite"):
+                query(d)
 
     def test_dominance_over_parameter_heads(self, rng):
         cd, _ = random_cd_q(rng, 20)
@@ -297,3 +304,33 @@ class TestExtremalConstantEveryDegree:
         g = pp.chainseq._forward_params(d)[0]
         assert 1e-7 < g[-1] - 1.0
         assert not pp.is_chain_sequence(pp.ChainSeq.from_values(d))
+
+
+class TestCallerArrays:
+    """The sequence objects freeze a view of the arrays they are given: the
+    caller's own arrays stay writeable, and no bytes are copied."""
+
+    @staticmethod
+    def assert_frozen_view(mine, theirs):
+        assert not mine.flags.writeable
+        assert np.shares_memory(mine, theirs)
+
+    def test_scaling_and_chain(self):
+        d, q = np.full(9, 0.2), np.full(9, 0.9)
+        scaling = pp.make_scaling(pp.ChainSeq.from_values(d), q)
+        assert d.flags.writeable and q.flags.writeable
+        self.assert_frozen_view(scaling.values, q)
+        self.assert_frozen_view(scaling.chain.values, d)
+
+    def test_cd_params(self):
+        c, d = np.zeros(10), np.full(9, 0.2)
+        cd = pp.CdParams.from_sequences(c, d)
+        assert c.flags.writeable and d.flags.writeable
+        self.assert_frozen_view(cd.c, c)
+        self.assert_frozen_view(cd.d.values, d)
+
+    def test_verblunsky_values(self):
+        alpha = np.full(6, 0.3 + 0.1j)
+        seq = pp.VerblunskySeq.from_values(alpha)
+        assert alpha.flags.writeable
+        self.assert_frozen_view(seq.prefix(6), alpha)

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import popuc as pp
 from popuc import cli
@@ -529,6 +529,99 @@ class TestExitCodeContract:
         assert err.startswith("error: ") and repr(bad) in err
 
 
+SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 5e-324, 1e-300, 1e300,
+                           math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def inline_jobs(draw):
+    """(JSON source, argv without --input): an inline alpha or cd source of
+    1-12 coefficients and one command over it.  Half the jobs keep to
+    ranges where most inputs are valid; the other half widen them and mix in
+    extreme values, mismatched lengths and degrees 0 and n + 1."""
+    extreme = draw(st.booleans())
+
+    def number(lo, hi, wide_lo, wide_hi):
+        if extreme:
+            return st.one_of(st.floats(wide_lo, wide_hi), SPECIAL)
+        return st.floats(lo, hi)
+
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        part = number(-0.7, 0.7, -1.0, 1.0)
+        blob = {"alpha": draw(st.lists(st.tuples(part, part), min_size=n, max_size=n))}
+    else:
+        n_d = draw(st.sampled_from([n - 1, n, max(n - 2, 0)])) if extreme else n - 1
+        blob = {"cd": {"c": draw(st.lists(number(-3.0, 3.0, -1e3, 1e3), min_size=n,
+                                          max_size=n)),
+                       "d": draw(st.lists(number(0.01, 0.3, 0.0, 1.0), min_size=n_d,
+                                          max_size=n_d))}}
+    N = str(draw(st.integers(0, n + 1) if extreme else st.integers(1, n)))
+    command = draw(st.sampled_from(["transform", "reverse", "roundtrip", "bounds",
+                                    "support-arc", "zeros", "scaling-threshold",
+                                    "gap"]))
+    if command in ("bounds", "support-arc"):
+        q_mode = draw(st.sampled_from(["trivial", "constant"]))
+        argv = [command, "--n", N, "--method", draw(st.sampled_from(list(cli._METHODS))),
+                "--q-mode", q_mode]
+        if q_mode == "constant":
+            argv.append(f"--q-const={draw(number(0.3, 1.0, -1.0, 2.0))!r}")
+    elif command == "reverse":
+        argv = ["transform", "--reverse", f"--t={draw(number(0.0, 0.99, -1.0, 2.0))!r}"]
+    elif command == "roundtrip":
+        argv = ["transform", "--roundtrip", "--n", N]
+    elif command == "gap":
+        argv = ["gap", f"--theta1={draw(number(0.0, 7.0, -7.0, 14.0))!r}",
+                f"--theta2={draw(number(0.0, 7.0, -7.0, 14.0))!r}", "--n", N]
+    else:
+        argv = [command, "--n", N]
+    return blob, argv + ["--output", draw(st.sampled_from(["csv", "json"]))]
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(job=inline_jobs())
+    def test_inline_sources_exit_by_contract(self, tmp_path, job):
+        # every input ends in 0, 2 or 3; a failure prints nothing on stdout
+        # and one "error: " message on stderr
+        blob, argv = job
+        src = tmp_path / "src.json"
+        src.write_text(json.dumps(blob))
+        code, out, err = run(argv + ["--input", str(src)])
+        assert code in (0, 2, 3), (argv, blob, err)
+        assert "Traceback" not in err
+        if code:
+            assert out == "" and err.startswith("error: "), (argv, blob, err)
+
+    # inputs the fuzz found; pytest turns a leaked RuntimeWarning into an error
+    def test_roundtrip_on_cd_prints_no_rows(self, tmp_path):
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.0], "d": []}}))
+        code, out, err = run(["transform", "--roundtrip", "--n", "1", "--input", str(src)])
+        assert (code, out) == (2, "")
+        assert err == "error: --roundtrip needs an alpha source\n"
+
+    def test_overflowing_scaled_chain(self, tmp_path):
+        # d / q = 0.25 / 5e-324 overflows to inf, which fails the walk at n = 1
+        src = tmp_path / "alpha.json"
+        src.write_text(json.dumps({"alpha": [[0.0, 0.0], [0.0, 0.0]]}))
+        code, out, err = run(["bounds", "--n", "2", "--q-mode", "constant",
+                              "--q-const=5e-324", "--input", str(src)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: scaling invalid at n=1")
+
+    def test_overflowing_zero_count_ratio(self, tmp_path):
+        # a subnormal alpha_0 makes a Sturm ratio so small that the next one
+        # overflows; the zeros are still +-1/2
+        src = tmp_path / "alpha.json"
+        src.write_text(json.dumps({"alpha": [[0.0, 5e-324], [0.0, 0.0]]}))
+        code, out, _ = run(["zeros", "--n", "2", "--input", str(src)])
+        assert code == 0
+        x = [float(row.split(",")[3]) for row in out.splitlines()[1:]]
+        assert x == pytest.approx([0.5, -0.5], abs=1e-15)
+
+
 class TestArgparseStreams:
     def test_usage_error_goes_to_given_stderr(self, capsys):
         code, out, err = run(["bounds", "--bogus"])
@@ -614,6 +707,8 @@ class TestFlagsWhereRead:
           "--n", "5"], ["--tol", "1e-9"]),
         (["gap", "--family", "geronimus", "--params", "alpha_re=-0.5",
           "--theta1", "5.3", "--theta2", "7.2", "--n", "10"], ["--tol", "1e-9"]),
+        (["transform", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "5"],
+         ["--tol", "1e-9"]),
         (["tables", "1"], ["--degrees"]),
         (["zeros", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "5"],
          ["--degrees"]),

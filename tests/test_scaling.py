@@ -58,36 +58,22 @@ class TestConstantThreshold:
 class TestInfiniteThreshold:
     def test_chebyshev_limit(self):
         d = pp.ChainSeq.constant(0.25, horizon=8)
-        assert pp.constant_scaling_threshold_infinite(d, tol=1e-4) == 1.0
+        assert pp.constant_scaling_threshold_infinite(d) == 1.0
 
     def test_scaled_chebyshev_limit(self):
         d = pp.ChainSeq.constant(3 / 16, horizon=8)
-        thr = pp.constant_scaling_threshold_infinite(d, tol=1e-5)
+        thr = pp.constant_scaling_threshold_infinite(d)
         assert thr == pytest.approx(0.75, abs=0.01)
 
     def test_gegenbauer_limit(self):
         d = pp.ChainSeq.ultraspherical(1.0, horizon=8)
-        thr = pp.constant_scaling_threshold_infinite(d, tol=1e-5)
+        thr = pp.constant_scaling_threshold_infinite(d)
         assert thr > 0.99
-
-    def test_nonconvergence_guard(self):
-        # a rule without a closed form extrapolates; its finite thresholds
-        # cos^2(pi / (N + 1)) still move by 1e-7 at the horizon cap
-        d = pp.ChainSeq.from_rule(lambda n: 0.25, horizon=8)
-        with pytest.raises(pp.NonConvergenceError):
-            pp.constant_scaling_threshold_infinite(d, tol=1e-12)
-
-    def test_extrapolation_is_a_lower_bound(self):
-        d = pp.ChainSeq.from_rule(lambda n: 0.2, horizon=8)
-        thr = pp.constant_scaling_threshold_infinite(d, tol=1e-6)
-        assert 0.8 - 1e-5 < thr < 0.8
-        assert pp.constant_scaling_verdict(d, 0.8 - 1e-4, tol=1e-6) == "invalid"
 
     def test_closed_forms(self):
         assert pp.ChainSeq.constant(0.2).rule.threshold_closed() == 0.8
         for lam in (-0.5, -0.4, 0.0, 1.0, 10.0):
             assert pp.ChainSeq.ultraspherical(lam).rule.threshold_closed() == 1.0
-        assert pp.ChainSeq.from_rule(lambda n: 0.2).rule.threshold_closed() is None
         with pytest.raises(pp.InputError, match="chain sequence"):
             pp.ChainSeq.constant(0.3).rule.threshold_closed()
         for bad in (math.nan, math.inf):
@@ -105,7 +91,7 @@ class TestInfiniteThreshold:
         # it is not
         d = getattr(pp.ChainSeq, rule)(arg, horizon=8)
         thr = pp.constant_scaling_threshold_infinite(d)
-        prefix = pp.ChainSeq.from_values(d.prefix(10 ** 4))
+        prefix = pp.ChainSeq.from_values(d.rule.terms(10 ** 4))
         assert pp.make_scaling(prefix, np.full(10 ** 4, thr))
         with pytest.raises(pp.ScalingError):
             pp.make_scaling(prefix, np.full(10 ** 4, thr * (1 - 1e-6)))
@@ -115,13 +101,14 @@ class TestInfiniteThreshold:
         assert pp.constant_scaling_verdict(d, 0.8) == "boundary"
         assert pp.constant_scaling_verdict(d, 0.8 * (1 + 1e-6)) == "valid"
         assert pp.constant_scaling_verdict(d, 0.8 * (1 - 1e-6)) == "invalid"
+        # 7.5e-8 below the limit, far outside the boundary band
+        assert pp.constant_scaling_verdict(d, 0.79999994) == "invalid"
         assert pp.constant_scaling_verdict(pp.ChainSeq.ultraspherical(1.0), 0.99) == \
             "invalid"
 
     def test_requires_rule(self):
         with pytest.raises(pp.InputError):
-            pp.constant_scaling_threshold_infinite(
-                pp.ChainSeq.from_values([0.2] * 4), tol=1e-3)
+            pp.constant_scaling_threshold_infinite(pp.ChainSeq.from_values([0.2] * 4))
 
 
 class TestLegendreDominant:

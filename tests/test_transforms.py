@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import popuc as pp
 
@@ -235,6 +236,17 @@ class TestVerblunskyFromCd:
         assert pp.has_point_mass_at_one(ger)
         rec = pp.verblunsky_from_cd(ger, t=t).prefix(1)
         assert rec[0] == pytest.approx(0.3, abs=1e-15)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(polar=st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 2 * math.pi)),
+                          min_size=1, max_size=60))
+    def test_roundtrip_property(self, polar):
+        # alpha -> cd -> alpha at the mass the cd carries at z = 1
+        values = np.array([mod * cmath.exp(1j * phase) for mod, phase in polar])
+        cd = pp.cd_from_verblunsky(pp.VerblunskySeq.from_values(values))
+        rec = pp.verblunsky_from_cd(cd, pp.mass_at_one(cd)).prefix(len(values))
+        assert np.abs(rec - values).max() <= 1e-12
 
 
 class TestMassAtOne:
