@@ -32,6 +32,10 @@ from .errors import BoundaryCaseError, InputError, ScalingError
 from .recurrence import TWO_PI
 from .transforms import CdParams, VerblunskySeq, rotated_cd
 
+# A support-arc extremum counts as stabilized when halving the horizon moves
+# it by less than this.
+STABILIZATION_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Arc:
@@ -270,7 +274,6 @@ class SupportArc:
     extrema at the horizon against the half horizon.
     """
 
-    arc: Arc
     enclosure: Enclosure
     N: int
     stabilized_lower: bool
@@ -278,20 +281,20 @@ class SupportArc:
 
     @property
     def theta1(self) -> float:
-        return self.arc.theta1
+        return self.enclosure.theta1
 
     @property
     def theta2(self) -> float:
-        return self.arc.theta2
+        return self.enclosure.theta2
 
 
-def support_arc(cd: CdParams, q, N_max: int, method: str = "thm44",
-                stab_tol: float = 1e-8) -> SupportArc:
+def support_arc(cd: CdParams, q, N_max: int, method: str = "thm44") -> SupportArc:
     """Tightest arc statement available at horizon ``N_max``.
 
     B_N increases and A_N decreases with N, so the horizon values give the
     largest finite-degree arc; the stabilization flags report whether another
-    doubling of the horizon still moved them by more than ``stab_tol``.
+    doubling of the horizon still moved them by more than
+    ``STABILIZATION_TOL``.
     """
     if method not in _METHODS:
         raise InputError(f"unknown method {method!r}")
@@ -299,10 +302,9 @@ def support_arc(cd: CdParams, q, N_max: int, method: str = "thm44",
     full = fn(cd, q, N_max)
     half_n = max(2, N_max // 2)
     half = fn(cd, q, half_n)
-    arc = Arc(full.theta1, full.theta2, closed=True)
-    return SupportArc(arc, full, N_max,
-                      stabilized_lower=bool(abs(full.A - half.A) < stab_tol),
-                      stabilized_upper=bool(abs(full.B - half.B) < stab_tol))
+    return SupportArc(full, N_max,
+                      stabilized_lower=bool(abs(full.A - half.A) < STABILIZATION_TOL),
+                      stabilized_upper=bool(abs(full.B - half.B) < STABILIZATION_TOL))
 
 
 @dataclass(frozen=True)

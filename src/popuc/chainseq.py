@@ -40,9 +40,6 @@ SP_THRESHOLD = 1e-10
 # Terms read at a time by the sequential recursions (see ``_chunks``).
 _CHUNK = 4096
 
-FINITE = "finite"
-TRUNCATED_INFINITE = "truncated-infinite"
-
 
 def _frozen(values, dtype=float) -> np.ndarray:
     """Read-only view of ``values`` as a ``dtype`` array; no bytes are copied,
@@ -128,43 +125,34 @@ class ChainSeq:
 
     ``values[k]`` is the element d_{k+2}, i.e. the sequence is indexed the way
     it enters the three-term recurrences (its first element pairs with the
-    second recurrence step).  ``kind`` is ``finite`` for plain arrays and
-    ``truncated-infinite`` for rule-backed sequences, where ``values`` holds
-    the first ``horizon`` elements and ``rule`` the closed forms of the
-    infinite sequence.
+    second recurrence step).  A rule-backed sequence (``rule`` set) is
+    conceptually infinite: ``values`` holds its first ``horizon`` elements
+    and ``rule`` the closed forms of the infinite sequence.
     """
 
     values: np.ndarray
-    kind: str = FINITE
     rule: Optional[ChainRule] = field(default=None, repr=False)
 
     def __post_init__(self):
         values = _frozen(self.values)
         object.__setattr__(self, "values", values)
-        if self.kind not in (FINITE, TRUNCATED_INFINITE):
-            raise InputError(f"unknown chain sequence kind {self.kind!r}")
-        if self.kind == TRUNCATED_INFINITE:
-            if self.rule is None:
-                raise InputError("truncated-infinite sequences need a rule")
-            if len(values) < 2:
-                raise InputError("truncated-infinite horizon must be >= 2")
         if len(values) and values.min() <= 0.0:
             bad = int(np.argmax(values <= 0.0)) + 1
             raise InputError(f"chain sequence elements must be positive (term n={bad})")
 
     @classmethod
     def from_values(cls, values) -> "ChainSeq":
-        return cls(np.asarray(values, dtype=float), FINITE)
+        return cls(np.asarray(values, dtype=float))
 
     @classmethod
     def constant(cls, value: float, horizon: int = 128) -> "ChainSeq":
         rule = ConstantRule(value)
-        return cls(rule.terms(horizon), TRUNCATED_INFINITE, rule)
+        return cls(rule.terms(horizon), rule)
 
     @classmethod
     def ultraspherical(cls, lam: float, horizon: int = 128) -> "ChainSeq":
         rule = UltrasphericalRule(lam)
-        return cls(rule.terms(horizon), TRUNCATED_INFINITE, rule)
+        return cls(rule.terms(horizon), rule)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -175,7 +163,6 @@ class ParamSeq:
     """Parameter sequence {g_n} of a chain sequence; ``values[k]`` is g_{k+1}."""
 
     values: np.ndarray
-    flavor: str = "generic"  # minimal | maximal | generic
 
     def __post_init__(self):
         values = _frozen(self.values)
@@ -189,8 +176,6 @@ class ParamSeq:
             raise InputError("interior parameters must lie in (0, 1)")
         if len(values) > 1 and not _final_param_ok(values):
             raise InputError(f"final parameter out of range: {values[-1]}")
-        if self.flavor == "minimal" and values[0] != 0.0:
-            raise InputError("minimal parameter sequences start at 0")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -301,7 +286,7 @@ def minimal_params(d: ChainSeq) -> ParamSeq:
     length; raises :class:`NotChainSequenceError` with the first failing
     index otherwise.
     """
-    return ParamSeq(_minimal_raw(np.asarray(d.values, dtype=float)), "minimal")
+    return ParamSeq(_minimal_raw(np.asarray(d.values, dtype=float)))
 
 
 def chain_failure_index(d: ChainSeq) -> Optional[int]:
@@ -319,32 +304,24 @@ def is_chain_sequence(d: ChainSeq) -> bool:
 
 
 def _backward_maximal(d: np.ndarray) -> np.ndarray:
-    """Backward recursion M_{N+1} = 1, M_n = 1 - d_{n+1} / M_{n+1}."""
-    count = len(d)
-    m = np.empty(count + 1)
-    # on the reversed views the recursion runs forward, chunk by chunk
-    m_rev = m[::-1]
-    m_rev[0] = val = 1.0
-    for i, block in _chunks(d[::-1]):
-        out = []
-        for j, dn in enumerate(block, i):
-            val = 1.0 - dn / val
-            if val <= 0.0:
-                n = count - j
-                raise NotChainSequenceError(n, "maximal parameters undefined: "
-                                            f"backward recursion left (0, 1] at n={n}")
-            out.append(val)
-        m_rev[i + 1:i + 1 + len(out)] = out
-    return m
+    """Backward recursion M_{N+1} = 1, M_n = 1 - d_{n+1} / M_{n+1}, walked as
+    G = 1 - M over the reversed d: G_n = d_{n+1} / (1 - G_{n+1}) rounds exactly
+    as M_n does, and G leaves (0, 1) exactly where M leaves (0, 1]."""
+    g, n = _forward_params(d[::-1])
+    if n is not None:
+        n = len(d) - n + 1
+        raise NotChainSequenceError(n, "maximal parameters undefined: "
+                                    f"backward recursion left (0, 1] at n={n}")
+    return 1.0 - g[::-1]
 
 
 def maximal_params(d: ChainSeq) -> ParamSeq:
     """Maximal parameter sequence {M_n} of ``d``: the exact backward
     recursion anchored at M_{N+1} = 1 for a finite sequence, the rule's
     closed form for a rule-backed one."""
-    if d.kind == FINITE:
-        return ParamSeq(_backward_maximal(d.values), "maximal")
-    return ParamSeq(d.rule.maximal_params_closed(len(d.values) + 1), "maximal")
+    if d.rule is None:
+        return ParamSeq(_backward_maximal(d.values))
+    return ParamSeq(d.rule.maximal_params_closed(len(d.values) + 1))
 
 
 def is_non_SP(d: ChainSeq, tol: float = SP_THRESHOLD) -> bool:

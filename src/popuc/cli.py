@@ -56,14 +56,14 @@ def _parse_params(text: str) -> dict:
     return out
 
 
-def _family_from_params(name: str, params: dict, horizon: int) -> VerblunskySeq:
+def _family_from_params(name: str, params: dict) -> VerblunskySeq:
     if name == "geronimus":
         alpha = complex(params.get("alpha_re", 0.0), params.get("alpha_im", 0.0))
-        return VerblunskySeq.geronimus(alpha, horizon)
+        return VerblunskySeq.geronimus(alpha)
     if name == "alternating":
         try:
             return VerblunskySeq.alternating(params["b1"], params["b2"],
-                                             params.get("c", 0.0), horizon)
+                                             params.get("c", 0.0))
         except KeyError as exc:
             raise InputError(f"alternating family needs parameter {exc}")
     if name == "lambda-eta":
@@ -71,7 +71,7 @@ def _family_from_params(name: str, params: dict, horizon: int) -> VerblunskySeq:
             lam = params["lam"] if "lam" in params else params["lambda"]
         except KeyError:
             raise InputError("lambda-eta family needs parameters lam (or lambda) and eta")
-        return VerblunskySeq.lambda_eta(lam, params.get("eta", 0.0), horizon)
+        return VerblunskySeq.lambda_eta(lam, params.get("eta", 0.0))
     raise InputError(f"unknown family {name!r}; choose geronimus, alternating "
                      "or lambda-eta")
 
@@ -84,7 +84,7 @@ def _read_json(path: str):
             raise InputError(f"cannot parse {path}: {exc}")
 
 
-def _load_input_file(path: str, horizon: int):
+def _load_input_file(path: str):
     """JSON input: {"alpha": [[re, im], ...]} or {"family":..., "params":...}
     or {"cd": {"c": [...], "d": [...]}}."""
     blob = _read_json(path)
@@ -106,7 +106,7 @@ def _load_input_file(path: str, horizon: int):
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise InputError(f"family parameter {key!r} must be a number, "
                                  f"got {val!r}")
-        return _family_from_params(blob["family"], params, horizon), None
+        return _family_from_params(blob["family"], params), None
     if "cd" in blob:
         block = blob["cd"]
         try:
@@ -118,12 +118,12 @@ def _load_input_file(path: str, horizon: int):
     raise InputError(f'{path} must contain "alpha", "family" or "cd"')
 
 
-def _source(args, horizon: int):
+def _source(args):
     """(alpha, cd) from --input or --family; at most one of them is set."""
     if args.input:
-        return _load_input_file(args.input, horizon)
+        return _load_input_file(args.input)
     if args.family:
-        return _family_from_params(args.family, _parse_params(args.params), horizon), None
+        return _family_from_params(args.family, _parse_params(args.params)), None
     return None, None
 
 
@@ -201,7 +201,7 @@ TABLE_HEADER = ["N", "bound_theta_first", "argext_plus", "theta_first",
                 "bound_theta_last", "argext_minus", "theta_last"]
 
 
-def table_rows(which: int, xtol: float = 1e-12) -> list:
+def table_rows(which: int) -> list:
     """Extreme-zero bounds and true extreme zeros of the tabulated families.
 
     Angle cells are rounded to 7 decimals (round-half-even).
@@ -215,7 +215,7 @@ def table_rows(which: int, xtol: float = 1e-12) -> list:
         cd = cd_from_verblunsky(alpha, n_terms=N)
         q = scaling_mod.default_scaling_for(alpha, N, cd=cd)
         enc = _METHODS["thm44"](cd, q, N)
-        zl = zeros_R(cd, N, xtol=xtol)
+        zl = zeros_R(cd, N)
         rows.append({
             "N": N,
             "bound_theta_first": f"{enc.theta1:.7f}",
@@ -230,7 +230,7 @@ def table_rows(which: int, xtol: float = 1e-12) -> list:
 
 def cmd_tables(args, stream, err) -> int:
     which = int(args.which)
-    rows = table_rows(which, xtol=args.tol)
+    rows = table_rows(which)
     _emit(TABLE_HEADER, ([r[k] for k in TABLE_HEADER] for r in rows), stream,
           args.output, args.command)
     err.write(f"table {which}: {len(rows)} rows (N = "
@@ -266,7 +266,7 @@ def cmd_bounds(args, stream, err) -> int:
     enclosure of the extreme zeros or the support arc it gives."""
     row, header, too_small, summary = _ENCLOSURE_JOBS[args.command]
     n_values = _n_values(args)
-    alpha, cd_inline = _source(args, horizon=max(n_values))
+    alpha, cd_inline = _source(args)
     q_values = None
     if args.q_file:
         data = _read_json(args.q_file)
@@ -292,11 +292,11 @@ def cmd_bounds(args, stream, err) -> int:
 
 def cmd_zeros(args, stream, err) -> int:
     n_values = _n_values(args)
-    alpha, cd_inline = _source(args, horizon=max(n_values))
+    alpha, cd_inline = _source(args)
     rows = []
     for N in n_values:
         cd = _cd_at(alpha, cd_inline, N)
-        zl = zeros_R(cd, N, xtol=args.tol)
+        zl = zeros_R(cd, N)
         rows += zip([N] * N, range(1, N + 1), zl.theta.tolist(), zl.x.tolist())
     _emit(["N", "j", "theta", "x"], rows, stream, args.output, args.command)
     err.write(f"zeros: {len(rows)} rows\n")
@@ -307,7 +307,7 @@ def cmd_gap(args, stream, err) -> int:
     if args.theta1 is None or args.theta2 is None:
         raise InputError("gap needs --theta1 and --theta2")
     n = 1000 if args.n is None else args.n
-    alpha, _ = _source(args, horizon=n + 1)
+    alpha, _ = _source(args)
     if alpha is None:
         raise InputError("gap needs a coefficient source (--input or --family)")
     cert = gap_certificate(alpha, args.theta1, args.theta2, n)
@@ -326,7 +326,7 @@ def cmd_gap(args, stream, err) -> int:
 
 def cmd_transform(args, stream, err) -> int:
     n = 16 if args.n is None else args.n
-    alpha, cd = _source(args, horizon=n)
+    alpha, cd = _source(args)
     if args.reverse:
         if cd is None:
             raise InputError("--reverse needs a cd source (--input with \"cd\")")
@@ -355,7 +355,7 @@ def cmd_transform(args, stream, err) -> int:
 
 
 def cmd_scaling_threshold(args, stream, err) -> int:
-    alpha, cd_inline = _source(args, horizon=16 if args.n is None else args.n)
+    alpha, cd_inline = _source(args)
     if args.infinite:
         if args.d_const is not None:
             d = ChainSeq.constant(args.d_const)
@@ -363,10 +363,7 @@ def cmd_scaling_threshold(args, stream, err) -> int:
             d = ChainSeq.ultraspherical(alpha.params["lam"])
         else:
             raise InputError("--infinite needs --d-const or a lambda-eta family")
-        # the limit is a closed form; --tol is only checked
-        if not 0 < args.tol < math.inf:
-            raise InputError(f"tol must be positive and finite, got {args.tol}")
-        thr = scaling_mod.constant_scaling_threshold_infinite(d)
+        threshold = scaling_mod.constant_scaling_threshold_infinite
         kind = "infinite"
     else:
         if args.n is None:
@@ -374,8 +371,12 @@ def cmd_scaling_threshold(args, stream, err) -> int:
         N = args.n
         cd = _cd_at(alpha, cd_inline, N)
         d = ChainSeq.from_values(cd.d.values[:N - 1])
-        thr = scaling_mod.constant_scaling_threshold(d, xtol=args.tol)
+        threshold = scaling_mod.constant_scaling_threshold
         kind = f"finite-N={N}"
+    # a closed form or a fixed number of bisection steps: --tol is only checked
+    if not 0 < args.tol < math.inf:
+        raise InputError(f"tol must be positive and finite, got {args.tol}")
+    thr = threshold(d)
     _emit(["kind", "threshold"], [(kind, float(thr))], stream, args.output, args.command)
     err.write(f"scaling-threshold: {float(thr)}\n")
     return 0
@@ -387,10 +388,8 @@ def _add_source_flags(p):
     p.add_argument("--params", default="", help="family parameters k=v,...")
 
 
-def _add_common_flags(p, tol: bool = True):
+def _add_output_flag(p):
     p.add_argument("--output", choices=("csv", "json"), default="csv")
-    if tol:
-        p.add_argument("--tol", type=float, default=1e-12)
 
 
 def _add_enclosure_parser(sub, name: str, help: str) -> None:
@@ -407,7 +406,7 @@ def _add_enclosure_parser(sub, name: str, help: str) -> None:
     p.add_argument("--method", default="thm44", choices=tuple(_METHODS))
     p.add_argument("--degrees", action="store_true",
                    help="render angles in the stderr summary in degrees")
-    _add_common_flags(p, tol=False)
+    _add_output_flag(p)
 
 
 @functools.cache
@@ -421,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="reproduce the bundled bound tables")
     p.add_argument("which", choices=("1", "2", "3"))
-    _add_common_flags(p)
+    _add_output_flag(p)
 
     _add_enclosure_parser(sub, "bounds", "extreme-zero enclosure at degree N")
 
@@ -429,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(p)
     p.add_argument("--n", type=int)
     p.add_argument("--n-list")
-    _add_common_flags(p)
+    _add_output_flag(p)
 
     _add_enclosure_parser(sub, "support-arc", "support arc estimate at a horizon")
 
@@ -439,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta2", type=float)
     p.add_argument("--n", type=int, help="certificate horizon")
     p.add_argument("--trace", action="store_true", help="emit the ratio trace")
-    _add_common_flags(p, tol=False)
+    _add_output_flag(p)
 
     p = sub.add_parser("transform", help="alpha -> (c, d, g, tau) or back")
     _add_source_flags(p)
@@ -450,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mass at z = 1 for --reverse")
     p.add_argument("--roundtrip", action="store_true",
                    help="report the alpha -> cd -> alpha residual on stderr")
-    _add_common_flags(p, tol=False)
+    _add_output_flag(p)
 
     p = sub.add_parser("scaling-threshold",
                        help="sharp constant-scaling threshold of the chain sequence")
@@ -459,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--infinite", action="store_true")
     p.add_argument("--d-const", type=float, default=None,
                    help="constant chain-sequence value for --infinite")
-    _add_common_flags(p)
+    _add_output_flag(p)
+    p.add_argument("--tol", type=float, default=1e-12)
     return parser
 
 

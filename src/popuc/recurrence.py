@@ -47,6 +47,11 @@ _RESCALE_EVERY = 32
 # finite for every admissible d_k <= 1.
 _TINY = 1e-100
 
+# Halvings of [-1, 1] per zero: they leave adjacent doubles for |x| >= 1/4
+# and a bracket of 2^-55 below it, which moves theta = 2 arccos(x) by less
+# than half an ulp of pi.
+_BISECTION_STEPS = 56
+
 
 class ScaledValue(NamedTuple):
     """A real number stored as mantissa * 2**exp2 to dodge overflow."""
@@ -168,20 +173,13 @@ def _count_above(c, d, degree, x):
     return count
 
 
-def _bisection_steps(xtol: float) -> int:
-    """Halvings of [-1, 1] that zero bisection takes for ``xtol``."""
-    if not 0 < xtol < math.inf:
-        raise InputError(f"xtol must be positive and finite, got {xtol}")
-    return max(int(math.ceil(math.log2(2.0 / xtol))) + 1, 56)
-
-
-def _bisect_zeros(cd: CdParams, N: int, degree, j, xtol: float) -> np.ndarray:
+def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
     """x of the j-th largest zero of W_degree, for each (degree, j) pair.
 
     ``N`` is the largest degree asked for.  Each point bisects [-1, 1] on
-    whether at least j zeros lie above the midpoint.  The brackets are driven
-    to machine precision whatever ``xtol`` asks, since neighbouring zeros can
-    sit closer than any coarse tolerance near support endpoints.
+    whether at least j zeros lie above the midpoint, ``_BISECTION_STEPS``
+    times: neighbouring zeros can sit closer than any coarse tolerance near
+    support endpoints.
     """
     if N < 1:
         raise InputError(f"degree must be >= 1, got {N}")
@@ -194,7 +192,7 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j, xtol: float) -> np.ndarray:
     # loop runs a few per cent slower
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
-        for _ in range(_bisection_steps(xtol)):
+        for _ in range(_BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             above = _count_above(c, d, degree, mid) >= j
             lo = np.where(above, mid, lo)
@@ -227,7 +225,7 @@ class ZeroList:
                 raise InvariantError("zeros must be interior to (-1, 1)")
 
 
-def zeros_ladder(cd: CdParams, N: int, xtol: float = 1e-12):
+def zeros_ladder(cd: CdParams, N: int):
     """Zeros (ascending in x) of every member W_1 .. W_N.
 
     All N (N + 1) / 2 zeros are bisected in one pass, one point per
@@ -237,17 +235,17 @@ def zeros_ladder(cd: CdParams, N: int, xtol: float = 1e-12):
     sizes = np.arange(1, N + 1)
     degree = np.repeat(sizes, sizes)
     j = np.arange(len(degree)) - degree * (degree - 1) // 2 + 1
-    x = _bisect_zeros(cd, N, degree, j, xtol)
+    x = _bisect_zeros(cd, N, degree, j)
     return [level[::-1] for level in np.split(x, np.cumsum(sizes)[:-1])]
 
 
-def zeros_W(cd: CdParams, N: int, xtol: float = 1e-12) -> ZeroList:
-    """All N zeros of W_N, each bisected on the zero count to ``xtol`` or finer.
+def zeros_W(cd: CdParams, N: int) -> ZeroList:
+    """All N zeros of W_N, each bisected on the zero count.
 
     A zero that rounds to an endpoint or ties its neighbour cannot be told
     apart in double precision and raises :class:`BoundaryCaseError`.
     """
-    x = _bisect_zeros(cd, N, N, np.arange(1, N + 1), xtol)
+    x = _bisect_zeros(cd, N, N, np.arange(1, N + 1))
     unresolved = np.abs(x) >= 1.0
     unresolved[1:] |= x[1:] >= x[:-1]
     if unresolved.any():
@@ -258,9 +256,9 @@ def zeros_W(cd: CdParams, N: int, xtol: float = 1e-12) -> ZeroList:
     return ZeroList(N, x, 2.0 * np.arccos(x))
 
 
-def zeros_R(cd: CdParams, N: int, xtol: float = 1e-12) -> ZeroList:
+def zeros_R(cd: CdParams, N: int) -> ZeroList:
     """Zeros of R_N as angles theta = 2 arccos(x) of the zeros of W_N."""
-    return zeros_W(cd, N, xtol)
+    return zeros_W(cd, N)
 
 
 def count_zeros_in_arc(zl: ZeroList, arc) -> int:

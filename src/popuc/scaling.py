@@ -20,10 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from .chainseq import ChainSeq, ScalingSeq, UltrasphericalRule, ismail_li_constant
-from .errors import BoundaryCaseError, InputError
+from .chainseq import (ChainSeq, ScalingSeq, UltrasphericalRule, chain_failure_index,
+                       ismail_li_constant)
+from .errors import BoundaryCaseError, InputError, NotChainSequenceError
 # zeros_W stays importable from here: perfbench's tracer wraps this binding
-from .recurrence import _bisection_steps, _count_above, zeros_W  # noqa: F401
+from .recurrence import _BISECTION_STEPS, _count_above, zeros_W  # noqa: F401
 from .transforms import CdParams, VerblunskySeq, cd_from_verblunsky
 
 # Relative half-width of the band around the constant-scaling threshold in
@@ -31,7 +32,7 @@ from .transforms import CdParams, VerblunskySeq, cd_from_verblunsky
 BOUNDARY_BAND = 1e-12
 
 
-def constant_scaling_threshold(d: ChainSeq, xtol: float = 1e-12) -> float:
+def constant_scaling_threshold(d: ChainSeq) -> float:
     """Squared largest zero of the symmetric W_N over the N - 1 terms of ``d``.
 
     A constant q is a scaling sequence for ``d`` iff q > threshold (finite,
@@ -40,12 +41,15 @@ def constant_scaling_threshold(d: ChainSeq, xtol: float = 1e-12) -> float:
     N = len(d.values) + 1
     if N < 2:
         raise InputError("threshold needs at least one chain-sequence term")
+    bad = chain_failure_index(d)
+    if bad is not None:
+        raise NotChainSequenceError(
+            bad, f"d is not a positive chain sequence at n={bad}")
     # the top zero alone of the c = 0 member over d, whose W_n are
     # polynomials in x, by the same bisection steps as zeros_W
-    cd = CdParams.from_sequences(np.zeros(N), d)
-    c, dl = cd.c.tolist(), cd.d.values.tolist()
+    c, dl = [0.0] * N, d.values.tolist()
     lo, hi = -1.0, 1.0
-    for _ in range(_bisection_steps(xtol)):
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if _count_above(c, dl, N, mid) >= 1:
             lo = mid
@@ -66,7 +70,7 @@ def constant_scaling_threshold_infinite(d: ChainSeq) -> float:
     A constant q is a scaling sequence for the infinite ``d`` iff
     q >= threshold (non-strict at the limit).
     """
-    if d.kind != "truncated-infinite":
+    if d.rule is None:
         raise InputError("infinite threshold needs a rule-backed chain sequence")
     return d.rule.threshold_closed()
 
@@ -77,7 +81,7 @@ def constant_scaling_verdict(d: ChainSeq, q: float) -> str:
     Values within ``BOUNDARY_BAND`` (relatively) of the threshold are flagged
     ``boundary`` since strictness there is float-undecidable.
     """
-    if d.kind == "truncated-infinite":
+    if d.rule is not None:
         thr = constant_scaling_threshold_infinite(d)
         strict = False
     else:

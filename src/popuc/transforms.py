@@ -209,7 +209,6 @@ class TauSeq:
     """
 
     values: np.ndarray
-    rotation: Optional[float] = None
     max_drift: float = 0.0
 
     def __post_init__(self):
@@ -292,7 +291,7 @@ def tau_from_verblunsky(alpha: VerblunskySeq, n: Optional[int] = None,
             res_im.append(ti)
         out.real[i + 1:i + 1 + len(res_re)] = res_re
         out.imag[i + 1:i + 1 + len(res_im)] = res_im
-    return TauSeq(out, rotation=rotation, max_drift=drift)
+    return TauSeq(out, max_drift=drift)
 
 
 @dataclass(frozen=True)
@@ -316,12 +315,10 @@ class CdParams:
             raise InputError("parameter sequence length must match c")
         if len(self.d.values) != max(len(c) - 1, 0):
             raise InputError("chain sequence must have one term fewer than c")
-        g = self.g.values
-        if len(g) > 1:
-            recon = (1.0 - g[:-1]) * g[1:]
-            scale = np.maximum(np.abs(self.d.values), 1e-300)
-            if np.max(np.abs(recon - self.d.values) / scale) > 1e-13:
-                raise InputError("d and g are inconsistent: d != (1 - g_n) g_{n+1}")
+        g, d = self.g.values, self.d.values
+        # + 4 u g_{n+1}, u = 2^-53: 1 - g_n is exact only to u for g_n near 1
+        if (np.abs((1.0 - g[:-1]) * g[1:] - d) > 1e-13 * d + 2.0 ** -51 * g[1:]).any():
+            raise InputError("d and g are inconsistent: d != (1 - g_n) g_{n+1}")
 
     @property
     def n(self) -> int:
@@ -348,10 +345,10 @@ class CdParams:
         if len(dseq.values) == 0:
             # a single coefficient carries no chain constraint and the
             # supremum head 1 is not attained; use the symmetric member
-            g = ParamSeq(np.array([0.5]), "generic")
+            g = ParamSeq(np.array([0.5]))
         else:
             m = maximal_params(dseq)
-            g = ParamSeq(m.values[:len(c)], "maximal")
+            g = ParamSeq(m.values[:len(c)])
         tau = _tau_from_c(c)
         return cls(c, dseq, g, tau)
 
@@ -393,10 +390,14 @@ def cd_from_verblunsky(alpha: VerblunskySeq, n_terms: Optional[int] = None,
     re = prod.real
     im = prod.imag
     denom = 1.0 - re
+    if not (denom > 0.0).all():  # analytically 1 - Re(tau alpha) >= 1 - |alpha|
+        k = int(np.argmin(denom > 0.0))
+        raise InputError(f"Verblunsky coefficient alpha_{k} is within rounding of the "
+                         f"unit circle: 1 - Re(tau_{k} alpha_{k}) = {float(denom[k])!r}")
     c = -im / denom
     g = 0.5 * ((1.0 - re) ** 2 + im ** 2) / denom
     d = (1.0 - g[:-1]) * g[1:]
-    return CdParams(c, ChainSeq.from_values(d), ParamSeq(g, "generic"), tau)
+    return CdParams(c, ChainSeq.from_values(d), ParamSeq(g), tau)
 
 
 def rotated_cd(alpha: VerblunskySeq, theta2: float,

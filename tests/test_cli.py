@@ -622,6 +622,121 @@ class TestExitCodeFuzz:
         assert x == pytest.approx([0.5, -0.5], abs=1e-15)
 
 
+def _near(edge: float, sign: int):
+    """Points approaching ``edge`` from the side ``sign`` points to, down to
+    1e-16 away, and the edge itself."""
+    return st.one_of(st.integers(1, 16).map(lambda k: edge + sign * 10.0 ** -k),
+                     st.just(edge))
+
+
+@st.composite
+def family_sources(draw):
+    """(family, --params text): a named family whose parameters are drawn
+    over their whole range and near its edges: |alpha| -> 1, b -> +-1,
+    lam -> -1/2, and |eta| up to 20."""
+    family = draw(st.sampled_from(["geronimus", "alternating", "lambda-eta"]))
+    if family == "geronimus":
+        r = draw(st.one_of(st.floats(0.0, 1.0), _near(1.0, -1)))
+        phi = draw(st.one_of(st.floats(0.0, 2.0 * math.pi),
+                             st.sampled_from([0.0, math.pi])))
+        params = {"alpha_re": r * math.cos(phi), "alpha_im": r * math.sin(phi)}
+    elif family == "alternating":
+        b1, b2 = (draw(st.one_of(st.floats(-1.0, 1.0), _near(1.0, -1), _near(-1.0, 1)))
+                  for _ in range(2))
+        if draw(st.booleans()):  # b1 = b2, where the family default applies
+            b2 = b1
+        params = {"b1": b1, "b2": b2, "c": draw(st.floats(-5.0, 5.0))}
+    else:
+        params = {"lam": draw(st.one_of(st.floats(-0.5, 20.0), _near(-0.5, 1))),
+                  "eta": draw(st.floats(-20.0, 20.0))}
+    return family, ",".join(f"{k}={v!r}" for k, v in params.items())
+
+
+@st.composite
+def family_jobs(draw):
+    """argv of one command over a family source, with the commands of
+    ``inline_jobs`` and the family-default and dominant scalings."""
+    family, params = draw(family_sources())
+    N = str(draw(st.integers(1, 30)))
+    command = draw(st.sampled_from(["transform", "reverse", "roundtrip", "bounds",
+                                    "support-arc", "zeros", "scaling-threshold",
+                                    "gap"]))
+    if command in ("bounds", "support-arc"):
+        q_mode = draw(st.sampled_from(["trivial", "constant", "family-default",
+                                       "ismail-li", "legendre"]))
+        argv = [command, "--n", N, "--method", draw(st.sampled_from(list(cli._METHODS))),
+                "--q-mode", q_mode]
+        if q_mode == "constant":
+            argv.append(f"--q-const={draw(st.floats(0.3, 1.0))!r}")
+    elif command == "reverse":
+        argv = ["transform", "--reverse", f"--t={draw(st.floats(0.0, 0.99))!r}"]
+    elif command == "roundtrip":
+        argv = ["transform", "--roundtrip", "--n", N]
+    elif command == "gap":
+        argv = ["gap", f"--theta1={draw(st.floats(0.0, 7.0))!r}",
+                f"--theta2={draw(st.floats(0.0, 7.0))!r}", "--n", N]
+    else:
+        argv = [command, "--n", N]
+    return argv + ["--family", family, "--params", params,
+                   "--output", draw(st.sampled_from(["csv", "json"]))]
+
+
+class TestFamilyFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=family_jobs())
+    def test_family_sources_exit_by_contract(self, argv):
+        code, out, err = run(argv)
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err
+        if code:
+            assert out == "" and err.startswith("error: "), (argv, err)
+
+    @settings(max_examples=150, deadline=None)
+    @given(source=family_sources(), N=st.integers(2, 40))
+    def test_finite_threshold_on_every_source(self, source, N):
+        family, params = source
+        try:
+            cli.cd_from_verblunsky(
+                cli._family_from_params(family, cli._parse_params(params)), n_terms=N)
+        except pp.PopucError:
+            return  # the source does not construct
+        code, _, err = run(["scaling-threshold", "--family", family, "--params", params,
+                            "--n", str(N)])
+        # never rejected; exit 3 where the top zero is within rounding of 1
+        # (b1 = -b2 = 1 - 1e-15, c = 0 makes d alternate 1 and 2e-31)
+        assert code == 0 or (code == 3 and "not resolvable" in err), (source, N, err)
+
+    @pytest.mark.parametrize("argv", [
+        # Re(tau alpha) rounds to 1: c and g divided by zero
+        ["transform", "--n", "15", "--family", "geronimus", "--params",
+         "alpha_re=0.9553364891256059,alpha_im=0.2955202066613395"],
+        ["scaling-threshold", "--n", "2", "--family", "alternating", "--params",
+         "b1=0.0,b2=0.999999999999999,c=4.0"],
+    ])
+    def test_alpha_within_rounding_of_the_circle(self, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Verblunsky coefficient alpha_")
+
+    @pytest.mark.parametrize("argv", [
+        ["zeros", "--n", "3"],
+        ["bounds", "--n", "3"],
+        ["transform", "--reverse", "--t", "0.3"],
+    ])
+    def test_small_chain_term_on_inline_cd(self, tmp_path, argv):
+        # the maximal g_1 is near 1, where 1 - g_1 is exact only to 2^-53
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.1, -0.2, 0.3], "d": [1e-6, 0.2]}}))
+        code, out, err = run(argv + ["--input", str(src)])
+        assert code == 0, err
+
+    @pytest.mark.parametrize("alpha_re", ["0.999", "0.9999"])
+    def test_finite_threshold_near_the_disk_edge(self, alpha_re):
+        code, _, err = run(["scaling-threshold", "--family", "geronimus",
+                            "--params", f"alpha_re={alpha_re}", "--n", "10"])
+        assert code == 0, err
+
+
 class TestArgparseStreams:
     def test_usage_error_goes_to_given_stderr(self, capsys):
         code, out, err = run(["bounds", "--bogus"])
@@ -658,13 +773,14 @@ class TestRejectedInput:
         ["gap", "--family", "geronimus", "--params", "alpha_re=-0.5",
          "--theta1", "5.3", "--theta2", "7.2", "--n", "0"],
         ["transform", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "0"],
+        # non-finite family parameters, arc ends and constant scalings
+        ["zeros", "--family", "geronimus", "--params", "alpha_re=nan", "--n", "5"],
+        ["zeros", "--family", "alternating", "--params", "b1=nan,b2=0.5", "--n", "5"],
+        ["gap", "--family", "geronimus", "--params", "alpha_re=-0.5",
+         "--theta1", "5.3", "--theta2", "inf", "--n", "10"],
+        ["bounds", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "5",
+         "--q-mode", "constant", "--q-const", "nan"],
         # non-finite tolerances
-        ["zeros", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "5",
-         "--tol", "nan"],
-        ["zeros", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "5",
-         "--tol", "inf"],
-        ["tables", "1", "--tol", "nan"],
-        ["tables", "1", "--tol", "inf"],
         ["scaling-threshold", "--infinite", "--d-const", "0.2", "--tol", "nan"],
         ["scaling-threshold", "--infinite", "--d-const", "0.2", "--tol", "inf"],
         # NaN chain-sequence rules
@@ -717,6 +833,13 @@ class TestFlagsWhereRead:
         (["transform", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "5"],
          ["--degrees"]),
         (["scaling-threshold", "--d-const", "0.2", "--infinite"], ["--degrees"]),
+        # zero bisection takes a fixed number of steps, whatever the value
+        (["zeros", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "5"],
+         ["--tol", "1e-9"]),
+        (["zeros", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "5"],
+         ["--tol", "nan"]),
+        (["tables", "1"], ["--tol", "1e-9"]),
+        (["tables", "1"], ["--tol", "inf"]),
     ])
     def test_unread_flag_is_a_usage_error(self, argv, flag):
         assert run(argv)[0] == 0

@@ -96,6 +96,14 @@ class TestCdFromVerblunsky:
         with pytest.raises(pp.InputError):
             pp.VerblunskySeq.from_values([0.5, 1.0 + 0j])
 
+    def test_small_chain_term_keeps_maximal_g(self):
+        # M_1 = 1 - 1e-6 / M_2 is near 1, where 1 - M_1 is exact only to
+        # 2^-53 absolute; doubling d is still inconsistent with that g
+        cd = pp.CdParams.from_sequences([0.1, -0.2, 0.3], [1e-6, 0.2])
+        assert cd.g.values[0] > 1.0 - 1e-5
+        with pytest.raises(pp.InputError, match="d and g are inconsistent"):
+            pp.CdParams(cd.c, pp.ChainSeq.from_values(2.0 * cd.d.values), cd.g, cd.tau)
+
     @pytest.mark.parametrize("lam, eta, name", [
         (math.nan, 1.0, "lam"), (math.inf, 1.0, "lam"), (1.0, math.nan, "eta"),
         (1.0, -math.inf, "eta"), (math.nan, 1e300, "lam")])
