@@ -8,8 +8,7 @@ gaps in that support.
 """
 
 from .errors import (BoundaryCaseError, InputError, InvariantError,
-                     NonConvergenceError, NotChainSequenceError, PopucError,
-                     ScalingError)
+                     NotChainSequenceError, PopucError, ScalingError)
 from .chainseq import (ChainSeq, ParamSeq, ScalingSeq, chain_failure_index,
                        comparison_test, is_chain_sequence, is_non_SP,
                        ismail_li_constant, make_scaling, maximal_params,
@@ -19,7 +18,7 @@ from .transforms import (CdParams, TauSeq, VerblunskySeq, cd_from_verblunsky,
                          tau_from_verblunsky, verblunsky_from_cd)
 from .recurrence import (ScaledValue, ZeroList, count_zeros_in_arc, eval_R,
                          eval_W, zeros_R, zeros_W, zeros_ladder)
-from .bounds import (Arc, Enclosure, GapCertificate, RootPair, SupportArc,
+from .bounds import (Arc, Enclosure, GapCertificate, SupportArc,
                      enclosure_cor45, enclosure_cor47, enclosure_thm44,
                      enclosure_thm46, gap_certificate, quadratic_roots,
                      support_arc, two_interval_enclosure)
@@ -32,11 +31,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arc", "BoundaryCaseError", "CdParams", "ChainSeq", "Enclosure",
-    "GapCertificate", "InputError", "InvariantError", "NonConvergenceError",
-    "NotChainSequenceError", "ParamSeq", "PopucError", "RootPair",
-    "ScaledValue", "ScalingError", "ScalingSeq", "SupportArc", "TauSeq",
-    "VerblunskySeq", "ZeroList", "cd_from_verblunsky", "chain_failure_index",
-    "comparison_test", "constant_scaling_threshold",
+    "GapCertificate", "InputError", "InvariantError", "NotChainSequenceError",
+    "ParamSeq", "PopucError", "ScaledValue", "ScalingError", "ScalingSeq",
+    "SupportArc", "TauSeq", "VerblunskySeq", "ZeroList", "cd_from_verblunsky",
+    "chain_failure_index", "comparison_test", "constant_scaling_threshold",
     "constant_scaling_threshold_infinite", "constant_scaling_verdict",
     "count_zeros_in_arc", "default_scaling_for", "enclosure_cor45",
     "enclosure_cor47", "enclosure_thm44", "enclosure_thm46", "eval_R",

@@ -22,15 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from .chainseq import (ChainSeq, ScalingSeq, _chunks, _forward_params, _frozen,
                        chain_failure_index, make_scaling)
-from .errors import BoundaryCaseError, InputError, ScalingError
-from .recurrence import TWO_PI
-from .transforms import CdParams, VerblunskySeq, rotated_cd
+from .errors import BoundaryCaseError, InputError
+from .transforms import TWO_PI, CdParams, VerblunskySeq, rotated_cd
 
 # A support-arc extremum counts as stabilized when halving the horizon moves
 # it by less than this.
@@ -65,20 +64,9 @@ class Arc:
         return self.theta2 - self.theta1
 
 
-@dataclass(frozen=True)
-class RootPair:
-    """Roots u^(-) <= u^(+) of the bounding quadratic; +-inf permitted."""
-
-    u_minus: float
-    u_plus: float
-
-    def __post_init__(self):
-        if not self.u_minus <= self.u_plus:
-            raise InputError("roots out of order")
-
-
-def quadratic_roots(a: float, b: float, q: float) -> RootPair:
-    """Roots of (1 - q) u^2 - (a + b) u + (a b - q) for q in [0, 1].
+def quadratic_roots(a: float, b: float, q: float) -> tuple:
+    """Roots u^(-) <= u^(+) of (1 - q) u^2 - (a + b) u + (a b - q) for q in
+    [0, 1], as the pair (u^(-), u^(+)).
 
     For q < 1 the discriminant is nonnegative and both roots are real; at
     q = 1 the leading coefficient vanishes and the unbounded root is reported
@@ -89,10 +77,10 @@ def quadratic_roots(a: float, b: float, q: float) -> RootPair:
     s = a + b
     if q == 1.0:
         if s > 0.0:
-            return RootPair((a * b - 1.0) / s, math.inf)
+            return (a * b - 1.0) / s, math.inf
         if s < 0.0:
-            return RootPair(-math.inf, (a * b - 1.0) / s)
-        return RootPair(-math.inf, math.inf)
+            return -math.inf, (a * b - 1.0) / s
+        return -math.inf, math.inf
     lead = 1.0 - q
     prod = a * b - q
     disc = s * s - 4.0 * lead * prod
@@ -103,10 +91,9 @@ def quadratic_roots(a: float, b: float, q: float) -> RootPair:
     else:
         big = (s - root) / (2.0 * lead)
     if big == 0.0:  # s == 0 and a b == q: double root at the origin
-        return RootPair(0.0, 0.0)
+        return 0.0, 0.0
     other = prod / (lead * big)
-    lo, hi = (other, big) if other <= big else (big, other)
-    return RootPair(lo, hi)
+    return (other, big) if other <= big else (big, other)
 
 
 def _x_from_u(u: float) -> float:
@@ -117,10 +104,12 @@ def _x_from_u(u: float) -> float:
 
 
 def _x_from_quarter(u: float) -> float:
-    """cot(theta/4) = u  ->  cos(theta/2) = (u^2 - 1) / (u^2 + 1)."""
-    if math.isinf(u):
+    """cot(theta/4) = u  ->  cos(theta/2) = (u^2 - 1) / (u^2 + 1), which is 1
+    once u^2 overflows."""
+    uu = u * u
+    if math.isinf(uu):
         return 1.0
-    return (u * u - 1.0) / (u * u + 1.0)
+    return (uu - 1.0) / (uu + 1.0)
 
 
 @dataclass(frozen=True)
@@ -171,6 +160,13 @@ def _check_degree(cd: CdParams, N: int):
         raise InputError(f"bound computations need degree N >= 2, got {N}")
     if cd.n < N:
         raise InputError(f"need coefficients c_1..c_{N}, have {cd.n}")
+    # the enclosures' domain: it keeps c^2, c_n c_{n+1}, (c_n + c_{n+1})^2 and
+    # the discriminant of the bounding quadratic below 1e301
+    c = cd.c[:N]
+    if c.max() > 1e150 or c.min() < -1e150:  # no temporary array of N terms
+        k = int(np.argmax(np.abs(c) > 1e150))
+        raise InputError(f"c_{k + 1} = {float(cd.c[k])!r} lies outside the enclosures' "
+                         "domain |c_n| <= 1e150")
 
 
 def enclosure_thm44(cd: CdParams, q, N: int) -> Enclosure:
@@ -183,9 +179,9 @@ def enclosure_thm44(cd: CdParams, q, N: int) -> Enclosure:
     arg_lo = arg_hi = None
     for i, c_prev, c_next, q_blk in _chunks(cd.c[:N - 1], cd.c[1:N], qv):
         for m, a, b, qm in zip(count(i + 2), c_prev, c_next, q_blk):
-            roots = quadratic_roots(a, b, qm)
-            x_lo = _x_from_u(roots.u_minus)
-            x_hi = _x_from_u(roots.u_plus)
+            u_minus, u_plus = quadratic_roots(a, b, qm)
+            x_lo = _x_from_u(u_minus)
+            x_hi = _x_from_u(u_plus)
             if x_lo < best_lo:
                 best_lo, arg_lo = x_lo, m
             if x_hi > best_hi:
@@ -275,7 +271,6 @@ class SupportArc:
     """
 
     enclosure: Enclosure
-    N: int
     stabilized_lower: bool
     stabilized_upper: bool
 
@@ -302,7 +297,7 @@ def support_arc(cd: CdParams, q, N_max: int, method: str = "thm44") -> SupportAr
     full = fn(cd, q, N_max)
     half_n = max(2, N_max // 2)
     half = fn(cd, q, half_n)
-    return SupportArc(full, N_max,
+    return SupportArc(full,
                       stabilized_lower=bool(abs(full.A - half.A) < STABILIZATION_TOL),
                       stabilized_upper=bool(abs(full.B - half.B) < STABILIZATION_TOL))
 

@@ -306,13 +306,17 @@ def is_chain_sequence(d: ChainSeq) -> bool:
 def _backward_maximal(d: np.ndarray) -> np.ndarray:
     """Backward recursion M_{N+1} = 1, M_n = 1 - d_{n+1} / M_{n+1}, walked as
     G = 1 - M over the reversed d: G_n = d_{n+1} / (1 - G_{n+1}) rounds exactly
-    as M_n does, and G leaves (0, 1) exactly where M leaves (0, 1]."""
+    as M_n does, and G leaves (0, 1) exactly where M leaves (0, 1].  A G_n
+    below 2^-54 leaves M_n = 1 - G_n < 1 analytically but rounds it to 1, so
+    every M_n but the anchor is clamped to the largest double below 1."""
     g, n = _forward_params(d[::-1])
     if n is not None:
         n = len(d) - n + 1
         raise NotChainSequenceError(n, "maximal parameters undefined: "
                                     f"backward recursion left (0, 1] at n={n}")
-    return 1.0 - g[::-1]
+    m = 1.0 - g[::-1]
+    np.minimum(m[:-1], 1.0 - 2.0 ** -53, out=m[:-1])
+    return m
 
 
 def maximal_params(d: ChainSeq) -> ParamSeq:

@@ -5,8 +5,8 @@ Subcommands: ``tables``, ``bounds``, ``zeros``, ``support-arc``, ``gap``,
 (header row, LF endings) or JSON; a one-line human summary goes to stderr,
 and ``--degrees`` (``bounds``, ``support-arc``) converts its angles only.
 
-Exit codes: 0 success, 2 input validation, 3 numerical non-convergence or
-boundary case, 4 internal invariant breach.
+Exit codes: 0 success, 2 input validation, 3 analytic boundary case,
+4 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -26,8 +25,7 @@ import numpy as np
 from . import scaling as scaling_mod
 from .bounds import gap_certificate, support_arc, _METHODS
 from .chainseq import ChainSeq, ScalingSeq, _CHUNK, make_scaling
-from .errors import (BoundaryCaseError, InputError, InvariantError,
-                     NonConvergenceError, PopucError)
+from .errors import BoundaryCaseError, InputError, InvariantError, PopucError
 from .recurrence import zeros_R
 from .transforms import (CdParams, VerblunskySeq, cd_from_verblunsky,
                          mass_at_one, verblunsky_from_cd)
@@ -485,16 +483,13 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args, stdout, stderr)
-    except InputError as exc:
-        stderr.write(f"error: {exc}\n")
-        return 2
-    except (NonConvergenceError, BoundaryCaseError) as exc:
+    except BoundaryCaseError as exc:
         stderr.write(f"error: {exc}\n")
         return 3
     except InvariantError as exc:
         stderr.write(f"internal error: {exc}\n")
         return 4
-    except PopucError as exc:
+    except PopucError as exc:  # InputError and its subclasses
         stderr.write(f"error: {exc}\n")
         return 2
 

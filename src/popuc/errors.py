@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: input validation -> 2,
-numerical non-convergence / boundary cases -> 3, internal invariant
-breaches -> 4.
+analytic boundary cases -> 3, internal invariant breaches -> 4.
 """
 
 
@@ -35,14 +34,6 @@ class ScalingError(InputError):
     def __init__(self, index, message=None):
         self.index = index
         super().__init__(message or f"scaling invalid at n={index}")
-
-
-class NonConvergenceError(PopucError):
-    """An iterative refinement did not stabilize within its horizon cap.
-
-    Nothing in the package raises it now; it stays exported, and the CLI
-    maps it to exit code 3.
-    """
 
 
 class BoundaryCaseError(PopucError):

@@ -35,9 +35,7 @@ import numpy as np
 
 from .chainseq import _frozen
 from .errors import BoundaryCaseError, InputError, InvariantError
-from .transforms import CdParams
-
-TWO_PI = 2.0 * math.pi
+from .transforms import TWO_PI, CdParams
 
 # Rescale the running recurrence pair every this many steps to keep the
 # magnitudes representable; growth per step is bounded by ~(1 + |c| + 1).

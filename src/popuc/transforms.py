@@ -39,8 +39,8 @@ from .errors import InputError, InvariantError, NotChainSequenceError
 
 TWO_PI = 2.0 * math.pi
 
-# |1 - tau * alpha| below this means the input is corrupted: analytically the
-# product stays at distance >= 1 - |alpha| > 0 from 1.
+# Analytically |1 - tau * alpha_k| >= 1 - |alpha_k| > 0, so a distance below
+# this is reached only by an alpha_k within rounding of the unit circle.
 _DIVISION_GUARD = 1e-15
 
 
@@ -265,9 +265,9 @@ def tau_from_verblunsky(alpha: VerblunskySeq, n: Optional[int] = None,
             di = 0.0 - pi
             # |denom| >= dr, so the modulus is needed only when dr is small
             if dr < _DIVISION_GUARD and abs(complex(dr, di)) < _DIVISION_GUARD:
-                raise InvariantError(
-                    f"tau recursion denominator vanished at step {i + len(res_re) + 1}; "
-                    "coefficients corrupted")
+                k = i + len(res_re)
+                raise InputError(f"Verblunsky coefficient alpha_{k} is within rounding "
+                                 f"of the unit circle: |1 - tau_{k} alpha_{k}| < 1e-15")
             if rotation is None:
                 # tau - conj(alpha_k)
                 nr = tr - ar

@@ -29,51 +29,51 @@ def geronimus_cot_bounds(alpha):
 
 class TestQuadraticRoots:
     def test_symmetric(self):
-        r = pp.quadratic_roots(0.0, 0.0, 0.75)
-        assert r.u_minus == pytest.approx(-math.sqrt(3), rel=1e-15)
-        assert r.u_plus == pytest.approx(math.sqrt(3), rel=1e-15)
+        u_minus, u_plus = pp.quadratic_roots(0.0, 0.0, 0.75)
+        assert u_minus == pytest.approx(-math.sqrt(3), rel=1e-15)
+        assert u_plus == pytest.approx(math.sqrt(3), rel=1e-15)
 
     def test_degenerate_leading_coefficient(self):
-        r = pp.quadratic_roots(1.0, 2.0, 1.0)
-        assert r.u_minus == pytest.approx(1 / 3, rel=1e-15)
-        assert r.u_plus == math.inf
-        r = pp.quadratic_roots(-1.0, -2.0, 1.0)
-        assert r.u_minus == -math.inf
-        assert r.u_plus == pytest.approx(-1 / 3, rel=1e-15)
-        r = pp.quadratic_roots(1.0, -1.0, 1.0)
-        assert (r.u_minus, r.u_plus) == (-math.inf, math.inf)
+        u_minus, u_plus = pp.quadratic_roots(1.0, 2.0, 1.0)
+        assert u_minus == pytest.approx(1 / 3, rel=1e-15)
+        assert u_plus == math.inf
+        u_minus, u_plus = pp.quadratic_roots(-1.0, -2.0, 1.0)
+        assert u_minus == -math.inf
+        assert u_plus == pytest.approx(-1 / 3, rel=1e-15)
+        u_minus, u_plus = pp.quadratic_roots(1.0, -1.0, 1.0)
+        assert (u_minus, u_plus) == (-math.inf, math.inf)
 
     def test_no_scaling_recovers_coefficients(self):
-        r = pp.quadratic_roots(0.7, -0.2, 0.0)
-        assert r.u_minus == pytest.approx(-0.2, abs=1e-15)
-        assert r.u_plus == pytest.approx(0.7, abs=1e-15)
+        u_minus, u_plus = pp.quadratic_roots(0.7, -0.2, 0.0)
+        assert u_minus == pytest.approx(-0.2, abs=1e-15)
+        assert u_plus == pytest.approx(0.7, abs=1e-15)
 
     def test_geronimus_cotangent_match(self):
         alpha = 0.3 + 0.4j
         c = -alpha.imag / (1 + alpha.real)
         g = (1 - abs(alpha) ** 2) / (2 * (1 + alpha.real))
         d = (1 - g) * g
-        r = pp.quadratic_roots(c, c, 4 * d)
+        u_minus, u_plus = pp.quadratic_roots(c, c, 4 * d)
         lo, up = geronimus_cot_bounds(alpha)
-        assert r.u_minus == pytest.approx(lo, rel=1e-12)
-        assert r.u_plus == pytest.approx(up, rel=1e-12)
+        assert u_minus == pytest.approx(lo, rel=1e-12)
+        assert u_plus == pytest.approx(up, rel=1e-12)
 
     def test_root_ordering_around_inputs(self, rng):
         for _ in range(200):
             a, b = rng.uniform(-4, 4, 2)
             q = rng.uniform(1e-6, 1 - 1e-6)
-            r = pp.quadratic_roots(a, b, q)
-            assert r.u_minus < min(a, b) <= max(a, b) < r.u_plus
+            u_minus, u_plus = pp.quadratic_roots(a, b, q)
+            assert u_minus < min(a, b) <= max(a, b) < u_plus
 
     def test_scaling_monotonicity(self, rng):
         for _ in range(100):
             a, b = rng.uniform(-3, 3, 2)
             q = rng.uniform(0.05, 0.95)
             qs = q * rng.uniform(0.2, 1.0)
-            big = pp.quadratic_roots(a, b, q)
-            small = pp.quadratic_roots(a, b, qs)
-            assert small.u_plus <= big.u_plus + 1e-12
-            assert small.u_minus >= big.u_minus - 1e-12
+            big_minus, big_plus = pp.quadratic_roots(a, b, q)
+            small_minus, small_plus = pp.quadratic_roots(a, b, qs)
+            assert small_plus <= big_plus + 1e-12
+            assert small_minus >= big_minus - 1e-12
 
     def test_q_validation(self):
         with pytest.raises(pp.InputError):
@@ -85,11 +85,11 @@ class TestQuadraticRoots:
         for _ in range(20):
             a, b = rng.uniform(-3, 3, 2)
             q = rng.uniform(0.05, 0.95)
-            r = pp.quadratic_roots(a, b, q)
+            u_minus, u_plus = pp.quadratic_roots(a, b, q)
             s = np.sqrt(1 - xs ** 2)
             h = (xs - a * s) * (xs - b * s)
-            x_lo = r.u_minus / math.hypot(1, r.u_minus)
-            x_hi = r.u_plus / math.hypot(1, r.u_plus)
+            x_lo = u_minus / math.hypot(1, u_minus)
+            x_hi = u_plus / math.hypot(1, u_plus)
             outside = (xs <= x_lo - 1e-9) | (xs >= x_hi + 1e-9)
             inside = (xs >= x_lo + 1e-9) & (xs <= x_hi - 1e-9)
             assert np.all(h[outside] >= q - 1e-12)
@@ -219,6 +219,13 @@ class TestEnclosures:
         pp.enclosure_cor45(cd, 12)
         pp.enclosure_cor47(cd, 12)
         assert walks == [11, 11, 11]
+
+    def test_quarter_map_overflow_keeps_degree(self):
+        # at q = 1, cot(theta/4) = 1 / |c_1| = 1e160, whose square overflows;
+        # c_1 = -1e-150 gives the same (1.0, 1) without overflow
+        cd = pp.CdParams.from_sequences([-1e-160, -0.5, -0.3, -0.4], [0.2] * 3)
+        enc = pp.enclosure_cor47(cd, 4)
+        assert (enc.B, enc.argmax_index) == (1.0, 1)
 
     def test_weaker_bound_contains_sharper_on_named_families(self):
         # observed empirically on the named families; not asserted as a

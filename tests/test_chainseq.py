@@ -117,6 +117,13 @@ class TestMaximalParams:
             with pytest.raises(pp.InputError, match="> 1/4 is not an infinite"):
                 query(d)
 
+    def test_tiny_term_keeps_parameters_below_one(self):
+        # G = d_2 / M_2 = 1.25e-20 leaves M_1 = 1 - G, which rounds to 1
+        m = pp.maximal_params(pp.ChainSeq.from_values([1e-20, 0.2])).values
+        assert m.tolist() == [math.nextafter(1.0, 0.0), 0.8, 1.0]
+        m = _backward_maximal(np.array([0.2, 1e-20, 0.2]))
+        assert m[1] == math.nextafter(1.0, 0.0) and m[-1] == 1.0
+
     def test_dominance_over_parameter_heads(self, rng):
         cd, _ = random_cd_q(rng, 20)
         d = cd.d.values

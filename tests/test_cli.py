@@ -498,13 +498,6 @@ class TestExitCodeContract:
         assert code == 4
         assert "internal error" in err
 
-    def test_nonconvergence_maps_to_3(self, monkeypatch):
-        def slow(args, stream, err):
-            raise pp.NonConvergenceError("synthetic stall")
-
-        monkeypatch.setitem(cli._HANDLERS, "tables", slow)
-        assert run(["tables", "1"])[0] == 3
-
     def test_boundary_case_maps_to_3(self, monkeypatch):
         def edge(args, stream, err):
             raise pp.BoundaryCaseError(3)
@@ -529,7 +522,8 @@ class TestExitCodeContract:
         assert err.startswith("error: ") and repr(bad) in err
 
 
-SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 5e-324, 1e-300, 1e300,
+SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 0.0),
+                           -math.nextafter(1.0, 0.0), 0.25, 5e-324, 1e-300, 1e300,
                            math.nan, math.inf, -math.inf])
 
 
@@ -610,6 +604,20 @@ class TestExitCodeFuzz:
                               "--q-const=5e-324", "--input", str(src)])
         assert (code, out) == (2, "")
         assert err.startswith("error: scaling invalid at n=1")
+
+    @pytest.mark.parametrize("argv", [["bounds", "--method", m] for m in cli._METHODS]
+                             + [["support-arc"]])
+    def test_coefficient_outside_enclosure_domain(self, tmp_path, argv):
+        # c_2^2 = 1e310 overflows; thm44 used to fail on NaN roots and thm46 to
+        # miss two zeros of W_5 above its B
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.3, 1e155, 1e155, 0.1, 0.4],
+                                          "d": [0.2, 0.2, 0.2, 0.2]}}))
+        code, out, err = run(argv + ["--n", "5", "--q-mode", "constant",
+                                     "--q-const", "0.9", "--input", str(src)])
+        assert (code, out) == (2, "")
+        assert err == ("error: c_2 = 1e+155 lies outside the enclosures' domain "
+                       "|c_n| <= 1e150\n")
 
     def test_overflowing_zero_count_ratio(self, tmp_path):
         # a subnormal alpha_0 makes a Sturm ratio so small that the next one
@@ -729,6 +737,30 @@ class TestFamilyFuzz:
         src.write_text(json.dumps({"cd": {"c": [0.1, -0.2, 0.3], "d": [1e-6, 0.2]}}))
         code, out, err = run(argv + ["--input", str(src)])
         assert code == 0, err
+
+    @pytest.mark.parametrize("argv", [["zeros"], ["bounds"], ["transform"]])
+    def test_inline_alpha_within_rounding_of_the_circle(self, tmp_path, argv):
+        # |1 - tau_0 alpha_0| = 2^-53: the tau recursion cannot divide by it
+        src = tmp_path / "alpha.json"
+        src.write_text(json.dumps({"alpha": [[math.nextafter(1.0, 0.0), 0.0],
+                                             [0.1, 0.2]]}))
+        code, out, err = run(argv + ["--n", "2", "--input", str(src)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Verblunsky coefficient alpha_0 is within "
+                              "rounding of the unit circle")
+
+    @pytest.mark.parametrize("argv, want", [
+        (["zeros", "--n", "3"], 0), (["bounds", "--n", "3"], 0),
+        (["transform", "--n", "3"], 0), (["transform", "--reverse", "--t", "0.3"], 0),
+        (["transform", "--reverse", "--t", "0"], 2)])
+    def test_tiny_chain_term_on_inline_cd(self, tmp_path, argv, want):
+        # M_1 = 1 - 1.25e-20 rounds to 1 and is clamped below it; at t = 0 the
+        # member still terminates
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.1, -0.2, 0.3], "d": [1e-20, 0.2]}}))
+        code, _, err = run(argv + ["--input", str(src)])
+        assert code == want, err
+        assert want == 0 or err.startswith("error: member terminates")
 
     @pytest.mark.parametrize("alpha_re", ["0.999", "0.9999"])
     def test_finite_threshold_near_the_disk_edge(self, alpha_re):

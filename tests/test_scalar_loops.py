@@ -42,9 +42,8 @@ def ref_tau(a, rotation=None):
         prod = tau * a[k]
         denom = 1.0 - prod
         if abs(denom) < _DIVISION_GUARD:
-            raise InvariantError(
-                f"tau recursion denominator vanished at step {k + 1}; "
-                "coefficients corrupted")
+            raise InputError(f"Verblunsky coefficient alpha_{k} is within rounding "
+                             f"of the unit circle: |1 - tau_{k} alpha_{k}| < 1e-15")
         if phase is None:
             tau = (tau - a[k].conjugate()) / denom
         else:
@@ -140,9 +139,9 @@ def ref_gap(cd, theta1, theta2, N):
 def ref_thm44(c, q, N):
     best_lo, best_hi, arg_lo, arg_hi = math.inf, -math.inf, None, None
     for m in range(2, N + 1):
-        roots = bounds.quadratic_roots(c[m - 2], c[m - 1], q[m - 2])
-        x_lo = bounds._x_from_u(roots.u_minus)
-        x_hi = bounds._x_from_u(roots.u_plus)
+        u_minus, u_plus = bounds.quadratic_roots(c[m - 2], c[m - 1], q[m - 2])
+        x_lo = bounds._x_from_u(u_minus)
+        x_hi = bounds._x_from_u(u_plus)
         if x_lo < best_lo:
             best_lo, arg_lo = x_lo, m
         if x_hi > best_hi:
@@ -243,14 +242,15 @@ def test_tau_recursion_signed_zeros(rotation):
 
 
 def test_division_guard_index_past_chunk():
+    # a valid alpha within rounding of the unit circle is an input error
     a = np.zeros(2 * _CHUNK, dtype=complex)
     a[_CHUNK + 1] = np.nextafter(1.0, 0.0)  # tau is exactly 1, so 1 - tau a ~ 1e-16
-    with pytest.raises(InvariantError) as ref_exc:
+    with pytest.raises(InputError) as ref_exc:
         ref_tau(a)
-    with pytest.raises(InvariantError) as exc:
+    with pytest.raises(InputError) as exc:
         pp.tau_from_verblunsky(pp.VerblunskySeq.from_values(a))
     assert str(exc.value) == str(ref_exc.value)
-    assert f"step {_CHUNK + 2};" in str(exc.value)
+    assert f"alpha_{_CHUNK + 1} " in str(exc.value)
 
 
 @pytest.mark.parametrize("n", LENGTHS)
