@@ -395,8 +395,6 @@ def two_interval_enclosure(cd: CdParams, A: float, B: float, C: float, D: float,
             return False
         if chain_failure_index(ChainSeq.from_values(frak)) is not None:
             return False
-    if not c_ < d_:
-        return False
     even = cvals[1::2]  # c_2, c_4, ...
     odd = cvals[0::2]   # c_1, c_3, ...
     for low, high in ((even, odd), (odd, even)):

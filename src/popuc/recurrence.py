@@ -21,6 +21,16 @@ count (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)) pins down the j-th
 largest zero of any degree on its own, with no brackets carried between
 degrees; a zero ratio is replaced by a tiny positive one so the recursion
 never divides by zero (Demmel, Dhillon & Ren, ETNA 3 (1995)).
+
+The halvings run as multisection (Lo, Philippe & Sameh, SIAM J. Sci. Stat.
+Comput. 8 (1987)): a pass counts, in one call, every midpoint that the next
+h halvings of each distinct bracket could visit, up to ``_POINT_BUDGET``
+points, and replays bisection's h decisions from those counts.  Midpoints
+come from the same ``0.5 * (lo + hi)`` and each decision reads the count at
+the midpoint bisection visits, so the output is plain bisection's bit for
+bit, with no appeal to the count being monotone in x.  The array count runs
+``_BLOCK`` steps at a time and defers the zero-ratio guard to the points
+that need it, which it counts again step by step.
 """
 
 from __future__ import annotations
@@ -49,6 +59,14 @@ _TINY = 1e-100
 # and a bracket of 2^-55 below it, which moves theta = 2 arccos(x) by less
 # than half an ulp of pi.
 _BISECTION_STEPS = 56
+
+# Steps per block of the array count: x - c_k s for a block is one outer
+# product, and its sign counts and zero checks are one call each.
+_BLOCK = 64
+
+# Midpoints counted per pass of the array bisection, over all brackets,
+# unless one per bracket is already more.
+_POINT_BUDGET = 1024
 
 
 class ScaledValue(NamedTuple):
@@ -155,6 +173,13 @@ def _count_above(c, d, degree, x):
     ``_TINY``: W_k(x) = 0 then counts with the sign of W_{k-1}(x), and the
     next step divides by a representable number.
     """
+    if isinstance(x, np.ndarray):
+        return _count_blocked(c, d, degree, x)
+    return _count_steps(c, d, degree, x)
+
+
+def _count_steps(c, d, degree, x):
+    """``_count_above`` one step at a time, on a float or an array of points."""
     s = (np.sqrt if isinstance(x, np.ndarray) else math.sqrt)(1.0 - x * x)
     top = int(np.max(degree))
     # r_k counts when it is below its limit: 0 up to the point's own degree
@@ -171,6 +196,58 @@ def _count_above(c, d, degree, x):
     return count
 
 
+def _count_blocked(c, d, degree, x):
+    """``_count_above`` on an array of points, ``_BLOCK`` steps at a time.
+
+    One outer product gives x - c_k s for a whole block, so a step costs one
+    divide and one subtract, and the signs are counted once per block.  The
+    ``_TINY`` guard is deferred: the ratios are the step loop's up to the
+    first one that rounds to zero, and the few points that reach one are
+    counted again by ``_count_steps``, so every count is the step loop's.
+    """
+    degree = np.asarray(degree)
+    top = int(degree.max())
+    per_point = degree.ndim != 0
+    c = np.asarray(c[:top])
+    # d_1 = 0 and r_0 = 1 make the first step r_1 = x - c_1 s
+    d = [0.0, *np.asarray(d[:top - 1]).tolist()]
+    s = np.sqrt(1.0 - x * x)
+    count = np.zeros(len(x), dtype=np.int64)
+    zero = np.zeros(len(x), dtype=bool)
+    # row 0 holds the ratio before the block, rows 1..b the block's ratios
+    rows = np.empty((min(top, _BLOCK) + 1, len(x)))
+    rows[0] = 1.0
+    views = list(rows)
+    quotient = np.empty(len(x))
+    # past a zero ratio the block divides by zero and may form inf - inf, on
+    # points that are counted again; a ratio so near 0 that d_{k+1} / r_k
+    # overflows makes r_{k+1} infinite, with the sign it has to count by.  The
+    # warnings are filtered rather than switched off by np.errstate, under
+    # which every ufunc runs a few per cent slower
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "divide by zero|invalid value|overflow",
+                                RuntimeWarning)
+        for k0 in range(0, top, _BLOCK):
+            b = min(_BLOCK, top - k0)
+            block = rows[1:b + 1]
+            np.multiply.outer(c[k0:k0 + b], s, out=block)
+            np.subtract(x, block, out=block)
+            for dk, prev, r in zip(d[k0:k0 + b], views, views[1:b + 1]):
+                np.divide(dk, prev, out=quotient)
+                np.subtract(r, quotient, out=r)
+            negative = block < 0.0
+            if per_point:
+                negative &= np.arange(k0, k0 + b)[:, None] < degree
+            count += np.count_nonzero(negative, axis=0)
+            if not block.all():
+                zero |= ~block.all(axis=0)
+            rows[0] = rows[b]
+        if zero.any():
+            count[zero] = _count_steps(c, d[1:], degree[zero] if per_point else degree,
+                                       x[zero])
+    return count
+
+
 def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
     """x of the j-th largest zero of W_degree, for each (degree, j) pair.
 
@@ -178,23 +255,59 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
     whether at least j zeros lie above the midpoint, ``_BISECTION_STEPS``
     times: neighbouring zeros can sit closer than any coarse tolerance near
     support endpoints.
+
+    A pass takes the next h halvings at once (multisection; Lo, Philippe &
+    Sameh, SIAM J. Sci. Stat. Comput. 8 (1987)).  For each distinct bracket it
+    forms the 2^h + 1 edges that h halvings can leave, each midpoint by the
+    same ``0.5 * (lo + hi)`` bisection computes, counts the 2^h - 1 interior
+    ones in one call, and replays bisection's h decisions from those counts.
+    So every bracket takes plain bisection's path, bit for bit, whether or
+    not the computed count is monotone in x.  h is the largest that keeps the
+    points of a pass within ``_POINT_BUDGET``, and at least 1.
     """
     if N < 1:
         raise InputError(f"degree must be >= 1, got {N}")
     c, d = _coeffs(cd, N)
-    lo = np.full(len(j), -1.0)
-    hi = np.full(len(j), 1.0)
-    # a ratio r_k so near 0 that d_{k+1} / r_k overflows makes r_{k+1}
-    # infinite, with the sign it has to count by; the warning is filtered
-    # rather than switched off by np.errstate, under which every ufunc of the
-    # loop runs a few per cent slower
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            above = _count_above(c, d, degree, mid) >= j
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
+    n = len(j)
+    lo = np.full(n, -1.0)
+    hi = np.full(n, 1.0)
+    degree = np.asarray(degree)
+    per_point = degree.ndim != 0
+    # equal brackets (of equal degree) are counted once.  They are nodes of
+    # one bisection tree, so once a pass finds them all distinct only
+    # brackets shrunk to a single double could meet again, and the search
+    # for equal ones stops
+    each = np.arange(n)
+    merge = True
+    steps = _BISECTION_STEPS
+    while steps:
+        if merge:
+            key = lo + 1j * hi
+            if per_point:
+                key = np.unique(key, return_inverse=True)[1] * (N + 1) + degree
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            merge = len(first) < n
+        else:
+            first = inverse = each
+        h = min(steps, max(1, (_POINT_BUDGET // len(first) + 1).bit_length() - 1))
+        edges = np.column_stack((lo[first], hi[first]))
+        for _ in range(h):
+            finer = np.empty((len(first), 2 * edges.shape[1] - 1))
+            finer[:, 0::2] = edges
+            finer[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
+            edges = finer
+        width = 2 ** h - 1
+        counts = _count_above(c, d, np.repeat(degree[first], width) if per_point else degree,
+                              edges[:, 1:-1].ravel())
+        # the bracket between edges a and a + 2^(t+1) halves at edge
+        # a + 2^t, whose count sits at position a + 2^t - 1 of its row
+        offset = inverse * width - 1
+        a = np.zeros(n, dtype=np.int64)
+        for t in reversed(range(h)):
+            a += (counts[offset + a + 2 ** t] >= j) * 2 ** t
+        lo = edges[inverse, a]
+        hi = edges[inverse, a + 1]
+        steps -= h
     return 0.5 * (lo + hi)
 
 

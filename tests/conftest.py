@@ -1,10 +1,12 @@
 import math
+import warnings
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
 
-from popuc import CdParams, chainseq
-from popuc.recurrence import _eval_W_grid
+from popuc import CdParams, InputError, chainseq
+from popuc.recurrence import _BISECTION_STEPS, _TINY, _coeffs, _eval_W_grid
 
 
 def random_alpha(rng, n, rmax=0.9):
@@ -65,6 +67,53 @@ def assert_interlacing(cd, ladder):
             quiet = below_noise_floor(cd, degree, ties)
             assert quiet.all(), \
                 f"resolvable tie at degree {degree}, x={ties[np.argmin(quiet)]}"
+
+
+def plain_count_above(c, d, degree, x):
+    """Number of zeros of W_degree above ``x``, one ratio step at a time.
+
+    The oracle that ``recurrence._count_above`` must match bit for bit, on a
+    float or an array of points with one degree or one degree per point.
+    """
+    s = (np.sqrt if isinstance(x, np.ndarray) else math.sqrt)(1.0 - x * x)
+    top = int(np.max(degree))
+    # r_k counts when it is below its limit: 0 up to the point's own degree
+    # and -inf past it, so one pass serves points of different degrees
+    limits = (repeat(0.0) if np.ndim(degree) == 0 else
+              (np.where(k < degree, 0.0, -np.inf) for k in range(top)))
+    r = 1.0
+    count = 0
+    # d_1 = 0 makes the first step r_1 = x - c_1 s
+    for ck, dk, limit in zip(c[:top], chain((0.0,), d), limits):
+        r = x - ck * s - dk / r
+        r = r + (r == 0.0) * _TINY
+        count = count + (r < limit)
+    return count
+
+
+def plain_bisect_zeros(cd, N, degree, j):
+    """x of the j-th largest zero of W_degree by one count per halving.
+
+    Plain bisection, ``_BISECTION_STEPS`` passes over ``plain_count_above``:
+    the oracle for the multisection in ``recurrence._bisect_zeros``.
+    """
+    if N < 1:
+        raise InputError(f"degree must be >= 1, got {N}")
+    c, d = _coeffs(cd, N)
+    lo = np.full(len(j), -1.0)
+    hi = np.full(len(j), 1.0)
+    # a ratio r_k so near 0 that d_{k+1} / r_k overflows makes r_{k+1}
+    # infinite, with the sign it has to count by; the warning is filtered
+    # rather than switched off by np.errstate, under which every ufunc of the
+    # loop runs a few per cent slower
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            above = plain_count_above(c, d, degree, mid) >= j
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 @pytest.fixture

@@ -37,6 +37,24 @@ class TestTables:
                                        "argext_minus,theta_last")
 
 
+class TestZerosGolden:
+    """Zero lists pinned byte for byte."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("zeros-lambda-eta-150",
+         ["--family", "lambda-eta", "--params", "lam=1,eta=1", "--n", "150"]),
+        ("zeros-geronimus-120",
+         ["--family", "geronimus", "--params", "alpha_re=0.5,alpha_im=0.3", "--n", "120"]),
+        # c = 0, d = 1/4 at odd N: x = 0 is a zero, and an exact zero ratio
+        ("zeros-quarter-chain-31",
+         ["--input", str(GOLDEN / "quarter-chain.json"), "--n", "31"]),
+    ])
+    def test_golden_zeros(self, name, argv):
+        code, out, _ = run(["zeros", *argv])
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.csv").read_text()
+
+
 class TestBounds:
     def test_geronimus_family_default(self):
         code, out, err = run(["bounds", "--family", "geronimus",

@@ -5,11 +5,13 @@ from decimal import Decimal, localcontext
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import popuc as pp
-from popuc.recurrence import _count_above, _eval_W_grid
+from popuc.recurrence import _bisect_zeros, _count_above, _eval_W_grid
 
-from conftest import assert_interlacing, random_alpha, random_cd_q
+from conftest import (assert_interlacing, plain_bisect_zeros, plain_count_above,
+                      random_alpha, random_cd_q)
 
 
 def chebyshev_cd(n):
@@ -257,6 +259,91 @@ class TestCountAbove:
         # keeps the float path from dividing by zero and counts it as not above
         assert [_count_above(c, d, n, 0.0) for n in range(1, 10)] == \
             [n // 2 for n in range(1, 10)]
+
+
+def alpha_cd(alpha):
+    return pp.cd_from_verblunsky(pp.VerblunskySeq.from_values(alpha), n_terms=len(alpha))
+
+
+def ladder_points(rng, N, size):
+    """``size`` (degree, j) pairs with 1 <= j <= degree <= N, N among them."""
+    degree = rng.integers(1, N + 1, size)
+    degree[0] = N
+    return degree, 1 + (rng.random(size) * degree).astype(int)
+
+
+def assert_bits_equal(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(want).view(np.int64))
+
+
+class TestMultisection:
+    """``_bisect_zeros`` and the blocked count against the plain 56-pass
+    bisection and the per-step count, bit for bit."""
+
+    @staticmethod
+    def assert_same_zeros(cd, N, degree, j):
+        assert_bits_equal(_bisect_zeros(cd, N, degree, j),
+                          plain_bisect_zeros(cd, N, degree, j))
+
+    @settings(max_examples=50, deadline=None)
+    @given(N=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1),
+           source=st.sampled_from(["alpha", "cd"]), per_point=st.booleans())
+    def test_matches_plain_bisection(self, N, seed, source, per_point):
+        rng = np.random.default_rng(seed)
+        cd = (alpha_cd(random_alpha(rng, N)) if source == "alpha"
+              else random_cd_q(rng, N)[0])
+        if per_point:
+            degree, j = ladder_points(rng, N, 2 * N)
+        else:
+            degree, j = N, np.arange(1, N + 1)
+        self.assert_same_zeros(cd, N, degree, j)
+
+    @pytest.mark.parametrize("N", [30, 31, 32, 65])
+    def test_quarter_chain_zero_ratios(self, N):
+        # c = 0, d = 1/4: the first midpoint x = 0 gives r_1 = 0 exactly, and
+        # 0 is a zero of every odd degree
+        cd = chebyshev_cd(N)
+        self.assert_same_zeros(cd, N, N, np.arange(1, N + 1))
+        sizes = np.arange(1, N + 1)
+        degree = np.repeat(sizes, sizes)
+        j = np.arange(len(degree)) - degree * (degree - 1) // 2 + 1
+        self.assert_same_zeros(cd, N, degree, j)
+
+    @pytest.mark.parametrize("alpha", [
+        # within 1e-15 of the circle: every d_n below 3e-14
+        0.999999999999999 * np.exp(2j * np.pi * np.linspace(0.05, 0.95, 40)),
+        # a subnormal alpha_0 gives r_1 = 5e-324 at x = 0, and d_2 / r_1
+        # overflows
+        np.array([5e-324j, 0.0]),
+        np.array([5e-324j, 0.3, -0.2 + 0.1j, 0.5]),
+    ], ids=["near-circle", "subnormal-2", "subnormal-4"])
+    def test_extreme_ratios(self, alpha):
+        N = len(alpha)
+        self.assert_same_zeros(alpha_cd(alpha), N, N, np.arange(1, N + 1))
+
+    @pytest.mark.parametrize("top", [63, 64, 65, 129])
+    def test_block_edges(self, rng, top):
+        cd = alpha_cd(random_alpha(rng, top))
+        self.assert_same_zeros(cd, top, top, np.arange(1, top + 1))
+        self.assert_same_zeros(cd, top, *ladder_points(rng, top, 3 * top))
+
+    @pytest.mark.parametrize("top, k", [(top, k) for top in (63, 64, 65, 129)
+                                        for k in (1, 2, 63, 64, 65, 66, 129) if k <= top])
+    def test_zero_ratio_at_block_edges(self, rng, top, k):
+        # c_k = d_k = 0 makes r_k = 0 exactly at x = 0; the blocked count
+        # divides by it and must count that point again with the guard
+        c = rng.uniform(-2.0, 2.0, top)
+        d = rng.uniform(0.05, 0.25, top - 1)
+        c[k - 1] = 0.0
+        if k > 1:
+            d[k - 2] = 0.0
+        c, d = c.tolist(), d.tolist()
+        xs = np.concatenate(([0.0], rng.uniform(-1.0, 1.0, 40), [-0.0, 1.0, -1.0]))
+        assert_bits_equal(_count_above(c, d, top, xs), plain_count_above(c, d, top, xs))
+        degree = rng.integers(1, top + 1, len(xs))
+        assert_bits_equal(_count_above(c, d, degree, xs),
+                          plain_count_above(c, d, degree, xs))
 
 
 class TestZerosR:
