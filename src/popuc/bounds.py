@@ -27,9 +27,12 @@ from typing import Optional
 import numpy as np
 
 from .chainseq import (ChainSeq, ScalingSeq, _chunks, _forward_params, _frozen,
-                       chain_failure_index, make_scaling)
+                       _require_positive, chain_failure_index, make_scaling)
 from .errors import BoundaryCaseError, InputError
-from .transforms import TWO_PI, CdParams, VerblunskySeq, rotated_cd
+from .transforms import TWO_PI, CdParams, VerblunskySeq, _rotated_blocks
+# gap_certificate streams what rotated_cd computes whole; perfbench's tracer
+# still wraps the name here (tracer.BY_VALUE)
+from .transforms import rotated_cd  # noqa: F401
 
 # A support-arc extremum counts as stabilized when halving the horizon moves
 # it by less than this.
@@ -309,7 +312,10 @@ class GapCertificate:
     ``verified_to(N)`` means the head condition held and every ratio m_n up
     to the horizon stayed in (0, 1): the arc is gap-consistent as far as the
     horizon can see (and truly a gap when this persists for all n).
-    ``violated(n)`` is conclusive: the arc meets the support.
+    ``violated(n)`` is conclusive: the arc meets the support.  Terms are
+    computed, checked and walked a block at a time (64 terms, doubling to
+    4096), so an input fault in a block past the violation's raises nothing,
+    and of two faulty blocks the first one's error is raised.
     """
 
     verdict: str  # "verified" | "violated"
@@ -335,6 +341,10 @@ def gap_certificate(alpha: VerblunskySeq, theta1: float, theta2: float,
     the probe point x* = cos((2*pi + theta1 - theta2) / 2).  The support
     avoids the arc iff cot((2*pi + theta1 - theta2)/2) < c_1 and every ratio
     stays in (0, 1); the first escape is a conclusive overlap witness.
+
+    The rotated (c, g) arrive a block at a time, and each block is checked
+    (d > 0, no probe on a cotangent direction) and walked before the next is
+    computed; the bits are those of ``rotated_cd(alpha, theta2, N + 1)``.
     """
     if theta2 <= 0.0:
         raise InputError(f"theta2 must be positive, got {theta2}")
@@ -343,24 +353,37 @@ def gap_certificate(alpha: VerblunskySeq, theta1: float, theta2: float,
         raise InputError(f"arc width must lie in (0, 2*pi], got {width}")
     if N < 1:
         raise InputError(f"horizon must be >= 1, got {N}")
-    cd = rotated_cd(alpha, theta2, n_terms=N + 1)
     half = 0.5 * (TWO_PI - width)
     x_star = math.cos(half)
     sin_half = math.sin(half)
-    c1_ok = sin_half > 0.0 and (x_star / sin_half) < cd.c[0]
-    if not c1_ok:
-        return GapCertificate("violated", N, 0, False, np.empty(0))
     s = math.sqrt(max(0.0, 1.0 - x_star * x_star))
-    t = x_star - cd.c * s  # t[k] = x* - c_{k+1} sqrt(1 - x*^2)
-    tiny = np.abs(t) < 1e-13
-    if tiny.any():
-        raise BoundaryCaseError(int(np.argmax(tiny)) + 1,
-                                "probe point lies on the cotangent direction of "
-                                f"c_{int(np.argmax(tiny)) + 1}; arc endpoint sits on "
-                                "the support boundary")
-    # m_n = d_{n+1} / (t_n t_{n+1} (1 - m_{n-1})), m_0 = 0
-    m, n = _forward_params(cd.d.values[:N], scale=t[:N] * t[1:N + 1])
-    return GapCertificate("verified" if n is None else "violated", N, n, True, m[1:])
+    m = np.empty(N + 1)  # m_0 = 0, m_1, ..
+    m[0] = 0.0
+    for first, c, g in _rotated_blocks(alpha, theta2, N + 1):
+        t = x_star - c * s  # t[k] = x* - c_{first+k+1} sqrt(1 - x*^2)
+        if first:  # d_{first+1} and its scale reach back into the last block
+            d = (1.0 - np.concatenate(([g_last], g[:-1]))) * g
+            scale = np.concatenate(([t_last], t[:-1])) * t
+        else:
+            d = (1.0 - g[:-1]) * g[1:]
+            scale = t[:-1] * t[1:]
+        at = max(first - 1, 0)  # d[0] is d_{at+2}, the factor of m_{at+1}
+        _require_positive(d, at)
+        if not first and not (sin_half > 0.0 and (x_star / sin_half) < c[0]):
+            return GapCertificate("violated", N, 0, False, np.empty(0))
+        tiny = np.abs(t) < 1e-13
+        if tiny.any():
+            k = first + int(np.argmax(tiny)) + 1
+            raise BoundaryCaseError(k, f"probe point lies on the cotangent direction "
+                                    f"of c_{k}; arc endpoint sits on the support "
+                                    "boundary")
+        # m_n = d_{n+1} / (t_n t_{n+1} (1 - m_{n-1})), m_0 = 0
+        walk, n = _forward_params(d, head=m[at], scale=scale)
+        m[at + 1:at + len(walk)] = walk[1:]
+        if n is not None:
+            return GapCertificate("violated", N, at + n, True, m[1:at + n + 1])
+        g_last, t_last = g[-1], t[-1]
+    return GapCertificate("verified", N, None, True, m[1:])
 
 
 def two_interval_enclosure(cd: CdParams, A: float, B: float, C: float, D: float,

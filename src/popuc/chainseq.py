@@ -20,6 +20,7 @@ error bound when that is larger (see ``_final_param_ok``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -119,6 +120,14 @@ class UltrasphericalRule(ChainRule):
         return 1.0
 
 
+def _require_positive(values: np.ndarray, first: int = 0) -> None:
+    """Reject an element <= 0 of a chain sequence; ``values[0]`` is the term
+    after the first ``first``."""
+    if len(values) and values.min() <= 0.0:
+        bad = int(np.argmax(values <= 0.0)) + 1 + first
+        raise InputError(f"chain sequence elements must be positive (term n={bad})")
+
+
 @dataclass(frozen=True)
 class ChainSeq:
     """A finite positive-real sequence, optionally backed by a rule.
@@ -136,9 +145,16 @@ class ChainSeq:
     def __post_init__(self):
         values = _frozen(self.values)
         object.__setattr__(self, "values", values)
-        if len(values) and values.min() <= 0.0:
-            bad = int(np.argmax(values <= 0.0)) + 1
-            raise InputError(f"chain sequence elements must be positive (term n={bad})")
+        _require_positive(values)
+
+    @functools.cached_property
+    def _maximal(self) -> "ParamSeq":
+        """``maximal_params(self)``, computed on first use and kept: an inline
+        cd reads it to build g, again for its mass at z = 1 and again to
+        recover its coefficients."""
+        if self.rule is None:
+            return ParamSeq(_backward_maximal(self.values))
+        return ParamSeq(self.rule.maximal_params_closed(len(self.values) + 1))
 
     @classmethod
     def from_values(cls, values) -> "ChainSeq":
@@ -322,10 +338,8 @@ def _backward_maximal(d: np.ndarray) -> np.ndarray:
 def maximal_params(d: ChainSeq) -> ParamSeq:
     """Maximal parameter sequence {M_n} of ``d``: the exact backward
     recursion anchored at M_{N+1} = 1 for a finite sequence, the rule's
-    closed form for a rule-backed one."""
-    if d.rule is None:
-        return ParamSeq(_backward_maximal(d.values))
-    return ParamSeq(d.rule.maximal_params_closed(len(d.values) + 1))
+    closed form for a rule-backed one; computed once per ``d``."""
+    return d._maximal
 
 
 def is_non_SP(d: ChainSeq, tol: float = SP_THRESHOLD) -> bool:

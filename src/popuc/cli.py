@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 input validation, 3 analytic boundary case,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -174,8 +173,8 @@ def _emit(header: list, rows, stream, output: str, command: str) -> None:
     """Write ``rows``, an iterable of value sequences in ``header`` order, as
     ``output`` (csv or json) for ``command``.
 
-    Rows are consumed one at a time, so a generator never holds the whole
-    table.  Values are Python scalars; csv renders floats by repr.
+    Rows are consumed ``_CHUNK`` at a time, so a generator never holds the
+    whole table.  Values are Python scalars; csv renders floats by repr.
     """
     if output == "json":
         # the bytes of json.dumps({"command": ..., "rows": [...]}), encoded
@@ -190,9 +189,14 @@ def _emit(header: list, rows, stream, output: str, command: str) -> None:
             sep = ","
         stream.write("]}\n")
         return
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    # csv.writer's bytes, joined a block at a time: str() of each value (repr
+    # for a float), None as an empty field.  No field needs csv quoting: every
+    # string is a code literal or an argparse choice free of ',', '"' and line
+    # breaks, and every header has at least two columns.
+    rows = chain([header], rows)
+    while block := list(islice(rows, _CHUNK)):
+        stream.write("".join([",".join(["" if v is None else str(v) for v in row])
+                              + "\n" for row in block]))
 
 
 TABLE_HEADER = ["N", "bound_theta_first", "argext_plus", "theta_first",

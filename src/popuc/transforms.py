@@ -29,12 +29,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .chainseq import (ChainSeq, ParamSeq, chain_failure_index, maximal_params,
-                       SP_THRESHOLD, _chunks, _forward_params, _frozen)
+                       SP_THRESHOLD, _CHUNK, _chunks, _forward_params, _frozen)
 from .errors import InputError, InvariantError, NotChainSequenceError
 
 TWO_PI = 2.0 * math.pi
@@ -42,6 +42,14 @@ TWO_PI = 2.0 * math.pi
 # Analytically |1 - tau * alpha_k| >= 1 - |alpha_k| > 0, so a distance below
 # this is reached only by an alpha_k within rounding of the unit circle.
 _DIVISION_GUARD = 1e-15
+
+# The closed-form rotated Geronimus orbit (``VerblunskySeq.geronimus``) loses
+# accuracy like u / D near the parabolic case, D = |alpha| |z_1 - z_2| / 2 -> 0,
+# where its fixed points are ill conditioned (about 2000u in c and d at
+# D = 7e-5, where the recursion errs by 2u).  From this D on, 40-digit
+# references put its error within twice the recursion's plus 64u; below it
+# the recursion runs.
+_MIN_SPREAD = 1.0 / 32.0
 
 
 def _cdiv(nr: float, ni: float, dr: float, di: float) -> tuple:
@@ -71,14 +79,32 @@ def _require_finite(values: np.ndarray, name: str, first: int) -> None:
         raise InputError(f"{name}_{bad + first} = {values[bad]} is not finite")
 
 
-def _validate_alpha(values: np.ndarray) -> np.ndarray:
-    _require_finite(values, "Verblunsky coefficient alpha", 0)
+def _validate_alpha(values: np.ndarray, first: int = 0) -> np.ndarray:
+    """``values`` after checking that each lies in the open unit disk;
+    ``first`` is the index of ``values[0]``."""
+    _require_finite(values, "Verblunsky coefficient alpha", first)
     mod = np.abs(values)
     if len(values) and mod.max() >= 1.0:
         bad = int(np.argmax(mod >= 1.0))
-        raise InputError(
-            f"Verblunsky coefficient alpha_{bad} has modulus {mod[bad]:.17g} >= 1")
+        raise InputError(f"Verblunsky coefficient alpha_{bad + first} has modulus "
+                         f"{mod[bad]:.17g} >= 1")
     return values
+
+
+def _block_stops(n: int) -> list:
+    """Ends of consecutive blocks covering indices 0 .. n - 1: 64 terms, then
+    twice as many each time up to ``_CHUNK``."""
+    stops, stop, size = [], 0, 64
+    while stop < n:
+        stop = min(stop + size, n)
+        stops.append(stop)
+        size = min(2 * size, _CHUNK)
+    return stops
+
+
+def _ranges(stops: Sequence[int]):
+    """(start, stop) of each block ending at ``stops``."""
+    return zip([0, *stops[:-1]], stops)
 
 
 @dataclass(frozen=True)
@@ -95,19 +121,30 @@ class VerblunskySeq:
     (1 - |alpha|^2) / |1 - tau alpha|^2 per step, which exceeds 1 exactly
     along the special orbits these families live on, so iterating it there
     loses the structure at an exponential rate; the closed forms keep the
-    parametrization exact.
+    parametrization exact.  Geronimus also carries the closed form of its
+    rotated tau, where that is well conditioned (see ``geronimus``).
     """
 
     family: str
     horizon: int
     params: dict = field(default_factory=dict)
-    _prefix_fn: Callable[[int], np.ndarray] = field(default=None, repr=False)
+    # stops -> one array of coefficients per block (see ``blocks``)
+    _blocks_fn: Callable[[Sequence[int]], Iterator[np.ndarray]] = field(
+        default=None, repr=False)
     _tau_fn: Optional[Callable[[int], np.ndarray]] = field(default=None, repr=False)
+    # folded rotation -> (start, stop) -> rotated tau_start .. tau_{stop - 1},
+    # or None where the recursion runs
+    _rotated_tau_fn: Callable[[float], Optional[Callable]] = field(
+        default=lambda rotation: None, repr=False)
 
     @classmethod
     def from_values(cls, values) -> "VerblunskySeq":
         arr = _validate_alpha(_frozen(values, complex))
-        return cls("inline", len(arr), {}, lambda n: arr[:n])
+
+        def blocks(stops):
+            return (arr[start:stop] for start, stop in _ranges(stops))
+
+        return cls("inline", len(arr), {}, blocks)
 
     @classmethod
     def geronimus(cls, alpha: complex, horizon: int = 64) -> "VerblunskySeq":
@@ -116,20 +153,63 @@ class VerblunskySeq:
         The rotation w places the distinguished point of the constant-alpha
         measure at z = 1; for real alpha the sequence is constant.  The tau
         sequence is w^{-n}.
+
+        Rotated by theta, sigma_n = w^n tau_n follows one Moebius map,
+        sigma -> v (sigma - conj(beta)) / (1 - beta sigma) with v = e^{i theta} w
+        and beta = w alpha.  With psi = (theta + arg w) / 2 the map is
+        hyperbolic exactly when D^2 = |alpha|^2 - sin^2 psi > 0, that is
+        for theta in the gap of the support.  Its fixed points
+        e^{i psi} (-+D - i sin psi) / beta lie on the circle, the first
+        attracting with multiplier kappa = (1 - |alpha|^2) / (|cos psi| + D)^2
+        (signs taken with cos psi), and the orbit is
+
+            sigma_n = z_1 + (z_1 - z_2) x_n / (1 - x_n),
+            x_n = kappa^n (sigma_0 - z_1) / (sigma_0 - z_2).
+
+        tau_n = w^{-(n+1)} w sigma_n takes w^{n+1} as the coefficients do,
+        so tau_n alpha_n keeps the rounding of w^{n+1} out of (c, d).  It is
+        used for D >= ``_MIN_SPREAD``; elliptic and near-parabolic maps
+        (theta in or near the support, alpha = 0) run the recursion.
         """
         alpha = complex(alpha)
         if abs(alpha) >= 1.0:
             raise InputError(f"|alpha| must be < 1, got {abs(alpha):.17g}")
         phase = cmath.phase((1.0 + alpha.conjugate()) / (1.0 + alpha))
 
-        def prefix(n: int) -> np.ndarray:
-            k = np.arange(1, n + 1)
-            return np.exp(1j * phase * k) * alpha
+        def blocks(stops):
+            for start, stop in _ranges(stops):
+                yield np.exp(1j * phase * np.arange(start + 1, stop + 1)) * alpha
 
         def tau(n: int) -> np.ndarray:
             return np.exp(-1j * phase * np.arange(n + 1))
 
-        return cls("geronimus", horizon, {"alpha": alpha}, prefix, tau)
+        def rotated_tau(theta: float):
+            psi = 0.5 * (theta + phase)
+            sin_psi, cos_psi = math.sin(psi), math.cos(psi)
+            r, s = abs(alpha), abs(sin_psi)
+            spread = math.sqrt(max((r - s) * (r + s), 0.0))
+            if spread < _MIN_SPREAD:
+                return None
+            w = cmath.exp(1j * phase)
+            scale = cmath.exp(1j * psi) / (w * alpha)
+            z1 = scale * complex(-math.copysign(spread, cos_psi), -sin_psi)
+            z2 = scale * complex(math.copysign(spread, cos_psi), -sin_psi)
+            sigma0 = cmath.exp(1j * theta)
+            if sigma0 == z2:  # the orbit rests on the repelling fixed point
+                return None
+            ratio = (sigma0 - z1) / (sigma0 - z2)
+            log_kappa = math.log1p(-r * r) - 2.0 * math.log(abs(cos_psi) + spread)
+
+            def values(start: int, stop: int) -> np.ndarray:
+                k = np.arange(start, stop)
+                x = np.exp(k * log_kappa) * ratio
+                sigma = z1 + (z1 - z2) * x / (1.0 - x)
+                sigma /= np.abs(sigma)
+                return np.exp(-1j * phase * (k + 1)) * (w * sigma)
+
+            return values
+
+        return cls("geronimus", horizon, {"alpha": alpha}, blocks, tau, rotated_tau)
 
     @classmethod
     def alternating(cls, b1: float, b2: float, c: float,
@@ -144,18 +224,19 @@ class VerblunskySeq:
         odd = (b2 - 1j * c) / (1 + 1j * c)
         tau_odd = (1 + 1j * c) / (1 - 1j * c)
 
-        def prefix(n: int) -> np.ndarray:
-            out = np.empty(n, dtype=complex)
-            out[0::2] = even
-            out[1::2] = odd
-            return out
+        def blocks(stops):
+            for start, stop in _ranges(stops):
+                out = np.empty(stop - start, dtype=complex)
+                out[start % 2::2] = even
+                out[1 - start % 2::2] = odd
+                yield out
 
         def tau(n: int) -> np.ndarray:
             out = np.ones(n + 1, dtype=complex)
             out[1::2] = tau_odd
             return out
 
-        return cls("alternating", horizon, {"b1": b1, "b2": b2, "c": c}, prefix, tau)
+        return cls("alternating", horizon, {"b1": b1, "b2": b2, "c": c}, blocks, tau)
 
     @classmethod
     def lambda_eta(cls, lam: float, eta: float, horizon: int = 64) -> "VerblunskySeq":
@@ -171,10 +252,20 @@ class VerblunskySeq:
             raise InputError(f"lambda must be > -1/2, got {lam}")
         b = complex(lam, eta)
 
-        def prefix(n: int) -> np.ndarray:
-            k = np.arange(n)
-            ratios = (b + k) / (b.conjugate() + 1 + k)
-            return -np.cumprod(ratios)
+        def blocks(stops):
+            # the running product is carried into the next block as the first
+            # factor of its cumprod, which multiplies in the same order
+            last = None
+            for start, stop in _ranges(stops):
+                k = np.arange(start, stop)
+                ratios = (b + k) / (b.conjugate() + 1 + k)
+                if last is None:
+                    products = np.cumprod(ratios)
+                else:
+                    products = np.cumprod(np.concatenate(([last], ratios)))[1:]
+                if len(products):
+                    last = products[-1]
+                yield -products
 
         def tau(n: int) -> np.ndarray:
             k = np.arange(1, n + 1)
@@ -185,16 +276,20 @@ class VerblunskySeq:
             out[1:] /= np.abs(out[1:])
             return out
 
-        return cls("lambda-eta", horizon, {"lam": lam, "eta": eta}, prefix, tau)
+        return cls("lambda-eta", horizon, {"lam": lam, "eta": eta}, blocks, tau)
+
+    def blocks(self, stops: Sequence[int]) -> Iterator[np.ndarray]:
+        """Coefficients alpha_start .. alpha_{stop - 1} of consecutive blocks,
+        one per entry of the increasing ``stops``, the first starting at 0."""
+        if self.family == "inline" and stops and stops[-1] > self.horizon:
+            raise InputError(f"inline coefficient list has {self.horizon} terms, "
+                             f"{stops[-1]} requested")
+        for (start, _), values in zip(_ranges(stops), self._blocks_fn(stops)):
+            yield _validate_alpha(np.asarray(values, dtype=complex), start)
 
     def prefix(self, count: Optional[int] = None) -> np.ndarray:
         """First ``count`` coefficients (default: the stated horizon)."""
-        if count is None:
-            count = self.horizon
-        if self.family == "inline" and count > self.horizon:
-            raise InputError(
-                f"inline coefficient list has {self.horizon} terms, {count} requested")
-        return _validate_alpha(np.asarray(self._prefix_fn(count), dtype=complex))
+        return next(self.blocks([self.horizon if count is None else count]))
 
     def __len__(self) -> int:
         return self.horizon
@@ -240,20 +335,31 @@ def tau_from_verblunsky(alpha: VerblunskySeq, n: Optional[int] = None,
         n = alpha.horizon
     if rotation is None and alpha._tau_fn is not None:
         return TauSeq(np.asarray(alpha._tau_fn(n), dtype=complex))
+    phase = None
+    if rotation is not None:
+        rotation = _normalize_rotation(rotation)
+        closed = alpha._rotated_tau_fn(rotation)
+        if closed is not None:
+            return TauSeq(closed(0, n + 1))
+        phase = cmath.exp(1j * rotation)
     a = alpha.prefix(n)
     out = np.empty(n + 1, dtype=complex)
+    out[0] = 1.0 if phase is None else phase
+    return TauSeq(out, max_drift=_tau_walk(a, out, phase))
+
+
+def _tau_walk(a: np.ndarray, out: np.ndarray, phase: Optional[complex],
+              first: int = 0) -> float:
+    """Fill ``out[1:]`` with tau_{first+1} .. tau_{first+len(a)} from
+    ``out[0]`` = tau_first and ``a`` = alpha_first ..; ``phase`` is e^{i theta}
+    of a rotation, or None.  Returns the largest drift of |tau| from 1."""
     drift = 0.0
-    if rotation is None:
-        tau = 1.0 + 0.0j
-    else:
-        rotation = _normalize_rotation(rotation)
-        tau = cmath.exp(1j * rotation)
-    out[0] = tau
     # The recursion runs on the parts of tau and of alpha_k as Python floats,
     # each operation written as numpy's complex128 arithmetic performs it,
     # so the sequence matches a numpy evaluation bit for bit.
-    tr, ti = tau.real, tau.imag
-    ph_r, ph_i = tr, ti  # e^{i theta}, read only when rotated
+    tr, ti = float(out[0].real), float(out[0].imag)
+    if phase is not None:
+        ph_r, ph_i = phase.real, phase.imag
     for i, a_re, a_im in _chunks(a.real, a.imag):
         res_re = []
         res_im = []
@@ -265,10 +371,10 @@ def tau_from_verblunsky(alpha: VerblunskySeq, n: Optional[int] = None,
             di = 0.0 - pi
             # |denom| >= dr, so the modulus is needed only when dr is small
             if dr < _DIVISION_GUARD and abs(complex(dr, di)) < _DIVISION_GUARD:
-                k = i + len(res_re)
+                k = first + i + len(res_re)
                 raise InputError(f"Verblunsky coefficient alpha_{k} is within rounding "
                                  f"of the unit circle: |1 - tau_{k} alpha_{k}| < 1e-15")
-            if rotation is None:
+            if phase is None:
                 # tau - conj(alpha_k)
                 nr = tr - ar
                 ni = ti + ai
@@ -291,7 +397,7 @@ def tau_from_verblunsky(alpha: VerblunskySeq, n: Optional[int] = None,
             res_im.append(ti)
         out.real[i + 1:i + 1 + len(res_re)] = res_re
         out.imag[i + 1:i + 1 + len(res_im)] = res_im
-    return TauSeq(out, max_drift=drift)
+    return drift
 
 
 @dataclass(frozen=True)
@@ -307,6 +413,10 @@ class CdParams:
     d: ChainSeq
     g: ParamSeq
     tau: TauSeq
+    # set by from_sequences, whose tau is computed from c alone,
+    # tau_n = tau_{n-1} (1 - i c_n) / (1 + i c_n): the tau the reverse
+    # transform reads, which it computes when this is unset
+    _tau_of_c: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = _frozen(self.c)
@@ -349,8 +459,9 @@ class CdParams:
         else:
             m = maximal_params(dseq)
             g = ParamSeq(m.values[:len(c)])
-        tau = _tau_from_c(c)
-        return cls(c, dseq, g, tau)
+        cd = cls(c, dseq, g, _tau_from_c(c))
+        object.__setattr__(cd, "_tau_of_c", True)
+        return cd
 
 
 def _tau_from_c(c: np.ndarray) -> TauSeq:
@@ -386,18 +497,48 @@ def cd_from_verblunsky(alpha: VerblunskySeq, n_terms: Optional[int] = None,
         raise InputError(f"need at least one coefficient, got n_terms={n_terms}")
     a = alpha.prefix(n_terms)
     tau = tau_from_verblunsky(alpha, n_terms, rotation)
-    prod = tau.values[:-1] * a
+    c, g = _cg(tau.values[:-1], a)
+    d = (1.0 - g[:-1]) * g[1:]
+    return CdParams(c, ChainSeq.from_values(d), ParamSeq(g), tau)
+
+
+def _cg(tau: np.ndarray, a: np.ndarray, first: int = 0) -> tuple:
+    """(c, g) from tau_first .. and alpha_first .. (``first`` names them)."""
+    prod = tau * a
     re = prod.real
     im = prod.imag
     denom = 1.0 - re
     if not (denom > 0.0).all():  # analytically 1 - Re(tau alpha) >= 1 - |alpha|
         k = int(np.argmin(denom > 0.0))
-        raise InputError(f"Verblunsky coefficient alpha_{k} is within rounding of the "
-                         f"unit circle: 1 - Re(tau_{k} alpha_{k}) = {float(denom[k])!r}")
+        raise InputError(f"Verblunsky coefficient alpha_{k + first} is within rounding "
+                         f"of the unit circle: 1 - Re(tau_{k + first} alpha_{k + first})"
+                         f" = {float(denom[k])!r}")
     c = -im / denom
     g = 0.5 * ((1.0 - re) ** 2 + im ** 2) / denom
-    d = (1.0 - g[:-1]) * g[1:]
-    return CdParams(c, ChainSeq.from_values(d), ParamSeq(g), tau)
+    return c, g
+
+
+def _rotated_blocks(alpha: VerblunskySeq, theta2: float, n_terms: int):
+    """(first, c, g) of ``rotated_cd(alpha, theta2, n_terms)`` a block at a
+    time: c_{first+1} .., g_{first+1} .. with the same bits, in blocks of 64
+    terms and then twice as many up to ``_CHUNK``, each carrying its tau over
+    to the next.  A consumer that stops early computes no further block, so
+    no guard of a later block (a coefficient within rounding of the unit
+    circle) fires."""
+    rotation = _normalize_rotation(theta2)
+    closed = alpha._rotated_tau_fn(rotation)
+    phase = cmath.exp(1j * rotation)
+    tau = phase
+    stops = _block_stops(n_terms)
+    for (start, stop), a in zip(_ranges(stops), alpha.blocks(stops)):
+        if closed is not None:
+            values = closed(start, stop)
+        else:
+            out = np.empty(stop - start + 1, dtype=complex)
+            out[0] = tau
+            _tau_walk(a, out, phase, start)
+            tau, values = out[-1], out[:-1]
+        yield (start, *_cg(values, a, start))
 
 
 def rotated_cd(alpha: VerblunskySeq, theta2: float,
@@ -461,7 +602,7 @@ def verblunsky_from_cd(cd: CdParams, t: float = 0.0) -> VerblunskySeq:
         raise InvariantError(
             f"augmented parameter recursion left (0, 1) at step {k + 1}")
     ic = 1j * cd.c
-    tau = _tau_from_c(cd.c).values[:n]
+    tau = (cd.tau if cd._tau_of_c else _tau_from_c(cd.c)).values[:n]
     return VerblunskySeq.from_values((1.0 - 2.0 * m - ic) / ((1.0 - ic) * tau))
 
 

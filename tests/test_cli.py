@@ -330,6 +330,18 @@ class TestPaperBoundaries:
             assert len(out.splitlines()) == 2
 
 
+def _plant_guard(values, k, guard, theta2, half):
+    """Set ``values[k]`` so that the gap walk's guard fires at index k: a
+    coefficient within rounding of the unit circle (``"circle"``, exit 2) or
+    one putting c_{k+1} on the probe's cotangent direction (exit 3)."""
+    inline = pp.VerblunskySeq.from_values(values[:k])
+    tau = pp.tau_from_verblunsky(inline, k, theta2).values[k]
+    if guard == "circle":  # |1 - tau_k alpha_k| < 1e-15
+        values[k] = (1.0 - 2.0 ** -51) * np.conj(tau)
+    else:  # tau_k alpha_k = (1 - i cot(half)) / 2, so c_{k+1} = cot(half)
+        values[k] = 0.5 * (1.0 - 1j * math.cos(half) / math.sin(half)) / tau
+
+
 class TestGap:
     def test_verified(self):
         code, out, err = run(["gap", "--family", "geronimus",
@@ -368,6 +380,52 @@ class TestGap:
         code, _, err = run(["gap", "--family", "geronimus",
                             "--params", "alpha_re=-0.5", "--n", "10"])
         assert code == 2
+
+    @pytest.mark.parametrize("guard, code", [("circle", 2), ("cotangent", 3)])
+    @pytest.mark.parametrize("kick, at", [(5, 300), (300, 5)])
+    def test_guard_fires_only_before_the_violation(self, tmp_path, guard, code, kick,
+                                                   at):
+        # On the Geronimus alpha = -0.5 gap arc the ratios leave (0, 1) at
+        # m_kick once alpha_kick = 0.9.  At alpha_at sits a coefficient within
+        # rounding of the unit circle (exit 2), or one that puts c_{at+1} on
+        # the probe's cotangent direction (exit 3).  Terms are computed in
+        # blocks (c_1..c_64, c_65..c_192, c_193..c_448, ..), and no block past
+        # the violation's is computed, so only a guard before it fires.
+        theta1, theta2, n = 2 * math.pi - 0.9, 2 * math.pi + 0.9, 1000
+        half = 0.5 * (2 * math.pi - (theta2 - theta1))
+        values = pp.VerblunskySeq.geronimus(-0.5, n + 1).prefix(n + 1).copy()
+        for k in sorted((kick, at)):
+            if k == kick:
+                values[k] = 0.9
+            else:
+                _plant_guard(values, k, guard, theta2, half)
+        src = tmp_path / "alpha.json"
+        src.write_text(json.dumps({"alpha": [[v.real, v.imag] for v in values]}))
+        got, out, err = run(["gap", "--input", str(src), "--theta1", repr(theta1),
+                             "--theta2", repr(theta2), "--n", str(n)])
+        if kick < at:
+            assert (got, out.splitlines()[1]) == (0, f"violated,{n},{kick},True")
+        else:
+            assert (got, out) == (code, "")
+            name = f"alpha_{at} " if guard == "circle" else f"c_{at + 1};"
+            assert name in err
+
+    def test_first_faulty_block_decides_the_exit_code(self, tmp_path):
+        # No ratio leaves (0, 1) before a probe on the cotangent direction of
+        # c_6 (block 1) stops the walk, so the coefficient within rounding of
+        # the unit circle at alpha_300 (block 3) is never computed: exit 3,
+        # where computing the whole rotated cd first would exit 2.
+        theta1, theta2, n = 2 * math.pi - 0.9, 2 * math.pi + 0.9, 1000
+        half = 0.5 * (2 * math.pi - (theta2 - theta1))
+        values = pp.VerblunskySeq.geronimus(-0.5, n + 1).prefix(n + 1).copy()
+        _plant_guard(values, 5, "cotangent", theta2, half)
+        _plant_guard(values, 300, "circle", theta2, half)
+        src = tmp_path / "alpha.json"
+        src.write_text(json.dumps({"alpha": [[v.real, v.imag] for v in values]}))
+        got, out, err = run(["gap", "--input", str(src), "--theta1", repr(theta1),
+                             "--theta2", repr(theta2), "--n", str(n)])
+        assert (got, out) == (3, "")
+        assert "c_6;" in err and "alpha_300" not in err
 
 
 class TestTransform:

@@ -357,6 +357,81 @@ def test_gap_violation_just_past_chunk():
     assert same_bits(cert.m, m)
 
 
+# on this arc the Geronimus alpha = -0.5 ratios stay in (0, 1) (its gap is
+# the arc of width 2 pi / 3 around z = 1)
+GAP_ARC = (2.0 * math.pi - 0.9, 2.0 * math.pi + 0.9)
+
+
+def kicked_geronimus(count, kicks):
+    """``count`` Geronimus alpha = -0.5 coefficients with alpha_k = 0.9 for k in
+    ``kicks``: on ``GAP_ARC`` the walk leaves (0, 1) at m_k (k >= 2)."""
+    values = pp.VerblunskySeq.geronimus(-0.5, count).prefix(count).copy()
+    values[[k for k in kicks if k < count]] = 0.9
+    return pp.VerblunskySeq.from_values(values)
+
+
+def assert_streamed_gap_bits(alpha, theta1, theta2, n):
+    """gap_certificate, walked a block at a time, against the whole rotated
+    cd walked by the reference loop; returns the violation index."""
+    cert = pp.gap_certificate(alpha, theta1, theta2, n)
+    cd = pp.rotated_cd(alpha, theta2, n + 1)
+    half = 0.5 * (2.0 * math.pi - (theta2 - theta1))
+    if not (math.sin(half) > 0.0 and math.cos(half) / math.sin(half) < cd.c[0]):
+        assert (cert.verdict, cert.violated_at, cert.c1_condition) == ("violated", 0, False)
+        return 0
+    at, m = ref_gap(cd, theta1, theta2, n)
+    assert cert.violated_at == at
+    assert cert.verdict == ("verified" if at is None else "violated")
+    assert same_bits(cert.m, m)
+    return at
+
+
+@pytest.mark.parametrize("at", [2, 63, 64, 65, 191, 192, 193,
+                                _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_gap_violation_at_block_edges(at):
+    # the blocks end at c_64, c_192, c_448, .., c_4032, c_8128
+    n = _CHUNK + 100
+    assert assert_streamed_gap_bits(kicked_geronimus(n + 1, [at]), *GAP_ARC, n) == at
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=st.sampled_from(["inline", "lambda-eta"]),
+       n=st.integers(1, 2 * _CHUNK + 10),
+       kick=st.none() | st.floats(0.0, 1.0),
+       near_one=st.booleans(),
+       theta2=st.floats(0.05, 4.0 * math.pi),
+       width=st.floats(1e-4, 2.0 * math.pi),
+       lam=st.floats(-0.45, 5.0), eta=st.floats(-3.0, 3.0))
+def test_streamed_gap_matches_whole(source, n, kick, near_one, theta2, width, lam,
+                                    eta):
+    # inline: the Geronimus gap arc, the walk leaving (0, 1) at the kick if
+    # any; lambda-eta: thin arcs at z = 1, whose walks leave (0, 1) after
+    # thousands of terms, or any arc
+    if source == "inline":
+        alpha = kicked_geronimus(n + 1, [] if kick is None else [2 + int(kick * n)])
+        theta1, theta2 = GAP_ARC if near_one else (theta2 - width, theta2)
+    else:
+        alpha = pp.VerblunskySeq.lambda_eta(lam, eta)
+        if near_one:
+            theta2 = 2.0 * math.pi + width % 0.05
+            width = min(width, 0.1)
+        theta1 = theta2 - width
+    assert_streamed_gap_bits(alpha, theta1, theta2, n)
+
+
+@pytest.mark.parametrize("family", [
+    pp.VerblunskySeq.geronimus(0.3 + 0.4j),
+    pp.VerblunskySeq.alternating(0.6, -0.3, 0.5),
+    pp.VerblunskySeq.lambda_eta(1.0, 1.0),
+    pp.VerblunskySeq.from_values(random_alpha(np.random.default_rng(5), 3 * _CHUNK)),
+])
+def test_coefficient_blocks_bits(family):
+    stops = transforms._block_stops(2 * _CHUNK + 7)
+    assert stops[:3] == [64, 192, 448] and stops[-1] == 2 * _CHUNK + 7
+    assert same_bits(np.concatenate(list(family.blocks(stops))),
+                     family.prefix(2 * _CHUNK + 7))
+
+
 @pytest.mark.parametrize("n", LENGTHS[1:])
 def test_random_alpha_gap_bits(n):
     alpha = pp.VerblunskySeq.from_values(random_alpha(np.random.default_rng(n), n + 1))

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +147,62 @@ class TestRotation:
         alpha = pp.VerblunskySeq.from_values(np.zeros(4))
         with pytest.raises(pp.InputError):
             pp.rotated_cd(alpha, 0.0)
+
+
+def mp_rotated_geronimus_cd(alpha, theta, n):
+    """Rotated Geronimus (c, d) to 40 digits: the tau recursion run on the
+    exact coefficients w^{k+1} alpha of the double ``alpha``."""
+    with mpmath.workdps(40):
+        a = mpmath.mpc(alpha.real, alpha.imag)
+        w = (1 + mpmath.conj(a)) / (1 + a)
+        phase = mpmath.expj(mpmath.mpf(theta))
+        tau, wk, c, g = phase, w, [], []
+        for _ in range(n):
+            prod = tau * wk * a
+            c.append(-prod.imag / (1 - prod.real))
+            g.append(abs(1 - prod) ** 2 / (2 * (1 - prod.real)))
+            tau = phase * (tau - mpmath.conj(wk * a)) / (1 - prod)
+            wk *= w
+        d = [(1 - g[k]) * g[k + 1] for k in range(n - 1)]
+        return np.array(c, dtype=float), np.array(d, dtype=float)
+
+
+class TestRotatedGeronimusClosedForm:
+    """In the gap the rotated Geronimus tau comes from the fixed points of its
+    Moebius map; nearer the gap edge the recursion runs."""
+
+    @pytest.mark.parametrize("alpha", [-0.2, -0.5, -0.8, 0.3 + 0.4j])
+    @pytest.mark.parametrize("inside", ["0.3 edge", 1e-2, 1e-4])
+    def test_against_mpmath(self, alpha, inside):
+        alpha, n = complex(alpha), 2000
+        w = (1 + alpha.conjugate()) / (1 + alpha)
+        edge = 2.0 * math.asin(abs(alpha))  # the gap is -arg w +- edge
+        depth = 0.3 * edge if inside == "0.3 edge" else inside
+        theta = (edge - depth - cmath.phase(w)) % (2.0 * math.pi)
+        family = pp.VerblunskySeq.geronimus(alpha, n)
+        closed = pp.rotated_cd(family, theta)
+        recursion = pp.rotated_cd(pp.VerblunskySeq.from_values(family.prefix(n)), theta)
+        # D = sqrt(|alpha|^2 - sin^2 psi) >= 1/32 at 1e-2 inside the edge, not at 1e-4
+        uses_closed_form = inside != 1e-4
+        assert (family._rotated_tau_fn(theta) is not None) == uses_closed_form
+        assert np.array_equal(closed.tau.values, recursion.tau.values) != uses_closed_form
+        c, d = mp_rotated_geronimus_cd(alpha, theta, n)
+        u = 2.0 ** -53
+        for got, ref, exact in ((closed.c, recursion.c, c),
+                                (closed.d.values, recursion.d.values, d)):
+            assert np.abs(got - exact).max() <= 2.0 * np.abs(ref - exact).max() + 64 * u
+
+    @pytest.mark.parametrize("theta", [1.5, math.pi, 2 * math.pi - 1.2])
+    def test_support_and_zero_alpha_run_the_recursion(self, theta):
+        # theta in the support of alpha = -0.5 (pi / 3 < theta < 5 pi / 3), and
+        # alpha = 0
+        for alpha in (-0.5, 0.0):
+            family = pp.VerblunskySeq.geronimus(alpha, 50)
+            if alpha == -0.5:
+                assert family._rotated_tau_fn(theta % (2 * math.pi)) is None
+            recursion = pp.VerblunskySeq.from_values(family.prefix(50))
+            assert np.array_equal(pp.tau_from_verblunsky(family, 50, theta).values,
+                                  pp.tau_from_verblunsky(recursion, 50, theta).values)
 
 
 class TestVerblunskyFromCd:
