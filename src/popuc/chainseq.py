@@ -40,6 +40,7 @@ SP_THRESHOLD = 1e-10
 
 # Terms read at a time by the sequential recursions (see ``_chunks``).
 _CHUNK = 4096
+_ONE = np.ones(1)  # the scale of an unscaled walk
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -245,13 +246,23 @@ def _forward_params(d: np.ndarray, head: float = 0.0,
     The head lies in [0, 1).  Returns ``(g, n)``: g holds g_1 up to and
     including the first g_{n+1} outside (0, 1), whose position in g is n, or
     the whole sequence with n = None.
+
+    A chunk of constant d and s, D and S, entered at a g in (0, 1) with
+    D / (S (1 - g)) == g, would repeat g: it is filled with g, not walked.
     """
     g = np.empty(len(d) + 1)
     g[0] = prev = float(head)
-    for i, block in _chunks(d):
-        s_blk = repeat(1.0) if scale is None else scale[i:i + _CHUNK].tolist()
+    for i in range(0, len(d), _CHUNK):
+        d_blk = d[i:i + _CHUNK]
+        s_blk = _ONE if scale is None else scale[i:i + _CHUNK]
+        d0, s0 = float(d_blk[0]), float(s_blk[0])
+        if (0.0 < prev < 1.0 and d0 / (s0 * (1.0 - prev)) == prev
+                and (d_blk == d0).all() and (s_blk == s0).all()):
+            g[i + 1:i + 1 + len(d_blk)] = prev
+            continue
         out = []
-        for dn, sn in zip(block, s_blk):
+        steps = repeat(1.0) if scale is None else s_blk.tolist()
+        for dn, sn in zip(d_blk.tolist(), steps):
             prev = dn / (sn * (1.0 - prev))
             out.append(prev)
             if not 0.0 < prev < 1.0:

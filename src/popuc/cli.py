@@ -25,7 +25,7 @@ from . import scaling as scaling_mod
 from .bounds import gap_certificate, support_arc, _METHODS
 from .chainseq import ChainSeq, ScalingSeq, _CHUNK, make_scaling
 from .errors import BoundaryCaseError, InputError, InvariantError, PopucError
-from .recurrence import zeros_R
+from .recurrence import zeros_of_degrees, zeros_R
 from .transforms import (CdParams, VerblunskySeq, cd_from_verblunsky,
                          mass_at_one, verblunsky_from_cd)
 
@@ -74,11 +74,24 @@ def _family_from_params(name: str, params: dict) -> VerblunskySeq:
 
 
 def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"cannot parse {path}: {exc}")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}")
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8 and deep nesting
+        raise InputError(f"cannot parse {path}: {exc}")
+
+
+def _numbers(values, message: str) -> np.ndarray:
+    """``values`` as a 1-D float array, else :class:`InputError` ``message``."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(message)
+    if array.ndim != 1:
+        raise InputError(message)
+    return array
 
 
 def _load_input_file(path: str):
@@ -92,7 +105,7 @@ def _load_input_file(path: str):
         pairs = blob["alpha"]
         try:
             values = [complex(p[0], p[1]) for p in pairs]
-        except (TypeError, IndexError):
+        except (TypeError, IndexError, KeyError, OverflowError):
             raise InputError('"alpha" must be a list of [re, im] pairs')
         return VerblunskySeq.from_values(values), None
     if "family" in blob:
@@ -103,14 +116,15 @@ def _load_input_file(path: str):
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise InputError(f"family parameter {key!r} must be a number, "
                                  f"got {val!r}")
+            if isinstance(val, int) and abs(val) > sys.float_info.max:
+                raise InputError(f"family parameter {key!r} overflows a float")
         return _family_from_params(blob["family"], params), None
     if "cd" in blob:
-        block = blob["cd"]
+        message = '"cd" must carry numeric lists "c" and "d"'
         try:
-            c = np.asarray(block["c"], dtype=float)
-            d = np.asarray(block["d"], dtype=float)
-        except (KeyError, TypeError, ValueError):
-            raise InputError('"cd" must carry numeric lists "c" and "d"')
+            c, d = (_numbers(blob["cd"][k], message) for k in "cd")
+        except (KeyError, TypeError):
+            raise InputError(message)
         return None, CdParams.from_sequences(c, d)
     raise InputError(f'{path} must contain "alpha", "family" or "cd"')
 
@@ -177,15 +191,25 @@ def _emit(header: list, rows, stream, output: str, command: str) -> None:
     whole table.  Values are Python scalars; csv renders floats by repr.
     """
     if output == "json":
-        # the bytes of json.dumps({"command": ..., "rows": [...]}), encoded
-        # _CHUNK rows at a time
+        # json.dumps({"command": ..., "rows": [dict(zip(header, row)), ...]},
+        # separators=(",", ":")) through one %-template, _CHUNK rows at a time.
+        # %s renders ints and finite floats as json does; other values are encoded
         encode = json.JSONEncoder(separators=(",", ":")).encode
+        template = "{%s}" % ",".join(encode(k).replace("%", "%%") + ":%s" for k in header)
+
+        def column(values: tuple):
+            if set(map(type, values)) in ({int}, {float}) and \
+                    -math.inf < sum(values) < math.inf:
+                return values
+            return [v if type(v) in (int, float) and -math.inf < v < math.inf
+                    else encode(v) for v in values]
+
         stream.write(f'{{"command":{encode(command)},"rows":[')
         rows = iter(rows)
         sep = ""
-        while block := [dict(zip(header, row)) for row in islice(rows, _CHUNK)]:
-            stream.write(sep)
-            stream.write(encode(block)[1:-1])
+        while block := list(islice(rows, _CHUNK)):
+            columns = [column(values) for values in zip(*block)]
+            stream.write(sep + ",".join([template % row for row in zip(*columns)]))
             sep = ","
         stream.write("]}\n")
         return
@@ -211,30 +235,24 @@ def table_rows(which: int) -> list:
     if which not in TABLE_FAMILIES:
         raise InputError(f"table must be 1, 2 or 3, got {which}")
     fam = TABLE_FAMILIES[which]
+    # lambda-eta coefficients and tau are products taken front to back, so
+    # the cd at each smaller N is a prefix of this one, bit for bit
+    alpha = VerblunskySeq.lambda_eta(fam["lam"], fam["eta"], horizon=TABLE_N_VALUES[-1])
+    cd = cd_from_verblunsky(alpha)
     rows = []
-    for N in TABLE_N_VALUES:
-        alpha = VerblunskySeq.lambda_eta(fam["lam"], fam["eta"], horizon=N)
-        cd = cd_from_verblunsky(alpha, n_terms=N)
+    for N, zl in zip(TABLE_N_VALUES, zeros_of_degrees(cd, TABLE_N_VALUES)):
         q = scaling_mod.default_scaling_for(alpha, N, cd=cd)
         enc = _METHODS["thm44"](cd, q, N)
-        zl = zeros_R(cd, N)
-        rows.append({
-            "N": N,
-            "bound_theta_first": f"{enc.theta1:.7f}",
-            "argext_plus": enc.argmax_index,
-            "theta_first": f"{zl.theta[0]:.7f}",
-            "bound_theta_last": f"{enc.theta2:.7f}",
-            "argext_minus": enc.argmin_index,
-            "theta_last": f"{zl.theta[-1]:.7f}",
-        })
+        rows.append(dict(zip(TABLE_HEADER, (
+            N, f"{enc.theta1:.7f}", enc.argmax_index, f"{zl.theta[0]:.7f}",
+            f"{enc.theta2:.7f}", enc.argmin_index, f"{zl.theta[-1]:.7f}"))))
     return rows
 
 
 def cmd_tables(args, stream, err) -> int:
     which = int(args.which)
     rows = table_rows(which)
-    _emit(TABLE_HEADER, ([r[k] for k in TABLE_HEADER] for r in rows), stream,
-          args.output, args.command)
+    _emit(TABLE_HEADER, map(dict.values, rows), stream, args.output, args.command)
     err.write(f"table {which}: {len(rows)} rows (N = "
               f"{', '.join(str(r['N']) for r in rows)})\n")
     return 0
@@ -271,11 +289,8 @@ def cmd_bounds(args, stream, err) -> int:
     alpha, cd_inline = _source(args)
     q_values = None
     if args.q_file:
-        data = _read_json(args.q_file)
-        try:
-            q_values = np.asarray(data, dtype=float)
-        except (TypeError, ValueError):
-            raise InputError(f"{args.q_file} must hold a JSON array of numbers")
+        q_values = _numbers(_read_json(args.q_file),
+                            f"{args.q_file} must hold a JSON array of numbers")
     rows = []
     for N in n_values:
         if N < 2:

@@ -336,18 +336,19 @@ class ZeroList:
                 raise InvariantError("zeros must be interior to (-1, 1)")
 
 
-def zeros_ladder(cd: CdParams, N: int):
-    """Zeros (ascending in x) of every member W_1 .. W_N.
+def _bisect_degrees(cd: CdParams, N: int, degrees: np.ndarray) -> list:
+    """x of the zeros of W_n, descending, for each n of ``degrees`` (none
+    above N), all bisected in one pass, one point per (n, j) pair: the count
+    for degree n is the count for N stopped after n steps."""
+    degree = np.repeat(degrees, degrees)
+    ends = np.cumsum(degrees)
+    j = np.arange(len(degree)) - np.repeat(ends - degrees, degrees) + 1
+    return np.split(_bisect_zeros(cd, N, degree, j), ends[:-1])
 
-    All N (N + 1) / 2 zeros are bisected in one pass, one point per
-    (degree, j) pair: the count for degree n is the count for N stopped
-    after n steps.
-    """
-    sizes = np.arange(1, N + 1)
-    degree = np.repeat(sizes, sizes)
-    j = np.arange(len(degree)) - degree * (degree - 1) // 2 + 1
-    x = _bisect_zeros(cd, N, degree, j)
-    return [level[::-1] for level in np.split(x, np.cumsum(sizes)[:-1])]
+
+def zeros_ladder(cd: CdParams, N: int):
+    """Zeros (ascending in x) of every member W_1 .. W_N, bisected in one pass."""
+    return [level[::-1] for level in _bisect_degrees(cd, N, np.arange(1, N + 1))]
 
 
 def zeros_W(cd: CdParams, N: int) -> ZeroList:
@@ -356,7 +357,18 @@ def zeros_W(cd: CdParams, N: int) -> ZeroList:
     A zero that rounds to an endpoint or ties its neighbour cannot be told
     apart in double precision and raises :class:`BoundaryCaseError`.
     """
-    x = _bisect_zeros(cd, N, N, np.arange(1, N + 1))
+    return _zero_list(N, _bisect_zeros(cd, N, N, np.arange(1, N + 1)))
+
+
+def zeros_of_degrees(cd: CdParams, degrees) -> list:
+    """``zeros_W(cd, N)`` for each N of ``degrees``, bisected in one pass."""
+    xs = _bisect_degrees(cd, max(degrees), np.asarray(degrees))
+    return [_zero_list(N, x) for N, x in zip(degrees, xs)]
+
+
+def _zero_list(N: int, x: np.ndarray) -> ZeroList:
+    """The ZeroList of the bisected zeros ``x`` of W_N, x descending; raises
+    :class:`BoundaryCaseError` where they cannot be told apart."""
     unresolved = np.abs(x) >= 1.0
     unresolved[1:] |= x[1:] >= x[:-1]
     if unresolved.any():

@@ -27,6 +27,7 @@ where M_1 is the maximal parameter head of {d_{n+1}}.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -412,11 +413,8 @@ class CdParams:
     c: np.ndarray
     d: ChainSeq
     g: ParamSeq
-    tau: TauSeq
-    # set by from_sequences, whose tau is computed from c alone,
-    # tau_n = tau_{n-1} (1 - i c_n) / (1 + i c_n): the tau the reverse
-    # transform reads, which it computes when this is unset
-    _tau_of_c: bool = field(default=False, init=False, repr=False, compare=False)
+    # tau_0 .. tau_n as computed from the coefficients, or None for ``_c_tau``
+    _tau: Optional[TauSeq] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         c = _frozen(self.c)
@@ -434,16 +432,23 @@ class CdParams:
     def n(self) -> int:
         return len(self.c)
 
+    @property
+    def tau(self) -> TauSeq:
+        return self._c_tau if self._tau is None else self._tau
+
+    @functools.cached_property
+    def _c_tau(self) -> TauSeq:
+        """tau from c alone (``_tau_from_c``), computed on first read: the tau
+        of an inline cd, and the one the reverse transform reads."""
+        return _tau_from_c(self.c)
+
     @classmethod
     def from_sequences(cls, c, d) -> "CdParams":
         """Build from raw (c, d); the g attached is the maximal parameter
         sequence, i.e. the family member carrying no mass at z = 1."""
         c = np.asarray(c, dtype=float)
         _require_finite(c, "c", 1)
-        if isinstance(d, ChainSeq):
-            dseq = d
-        else:
-            dseq = ChainSeq.from_values(d)
+        dseq = d if isinstance(d, ChainSeq) else ChainSeq.from_values(d)
         _require_finite(dseq.values, "d", 2)
         if len(dseq.values) != len(c) - 1:
             raise InputError(
@@ -457,18 +462,14 @@ class CdParams:
             # supremum head 1 is not attained; use the symmetric member
             g = ParamSeq(np.array([0.5]))
         else:
-            m = maximal_params(dseq)
-            g = ParamSeq(m.values[:len(c)])
-        cd = cls(c, dseq, g, _tau_from_c(c))
-        object.__setattr__(cd, "_tau_of_c", True)
-        return cd
+            g = ParamSeq(maximal_params(dseq).values[:len(c)])
+        return cls(c, dseq, g)
 
 
 def _tau_from_c(c: np.ndarray) -> TauSeq:
     """tau_0 = 1, tau_n = tau_{n-1} (1 - i c_n) / (1 + i c_n)."""
     out = np.empty(len(c) + 1, dtype=complex)
-    tau = 1.0 + 0.0j
-    out[0] = tau
+    out[0] = tau = 1.0 + 0.0j
     drift = 0.0
     for i, block in _chunks(c):
         res = []
@@ -602,7 +603,7 @@ def verblunsky_from_cd(cd: CdParams, t: float = 0.0) -> VerblunskySeq:
         raise InvariantError(
             f"augmented parameter recursion left (0, 1) at step {k + 1}")
     ic = 1j * cd.c
-    tau = (cd.tau if cd._tau_of_c else _tau_from_c(cd.c)).values[:n]
+    tau = cd._c_tau.values[:n]
     return VerblunskySeq.from_values((1.0 - 2.0 * m - ic) / ((1.0 - ic) * tau))
 
 

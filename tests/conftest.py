@@ -116,6 +116,25 @@ def plain_bisect_zeros(cd, N, degree, j):
     return 0.5 * (lo + hi)
 
 
+def plain_forward_params(d, head=0.0, scale=None):
+    """g_1 = head, g_{n+1} = d_{n+1} / (s_{n+1} (1 - g_n)), one step at a time.
+
+    The oracle that ``chainseq._forward_params`` must match bit for bit,
+    returning the same ``(g, n)``: g up to and including the first g_{n+1}
+    outside (0, 1), whose position in g is n, or the whole walk with n = None.
+    """
+    g = np.empty(len(d) + 1)
+    g[0] = prev = float(head)
+    steps = zip(np.asarray(d).tolist(),
+                repeat(1.0) if scale is None else np.asarray(scale).tolist())
+    for n, (dn, sn) in enumerate(steps, start=1):
+        prev = dn / (sn * (1.0 - prev))
+        g[n] = prev
+        if not 0.0 < prev < 1.0:
+            return g[:n + 1], n
+    return g, None
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

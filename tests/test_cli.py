@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -343,6 +344,16 @@ def _plant_guard(values, k, guard, theta2, half):
 
 
 class TestGap:
+    def test_geronimus_trace_bytes(self):
+        # the rotated Geronimus ratios sit on a fixed point from about n = 90,
+        # where the walk fills each chunk instead of stepping through it
+        code, out, _ = run(["gap", "--family", "geronimus", "--params", "alpha_re=-0.5",
+                            "--theta1", "5.3", "--theta2", "7.2", "--n", "200000",
+                            "--trace"])
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == \
+            "9a1ceefe74b19c2f67eae8111607b60b71c11d0c"
+
     def test_verified(self):
         code, out, err = run(["gap", "--family", "geronimus",
                               "--params", "alpha_re=-0.5",
@@ -589,6 +600,7 @@ class TestExitCodeContract:
         ("geronimus", {"alpha_re": "x"}, "alpha_re"),
         ("alternating", {"b1": 0.5, "b2": [0.5]}, "b2"),
         ("lambda-eta", {"lam": 1.0, "eta": None}, "eta"),
+        ("lambda-eta", {"lam": 10 ** 400, "eta": 1.0}, "lam"),
     ])
     def test_non_numeric_json_family_parameter(self, tmp_path, family, params, bad):
         src = tmp_path / "family.json"
@@ -845,6 +857,44 @@ class TestFamilyFuzz:
         assert code == 0, err
 
 
+# JSON values of every kind a row may carry
+CELLS = (st.integers() | st.integers(2 ** 63, 2 ** 70) | st.floats()
+         | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf])
+         | st.none() | st.booleans() | st.text(max_size=4))
+
+
+@st.composite
+def tables(draw):
+    """(header, rows): distinct column names, and 0, 1, ``_CHUNK``,
+    ``_CHUNK + 1`` or a few rows, each column of one kind or mixed."""
+    name = st.text(max_size=4) | st.sampled_from(["%", "%s", "a%%b", '"', "\\"])
+    header = draw(st.lists(name, min_size=1, max_size=4, unique=True))
+    count = draw(st.sampled_from([0, 1, 3, cli._CHUNK, cli._CHUNK + 1]))
+    columns = []
+    for _ in header:
+        kind = draw(st.sampled_from([st.integers(), st.floats(allow_nan=False,
+                                                              allow_infinity=False),
+                                     CELLS]))
+        head = draw(st.lists(kind, min_size=min(count, 3), max_size=min(count, 3)))
+        # long tables repeat a drawn prefix, with one drawn cell at the end
+        tail = [draw(CELLS)] if count > 3 else []
+        columns.append((head * count)[:count - len(tail)] + tail)
+    return header, list(zip(*columns))
+
+
+class TestJsonBytes:
+    @settings(max_examples=150, deadline=None)
+    @given(table=tables(), command=st.text(max_size=4))
+    def test_rows_are_json_dumps(self, table, command):
+        header, rows = table
+        out = io.StringIO()
+        cli._emit(header, iter(rows), out, "json", command)
+        want = json.dumps({"command": command,
+                           "rows": [dict(zip(header, row)) for row in rows]},
+                          separators=(",", ":")) + "\n"
+        assert out.getvalue() == want
+
+
 class TestArgparseStreams:
     def test_usage_error_goes_to_given_stderr(self, capsys):
         code, out, err = run(["bounds", "--bogus"])
@@ -861,7 +911,64 @@ class TestArgparseStreams:
         assert capsys.readouterr() == ("", "")
 
 
+CD_LISTS = '"cd" must carry numeric lists "c" and "d"'
+
+# Any JSON value, numbers out of float range included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10 ** 400)
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["0", "1", "c", "d", "alpha_re", "lam", "b1"]),
+                      inner, max_size=3),
+    max_leaves=10)
+
+
+@st.composite
+def shaped_inputs(draw):
+    """(--input JSON, --q-file JSON or None): a source whose parts, or a
+    custom scaling, have arbitrary JSON shapes."""
+    value = draw(JSON_VALUES)
+    kind = draw(st.sampled_from(["top", "alpha", "cd", "cd-parts", "family",
+                                 "params", "q-file"]))
+    family = {"family": "geronimus", "params": {"alpha_re": 0.3}}
+    if kind == "top":
+        return value, None
+    if kind == "alpha":
+        return {"alpha": value}, None
+    if kind == "cd":
+        return {"cd": value}, None
+    if kind == "cd-parts":
+        return {"cd": {"c": value, "d": draw(JSON_VALUES)}}, None
+    if kind == "family":
+        return {"family": value}, None
+    if kind == "params":
+        return {"family": draw(st.sampled_from(["geronimus", "alternating",
+                                                "lambda-eta"])), "params": value}, None
+    return family, value
+
+
 class TestRejectedInput:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(job=shaped_inputs(), argv=st.sampled_from([
+        ["zeros", "--n", "3"], ["transform", "--n", "3"], ["transform", "--reverse"],
+        ["gap", "--theta1", "5.3", "--theta2", "7.2", "--n", "3"],
+        ["scaling-threshold", "--n", "3"]]))
+    def test_json_shapes_exit_by_contract(self, tmp_path, job, argv):
+        blob, q = job
+        src = tmp_path / "src.json"
+        src.write_text(json.dumps(blob))
+        argv = argv + ["--input", str(src)]
+        if q is not None:
+            q_file = tmp_path / "q.json"
+            q_file.write_text(json.dumps(q))
+            argv = ["bounds", "--n", "4", "--q-mode", "custom", "--q-file",
+                    str(q_file), "--input", str(src)]
+        code, out, err = run(argv)
+        assert code in (0, 2, 3), (argv, blob, q, err)
+        if code:
+            assert out == "" and err.startswith("error: "), (argv, blob, q, err)
+
     @pytest.mark.parametrize("blob", ['"cd"', "5"])
     def test_input_file_not_an_object(self, tmp_path, blob):
         src = tmp_path / "top.json"
@@ -910,6 +1017,48 @@ class TestRejectedInput:
         code, out, err = run(argv)
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("blob, message", [
+        ({"alpha": [{"0": 1}]}, '"alpha" must be a list of [re, im] pairs'),
+        ({"cd": {"c": [[0.1], [0.2]], "d": [0.1]}}, CD_LISTS),
+        ({"cd": {"c": [0.1, 0.2], "d": [[0.1]]}}, CD_LISTS),
+        ({"cd": {"c": 0.1, "d": []}}, CD_LISTS),
+        ({"cd": {"c": [0.1, 0.2], "d": 0.1}}, CD_LISTS),
+        ({"cd": {"c": [10 ** 400], "d": []}}, CD_LISTS),
+    ])
+    @pytest.mark.parametrize("argv", [["zeros", "--n", "2"], ["bounds", "--n", "2"],
+                                      ["transform", "--reverse"]])
+    def test_input_of_the_wrong_shape(self, tmp_path, blob, message, argv):
+        src = tmp_path / "src.json"
+        src.write_text(json.dumps(blob))
+        assert run(argv + ["--input", str(src)]) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("q", ["0.9", "true", "null", "[[0.9], [0.9], [0.9]]",
+                                   "[1" + "0" * 400 + "]"])
+    def test_q_file_of_the_wrong_shape(self, tmp_path, q):
+        q_file = tmp_path / "q.json"
+        q_file.write_text(q)
+        code, out, err = run(["bounds", "--family", "geronimus", "--params",
+                              "alpha_re=0.3", "--n", "4", "--q-mode", "custom",
+                              "--q-file", str(q_file)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {q_file} must hold a JSON array of numbers\n"
+
+    @pytest.mark.parametrize("text", ["[" + "1" * 5000 + "]", "[" * 100000, "\udcff"])
+    def test_unreadable_json(self, tmp_path, text):
+        # an int past Python's digit limit, nesting past the recursion limit and
+        # bytes that are not UTF-8 used to raise from the JSON reader
+        src = tmp_path / "src.json"
+        src.write_bytes(text.encode("utf-8", "surrogateescape"))
+        code, out, err = run(["zeros", "--n", "2", "--input", str(src)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot parse {src}: ")
+
+    def test_missing_input_file(self, tmp_path):
+        src = tmp_path / "absent.json"
+        code, out, err = run(["zeros", "--n", "2", "--input", str(src)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {src}: ")
 
     @pytest.mark.parametrize("command", ["transform", "scaling-threshold"])
     def test_zero_degree_on_inline_cd(self, tmp_path, command):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import popuc as pp
-from popuc.recurrence import _bisect_zeros, _count_above, _eval_W_grid
+from popuc.recurrence import _bisect_zeros, _count_above, _eval_W_grid, zeros_of_degrees
 
 from conftest import (assert_interlacing, plain_bisect_zeros, plain_count_above,
                       random_alpha, random_cd_q)
@@ -109,6 +109,24 @@ class TestZerosW:
         zl = pp.zeros_W(cd, 50)
         assert zl.theta[0] == pytest.approx(0.4949570, abs=1e-6)
         assert zl.theta[-1] == pytest.approx(5.7874076, abs=1e-6)
+
+    @pytest.mark.parametrize("degrees", [[10, 15, 30, 50], [1, 7, 2, 40]])
+    def test_zeros_of_degrees_bits(self, rng, degrees):
+        # one bisection for every degree gives each zeros_W bit for bit
+        cd, _ = random_cd_q(rng, 50)
+        for N, zl in zip(degrees, zeros_of_degrees(cd, degrees)):
+            ref = pp.zeros_W(cd, N)
+            assert zl.n == N
+            assert np.array_equal(zl.x, ref.x) and np.array_equal(zl.theta, ref.theta)
+
+    @pytest.mark.parametrize("degrees, N, j", [([5, 6, 7], 6, 6), ([2, 9], 9, 1)])
+    def test_zeros_of_degrees_unresolvable(self, degrees, N, j):
+        # d alternates 1 and 2e-31: zeros round to x = +-1 from degree 6 on
+        alpha = pp.VerblunskySeq.alternating(1 - 1e-15, -(1 - 1e-15), 0.0)
+        cd = pp.cd_from_verblunsky(alpha, n_terms=12)
+        with pytest.raises(pp.BoundaryCaseError) as exc:
+            zeros_of_degrees(cd, degrees)
+        assert exc.value.index == j and f"of degree {N} is not" in str(exc.value)
 
     def test_interlacing_random_instances(self, rng):
         for _ in range(4):

@@ -20,7 +20,7 @@ from popuc.chainseq import _CHUNK, BOUNDARY_TOL
 from popuc.errors import InputError, InvariantError, NotChainSequenceError
 from popuc.transforms import _DIVISION_GUARD, _cdiv
 
-from conftest import random_alpha
+from conftest import plain_forward_params, random_alpha
 
 LENGTHS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
 
@@ -328,6 +328,61 @@ def test_backward_failure_index(at):
     with pytest.raises(NotChainSequenceError) as exc:
         chainseq._backward_maximal(d)
     assert exc.value.index == ref_exc.value.index == at + 1
+
+
+def fixed_point(value, scale=1.0):
+    """A head m with value / (scale (1 - m)) == m in floating point, reached
+    by walking from 0."""
+    m = 0.0
+    while (step := value / (scale * (1.0 - m))) != m:
+        m = step
+    return m
+
+
+def assert_walk_matches(d, head, scale=None):
+    g, n = chainseq._forward_params(d, head=head, scale=scale)
+    ref_g, ref_n = plain_forward_params(d, head=head, scale=scale)
+    assert n == ref_n
+    assert same_bits(g, ref_g)
+
+
+@pytest.mark.parametrize("head", ["on", "below", "above", 0.0])
+def test_walk_on_constant_chain(head):
+    # a chunk entered on the fixed point is filled, not walked
+    m = fixed_point(0.2)
+    head = {"on": m, "below": math.nextafter(m, 0.0), "above": 0.5}.get(head, head)
+    assert_walk_matches(np.full(3 * _CHUNK + 5, 0.2), head)
+
+
+def test_walk_from_zero_on_zero_terms():
+    # 0 / (1 - 0) == 0, but a walk that reaches 0 has left (0, 1)
+    assert_walk_matches(np.zeros(_CHUNK + 1), 0.0)
+
+
+@pytest.mark.parametrize("at", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("value", [0.19, 0.2 * (1.0 + 2.0 ** -52), 5.0])
+def test_walk_with_constant_run_broken(at, value):
+    # a slightly different term, and one that ends the walk, at a chunk edge
+    d = np.full(3 * _CHUNK, 0.2)
+    d[at] = value
+    assert_walk_matches(d, fixed_point(0.2))
+
+
+@pytest.mark.parametrize("at", [_CHUNK + 100, 2 * _CHUNK - 1])
+def test_walk_with_scale_changing_inside_a_chunk(at):
+    d = np.full(3 * _CHUNK, 0.16)
+    scale = np.full(3 * _CHUNK, 0.8)
+    scale[at:] = 0.9
+    assert_walk_matches(d, fixed_point(0.16, 0.8), scale)
+    scale[at:] = 0.1  # d / s = 1.6: the walk leaves (0, 1) after the change
+    assert_walk_matches(d, fixed_point(0.16, 0.8), scale)
+
+
+def test_walk_with_scaled_fixed_point():
+    d = np.full(2 * _CHUNK + 7, 0.21)
+    scale = np.full(len(d), 0.875)
+    for head in (0.0, fixed_point(0.21, 0.875)):
+        assert_walk_matches(d, head, scale)
 
 
 # -- gap certificate -----------------------------------------------------------
