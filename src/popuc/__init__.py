@@ -10,38 +10,33 @@ gaps in that support.
 from .errors import (BoundaryCaseError, InputError, InvariantError,
                      NotChainSequenceError, PopucError, ScalingError)
 from .chainseq import (ChainSeq, ParamSeq, ScalingSeq, chain_failure_index,
-                       comparison_test, is_chain_sequence, is_non_SP,
-                       ismail_li_constant, make_scaling, maximal_params,
-                       minimal_params, ultraspherical_chain)
+                       is_chain_sequence, ismail_li_constant, make_scaling,
+                       maximal_params, minimal_params)
 from .transforms import (CdParams, TauSeq, VerblunskySeq, cd_from_verblunsky,
-                         has_point_mass_at_one, mass_at_one, rotated_cd,
-                         tau_from_verblunsky, verblunsky_from_cd)
-from .recurrence import (ScaledValue, ZeroList, count_zeros_in_arc, eval_R,
-                         eval_W, zeros_R, zeros_W, zeros_ladder)
-from .bounds import (Arc, Enclosure, GapCertificate, SupportArc,
-                     enclosure_cor45, enclosure_cor47, enclosure_thm44,
-                     enclosure_thm46, gap_certificate, quadratic_roots,
-                     support_arc, two_interval_enclosure)
+                         mass_at_one, rotated_cd, tau_from_verblunsky,
+                         verblunsky_from_cd)
+from .recurrence import ZeroList, zeros_R, zeros_W, zeros_ladder
+from .bounds import (Enclosure, GapCertificate, SupportArc, enclosure_cor45,
+                     enclosure_cor47, enclosure_thm44, enclosure_thm46,
+                     gap_certificate, quadratic_roots, support_arc,
+                     two_interval_enclosure)
 from .scaling import (constant_scaling_threshold,
-                      constant_scaling_threshold_infinite,
-                      constant_scaling_verdict, default_scaling_for,
+                      constant_scaling_threshold_infinite, default_scaling_for,
                       legendre_dominant)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc", "BoundaryCaseError", "CdParams", "ChainSeq", "Enclosure",
-    "GapCertificate", "InputError", "InvariantError", "NotChainSequenceError",
-    "ParamSeq", "PopucError", "ScaledValue", "ScalingError", "ScalingSeq",
-    "SupportArc", "TauSeq", "VerblunskySeq", "ZeroList", "cd_from_verblunsky",
-    "chain_failure_index", "comparison_test", "constant_scaling_threshold",
-    "constant_scaling_threshold_infinite", "constant_scaling_verdict",
-    "count_zeros_in_arc", "default_scaling_for", "enclosure_cor45",
-    "enclosure_cor47", "enclosure_thm44", "enclosure_thm46", "eval_R",
-    "eval_W", "gap_certificate", "has_point_mass_at_one", "is_chain_sequence",
-    "is_non_SP", "ismail_li_constant", "legendre_dominant", "make_scaling",
-    "mass_at_one", "maximal_params", "minimal_params", "quadratic_roots",
-    "rotated_cd", "support_arc", "tau_from_verblunsky",
-    "two_interval_enclosure", "ultraspherical_chain", "verblunsky_from_cd",
-    "zeros_R", "zeros_W", "zeros_ladder",
+    "BoundaryCaseError", "CdParams", "ChainSeq", "Enclosure", "GapCertificate",
+    "InputError", "InvariantError", "NotChainSequenceError", "ParamSeq",
+    "PopucError", "ScalingError", "ScalingSeq", "SupportArc", "TauSeq",
+    "VerblunskySeq", "ZeroList", "cd_from_verblunsky", "chain_failure_index",
+    "constant_scaling_threshold", "constant_scaling_threshold_infinite",
+    "default_scaling_for", "enclosure_cor45", "enclosure_cor47",
+    "enclosure_thm44", "enclosure_thm46", "gap_certificate",
+    "is_chain_sequence", "ismail_li_constant", "legendre_dominant",
+    "make_scaling", "mass_at_one", "maximal_params", "minimal_params",
+    "quadratic_roots", "rotated_cd", "support_arc", "tau_from_verblunsky",
+    "two_interval_enclosure", "verblunsky_from_cd", "zeros_R", "zeros_W",
+    "zeros_ladder",
 ]

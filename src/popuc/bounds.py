@@ -39,34 +39,6 @@ from .transforms import rotated_cd  # noqa: F401
 STABILIZATION_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Arc:
-    """Circular arc from theta1 to theta2 (radians), open or closed.
-
-    theta1 may be negative and theta2 may exceed 2*pi on input; normalization
-    shifts the start into [0, 2*pi) keeping the width in (0, 2*pi].
-    """
-
-    theta1: float
-    theta2: float
-    closed: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.theta2 - self.theta1 <= TWO_PI:
-            raise InputError(
-                f"arc width must lie in (0, 2*pi], got {self.theta2 - self.theta1}")
-
-    @classmethod
-    def normalized(cls, theta1: float, theta2: float, closed: bool = True) -> "Arc":
-        width = theta2 - theta1
-        start = theta1 % TWO_PI
-        return cls(start, start + width, closed)
-
-    @property
-    def width(self) -> float:
-        return self.theta2 - self.theta1
-
-
 def quadratic_roots(a: float, b: float, q: float) -> tuple:
     """Roots u^(-) <= u^(+) of (1 - q) u^2 - (a + b) u + (a b - q) for q in
     [0, 1], as the pair (u^(-), u^(+)).

@@ -353,31 +353,6 @@ def maximal_params(d: ChainSeq) -> ParamSeq:
     return d._maximal
 
 
-def is_non_SP(d: ChainSeq, tol: float = SP_THRESHOLD) -> bool:
-    """True when ``d`` admits more than one parameter sequence (M_1 > 0).
-
-    Heads within ``tol`` of zero are classified single-parameter, since the
-    exact dichotomy is analytic only.
-    """
-    m1 = maximal_params(d).values[0]
-    return m1 > tol
-
-
-def comparison_test(d: ChainSeq, dhat: ChainSeq) -> bool:
-    """Sufficient domination test: 0 < d <= dhat termwise.
-
-    ``dhat`` must itself be a positive chain sequence; a True result then
-    guarantees ``d`` is one as well.
-    """
-    if len(d.values) != len(dhat.values):
-        raise InputError(
-            f"length mismatch: {len(d.values)} vs {len(dhat.values)} terms")
-    bad = chain_failure_index(dhat)
-    if bad is not None:
-        raise NotChainSequenceError(bad, f"reference sequence fails at n={bad}")
-    return bool(((d.values > 0.0) & (d.values <= dhat.values)).all())
-
-
 def make_scaling(d: ChainSeq, q) -> ScalingSeq:
     """Validate ``q`` as a scaling sequence for ``d``; wrap it with chain d.
 
@@ -395,13 +370,6 @@ def make_scaling(d: ChainSeq, q) -> ScalingSeq:
         raise ScalingError(bad, f"scaling invalid at n={bad}: d/q is not a "
                            f"positive chain sequence at term n={bad}")
     return scaling
-
-
-def ultraspherical_chain(lam: float, n: int) -> float:
-    """Element d_{n+1} of the ultraspherical chain sequence, lam >= -1/2."""
-    if n < 1:
-        raise InputError(f"index must be >= 1, got {n}")
-    return float(UltrasphericalRule(lam).terms(n)[-1])
 
 
 def ismail_li_constant(N: int) -> float:

@@ -84,14 +84,15 @@ def _read_json(path: str):
 
 
 def _numbers(values, message: str) -> np.ndarray:
-    """``values`` as a 1-D float array, else :class:`InputError` ``message``."""
+    """``values``, a JSON list of numbers, as a float array, else
+    :class:`InputError` ``message``: strings, booleans, null and nested lists
+    are no numbers, and neither is an int beyond the float range."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise InputError(message)
     try:
-        array = np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        return np.asarray(values, dtype=float)
+    except OverflowError:
         raise InputError(message)
-    if array.ndim != 1:
-        raise InputError(message)
-    return array
 
 
 def _load_input_file(path: str):
@@ -102,11 +103,12 @@ def _load_input_file(path: str):
         raise InputError(f'{path} must hold a JSON object with "alpha", "family" '
                          'or "cd"')
     if "alpha" in blob:
+        message = '"alpha" must be a list of [re, im] pairs'
         pairs = blob["alpha"]
-        try:
-            values = [complex(p[0], p[1]) for p in pairs]
-        except (TypeError, IndexError, KeyError, OverflowError):
-            raise InputError('"alpha" must be a list of [re, im] pairs')
+        if not isinstance(pairs, list) or \
+                not all(type(p) is list and len(p) == 2 for p in pairs):
+            raise InputError(message)
+        values = _numbers(list(chain.from_iterable(pairs)), message).view(complex)
         return VerblunskySeq.from_values(values), None
     if "family" in blob:
         params = blob.get("params", {})
@@ -463,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reverse", action="store_true",
                    help="recover alpha from an inline cd source")
     p.add_argument("--t", type=float, default=0.0,
-                   help="mass at z = 1 for --reverse")
+                   help="mass at z = 1 for --reverse, in (0, 1)")
     p.add_argument("--roundtrip", action="store_true",
                    help="report the alpha -> cd -> alpha residual on stderr")
     _add_output_flag(p)

@@ -39,17 +39,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import NamedTuple
 
 import numpy as np
 
 from .chainseq import _frozen
 from .errors import BoundaryCaseError, InputError, InvariantError
-from .transforms import TWO_PI, CdParams
-
-# Rescale the running recurrence pair every this many steps to keep the
-# magnitudes representable; growth per step is bounded by ~(1 + |c| + 1).
-_RESCALE_EVERY = 32
+from .transforms import CdParams
 
 # Stand-in for a ratio W_k / W_{k-1} that rounds to zero; d_k / _TINY stays
 # finite for every admissible d_k <= 1.
@@ -69,99 +64,12 @@ _BLOCK = 64
 _POINT_BUDGET = 1024
 
 
-class ScaledValue(NamedTuple):
-    """A real number stored as mantissa * 2**exp2 to dodge overflow."""
-
-    mantissa: float
-    exp2: int
-
-    @property
-    def value(self) -> float:
-        return math.ldexp(self.mantissa, self.exp2)
-
-    @property
-    def sign(self) -> int:
-        return int(self.mantissa > 0) - int(self.mantissa < 0)
-
-    @property
-    def log2_abs(self) -> float:
-        if self.mantissa == 0.0:
-            return -math.inf
-        return math.log2(abs(self.mantissa)) + self.exp2
-
-
 def _coeffs(cd: CdParams, n: int):
     if n < 0:
         raise InputError(f"degree must be >= 0, got {n}")
     if cd.n < n:
         raise InputError(f"need {n} coefficients c_1..c_{n}, have {cd.n}")
     return cd.c, cd.d.values
-
-
-def eval_R(cd: CdParams, n: int, z: complex) -> complex:
-    """R_n(z) by the forward recurrence.
-
-    Plain complex arithmetic; magnitudes grow like 2^n on the circle, so for
-    degrees beyond a few hundred prefer :func:`eval_W`, which carries an
-    explicit exponent.
-    """
-    c, d = _coeffs(cd, n)
-    r_prev = 0.0 + 0.0j
-    r = 1.0 + 0.0j
-    for k in range(n):
-        coef = (1.0 + 1j * c[k]) * z + (1.0 - 1j * c[k])
-        if k == 0:
-            r, r_prev = coef * r, r
-        else:
-            r, r_prev = coef * r - 4.0 * d[k - 1] * z * r_prev, r
-    return r
-
-
-def eval_W(cd: CdParams, n: int, x: float) -> ScaledValue:
-    """W_n(x) as (mantissa, base-2 exponent).
-
-    The returned sign is exact barring mantissa underflow, which the
-    periodic rescaling rules out.
-    """
-    c, d = _coeffs(cd, n)
-    if not -1.0 <= x <= 1.0:
-        raise InputError(f"x must lie in [-1, 1], got {x}")
-    mant, exp2 = _eval_W_grid(c, d, n, np.array([x], dtype=float))
-    return ScaledValue(float(mant[0]), int(exp2[0]))
-
-
-def _eval_W_grid(c: np.ndarray, d: np.ndarray, n: int, xs: np.ndarray,
-                 track_peak: bool = False):
-    """Vectorized W_n over ``xs``; returns (mantissa, exp2) arrays.
-
-    With ``track_peak`` a third array gives log2 of the largest magnitude the
-    recurrence passed through at each point, which bounds the evaluation's
-    rounding-noise floor.
-    """
-    xs = np.asarray(xs, dtype=float)
-    s = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
-    w_prev = np.zeros_like(xs)
-    w = np.ones_like(xs)
-    exp2 = np.zeros(len(xs), dtype=np.int64)
-    peak = np.zeros_like(xs) if track_peak else None
-    for k in range(n):
-        w, w_prev = (xs - c[k] * s) * w - (d[k - 1] * w_prev if k else 0.0), w
-        if track_peak:
-            mag = np.abs(w)
-            big = mag > 0.0
-            np.maximum(peak, np.where(big, np.log2(np.where(big, mag, 1.0)) + exp2,
-                                      -np.inf), out=peak)
-        if (k + 1) % _RESCALE_EVERY == 0:
-            m = np.maximum(np.abs(w), np.abs(w_prev))
-            nonzero = m > 0.0
-            e = np.where(nonzero, np.frexp(m)[1], 0).astype(np.int64)
-            scale = np.ldexp(1.0, -e)
-            w = w * scale
-            w_prev = w_prev * scale
-            exp2 += e
-    if track_peak:
-        return w, exp2, peak
-    return w, exp2
 
 
 def _count_above(c, d, degree, x):
@@ -382,33 +290,3 @@ def _zero_list(N: int, x: np.ndarray) -> ZeroList:
 def zeros_R(cd: CdParams, N: int) -> ZeroList:
     """Zeros of R_N as angles theta = 2 arccos(x) of the zeros of W_N."""
     return zeros_W(cd, N)
-
-
-def count_zeros_in_arc(zl: ZeroList, arc) -> int:
-    """Number of zero angles inside a circular arc.
-
-    ``arc`` provides ``theta1``, ``theta2`` and ``closed`` (an Arc or any
-    duck-typed object / tuple).  theta2 may exceed 2*pi to wrap through the
-    point z = 1; a zero-width arc counts nothing.
-    """
-    if isinstance(arc, tuple):
-        theta1, theta2 = arc[0], arc[1]
-        closed = arc[2] if len(arc) > 2 else True
-    else:
-        theta1, theta2 = arc.theta1, arc.theta2
-        closed = getattr(arc, "closed", True)
-    width = theta2 - theta1
-    if width < 0:
-        raise InputError("arc must have theta2 >= theta1")
-    if width == 0:
-        return 0
-    if width >= TWO_PI:
-        return zl.n
-    start = theta1 % TWO_PI
-    rel = (zl.theta - start) % TWO_PI
-    if closed:
-        inside = rel <= width
-        # points exactly at the start angle have rel == 0 and are included
-    else:
-        inside = (rel > 0) & (rel < width)
-    return int(np.count_nonzero(inside))

@@ -27,11 +27,6 @@ from .errors import BoundaryCaseError, InputError, NotChainSequenceError
 from .recurrence import _BISECTION_STEPS, _count_above, zeros_W  # noqa: F401
 from .transforms import CdParams, VerblunskySeq, cd_from_verblunsky
 
-# Relative half-width of the band around the constant-scaling threshold in
-# which float arithmetic cannot decide strict-versus-nonstrict membership.
-BOUNDARY_BAND = 1e-12
-
-
 def constant_scaling_threshold(d: ChainSeq) -> float:
     """Squared largest zero of the symmetric W_N over the N - 1 terms of ``d``.
 
@@ -73,27 +68,6 @@ def constant_scaling_threshold_infinite(d: ChainSeq) -> float:
     if d.rule is None:
         raise InputError("infinite threshold needs a rule-backed chain sequence")
     return d.rule.threshold_closed()
-
-
-def constant_scaling_verdict(d: ChainSeq, q: float) -> str:
-    """Classify a constant ``q`` against the threshold: valid/invalid/boundary.
-
-    Values within ``BOUNDARY_BAND`` (relatively) of the threshold are flagged
-    ``boundary`` since strictness there is float-undecidable.
-    """
-    if d.rule is not None:
-        thr = constant_scaling_threshold_infinite(d)
-        strict = False
-    else:
-        thr = constant_scaling_threshold(d)
-        strict = True
-    if abs(q - thr) <= BOUNDARY_BAND * max(thr, 1.0):
-        return "boundary"
-    if q > 1.0 or q <= 0.0:
-        return "invalid"
-    if q > thr or (not strict and q >= thr):
-        return "valid"
-    return "invalid"
 
 
 def legendre_dominant(N: int) -> ChainSeq:

@@ -597,9 +597,9 @@ def verblunsky_from_cd(cd: CdParams, t: float = 0.0) -> VerblunskySeq:
             # terminating measure: its last coefficient is unimodular and
             # falls outside the open-disk contract
             raise InputError(
-                "member terminates: the final augmented parameter reached "
-                "1 (finite truncation at t = 0); request t > 0 or provide "
-                "a rule-backed chain sequence")
+                f"member terminates: the requested mass t = {t!r} rounds to "
+                "the member with no mass at z = 1, which terminates for a "
+                "finite cd")
         raise InvariantError(
             f"augmented parameter recursion left (0, 1) at step {k + 1}")
     ic = 1j * cd.c
@@ -618,16 +618,6 @@ def mass_at_one(cd: CdParams) -> float:
     if m1 <= 0.0:
         return 0.0
     return min(max(1.0 - float(cd.g.values[0]) / m1, 0.0), math.nextafter(1.0, 0.0))
-
-
-def has_point_mass_at_one(cd: CdParams, tol: float = 1e-8) -> bool:
-    """True when the generating measure carries an atom at z = 1.
-
-    Equivalent to its parameter head sitting strictly below the maximal one;
-    for a constant parameter sequence g this is the classical criterion
-    g < 1/2.
-    """
-    return _maximal_head(cd.d) - cd.g.values[0] > tol
 
 
 def _maximal_head(d: ChainSeq) -> float:

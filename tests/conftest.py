@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from popuc import CdParams, InputError, chainseq
-from popuc.recurrence import _BISECTION_STEPS, _TINY, _coeffs, _eval_W_grid
+from popuc.recurrence import _BISECTION_STEPS, _TINY, _coeffs
+
+# Rescale the running recurrence pair every this many steps to keep the
+# magnitudes representable; growth per step is bounded by ~(1 + |c| + 1).
+_RESCALE_EVERY = 32
 
 
 def random_alpha(rng, n, rmax=0.9):
@@ -32,6 +36,40 @@ def random_cd_q(rng, n, trivial_prob=0.2):
     d = q * dhat
     c = rng.uniform(-2.5, 2.5, n)
     return CdParams.from_sequences(c, d), q
+
+
+def _eval_W_grid(c: np.ndarray, d: np.ndarray, n: int, xs: np.ndarray,
+                 track_peak: bool = False):
+    """Vectorized W_n over ``xs``; returns (mantissa, exp2) arrays.
+
+    With ``track_peak`` a third array gives log2 of the largest magnitude the
+    recurrence passed through at each point, which bounds the evaluation's
+    rounding-noise floor.
+    """
+    xs = np.asarray(xs, dtype=float)
+    s = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
+    w_prev = np.zeros_like(xs)
+    w = np.ones_like(xs)
+    exp2 = np.zeros(len(xs), dtype=np.int64)
+    peak = np.zeros_like(xs) if track_peak else None
+    for k in range(n):
+        w, w_prev = (xs - c[k] * s) * w - (d[k - 1] * w_prev if k else 0.0), w
+        if track_peak:
+            mag = np.abs(w)
+            big = mag > 0.0
+            np.maximum(peak, np.where(big, np.log2(np.where(big, mag, 1.0)) + exp2,
+                                      -np.inf), out=peak)
+        if (k + 1) % _RESCALE_EVERY == 0:
+            m = np.maximum(np.abs(w), np.abs(w_prev))
+            nonzero = m > 0.0
+            e = np.where(nonzero, np.frexp(m)[1], 0).astype(np.int64)
+            scale = np.ldexp(1.0, -e)
+            w = w * scale
+            w_prev = w_prev * scale
+            exp2 += e
+    if track_peak:
+        return w, exp2, peak
+    return w, exp2
 
 
 def below_noise_floor(cd, degree, points):

@@ -12,9 +12,8 @@ import pytest
 
 import popuc as pp
 from popuc.cli import TABLE_N_VALUES, table_rows
-from popuc.recurrence import _eval_W_grid
 
-from conftest import assert_interlacing, random_alpha
+from conftest import _eval_W_grid, assert_interlacing, random_alpha
 
 
 # printed reference values: (N, bound_first, argext_plus, theta_first,

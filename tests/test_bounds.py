@@ -370,17 +370,3 @@ class TestTwoIntervalEnclosure:
             pp.two_interval_enclosure(cd, -0.9, 0.9, 0.2, -0.2, 8)
         with pytest.raises(pp.InputError):
             pp.two_interval_enclosure(cd, -0.9, 0.9, -0.2, 0.2, 7)
-
-
-class TestArc:
-    def test_normalization(self):
-        arc = pp.Arc.normalized(5 * math.pi / 3 + 0.01,
-                                2 * math.pi + math.pi / 3 - 0.01)
-        assert 0.0 <= arc.theta1 < 2 * math.pi
-        assert arc.width == pytest.approx(2 * math.pi / 3 - 0.02, rel=1e-12)
-
-    def test_width_validation(self):
-        with pytest.raises(pp.InputError):
-            pp.Arc(1.0, 1.0)
-        with pytest.raises(pp.InputError):
-            pp.Arc(0.0, 7.0)

@@ -113,9 +113,8 @@ class TestMaximalParams:
         monkeypatch.setattr(chainseq, "_backward_maximal", walked)
         monkeypatch.setattr(chainseq, "_forward_params", walked)
         d = pp.ChainSeq.constant(0.3)
-        for query in (pp.maximal_params, pp.is_non_SP):
-            with pytest.raises(pp.InputError, match="> 1/4 is not an infinite"):
-                query(d)
+        with pytest.raises(pp.InputError, match="> 1/4 is not an infinite"):
+            pp.maximal_params(d)
 
     def test_tiny_term_keeps_parameters_below_one(self):
         # G = d_2 / M_2 = 1.25e-20 leaves M_1 = 1 - G, which rounds to 1
@@ -137,39 +136,29 @@ class TestMaximalParams:
 
 
 class TestIsNonSP:
+    # non-SP (more than one parameter sequence) means a maximal head M_1 > 0
     def test_constant_quarter_is_non_sp(self):
         # maximal head of the constant 1/4 sequence is 1/2, so mass can be
         # inserted at z = 1 and the sequence is non-SP
-        assert pp.is_non_SP(pp.ChainSeq.constant(0.25, horizon=16))
+        assert pp.maximal_params(pp.ChainSeq.constant(0.25, horizon=16)).values[0] > 0
 
     def test_legendre_chain_is_sp(self):
-        assert not pp.is_non_SP(pp.ChainSeq.ultraspherical(-0.5, horizon=16))
+        d = pp.ChainSeq.ultraspherical(-0.5, horizon=16)
+        assert pp.maximal_params(d).values[0] == 0
 
     def test_constant_below_quarter(self):
-        assert pp.is_non_SP(pp.ChainSeq.constant(0.2, horizon=16))
+        assert pp.maximal_params(pp.ChainSeq.constant(0.2, horizon=16)).values[0] > 0
 
 
 class TestComparisonTest:
-    def test_termwise_domination(self):
-        d = pp.ChainSeq.from_values([3 / 16] * 6)
-        dhat = pp.ChainSeq.from_values([0.25] * 6)
-        assert pp.comparison_test(d, dhat)
-
-    def test_exceeding_reference_fails(self):
-        d = pp.ChainSeq.from_values([0.3] * 6)
-        dhat = pp.ChainSeq.from_values([0.25] * 6)
-        assert not pp.comparison_test(d, dhat)
-
+    # Wall's comparison test: 0 < d <= dhat termwise, with dhat a chain
+    # sequence, makes d one as well
     def test_ultraspherical_vs_quarter(self):
+        dhat = pp.ChainSeq.from_values([0.25] * 30)
+        assert pp.is_chain_sequence(dhat)
         for lam in (0.0, 0.5, 2.0):
             d = pp.ChainSeq.ultraspherical(lam, horizon=30)
-            dhat = pp.ChainSeq.from_values([0.25] * 30)
-            assert pp.comparison_test(pp.ChainSeq.from_values(d.values), dhat)
-
-    def test_length_mismatch(self):
-        with pytest.raises(pp.InputError):
-            pp.comparison_test(pp.ChainSeq.from_values([0.1] * 3),
-                               pp.ChainSeq.from_values([0.25] * 4))
+            assert (d.values <= dhat.values).all()
 
     def test_soundness_on_random_pairs(self, rng):
         for _ in range(30):
@@ -177,7 +166,7 @@ class TestComparisonTest:
             h = rng.uniform(0.1, 0.9, n)
             dhat = pp.ChainSeq.from_values((1 - h[:-1]) * h[1:])
             d = pp.ChainSeq.from_values(dhat.values * rng.uniform(0.2, 1.0, n - 1))
-            assert pp.comparison_test(d, dhat)
+            assert (d.values <= dhat.values).all() and pp.is_chain_sequence(dhat)
             assert pp.is_chain_sequence(d)
 
 
@@ -212,21 +201,21 @@ class TestMakeScaling:
 
 class TestClosedFormFamilies:
     def test_ultraspherical_chain_values(self):
-        assert pp.ultraspherical_chain(0.0, 7) == pytest.approx(0.25, rel=1e-15)
-        assert pp.ultraspherical_chain(-0.5, 2) == pytest.approx(4 / 15, rel=1e-15)
-        assert pp.ultraspherical_chain(1.0, 1) == pytest.approx(1 / 6, rel=1e-15)
+        # values[n - 1] is d_{n+1}
+        d = pp.ChainSeq.ultraspherical
+        assert d(0.0).values[6] == pytest.approx(0.25, rel=1e-15)
+        assert d(-0.5).values[1] == pytest.approx(4 / 15, rel=1e-15)
+        assert d(1.0).values[0] == pytest.approx(1 / 6, rel=1e-15)
 
     def test_ultraspherical_chain_domain(self):
         with pytest.raises(pp.InputError):
-            pp.ultraspherical_chain(-0.6, 1)
-        with pytest.raises(pp.InputError):
-            pp.ultraspherical_chain(0.0, 0)
+            pp.ChainSeq.ultraspherical(-0.6)
 
     def test_ismail_li_values(self):
         assert pp.ismail_li_constant(3) == pytest.approx(0.5, rel=1e-15)
         assert pp.ismail_li_constant(10 ** 6) == pytest.approx(0.25, abs=1e-10)
         # consistency with the lam = -1/4 quotient above
-        d2 = pp.ultraspherical_chain(-0.25, 1)
+        d2 = pp.ChainSeq.ultraspherical(-0.25).values[0]
         assert pp.ismail_li_constant(10) == pytest.approx(d2 / 1.0521448759,
                                                           rel=1e-9)
         with pytest.raises(pp.InputError):

@@ -1025,6 +1025,13 @@ class TestRejectedInput:
         ({"cd": {"c": 0.1, "d": []}}, CD_LISTS),
         ({"cd": {"c": [0.1, 0.2], "d": 0.1}}, CD_LISTS),
         ({"cd": {"c": [10 ** 400], "d": []}}, CD_LISTS),
+        # strings, booleans and null are no numbers
+        ({"cd": {"c": ["0.1", "0.2"], "d": ["0.2"]}}, CD_LISTS),
+        ({"cd": {"c": [True, 0.2], "d": [0.2]}}, CD_LISTS),
+        ({"cd": {"c": [0.1, 0.2], "d": [None]}}, CD_LISTS),
+        ({"alpha": [[0.1, 0.2], [0, False]]}, '"alpha" must be a list of [re, im] pairs'),
+        ({"alpha": [[0.1, 0.2, 0.3], [0.1, 0.2]]},
+         '"alpha" must be a list of [re, im] pairs'),
     ])
     @pytest.mark.parametrize("argv", [["zeros", "--n", "2"], ["bounds", "--n", "2"],
                                       ["transform", "--reverse"]])
@@ -1034,7 +1041,8 @@ class TestRejectedInput:
         assert run(argv + ["--input", str(src)]) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("q", ["0.9", "true", "null", "[[0.9], [0.9], [0.9]]",
-                                   "[1" + "0" * 400 + "]"])
+                                   "[1" + "0" * 400 + "]", '["0.9", "0.9", "0.9"]',
+                                   "[true, 0.9, 0.9]", "[0.9, null, 0.9]"])
     def test_q_file_of_the_wrong_shape(self, tmp_path, q):
         q_file = tmp_path / "q.json"
         q_file.write_text(q)
@@ -1068,6 +1076,81 @@ class TestRejectedInput:
         code, out, err = run([command, "--input", str(src), "--n", "0"])
         assert code == 2
         assert out == "" and err.startswith("error: ")
+
+
+# Degree texts for --n-list: int() reads "3_0" as 30, "1_0", "-0", " 7" and
+# "+4" too, but not "0x10", "1e2", "2.0", "" or "n".  Degrees stay at most
+# 2000, and at most 100 for zeros.
+def _degree_texts(top):
+    degree = st.integers(-3, top).map(str)
+    return st.one_of(degree, degree, degree,
+                     st.sampled_from(["3_0", "1_0", "-0", " 7", "+4", "0x10", "1e2",
+                                      "2.0", "", "n"]))
+
+
+# Flag values near the edges: signed zeros, subnormals, 1 and its neighbours,
+# and arc ends near 1e16, where a width of a few radians rounds
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 2.2250738585072014e-308,
+                               math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0),
+                               1e16, 1e16 + 2.0, -1e16, 1e308])
+
+
+# Sources that every command takes, so that the flags decide the exit code
+FLAG_SOURCES = [("geronimus", "alpha_re=-0.5"), ("geronimus", "alpha_re=0.3,alpha_im=0.4"),
+                ("alternating", "b1=0.6,b2=0.6,c=0.5"), ("lambda-eta", "lam=1,eta=1")]
+
+
+@st.composite
+def flag_jobs(draw):
+    """argv exercising --n-list, --theta1/--theta2, --t or --q-const over a
+    family source from ``FLAG_SOURCES``; --t goes with --reverse, whose inline
+    cd the test adds."""
+    flag = draw(st.sampled_from(["n-list", "theta", "t", "q-const"]))
+    family, params = draw(st.sampled_from(FLAG_SOURCES))
+    source = ["--family", family, "--params", params]
+    if flag == "n-list":
+        command = draw(st.sampled_from(["bounds", "support-arc", "zeros"]))
+        texts = draw(st.lists(_degree_texts(100 if command == "zeros" else 2000),
+                              min_size=1, max_size=4))
+        if draw(st.booleans()):
+            texts += texts[:1]  # a repeated degree
+        argv = [command, f"--n-list={','.join(texts)}"] + source
+    elif flag == "theta":
+        end = st.one_of(st.floats(), st.floats(-20.0, 20.0), st.floats(1e15, 1e17),
+                        EDGE_FLOATS)
+        theta1 = draw(end)
+        # theta2 on its own, or a width of up to 7 past theta1, which rounds
+        # away near 1e16
+        theta2 = draw(st.one_of(end, st.floats(0.0, 7.0).map(lambda w: theta1 + w)))
+        argv = ["gap", f"--theta1={theta1!r}", f"--theta2={theta2!r}",
+                "--n", str(draw(st.integers(1, 2000)))] + source
+    elif flag == "t":
+        t = draw(st.one_of(st.floats(), st.floats(0.0, 1.0), EDGE_FLOATS))
+        argv = ["transform", "--reverse", f"--t={t!r}"]
+    else:
+        q = draw(st.one_of(st.floats(), st.floats(0.0, 1.0), EDGE_FLOATS))
+        argv = [draw(st.sampled_from(["bounds", "support-arc"])), "--q-mode",
+                "constant", f"--q-const={q!r}", "--n", str(draw(st.integers(2, 2000))),
+                "--method", draw(st.sampled_from(list(cli._METHODS)))] + source
+    return argv + ["--output", draw(st.sampled_from(["csv", "json"]))]
+
+
+class TestFlagFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=flag_jobs())
+    def test_flags_exit_by_contract(self, tmp_path, argv):
+        # every flag value ends in 0, 2 or 3; a failure prints nothing on stdout
+        if "--reverse" in argv:
+            src = tmp_path / "cd.json"
+            src.write_text(json.dumps({"cd": {"c": [0.1, -0.2, 0.3, 0.0],
+                                              "d": [0.2, 0.1, 0.2]}}))
+            argv = argv + ["--input", str(src)]
+        code, out, err = run(argv)
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err
+        if code:
+            assert out == "" and err.startswith("error: "), (argv, err)
 
 
 class TestFlagsWhereRead:
