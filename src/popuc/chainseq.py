@@ -51,76 +51,6 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return view
 
 
-class ChainRule:
-    """Term generator for a rule-backed (conceptually infinite) sequence,
-    with the closed forms of its infinite-sequence quantities."""
-
-    def terms(self, count: int) -> np.ndarray:
-        """First ``count`` elements d_2 .. d_{count+1}."""
-        raise NotImplementedError
-
-    def maximal_params_closed(self, count: int) -> np.ndarray:
-        """Maximal parameters M_1 .. M_count."""
-        raise NotImplementedError
-
-    def threshold_closed(self) -> float:
-        """Infinite constant-scaling threshold: the limit of the squared
-        largest zeros of the symmetric W_N as N grows."""
-        raise NotImplementedError
-
-
-class ConstantRule(ChainRule):
-    def __init__(self, value: float):
-        if not 0 < value < math.inf:
-            raise InputError(
-                f"chain sequence elements must be positive and finite, got {value}")
-        self.value = float(value)
-
-    def terms(self, count):
-        return np.full(count, self.value)
-
-    def _require_chain(self):
-        if self.value > 0.25:
-            raise InputError(f"constant d = {self.value!r} > 1/4 is not an "
-                             "infinite positive chain sequence")
-
-    def maximal_params_closed(self, count):
-        # larger root of (1 - M) M = value
-        self._require_chain()
-        return np.full(count, 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * self.value)))
-
-    def threshold_closed(self):
-        # the finite thresholds 4 d cos^2(pi / (N + 1)) increase to 4 d
-        self._require_chain()
-        return 4.0 * self.value
-
-
-class UltrasphericalRule(ChainRule):
-    """d_{n+1} = n (n + 2*lam + 1) / (4 (n + lam)(n + lam + 1)), lam >= -1/2."""
-
-    def __init__(self, lam: float):
-        # (n + lam)(n + lam + 1) overflows from lam = 1.3e154 on
-        if not -0.5 <= lam <= 1e150:
-            raise InputError(
-                f"ultraspherical parameter must lie in [-1/2, 1e150], got {lam}")
-        self.lam = float(lam)
-
-    def terms(self, count):
-        n = np.arange(1, count + 1, dtype=float)
-        lam = self.lam
-        return 0.25 * n * (n + 2 * lam + 1) / ((n + lam) * (n + lam + 1))
-
-    def maximal_params_closed(self, count):
-        n = np.arange(0, count, dtype=float)
-        lam = self.lam
-        return (n + 2 * lam + 1) / (2 * (n + lam + 1))
-
-    def threshold_closed(self):
-        # d_n -> 1/4, so the essential spectrum of the symmetric Jacobi matrix
-        # ends at 1, and the chain property leaves no eigenvalue above it.
-        return 1.0
-
-
 def _require_positive(values: np.ndarray, first: int = 0) -> None:
     """Reject an element <= 0 of a chain sequence; ``values[0]`` is the term
     after the first ``first``."""
@@ -131,17 +61,14 @@ def _require_positive(values: np.ndarray, first: int = 0) -> None:
 
 @dataclass(frozen=True)
 class ChainSeq:
-    """A finite positive-real sequence, optionally backed by a rule.
+    """A finite positive-real sequence.
 
     ``values[k]`` is the element d_{k+2}, i.e. the sequence is indexed the way
     it enters the three-term recurrences (its first element pairs with the
-    second recurrence step).  A rule-backed sequence (``rule`` set) is
-    conceptually infinite: ``values`` holds its first ``horizon`` elements
-    and ``rule`` the closed forms of the infinite sequence.
+    second recurrence step).
     """
 
     values: np.ndarray
-    rule: Optional[ChainRule] = field(default=None, repr=False)
 
     def __post_init__(self):
         values = _frozen(self.values)
@@ -153,23 +80,11 @@ class ChainSeq:
         """``maximal_params(self)``, computed on first use and kept: an inline
         cd reads it to build g, again for its mass at z = 1 and again to
         recover its coefficients."""
-        if self.rule is None:
-            return ParamSeq(_backward_maximal(self.values))
-        return ParamSeq(self.rule.maximal_params_closed(len(self.values) + 1))
+        return ParamSeq(_backward_maximal(self.values))
 
     @classmethod
     def from_values(cls, values) -> "ChainSeq":
         return cls(np.asarray(values, dtype=float))
-
-    @classmethod
-    def constant(cls, value: float, horizon: int = 128) -> "ChainSeq":
-        rule = ConstantRule(value)
-        return cls(rule.terms(horizon), rule)
-
-    @classmethod
-    def ultraspherical(cls, lam: float, horizon: int = 128) -> "ChainSeq":
-        rule = UltrasphericalRule(lam)
-        return cls(rule.terms(horizon), rule)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -348,8 +263,7 @@ def _backward_maximal(d: np.ndarray) -> np.ndarray:
 
 def maximal_params(d: ChainSeq) -> ParamSeq:
     """Maximal parameter sequence {M_n} of ``d``: the exact backward
-    recursion anchored at M_{N+1} = 1 for a finite sequence, the rule's
-    closed form for a rule-backed one; computed once per ``d``."""
+    recursion anchored at M_{N+1} = 1; computed once per ``d``."""
     return d._maximal
 
 

@@ -349,6 +349,8 @@ def cmd_transform(args, stream, err) -> int:
     if args.reverse:
         if cd is None:
             raise InputError("--reverse needs a cd source (--input with \"cd\")")
+        if args.t is None:
+            raise InputError("--reverse needs --t, the mass at z = 1, in (0, 1)")
         values = verblunsky_from_cd(cd, t=args.t).prefix(cd.n)
         _emit(["n", "alpha_re", "alpha_im"],
               zip(range(cd.n), values.real.tolist(), values.imag.tolist()), stream,
@@ -377,9 +379,9 @@ def cmd_scaling_threshold(args, stream, err) -> int:
     alpha, cd_inline = _source(args)
     if args.infinite:
         if args.d_const is not None:
-            d = ChainSeq.constant(args.d_const)
+            d = args.d_const
         elif alpha is not None and alpha.family == "lambda-eta":
-            d = ChainSeq.ultraspherical(alpha.params["lam"])
+            d = None  # the ultraspherical d of every lambda-eta source
         else:
             raise InputError("--infinite needs --d-const or a lambda-eta family")
         threshold = scaling_mod.constant_scaling_threshold_infinite
@@ -464,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--reverse", action="store_true",
                    help="recover alpha from an inline cd source")
-    p.add_argument("--t", type=float, default=0.0,
-                   help="mass at z = 1 for --reverse, in (0, 1)")
+    p.add_argument("--t", type=float,
+                   help="mass at z = 1, in (0, 1); --reverse needs it")
     p.add_argument("--roundtrip", action="store_true",
                    help="report the alpha -> cd -> alpha residual on stderr")
     _add_output_flag(p)
@@ -512,6 +514,9 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         return 4
     except PopucError as exc:  # InputError and its subclasses
         stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:  # an --n too large to allocate for
+        stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 2
 
 

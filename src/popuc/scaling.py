@@ -3,10 +3,10 @@
 Constant scalings admit a sharp threshold: q is a valid constant scaling for
 a finite chain sequence of N - 1 terms exactly when q exceeds the squared
 largest zero of the symmetric (c = 0) recurrence member W_N built from it.
-For conceptually infinite sequences the threshold is the limit of those
-squared zeros and validity holds at the threshold itself (non-strict): 4 d
-for a constant d <= 1/4, and 1 for the ultraspherical sequences, whose terms
-tend to 1/4.
+For an infinite constant or ultraspherical sequence the threshold is the
+limit of those squared zeros, known in closed form, and validity holds at
+the threshold itself (non-strict): 4 d for a constant d <= 1/4, and 1 for
+the ultraspherical sequences, whose terms tend to 1/4.
 
 The ultraspherical family supplies the standard dominants: for lam >= 0 the
 extremal constant of Ismail and Li, for -1/2 < lam < 0 a rescaled Legendre
@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chainseq import (ChainSeq, ScalingSeq, UltrasphericalRule, chain_failure_index,
-                       ismail_li_constant)
+from .chainseq import ChainSeq, ScalingSeq, chain_failure_index, ismail_li_constant
 from .errors import BoundaryCaseError, InputError, NotChainSequenceError
 # zeros_W stays importable from here: perfbench's tracer wraps this binding
 from .recurrence import _BISECTION_STEPS, _count_above, zeros_W  # noqa: F401
@@ -58,16 +57,26 @@ def constant_scaling_threshold(d: ChainSeq) -> float:
     return x ** 2
 
 
-def constant_scaling_threshold_infinite(d: ChainSeq) -> float:
-    """Limit of the squared largest symmetric zeros at growing horizons, from
-    the rule's closed form (``ChainRule.threshold_closed``).
+def constant_scaling_threshold_infinite(d: Optional[float]) -> float:
+    """Limit of the squared largest symmetric zeros at growing horizons, for
+    the constant chain sequence ``d`` or, when ``d`` is None, for every
+    ultraspherical one.
 
-    A constant q is a scaling sequence for the infinite ``d`` iff
-    q >= threshold (non-strict at the limit).
+    A constant q is a scaling sequence for the infinite sequence iff
+    q >= threshold (non-strict at the limit).  The finite thresholds of a
+    constant d are 4 d cos^2(pi / (N + 1)), which increase to 4 d.  The
+    ultraspherical d_n tend to 1/4, so the essential spectrum of the
+    symmetric Jacobi matrix ends at 1, and the chain property leaves no
+    eigenvalue above it (Chihara 1978; Ismail & Li 1992).
     """
-    if d.rule is None:
-        raise InputError("infinite threshold needs a rule-backed chain sequence")
-    return d.rule.threshold_closed()
+    if d is None:
+        return 1.0
+    if not 0 < d < math.inf:
+        raise InputError(f"chain sequence elements must be positive and finite, got {d}")
+    if d > 0.25:
+        raise InputError(f"constant d = {float(d)!r} > 1/4 is not an infinite "
+                         "positive chain sequence")
+    return 4.0 * d
 
 
 def legendre_dominant(N: int) -> ChainSeq:
@@ -80,7 +89,10 @@ def legendre_dominant(N: int) -> ChainSeq:
     """
     if N < 2:
         raise InputError(f"N must be >= 2, got {N}")
-    base = UltrasphericalRule(-0.5).terms(N - 1)
+    # the ultraspherical terms at lam = -1/2, rounded as the general formula
+    # n (n + 2 lam + 1) / (4 (n + lam)(n + lam + 1)) rounds them
+    n = np.arange(1, N, dtype=float)
+    base = 0.25 * n * n / ((n - 0.5) * (n + 0.5))
     scale = math.cos(math.pi / (2.0 * N)) ** 2
     return ChainSeq.from_values(base / scale)
 

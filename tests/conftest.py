@@ -20,6 +20,16 @@ def random_alpha(rng, n, rmax=0.9):
     return mod * np.exp(1j * phase)
 
 
+def ultraspherical_d(lam, count):
+    """d_2 .. d_{count+1} of the ultraspherical chain sequence (lam >= -1/2),
+
+        d_{n+1} = n (n + 2 lam + 1) / (4 (n + lam)(n + lam + 1)),
+
+    the d of every lambda-eta source."""
+    n = np.arange(1, count + 1, dtype=float)
+    return 0.25 * n * (n + 2 * lam + 1) / ((n + lam) * (n + lam + 1))
+
+
 def random_cd_q(rng, n, trivial_prob=0.2):
     """Random (cd, q) pair with q a valid scaling by construction.
 

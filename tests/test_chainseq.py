@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import popuc as pp
-from popuc import chainseq
 from popuc.chainseq import _CHUNK, _backward_maximal, _forward_params
 
-from conftest import random_cd_q
+from conftest import random_cd_q, ultraspherical_d
 
 
 class TestMinimalParams:
@@ -23,7 +22,7 @@ class TestMinimalParams:
 
     def test_ultraspherical_closed_form(self):
         lam = 1.0
-        g = pp.minimal_params(pp.ChainSeq.ultraspherical(lam, horizon=10))
+        g = pp.minimal_params(pp.ChainSeq.from_values(ultraspherical_d(lam, 10)))
         n = np.arange(0, 11)
         np.testing.assert_allclose(g.values, n / (2 * (n + lam + 1)), rtol=1e-14)
 
@@ -66,7 +65,7 @@ class TestIsChainSequence:
         assert pp.is_chain_sequence(pp.ChainSeq.from_values([0.25] * 8))
 
     def test_constant_above_quarter_fails(self):
-        d = pp.ChainSeq.constant(0.26, horizon=1000)
+        d = pp.ChainSeq.from_values(np.full(1000, 0.26))
         assert not pp.is_chain_sequence(d)
         assert pp.chain_failure_index(d) is not None
 
@@ -77,44 +76,12 @@ class TestIsChainSequence:
 
 
 class TestMaximalParams:
-    def test_constant_quarter_infinite(self):
-        m = pp.maximal_params(pp.ChainSeq.constant(0.25, horizon=12))
-        np.testing.assert_allclose(m.values, 0.5, rtol=1e-15)
-
-    def test_ultraspherical_closed_form(self):
-        lam = 1.0
-        m = pp.maximal_params(pp.ChainSeq.ultraspherical(lam, horizon=10))
-        n = np.arange(0, 11)
-        np.testing.assert_allclose(m.values, (n + 2 * lam + 1) / (2 * (n + lam + 1)),
-                                   rtol=1e-14)
-
-    def test_constant_fixed_point_numeric(self):
-        # a constant rule answers with its closed form, the fixed point
-        alpha = 0.3
-        d_val = (1 - alpha ** 2) * (1 + alpha) ** 2 / (4 * (1 + alpha) ** 2)
-        d = pp.ChainSeq.constant(d_val, horizon=8)
-        m = pp.maximal_params(d).values
-        fixed = 0.5 * (1 + math.sqrt(1 - 4 * d_val))
-        assert len(m) == 9
-        assert abs(m - fixed).max() < 1e-11
-
     def test_finite_backward_matches_fixed_point(self):
         alpha = 0.3
         d_val = (1 - alpha ** 2) * (1 + alpha) ** 2 / (4 * (1 + alpha) ** 2)
         m = pp.maximal_params(pp.ChainSeq.from_values([d_val] * 80))
         fixed = 0.5 * (1 + math.sqrt(1 - 4 * d_val))
         assert abs(m.values[0] - fixed) < 1e-12
-
-    def test_constant_above_quarter_is_rejected_at_once(self, monkeypatch):
-        # d > 1/4 is no infinite chain sequence: no recursion is walked
-        def walked(d):
-            raise AssertionError(f"walked {len(d)} terms")
-
-        monkeypatch.setattr(chainseq, "_backward_maximal", walked)
-        monkeypatch.setattr(chainseq, "_forward_params", walked)
-        d = pp.ChainSeq.constant(0.3)
-        with pytest.raises(pp.InputError, match="> 1/4 is not an infinite"):
-            pp.maximal_params(d)
 
     def test_tiny_term_keeps_parameters_below_one(self):
         # G = d_2 / M_2 = 1.25e-20 leaves M_1 = 1 - G, which rounds to 1
@@ -140,14 +107,21 @@ class TestIsNonSP:
     def test_constant_quarter_is_non_sp(self):
         # maximal head of the constant 1/4 sequence is 1/2, so mass can be
         # inserted at z = 1 and the sequence is non-SP
-        assert pp.maximal_params(pp.ChainSeq.constant(0.25, horizon=16)).values[0] > 0
+        d = pp.ChainSeq.from_values(np.full(16, 0.25))
+        assert pp.maximal_params(d).values[0] > 0
 
     def test_legendre_chain_is_sp(self):
-        d = pp.ChainSeq.ultraspherical(-0.5, horizon=16)
-        assert pp.maximal_params(d).values[0] == 0
+        # the maximal head of the first N terms is 1 / H_{N+1}, with H_k the
+        # harmonic numbers, so M_1 of the whole sequence is 0
+        for N in (16, 1000):
+            d = pp.ChainSeq.from_values(ultraspherical_d(-0.5, N))
+            harmonic = math.fsum(1.0 / k for k in range(1, N + 2))
+            assert pp.maximal_params(d).values[0] == pytest.approx(1 / harmonic,
+                                                                   rel=1e-11)
 
     def test_constant_below_quarter(self):
-        assert pp.maximal_params(pp.ChainSeq.constant(0.2, horizon=16)).values[0] > 0
+        d = pp.ChainSeq.from_values(np.full(16, 0.2))
+        assert pp.maximal_params(d).values[0] > 0
 
 
 class TestComparisonTest:
@@ -157,7 +131,7 @@ class TestComparisonTest:
         dhat = pp.ChainSeq.from_values([0.25] * 30)
         assert pp.is_chain_sequence(dhat)
         for lam in (0.0, 0.5, 2.0):
-            d = pp.ChainSeq.ultraspherical(lam, horizon=30)
+            d = pp.ChainSeq.from_values(ultraspherical_d(lam, 30))
             assert (d.values <= dhat.values).all()
 
     def test_soundness_on_random_pairs(self, rng):
@@ -178,14 +152,14 @@ class TestMakeScaling:
 
     def test_ultraspherical_default_quotient(self):
         N = 10
-        d = pp.ChainSeq.from_values(pp.ChainSeq.ultraspherical(1.0).values[:N - 1])
+        d = pp.ChainSeq.from_values(ultraspherical_d(1.0, N - 1))
         q = d.values / pp.ismail_li_constant(N)
         assert pp.make_scaling(d, q) is not None
 
     def test_ismail_li_quotient_fails_for_negative_lambda(self):
         # d_2 / d^(9) exceeds 1 for the lam = -1/4 sequence at N = 10
         N = 10
-        d = pp.ChainSeq.from_values(pp.ChainSeq.ultraspherical(-0.25).values[:N - 1])
+        d = pp.ChainSeq.from_values(ultraspherical_d(-0.25, N - 1))
         q = d.values / pp.ismail_li_constant(N)
         assert abs(q[0] - 1.0521448759) < 1e-9
         with pytest.raises(pp.ScalingError) as err:
@@ -200,22 +174,11 @@ class TestMakeScaling:
 
 
 class TestClosedFormFamilies:
-    def test_ultraspherical_chain_values(self):
-        # values[n - 1] is d_{n+1}
-        d = pp.ChainSeq.ultraspherical
-        assert d(0.0).values[6] == pytest.approx(0.25, rel=1e-15)
-        assert d(-0.5).values[1] == pytest.approx(4 / 15, rel=1e-15)
-        assert d(1.0).values[0] == pytest.approx(1 / 6, rel=1e-15)
-
-    def test_ultraspherical_chain_domain(self):
-        with pytest.raises(pp.InputError):
-            pp.ChainSeq.ultraspherical(-0.6)
-
     def test_ismail_li_values(self):
         assert pp.ismail_li_constant(3) == pytest.approx(0.5, rel=1e-15)
         assert pp.ismail_li_constant(10 ** 6) == pytest.approx(0.25, abs=1e-10)
         # consistency with the lam = -1/4 quotient above
-        d2 = pp.ChainSeq.ultraspherical(-0.25).values[0]
+        d2 = ultraspherical_d(-0.25, 1)[0]
         assert pp.ismail_li_constant(10) == pytest.approx(d2 / 1.0521448759,
                                                           rel=1e-9)
         with pytest.raises(pp.InputError):
@@ -223,13 +186,10 @@ class TestClosedFormFamilies:
 
     @pytest.mark.parametrize("lam", [-0.25, 0.0, 1.0, 10.0])
     def test_parameter_closed_forms_to_1e12(self, lam):
-        d = pp.ChainSeq.ultraspherical(lam, horizon=100)
+        d = pp.ChainSeq.from_values(ultraspherical_d(lam, 100))
         g = pp.minimal_params(d).values
-        m = pp.maximal_params(d).values
         n = np.arange(0, 101)
         np.testing.assert_allclose(g, n / (2 * (n + lam + 1)), atol=1e-12)
-        np.testing.assert_allclose(m, (n + 2 * lam + 1) / (2 * (n + lam + 1)),
-                                   atol=1e-12)
 
 
 class TestIsmailLiExtremality:

@@ -513,6 +513,13 @@ class TestTransform:
         assert code == 2
         assert "terminates" in err
 
+    def test_reverse_needs_t(self, tmp_path):
+        # no t is right for every cd: t = 0 terminates on every finite one
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.0] * 3, "d": [0.25] * 2}}))
+        assert run(["transform", "--input", str(src), "--reverse"]) == (
+            2, "", "error: --reverse needs --t, the mass at z = 1, in (0, 1)\n")
+
     def test_reverse_rejects_bad_chain(self, tmp_path):
         src = tmp_path / "cd.json"
         # constant 0.4 exceeds the three-term extremal constant
@@ -552,6 +559,13 @@ class TestScalingThreshold:
         assert code == 0
         assert out.splitlines()[1] == "infinite,1.0"
 
+    def test_infinite_large_lambda(self):
+        # no ultraspherical term is computed, so no lam overflows it
+        code, out, err = run(["scaling-threshold", "--family", "lambda-eta",
+                              "--params", "lam=1e200,eta=1", "--infinite"])
+        assert code == 0, err
+        assert out.splitlines()[1] == "infinite,1.0"
+
     @settings(max_examples=300, deadline=None)
     @given(value=st.one_of(st.floats(), st.sampled_from(
                [0.25, math.nextafter(0.25, 1.0), -0.5, math.nextafter(-0.5, 0.0),
@@ -561,7 +575,7 @@ class TestScalingThreshold:
         # value is --d-const, or lam of a lambda-eta source
         if family:
             source = ["--family", "lambda-eta", "--params", f"lam={value!r},eta=1"]
-            valid, expect = -0.5 < value <= 1e150, "1.0"
+            valid, expect = -0.5 < value < math.inf, "1.0"
         else:
             source = [f"--d-const={value!r}"]  # "=" keeps -1e+16 a value
             valid, expect = 0.0 < value <= 0.25, repr(4.0 * value)
@@ -591,6 +605,22 @@ class TestExitCodeContract:
 
         monkeypatch.setitem(cli._HANDLERS, "tables", edge)
         assert run(["tables", "1"])[0] == 3
+
+    @pytest.mark.parametrize("kernel, argv", [
+        ("gap_certificate", ["gap", "--family", "geronimus", "--params", "alpha_re=-0.5",
+                             "--theta1", "4.5", "--theta2", "7.3216",
+                             "--n", "100000000000"]),
+        ("zeros_R", ["zeros", "--family", "geronimus", "--params", "alpha_re=0.3",
+                     "--n", "4"]),
+    ])
+    @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB", ""])
+    def test_memory_error_maps_to_2(self, monkeypatch, kernel, argv, message):
+        # a stand-in for the allocation of a huge --n, which is not made
+        def alloc(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, kernel, alloc)
+        assert run(argv) == (2, "", f"error: {message or 'out of memory'}\n")
 
     def test_unknown_family(self):
         code, _, err = run(["bounds", "--family", "nope", "--n", "4"])

@@ -35,8 +35,7 @@ class TestEvalW:
 
     def test_scaled_representation_avoids_overflow(self):
         n = 3000
-        cd = pp.CdParams.from_sequences(np.full(n, 3.0),
-                                        pp.ChainSeq.constant(0.2, horizon=n - 1))
+        cd = pp.CdParams.from_sequences(np.full(n, 3.0), np.full(n - 1, 0.2))
         mant, exp2 = _eval_W_grid(cd.c, cd.d.values, n, np.array([-0.95]))
         assert math.isfinite(mant[0]) and mant[0] != 0.0
         assert math.log2(abs(mant[0])) + exp2[0] > 1200  # far beyond double range

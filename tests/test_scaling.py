@@ -5,7 +5,7 @@ import pytest
 
 import popuc as pp
 
-from conftest import random_cd_q
+from conftest import random_cd_q, ultraspherical_d
 from popuc.recurrence import _count_above
 
 
@@ -21,7 +21,7 @@ class TestConstantThreshold:
 
     def test_sharpness_ultraspherical(self):
         N = 10
-        d = pp.ChainSeq.from_values(pp.ChainSeq.ultraspherical(1.0).values[:N - 1])
+        d = pp.ChainSeq.from_values(ultraspherical_d(1.0, N - 1))
         thr = pp.constant_scaling_threshold(d)
         assert pp.make_scaling(d, np.full(N - 1, thr * (1 + 1e-6))) is not None
         with pytest.raises(pp.ScalingError):
@@ -49,30 +49,27 @@ class TestConstantThreshold:
 
 class TestInfiniteThreshold:
     def test_chebyshev_limit(self):
-        d = pp.ChainSeq.constant(0.25, horizon=8)
-        assert pp.constant_scaling_threshold_infinite(d) == 1.0
+        assert pp.constant_scaling_threshold_infinite(0.25) == 1.0
 
     def test_scaled_chebyshev_limit(self):
-        d = pp.ChainSeq.constant(3 / 16, horizon=8)
-        thr = pp.constant_scaling_threshold_infinite(d)
+        thr = pp.constant_scaling_threshold_infinite(3 / 16)
         assert thr == pytest.approx(0.75, abs=0.01)
 
     def test_gegenbauer_limit(self):
-        d = pp.ChainSeq.ultraspherical(1.0, horizon=8)
-        thr = pp.constant_scaling_threshold_infinite(d)
+        thr = pp.constant_scaling_threshold_infinite(None)
         assert thr > 0.99
 
     def test_closed_forms(self):
-        assert pp.ChainSeq.constant(0.2).rule.threshold_closed() == 0.8
-        for lam in (-0.5, -0.4, 0.0, 1.0, 10.0):
-            assert pp.ChainSeq.ultraspherical(lam).rule.threshold_closed() == 1.0
-        with pytest.raises(pp.InputError, match="chain sequence"):
-            pp.ChainSeq.constant(0.3).rule.threshold_closed()
-        for bad in (math.nan, math.inf):
-            with pytest.raises(pp.InputError):
-                pp.ChainSeq.constant(bad)
-            with pytest.raises(pp.InputError):
-                pp.ChainSeq.ultraspherical(bad)
+        # a constant d gives 4 d, None (the ultraspherical sequences) gives 1
+        assert pp.constant_scaling_threshold_infinite(0.2) == 0.8
+        assert pp.constant_scaling_threshold_infinite(None) == 1.0
+        with pytest.raises(pp.InputError, match="> 1/4 is not an infinite positive "
+                                                "chain sequence"):
+            pp.constant_scaling_threshold_infinite(0.3)
+        for bad in (math.nan, math.inf, 0.0, -0.2):
+            with pytest.raises(pp.InputError, match="chain sequence elements must "
+                                                    "be positive and finite"):
+                pp.constant_scaling_threshold_infinite(bad)
 
     @pytest.mark.parametrize("rule, arg", [
         ("constant", 0.15), ("constant", 0.2), ("constant", 0.25),
@@ -80,17 +77,16 @@ class TestInfiniteThreshold:
     ])
     def test_closed_form_is_sharp(self, rule, arg):
         # on a 10^4-term prefix q = threshold is a scaling and a q 1e-6 below
-        # it is not
-        d = getattr(pp.ChainSeq, rule)(arg, horizon=8)
-        thr = pp.constant_scaling_threshold_infinite(d)
-        prefix = pp.ChainSeq.from_values(d.rule.terms(10 ** 4))
+        # it is not; arg is the constant d, or lam of the ultraspherical d
+        if rule == "constant":
+            thr = pp.constant_scaling_threshold_infinite(arg)
+            prefix = pp.ChainSeq.from_values(np.full(10 ** 4, arg))
+        else:
+            thr = pp.constant_scaling_threshold_infinite(None)
+            prefix = pp.ChainSeq.from_values(ultraspherical_d(arg, 10 ** 4))
         assert pp.make_scaling(prefix, np.full(10 ** 4, thr))
         with pytest.raises(pp.ScalingError):
             pp.make_scaling(prefix, np.full(10 ** 4, thr * (1 - 1e-6)))
-
-    def test_requires_rule(self):
-        with pytest.raises(pp.InputError):
-            pp.constant_scaling_threshold_infinite(pp.ChainSeq.from_values([0.2] * 4))
 
 
 class TestLegendreDominant:
@@ -101,7 +97,7 @@ class TestLegendreDominant:
 
     def test_dominates_negative_lambda(self):
         N = 10
-        d = pp.ChainSeq.from_values(pp.ChainSeq.ultraspherical(-0.25).values[:N - 1])
+        d = pp.ChainSeq.from_values(ultraspherical_d(-0.25, N - 1))
         dhat = pp.legendre_dominant(N)
         assert (d.values <= dhat.values).all() and pp.is_chain_sequence(dhat)
         assert pp.make_scaling(d, d.values / pp.legendre_dominant(N).values)
@@ -109,16 +105,23 @@ class TestLegendreDominant:
     @pytest.mark.parametrize("lam", [-0.25, 0.3, 1.0])
     def test_domination_chain(self, lam):
         N = 40
-        d_lam = pp.ChainSeq.ultraspherical(lam).values[:N - 1]
-        d_leg = pp.ChainSeq.ultraspherical(-0.5).values[:N - 1]
+        d_lam = ultraspherical_d(lam, N - 1)
+        d_leg = ultraspherical_d(-0.5, N - 1)
         dhat = pp.legendre_dominant(N).values
         assert np.all(d_lam < d_leg)
         assert np.all(d_leg < dhat)
 
+    def test_terms_match_the_general_formula(self):
+        # the lam = -1/2 terms, written with n (n + 2 lam + 1) = n^2, round as
+        # the general ultraspherical formula rounds them, bit for bit
+        for N in range(2, 3001):
+            expect = ultraspherical_d(-0.5, N - 1) / math.cos(math.pi / (2.0 * N)) ** 2
+            assert np.array_equal(pp.legendre_dominant(N).values.view(np.int64),
+                                  expect.view(np.int64)), N
+
     def test_largest_legendre_zero_bound(self):
         # the largest zero of every degree stays below cos(pi / (2 n))
-        sym = pp.CdParams.from_sequences(
-            np.zeros(100), pp.ChainSeq.ultraspherical(-0.5, horizon=99))
+        sym = pp.CdParams.from_sequences(np.zeros(100), ultraspherical_d(-0.5, 99))
         ladder = pp.zeros_ladder(sym, 100)
         for n, zeros in enumerate(ladder, start=1):
             if n >= 2:
@@ -139,7 +142,7 @@ class TestDefaultScaling:
         aseq = pp.VerblunskySeq.lambda_eta(1.0, 1.0, horizon=N)
         q = pp.default_scaling_for(aseq, N)
         # quotient by the extremal constant: q_2 = 4 d_2 cos^2(pi / 11)
-        expect_q2 = 4 * pp.ChainSeq.ultraspherical(1.0).values[0] * math.cos(math.pi / 11) ** 2
+        expect_q2 = 4 * ultraspherical_d(1.0, 1)[0] * math.cos(math.pi / 11) ** 2
         assert q.values[0] == pytest.approx(expect_q2, rel=1e-12)
         assert np.all(q.values <= 1.0)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import popuc as pp
 
-from conftest import random_alpha
+from conftest import random_alpha, ultraspherical_d
 
 
 def geronimus_expected(alpha):
@@ -82,7 +82,7 @@ class TestCdFromVerblunsky:
         cd = pp.cd_from_verblunsky(pp.VerblunskySeq.lambda_eta(lam, eta, horizon=30))
         n = np.arange(1, 31)
         np.testing.assert_allclose(cd.c, eta / (n + lam), rtol=1e-13)
-        expect_d = pp.ChainSeq.ultraspherical(lam).values[:29]
+        expect_d = ultraspherical_d(lam, 29)
         np.testing.assert_allclose(cd.d.values, expect_d, rtol=1e-13)
 
     def test_invariants_hold(self, rng):
@@ -206,12 +206,6 @@ class TestRotatedGeronimusClosedForm:
 
 
 class TestVerblunskyFromCd:
-    def test_quarter_chain_mass_free_member(self):
-        cd = pp.CdParams.from_sequences(
-            np.zeros(8), pp.ChainSeq.constant(0.25, horizon=7))
-        rec = pp.verblunsky_from_cd(cd, t=0.0).prefix(8)
-        np.testing.assert_allclose(rec, 0.0, atol=1e-14)
-
     def test_roundtrip_constant_real(self):
         cd = pp.cd_from_verblunsky(pp.VerblunskySeq.geronimus(-0.5, horizon=40))
         np.testing.assert_allclose(cd.c, 0.0, atol=1e-15)
@@ -229,12 +223,11 @@ class TestVerblunskyFromCd:
 
     def test_forward_orbit_path(self):
         # a head away from the stored parameter sequence walks the recursion
-        cd = pp.CdParams.from_sequences(
-            np.zeros(6), pp.ChainSeq.constant(0.25, horizon=5))
+        cd = pp.CdParams.from_sequences(np.zeros(6), np.full(5, 0.25))
         rec = pp.verblunsky_from_cd(cd, t=0.5).prefix(6)
-        # member with half the mass: alpha_0 = 1 - 2 * (0.5 * 0.5) = 0.5, then
-        # the recursion walks the parameter orbit of head 0.25
-        m = 0.25
+        # member with half the mass: the recursion walks the parameter orbit
+        # of head M_1 / 2, and alpha_{k-1} = 1 - 2 m_k
+        m = 0.5 * pp.maximal_params(cd.d).values[0]
         expect = []
         for k in range(6):
             expect.append(1 - 2 * m)
@@ -246,33 +239,6 @@ class TestVerblunskyFromCd:
         cd = pp.cd_from_verblunsky(pp.VerblunskySeq.from_values(np.zeros(4)))
         with pytest.raises(pp.InputError):
             pp.verblunsky_from_cd(cd, t=1.0)
-
-    @staticmethod
-    def zero_head_cd(c1, n=12):
-        # lam = -1/2 makes the ultraspherical chain single-parameter: M_1 = 0,
-        # so the augmented head is 0, which is admissible at step 1 only
-        c = np.linspace(-1.0, 1.0, n)
-        c[0] = c1
-        cd = pp.CdParams.from_sequences(
-            c, pp.ChainSeq.ultraspherical(-0.5, horizon=n - 1))
-        assert cd.g.values[0] == 0.0
-        return cd
-
-    def test_zero_maximal_head(self):
-        # (1 - i c_1) / (1 - i c_1) rounds to 1 - 2^-53 at c_1 = 0.61
-        cd = self.zero_head_cd(0.61)
-        rec = pp.verblunsky_from_cd(cd).prefix(cd.n)
-        tau = pp.transforms._tau_from_c(cd.c).values
-        expect = np.array([(1.0 - 2.0 * m - 1j * ck) / ((1.0 - 1j * ck) * tk)
-                           for m, ck, tk in zip(cd.g.values, cd.c, tau)])
-        assert rec[0] == 1.0 - 2.0 ** -53
-        np.testing.assert_array_equal(rec.view(np.int64), expect.view(np.int64))
-
-    def test_zero_maximal_head_unimodular_alpha(self):
-        # with c_1 = 0 the member's alpha_0 is exactly 1: an input error (exit
-        # 2), not a breach of the parameter range (exit 4)
-        with pytest.raises(pp.InputError, match="alpha_0 has modulus 1 >= 1"):
-            pp.verblunsky_from_cd(self.zero_head_cd(0.0))
 
     def test_stored_head_above_maximal_at_zero_mass(self):
         # the computed g_1 exceeds the computed M_1 by 2.4e-16, so the mass
@@ -328,12 +294,8 @@ class TestMassAtOne:
                 assert (pp.mass_at_one(cd) > 0.0) == (crit > 0)
 
     def test_constant_parameter_half(self):
-        # g = 1/2 is the maximal head of the constant 1/4 chain: no atom.
-        # With a rule-backed chain sequence the maximal head is exact;
-        cd = pp.CdParams.from_sequences(
-            np.zeros(12), pp.ChainSeq.constant(0.25, horizon=11))
-        assert pp.mass_at_one(cd) < 1e-12
-        # a plain finite truncation resolves the comparison only down to the
+        # g = 1/2 is the maximal head of the infinite constant 1/4 chain: no
+        # atom.  A finite truncation resolves the comparison only down to the
         # backward-recursion tail error ~ 1/(2N), relative to M_1 = 1/2
         cd_fin = pp.cd_from_verblunsky(pp.VerblunskySeq.from_values(np.zeros(300)))
         assert pp.mass_at_one(cd_fin) < 1e-2
