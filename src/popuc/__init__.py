@@ -10,16 +10,14 @@ gaps in that support.
 from .errors import (BoundaryCaseError, InputError, InvariantError,
                      NotChainSequenceError, PopucError, ScalingError)
 from .chainseq import (ChainSeq, ParamSeq, ScalingSeq, chain_failure_index,
-                       is_chain_sequence, ismail_li_constant, make_scaling,
-                       maximal_params, minimal_params)
+                       ismail_li_constant, make_scaling, maximal_params)
 from .transforms import (CdParams, TauSeq, VerblunskySeq, cd_from_verblunsky,
                          mass_at_one, rotated_cd, tau_from_verblunsky,
                          verblunsky_from_cd)
-from .recurrence import ZeroList, zeros_R, zeros_W, zeros_ladder
+from .recurrence import ZeroList, zeros_R, zeros_W
 from .bounds import (Enclosure, GapCertificate, SupportArc, enclosure_cor45,
                      enclosure_cor47, enclosure_thm44, enclosure_thm46,
-                     gap_certificate, quadratic_roots, support_arc,
-                     two_interval_enclosure)
+                     gap_certificate, quadratic_roots, support_arc)
 from .scaling import (constant_scaling_threshold,
                       constant_scaling_threshold_infinite, default_scaling_for,
                       legendre_dominant)
@@ -34,9 +32,7 @@ __all__ = [
     "constant_scaling_threshold", "constant_scaling_threshold_infinite",
     "default_scaling_for", "enclosure_cor45", "enclosure_cor47",
     "enclosure_thm44", "enclosure_thm46", "gap_certificate",
-    "is_chain_sequence", "ismail_li_constant", "legendre_dominant",
-    "make_scaling", "mass_at_one", "maximal_params", "minimal_params",
-    "quadratic_roots", "rotated_cd", "support_arc", "tau_from_verblunsky",
-    "two_interval_enclosure", "verblunsky_from_cd", "zeros_R", "zeros_W",
-    "zeros_ladder",
+    "ismail_li_constant", "legendre_dominant", "make_scaling", "mass_at_one",
+    "maximal_params", "quadratic_roots", "rotated_cd", "support_arc",
+    "tau_from_verblunsky", "verblunsky_from_cd", "zeros_R", "zeros_W",
 ]

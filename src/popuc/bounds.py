@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .chainseq import (ChainSeq, ScalingSeq, _chunks, _forward_params, _frozen,
-                       _require_positive, chain_failure_index, make_scaling)
+                       _require_positive, make_scaling)
 from .errors import BoundaryCaseError, InputError
 from .transforms import TWO_PI, CdParams, VerblunskySeq, _rotated_blocks
 # gap_certificate streams what rotated_cd computes whole; perfbench's tracer
@@ -262,9 +262,9 @@ def support_arc(cd: CdParams, q, N_max: int, method: str = "thm44") -> SupportAr
     """Tightest arc statement available at horizon ``N_max``.
 
     B_N increases and A_N decreases with N, so the horizon values give the
-    largest finite-degree arc; the stabilization flags report whether another
-    doubling of the horizon still moved them by more than
-    ``STABILIZATION_TOL``.
+    largest finite-degree arc; the stabilization flags report whether going
+    from half the horizon, ``max(2, N_max // 2)``, to ``N_max`` moved them by
+    less than ``STABILIZATION_TOL``.
     """
     if method not in _METHODS:
         raise InputError(f"unknown method {method!r}")
@@ -356,43 +356,3 @@ def gap_certificate(alpha: VerblunskySeq, theta1: float, theta2: float,
             return GapCertificate("violated", N, at + n, True, m[1:at + n + 1])
         g_last, t_last = g[-1], t[-1]
     return GapCertificate("verified", N, None, True, m[1:])
-
-
-def two_interval_enclosure(cd: CdParams, A: float, B: float, C: float, D: float,
-                           N: int) -> bool:
-    """Alternating-coefficient test keeping zeros inside (A, C) u (D, B).
-
-    Requires even N.  True when (A, B) passes the base enclosure conditions
-    and, for one of the two parities, every even-indexed c_n sits in the low
-    cotangent band and every odd-indexed one in the high band (or vice
-    versa); all zeros of W_n, n <= N, then avoid [C, D].
-    """
-    if N < 2 or N % 2:
-        raise InputError(f"N must be even and >= 2, got {N}")
-    _check_degree(cd, N)
-    if not (-1.0 < A < C < D < B < 1.0):
-        raise InputError("need -1 < A < C < D < B < 1")
-
-    def cot_of(x: float) -> float:
-        return x / math.sqrt(1.0 - x * x)
-
-    a_, b_, c_, d_ = cot_of(A), cot_of(B), cot_of(C), cot_of(D)
-    cvals = cd.c[:N]
-    if not (a_ < cvals[0] < b_):
-        return False
-    for x in (A, B):
-        s = math.sqrt(1.0 - x * x)
-        den = (x - cvals[:-1] * s) * (x - cvals[1:] * s)
-        if (den <= 0.0).any():
-            return False
-        frak = cd.d.values[:N - 1] / den
-        if (frak <= 0.0).any():
-            return False
-        if chain_failure_index(ChainSeq.from_values(frak)) is not None:
-            return False
-    even = cvals[1::2]  # c_2, c_4, ...
-    odd = cvals[0::2]   # c_1, c_3, ...
-    for low, high in ((even, odd), (odd, even)):
-        if ((low > a_) & (low < c_)).all() and ((high > d_) & (high < b_)).all():
-            return True
-    return False

@@ -221,16 +221,6 @@ def _minimal_raw(d: np.ndarray) -> np.ndarray:
     return g
 
 
-def minimal_params(d: ChainSeq) -> ParamSeq:
-    """Minimal parameter sequence (g_1 = 0) of ``d``.
-
-    Succeeds exactly when ``d`` is a positive chain sequence at its stated
-    length; raises :class:`NotChainSequenceError` with the first failing
-    index otherwise.
-    """
-    return ParamSeq(_minimal_raw(np.asarray(d.values, dtype=float)))
-
-
 def chain_failure_index(d: ChainSeq) -> Optional[int]:
     """First index at which ``d`` fails the chain-sequence test, else None."""
     try:
@@ -238,11 +228,6 @@ def chain_failure_index(d: ChainSeq) -> Optional[int]:
     except NotChainSequenceError as exc:
         return exc.index
     return None
-
-
-def is_chain_sequence(d: ChainSeq) -> bool:
-    """True when the minimal-parameter recursion stays admissible."""
-    return chain_failure_index(d) is None
 
 
 def _backward_maximal(d: np.ndarray) -> np.ndarray:

@@ -53,7 +53,19 @@ def _parse_params(text: str) -> dict:
     return out
 
 
+# The parameters each family reads; lam and lambda name the same one.
+_FAMILY_PARAMS = {"geronimus": ("alpha_re", "alpha_im"), "alternating": ("b1", "b2", "c"),
+                  "lambda-eta": ("lam", "lambda", "eta")}
+
+
 def _family_from_params(name: str, params: dict) -> VerblunskySeq:
+    if not isinstance(name, str) or name not in _FAMILY_PARAMS:
+        raise InputError(f"unknown family {name!r}; choose geronimus, alternating "
+                         "or lambda-eta")
+    for key in params:
+        if key not in _FAMILY_PARAMS[name]:
+            raise InputError(f"unknown {name} parameter {key!r}; it takes "
+                             f"{', '.join(_FAMILY_PARAMS[name])}")
     if name == "geronimus":
         alpha = complex(params.get("alpha_re", 0.0), params.get("alpha_im", 0.0))
         return VerblunskySeq.geronimus(alpha)
@@ -63,14 +75,11 @@ def _family_from_params(name: str, params: dict) -> VerblunskySeq:
                                              params.get("c", 0.0))
         except KeyError as exc:
             raise InputError(f"alternating family needs parameter {exc}")
-    if name == "lambda-eta":
-        try:
-            lam = params["lam"] if "lam" in params else params["lambda"]
-        except KeyError:
-            raise InputError("lambda-eta family needs parameters lam (or lambda) and eta")
-        return VerblunskySeq.lambda_eta(lam, params.get("eta", 0.0))
-    raise InputError(f"unknown family {name!r}; choose geronimus, alternating "
-                     "or lambda-eta")
+    lam = [params[k] for k in ("lam", "lambda") if k in params]
+    if len(lam) != 1:
+        raise InputError("lambda-eta family needs parameters lam (or lambda, not both) "
+                         "and eta")
+    return VerblunskySeq.lambda_eta(lam[0], params.get("eta", 0.0))
 
 
 def _read_json(path: str):
@@ -132,7 +141,11 @@ def _load_input_file(path: str):
 
 
 def _source(args):
-    """(alpha, cd) from --input or --family; at most one of them is set."""
+    """(alpha, cd) from --input or --family, which exclude each other."""
+    if args.input is not None and args.family is not None:
+        raise InputError("give --input or --family, not both")
+    if args.params is not None and args.family is None:
+        raise InputError("--params needs --family")
     if args.input:
         return _load_input_file(args.input)
     if args.family:
@@ -328,7 +341,8 @@ def cmd_gap(args, stream, err) -> int:
     n = 1000 if args.n is None else args.n
     alpha, _ = _source(args)
     if alpha is None:
-        raise InputError("gap needs a coefficient source (--input or --family)")
+        raise InputError('gap needs Verblunsky coefficients: --family, or --input with '
+                         'an "alpha" list or a family (an inline cd carries no rotation)')
     cert = gap_certificate(alpha, args.theta1, args.theta2, n)
     if args.trace:
         header, rows = ["n", "m"], zip(range(1, len(cert.m) + 1), cert.m.tolist())
@@ -406,7 +420,7 @@ def cmd_scaling_threshold(args, stream, err) -> int:
 def _add_source_flags(p):
     p.add_argument("--input", help="JSON input file (alpha list, family or cd)")
     p.add_argument("--family", help="named family: geronimus, alternating, lambda-eta")
-    p.add_argument("--params", default="", help="family parameters k=v,...")
+    p.add_argument("--params", help="family parameters k=v,...; needs --family")
 
 
 def _add_output_flag(p):

@@ -254,11 +254,6 @@ def _bisect_degrees(cd: CdParams, N: int, degrees: np.ndarray) -> list:
     return np.split(_bisect_zeros(cd, N, degree, j), ends[:-1])
 
 
-def zeros_ladder(cd: CdParams, N: int):
-    """Zeros (ascending in x) of every member W_1 .. W_N, bisected in one pass."""
-    return [level[::-1] for level in _bisect_degrees(cd, N, np.arange(1, N + 1))]
-
-
 def zeros_W(cd: CdParams, N: int) -> ZeroList:
     """All N zeros of W_N, each bisected on the zero count.
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from popuc import CdParams, InputError, chainseq
-from popuc.recurrence import _BISECTION_STEPS, _TINY, _coeffs
+from popuc.recurrence import _BISECTION_STEPS, _TINY, _bisect_degrees, _coeffs
 
 # Rescale the running recurrence pair every this many steps to keep the
 # magnitudes representable; growth per step is bounded by ~(1 + |c| + 1).
@@ -93,6 +93,11 @@ def below_noise_floor(cd, degree, points):
     with np.errstate(divide="ignore"):
         level = np.log2(np.abs(m)) + e
     return (m == 0.0) | (level <= pk - 52.0 + math.log2(32.0 * degree * degree) + 6.0)
+
+
+def zeros_ladder(cd, N):
+    """Zeros (ascending in x) of every member W_1 .. W_N, bisected in one pass."""
+    return [level[::-1] for level in _bisect_degrees(cd, N, np.arange(1, N + 1))]
 
 
 def assert_interlacing(cd, ladder):

@@ -13,7 +13,7 @@ import pytest
 import popuc as pp
 from popuc.cli import TABLE_N_VALUES, table_rows
 
-from conftest import _eval_W_grid, assert_interlacing, random_alpha
+from conftest import _eval_W_grid, assert_interlacing, random_alpha, zeros_ladder
 
 
 # printed reference values: (N, bound_first, argext_plus, theta_first,
@@ -178,7 +178,7 @@ def test_criterion_5_interlacing_and_endpoint_signs(corpus):
                     w /= scale
                     w_prev /= scale
     for cd, _, _ in corpus[:15]:
-        assert_interlacing(cd, pp.zeros_ladder(cd, 100))
+        assert_interlacing(cd, zeros_ladder(cd, 100))
     print("ACCEPTANCE 5 PASS: endpoint signs on 200 instances and interlacing "
           "ladders on 15 instances, degrees to 100")
 
@@ -202,10 +202,10 @@ def test_criterion_7_chain_sequence_extremality():
     """Extremal constants flip across their strict boundaries."""
     for n_deg in range(3, 51):
         base = pp.ismail_li_constant(n_deg)
-        assert pp.is_chain_sequence(
-            pp.ChainSeq.from_values([base * (1 - 1e-9)] * (n_deg - 1)))
-        assert not pp.is_chain_sequence(
-            pp.ChainSeq.from_values([base * (1 + 1e-9)] * (n_deg - 1)))
+        assert pp.chain_failure_index(
+            pp.ChainSeq.from_values([base * (1 - 1e-9)] * (n_deg - 1))) is None
+        assert pp.chain_failure_index(
+            pp.ChainSeq.from_values([base * (1 + 1e-9)] * (n_deg - 1))) is not None
     gen = np.random.default_rng(9090)
     for _ in range(20):
         n = int(gen.integers(3, 21))

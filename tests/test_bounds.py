@@ -345,28 +345,3 @@ class TestGapCertificate:
             pp.gap_certificate(alpha, theta1, theta2, 1)
         assert err.value.index == 2
 
-
-class TestTwoIntervalEnclosure:
-    def test_alternating_family(self):
-        aseq = pp.VerblunskySeq.alternating(0.6, 0.6, 0.5, horizon=20)
-        cd = pp.cd_from_verblunsky(aseq)
-        q = pp.default_scaling_for(aseq, 20, cd=cd)
-        enc = pp.enclosure_thm44(cd, q, 20)
-        c = 0.5
-        band = c * (1 - 0.02)
-        C = -band / math.hypot(1, band)
-        D = band / math.hypot(1, band)
-        assert pp.two_interval_enclosure(cd, enc.A - 1e-6, enc.B + 1e-6, C, D, 20)
-        zl = pp.zeros_W(cd, 20)
-        assert not np.any((zl.x >= C) & (zl.x <= D))
-
-    def test_symmetric_family_rejected(self):
-        cd = pp.cd_from_verblunsky(pp.VerblunskySeq.from_values(np.zeros(20)))
-        assert not pp.two_interval_enclosure(cd, -0.9, 0.9, -0.2, 0.2, 20)
-
-    def test_validation(self):
-        cd = pp.cd_from_verblunsky(pp.VerblunskySeq.from_values(np.zeros(8)))
-        with pytest.raises(pp.InputError):
-            pp.two_interval_enclosure(cd, -0.9, 0.9, 0.2, -0.2, 8)
-        with pytest.raises(pp.InputError):
-            pp.two_interval_enclosure(cd, -0.9, 0.9, -0.2, 0.2, 7)

@@ -4,33 +4,33 @@ import numpy as np
 import pytest
 
 import popuc as pp
-from popuc.chainseq import _CHUNK, _backward_maximal, _forward_params
+from popuc.chainseq import _CHUNK, _backward_maximal, _forward_params, _minimal_raw
 
 from conftest import random_cd_q, ultraspherical_d
 
 
 class TestMinimalParams:
     def test_constant_quarter(self):
-        g = pp.minimal_params(pp.ChainSeq.from_values([0.25] * 5))
+        g = _minimal_raw(pp.ChainSeq.from_values([0.25] * 5).values)
         np.testing.assert_allclose(
-            g.values, [0.0, 1 / 4, 1 / 3, 3 / 8, 2 / 5, 5 / 12], rtol=1e-15)
+            g, [0.0, 1 / 4, 1 / 3, 3 / 8, 2 / 5, 5 / 12], rtol=1e-15)
 
     def test_failure_reports_first_index(self):
         with pytest.raises(pp.NotChainSequenceError) as err:
-            pp.minimal_params(pp.ChainSeq.from_values([1.1, 0.2]))
+            _minimal_raw(pp.ChainSeq.from_values([1.1, 0.2]).values)
         assert err.value.index == 1
 
     def test_ultraspherical_closed_form(self):
         lam = 1.0
-        g = pp.minimal_params(pp.ChainSeq.from_values(ultraspherical_d(lam, 10)))
+        g = _minimal_raw(pp.ChainSeq.from_values(ultraspherical_d(lam, 10)).values)
         n = np.arange(0, 11)
-        np.testing.assert_allclose(g.values, n / (2 * (n + lam + 1)), rtol=1e-14)
+        np.testing.assert_allclose(g, n / (2 * (n + lam + 1)), rtol=1e-14)
 
     def test_reconstructs_chain_sequence(self, rng):
         for _ in range(20):
             cd, _ = random_cd_q(rng, int(rng.integers(3, 40)))
             d = cd.d
-            g = pp.minimal_params(d).values
+            g = _minimal_raw(d.values)
             recon = (1.0 - g[:-1]) * g[1:]
             assert np.max(np.abs(recon - d.values) / d.values) < 1e-13
 
@@ -62,17 +62,17 @@ class TestForwardParams:
 
 class TestIsChainSequence:
     def test_constant_quarter(self):
-        assert pp.is_chain_sequence(pp.ChainSeq.from_values([0.25] * 8))
+        assert pp.chain_failure_index(pp.ChainSeq.from_values([0.25] * 8)) is None
 
     def test_constant_above_quarter_fails(self):
         d = pp.ChainSeq.from_values(np.full(1000, 0.26))
-        assert not pp.is_chain_sequence(d)
+        assert pp.chain_failure_index(d) is not None
         assert pp.chain_failure_index(d) is not None
 
     def test_ismail_li_constant_length(self):
         N = 10
         d = pp.ChainSeq.from_values([pp.ismail_li_constant(N)] * (N - 1))
-        assert pp.is_chain_sequence(d)
+        assert pp.chain_failure_index(d) is None
 
 
 class TestMaximalParams:
@@ -129,7 +129,7 @@ class TestComparisonTest:
     # sequence, makes d one as well
     def test_ultraspherical_vs_quarter(self):
         dhat = pp.ChainSeq.from_values([0.25] * 30)
-        assert pp.is_chain_sequence(dhat)
+        assert pp.chain_failure_index(dhat) is None
         for lam in (0.0, 0.5, 2.0):
             d = pp.ChainSeq.from_values(ultraspherical_d(lam, 30))
             assert (d.values <= dhat.values).all()
@@ -140,8 +140,8 @@ class TestComparisonTest:
             h = rng.uniform(0.1, 0.9, n)
             dhat = pp.ChainSeq.from_values((1 - h[:-1]) * h[1:])
             d = pp.ChainSeq.from_values(dhat.values * rng.uniform(0.2, 1.0, n - 1))
-            assert (d.values <= dhat.values).all() and pp.is_chain_sequence(dhat)
-            assert pp.is_chain_sequence(d)
+            assert (d.values <= dhat.values).all() and pp.chain_failure_index(dhat) is None
+            assert pp.chain_failure_index(d) is None
 
 
 class TestMakeScaling:
@@ -187,7 +187,7 @@ class TestClosedFormFamilies:
     @pytest.mark.parametrize("lam", [-0.25, 0.0, 1.0, 10.0])
     def test_parameter_closed_forms_to_1e12(self, lam):
         d = pp.ChainSeq.from_values(ultraspherical_d(lam, 100))
-        g = pp.minimal_params(d).values
+        g = _minimal_raw(d.values)
         n = np.arange(0, 101)
         np.testing.assert_allclose(g, n / (2 * (n + lam + 1)), atol=1e-12)
 
@@ -198,8 +198,8 @@ class TestIsmailLiExtremality:
         base = pp.ismail_li_constant(N)
         below = pp.ChainSeq.from_values([base * (1 - 1e-9)] * (N - 1))
         above = pp.ChainSeq.from_values([base * (1 + 1e-9)] * (N - 1))
-        assert pp.is_chain_sequence(below)
-        assert not pp.is_chain_sequence(above)
+        assert pp.chain_failure_index(below) is None
+        assert pp.chain_failure_index(above) is not None
 
 
 class TestExtremalConstantEveryDegree:
@@ -213,8 +213,8 @@ class TestExtremalConstantEveryDegree:
     def test_ismail_li_accepted_at_every_degree(self):
         for N in range(2, 1001):
             d = pp.ChainSeq.from_values(np.full(N - 1, pp.ismail_li_constant(N)))
-            assert pp.is_chain_sequence(d), N
-            assert pp.minimal_params(d).values[-1] > 1.0 - 1e-8
+            assert pp.chain_failure_index(d) is None, N
+            assert _minimal_raw(d.values)[-1] > 1.0 - 1e-8
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
     def test_lambda_eta_default_scaling_at_every_degree(self, lam):
@@ -229,12 +229,12 @@ class TestExtremalConstantEveryDegree:
         base = pp.ismail_li_constant(N)
         below = pp.ChainSeq.from_values([base * (1 - 1e-9)] * (N - 1))
         above = pp.ChainSeq.from_values([base * (1 + 1e-9)] * (N - 1))
-        assert pp.is_chain_sequence(below)
-        assert not pp.is_chain_sequence(above)
+        assert pp.chain_failure_index(below) is None
+        assert pp.chain_failure_index(above) is not None
 
     def test_parameter_sequence_agrees_with_the_test(self):
         d = pp.ChainSeq.from_values(np.full(499, pp.ismail_li_constant(500)))
-        g = pp.minimal_params(d).values
+        g = _minimal_raw(d.values)
         assert g[-1] - 1.0 > pp.chainseq.BOUNDARY_TOL
         assert pp.ParamSeq(g).values[-1] == g[-1]
         with pytest.raises(pp.InputError, match="final parameter out of range"):
@@ -248,7 +248,7 @@ class TestExtremalConstantEveryDegree:
         d = np.array([1 - eps] + [eps * (1 - eps)] * 9 + [2 * eps])
         g = np.array([0.0] + [1 - eps] * 10 + [2.0])
         assert np.array_equal(pp.chainseq._forward_params(d)[0], g)
-        assert not pp.is_chain_sequence(pp.ChainSeq.from_values(d))
+        assert pp.chain_failure_index(pp.ChainSeq.from_values(d)) is not None
         with pytest.raises(pp.InputError, match="final parameter out of range"):
             pp.ParamSeq(g)
 
@@ -258,7 +258,7 @@ class TestExtremalConstantEveryDegree:
         d = np.full(2999, pp.ismail_li_constant(3000))
         g = pp.chainseq._forward_params(d)[0]
         assert 1e-7 < g[-1] - 1.0
-        assert not pp.is_chain_sequence(pp.ChainSeq.from_values(d))
+        assert pp.chain_failure_index(pp.ChainSeq.from_values(d)) is not None
 
 
 class TestCallerArrays:

@@ -392,6 +392,16 @@ class TestGap:
                             "--params", "alpha_re=-0.5", "--n", "10"])
         assert code == 2
 
+    def test_inline_cd_is_no_source(self, tmp_path):
+        # an inline cd carries no rotation, so the message asks for alpha
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.0] * 4, "d": [0.2] * 3}}))
+        code, out, err = run(["gap", "--input", str(src), "--theta1", "5.3",
+                              "--theta2", "7.2", "--n", "3"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: gap needs Verblunsky coefficients") and \
+            "an inline cd carries no rotation" in err
+
     @pytest.mark.parametrize("guard, code", [("circle", 2), ("cotangent", 3)])
     @pytest.mark.parametrize("kick, at", [(5, 300), (300, 5)])
     def test_guard_fires_only_before_the_violation(self, tmp_path, guard, code, kick,
@@ -625,6 +635,14 @@ class TestExitCodeContract:
     def test_unknown_family(self):
         code, _, err = run(["bounds", "--family", "nope", "--n", "4"])
         assert code == 2
+
+    def test_family_name_not_a_string(self, tmp_path):
+        # a list cannot be looked up among the family names
+        src = tmp_path / "family.json"
+        src.write_text(json.dumps({"family": ["geronimus"], "params": {}}))
+        code, out, err = run(["zeros", "--input", str(src), "--n", "4"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown family ['geronimus']")
 
     @pytest.mark.parametrize("family, params, bad", [
         ("geronimus", {"alpha_re": "x"}, "alpha_re"),
@@ -1006,6 +1024,42 @@ class TestRejectedInput:
         code, _, err = run(["zeros", "--input", str(src), "--n", "4"])
         assert code == 2
         assert err.startswith("error: ") and str(src) in err
+
+    @pytest.mark.parametrize("family, params, key", [
+        ("geronimus", "alpha_re=0.3,alpha_img=0.4", "'alpha_img'"),
+        ("geronimus", "b1=0.3", "'b1'"),
+        ("alternating", "b1=0.5,b2=0.5,eta=1", "'eta'"),
+        ("lambda-eta", "lam=1,eta=1,alpha_re=0.3", "'alpha_re'"),
+        # lam and lambda name one parameter
+        ("lambda-eta", "lam=1,eta=1,lambda=5", "lam (or lambda, not both)"),
+    ])
+    def test_unknown_family_parameter(self, tmp_path, family, params, key):
+        # used to be dropped: alpha_img gave the zeros of the real alpha = 0.3
+        code, out, err = run(["zeros", "--family", family, "--params", params,
+                              "--n", "3"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and key in err
+        src = tmp_path / "family.json"
+        src.write_text(json.dumps({"family": family, "params": cli._parse_params(params)}))
+        assert run(["zeros", "--input", str(src), "--n", "3"]) == (code, out, err)
+
+    @pytest.mark.parametrize("command", [["zeros", "--n", "3"], ["transform", "--n", "3"],
+                                         ["bounds", "--n", "3"],
+                                         ["scaling-threshold", "--n", "3"],
+                                         ["gap", "--theta1", "5.3", "--theta2", "7.2"]])
+    @pytest.mark.parametrize("source, message", [
+        (["--input", "{src}", "--family", "geronimus"], "give --input or --family, not both"),
+        (["--input", "{src}", "--family", "geronimus", "--params", "alpha_re=-0.5"],
+         "give --input or --family, not both"),
+        (["--params", "alpha_re=-0.5"], "--params needs --family"),
+        (["--input", "{src}", "--params", "alpha_re=-0.5"], "--params needs --family"),
+    ])
+    def test_source_flags_exclude_each_other(self, tmp_path, command, source, message):
+        # the file used to win, and --params without --family was dropped
+        src = tmp_path / "alpha.json"
+        src.write_text(json.dumps({"alpha": [[-0.5, 0.0]] * 4}))
+        argv = command + [arg.format(src=src) for arg in source]
+        assert run(argv) == (2, "", f"error: {message}\n")
 
     def test_non_numeric_params_value(self):
         code, _, err = run(["bounds", "--family", "geronimus",

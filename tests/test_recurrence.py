@@ -10,7 +10,7 @@ import popuc as pp
 from popuc.recurrence import _bisect_zeros, _count_above, zeros_of_degrees
 
 from conftest import (_eval_W_grid, assert_interlacing, plain_bisect_zeros,
-                      plain_count_above, random_alpha, random_cd_q)
+                      plain_count_above, random_alpha, random_cd_q, zeros_ladder)
 
 
 def chebyshev_cd(n):
@@ -93,12 +93,12 @@ class TestZerosW:
         for _ in range(4):
             n = int(rng.integers(20, 101))
             cd, _ = random_cd_q(rng, n)
-            assert_interlacing(cd, pp.zeros_ladder(cd, n))
+            assert_interlacing(cd, zeros_ladder(cd, n))
 
     def test_interlacing_smooth_family_is_fully_strict(self):
         # full-support family: no zero clustering, ladder strictly interlaced
         cd = pp.cd_from_verblunsky(pp.VerblunskySeq.lambda_eta(1.0, 1.0, horizon=60))
-        ladder = pp.zeros_ladder(cd, 60)
+        ladder = zeros_ladder(cd, 60)
         for lower, upper in zip(ladder[:-1], ladder[1:]):
             merged = np.empty(len(lower) + len(upper))
             merged[0::2] = upper
