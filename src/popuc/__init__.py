@@ -11,9 +11,8 @@ from .errors import (BoundaryCaseError, InputError, InvariantError,
                      NotChainSequenceError, PopucError, ScalingError)
 from .chainseq import (ChainSeq, ParamSeq, ScalingSeq, chain_failure_index,
                        ismail_li_constant, make_scaling, maximal_params)
-from .transforms import (CdParams, TauSeq, VerblunskySeq, cd_from_verblunsky,
-                         mass_at_one, rotated_cd, tau_from_verblunsky,
-                         verblunsky_from_cd)
+from .transforms import (CdParams, VerblunskySeq, cd_from_verblunsky, mass_at_one,
+                         rotated_cd, tau_from_verblunsky, verblunsky_from_cd)
 from .recurrence import ZeroList, zeros_R, zeros_W
 from .bounds import (Enclosure, GapCertificate, SupportArc, enclosure_cor45,
                      enclosure_cor47, enclosure_thm44, enclosure_thm46,
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryCaseError", "CdParams", "ChainSeq", "Enclosure", "GapCertificate",
     "InputError", "InvariantError", "NotChainSequenceError", "ParamSeq",
-    "PopucError", "ScalingError", "ScalingSeq", "SupportArc", "TauSeq",
+    "PopucError", "ScalingError", "ScalingSeq", "SupportArc",
     "VerblunskySeq", "ZeroList", "cd_from_verblunsky", "chain_failure_index",
     "constant_scaling_threshold", "constant_scaling_threshold_infinite",
     "default_scaling_for", "enclosure_cor45", "enclosure_cor47",

@@ -30,7 +30,7 @@ from .chainseq import (ChainSeq, ScalingSeq, _chunks, _forward_params, _frozen,
                        _require_positive, make_scaling)
 from .errors import BoundaryCaseError, InputError
 from .transforms import TWO_PI, CdParams, VerblunskySeq, _rotated_blocks
-# gap_certificate streams what rotated_cd computes whole; perfbench's tracer
+# rotated_cd joins the blocks that gap_certificate walks; perfbench's tracer
 # still wraps the name here (tracer.BY_VALUE)
 from .transforms import rotated_cd  # noqa: F401
 
@@ -331,7 +331,7 @@ def gap_certificate(alpha: VerblunskySeq, theta1: float, theta2: float,
     s = math.sqrt(max(0.0, 1.0 - x_star * x_star))
     m = np.empty(N + 1)  # m_0 = 0, m_1, ..
     m[0] = 0.0
-    for first, c, g in _rotated_blocks(alpha, theta2, N + 1):
+    for first, _, c, g in _rotated_blocks(alpha, theta2, N + 1):
         t = x_star - c * s  # t[k] = x* - c_{first+k+1} sqrt(1 - x*^2)
         if first:  # d_{first+1} and its scale reach back into the last block
             d = (1.0 - np.concatenate(([g_last], g[:-1]))) * g

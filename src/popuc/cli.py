@@ -46,6 +46,8 @@ def _parse_params(text: str) -> dict:
             raise InputError(f"malformed --params entry {chunk!r}; expected k=v")
         key, val = chunk.split("=", 1)
         key = key.strip()
+        if key in out:
+            raise InputError(f"--params gives {key!r} twice")
         try:
             out[key] = float(val)
         except ValueError:
@@ -380,7 +382,7 @@ def cmd_transform(args, stream, err) -> int:
         recovered = verblunsky_from_cd(cd, t=t_star).prefix(n)
         residual = float(np.abs(recovered - alpha.prefix(n)).max())
         summary = f"transform: roundtrip residual {residual:.3e} at t={t_star!r}\n"
-    tau = cd.tau.values[:n]
+    tau = cd.tau[:n]
     rows = zip(range(1, n + 1), cd.c.tolist(), cd.g.values.tolist(),
                chain(cd.d.values.tolist(), [""]), tau.real.tolist(), tau.imag.tolist())
     _emit(["n", "c", "g", "d_next", "tau_re", "tau_im"], rows, stream, args.output,
@@ -392,7 +394,12 @@ def cmd_transform(args, stream, err) -> int:
 def cmd_scaling_threshold(args, stream, err) -> int:
     alpha, cd_inline = _source(args)
     if args.infinite:
+        if args.n is not None:
+            raise InputError("give --n or --infinite, not both")
         if args.d_const is not None:
+            if args.input is not None or args.family is not None:
+                source = "--family" if args.input is None else "--input"
+                raise InputError(f"give --d-const or {source}, not both")
             d = args.d_const
         elif alpha is not None and alpha.family == "lambda-eta":
             d = None  # the ultraspherical d of every lambda-eta source
@@ -401,6 +408,8 @@ def cmd_scaling_threshold(args, stream, err) -> int:
         threshold = scaling_mod.constant_scaling_threshold_infinite
         kind = "infinite"
     else:
+        if args.d_const is not None:
+            raise InputError("--d-const needs --infinite")
         if args.n is None:
             raise InputError("finite threshold needs --n")
         N = args.n

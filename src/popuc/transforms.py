@@ -17,7 +17,9 @@ through which
 
 A rotated variant tau^(theta) (tau_0 = e^{i theta}) produces the
 parametrization of the measure rotated so that an arbitrary point of the
-circle plays the role of z = 1.
+circle plays the role of z = 1.  It is computed in one place, a block at a
+time (``_rotated_blocks``): the gap certificate walks those blocks, and
+``rotated_cd`` joins them.
 
 The reverse direction recovers the coefficients of the family member with
 mass t at z = 1 from the chain sequence augmented by d_1 = (1 - t) M_1,
@@ -296,24 +298,6 @@ class VerblunskySeq:
         return self.horizon
 
 
-@dataclass(frozen=True)
-class TauSeq:
-    """Unimodular sequence tau_0 .. tau_m, renormalized at every step.
-
-    ``max_drift`` records the largest deviation of |tau| from 1 seen before
-    renormalization; it stays at rounding level unless the input is corrupt.
-    """
-
-    values: np.ndarray
-    max_drift: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, complex))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _normalize_rotation(theta: float) -> float:
     """Fold a rotation angle into (0, 2*pi]."""
     folded = math.fmod(theta, TWO_PI)
@@ -322,39 +306,28 @@ def _normalize_rotation(theta: float) -> float:
     return folded
 
 
-def tau_from_verblunsky(alpha: VerblunskySeq, n: Optional[int] = None,
-                        rotation: Optional[float] = None) -> TauSeq:
-    """Sequence tau_0 .. tau_n driven by the first n Verblunsky coefficients.
+def tau_from_verblunsky(alpha: VerblunskySeq, n: Optional[int] = None) -> np.ndarray:
+    """Read-only tau_0 .. tau_n driven by the first n Verblunsky coefficients.
 
-    Without rotation this is the Moebius recursion with tau_0 = 1; with a
-    rotation angle theta it starts at e^{i theta} and applies the phase
-    factor every step.  Each value is renormalized to unit modulus.  Named
-    families with a closed-form tau bypass the recursion (see
-    :class:`VerblunskySeq`).
+    This is the Moebius recursion with tau_0 = 1, each value renormalized to
+    unit modulus.  Named families with a closed-form tau bypass the recursion
+    (see :class:`VerblunskySeq`); the rotated tau is ``rotated_cd(...).tau``.
     """
     if n is None:
         n = alpha.horizon
-    if rotation is None and alpha._tau_fn is not None:
-        return TauSeq(np.asarray(alpha._tau_fn(n), dtype=complex))
-    phase = None
-    if rotation is not None:
-        rotation = _normalize_rotation(rotation)
-        closed = alpha._rotated_tau_fn(rotation)
-        if closed is not None:
-            return TauSeq(closed(0, n + 1))
-        phase = cmath.exp(1j * rotation)
-    a = alpha.prefix(n)
+    if alpha._tau_fn is not None:
+        return _frozen(alpha._tau_fn(n), complex)
     out = np.empty(n + 1, dtype=complex)
-    out[0] = 1.0 if phase is None else phase
-    return TauSeq(out, max_drift=_tau_walk(a, out, phase))
+    out[0] = 1.0
+    _tau_walk(alpha.prefix(n), out, None)
+    return _frozen(out, complex)
 
 
 def _tau_walk(a: np.ndarray, out: np.ndarray, phase: Optional[complex],
-              first: int = 0) -> float:
+              first: int = 0) -> None:
     """Fill ``out[1:]`` with tau_{first+1} .. tau_{first+len(a)} from
     ``out[0]`` = tau_first and ``a`` = alpha_first ..; ``phase`` is e^{i theta}
-    of a rotation, or None.  Returns the largest drift of |tau| from 1."""
-    drift = 0.0
+    of a rotation, or None."""
     # The recursion runs on the parts of tau and of alpha_k as Python floats,
     # each operation written as numpy's complex128 arithmetic performs it,
     # so the sequence matches a numpy evaluation bit for bit.
@@ -388,8 +361,6 @@ def _tau_walk(a: np.ndarray, out: np.ndarray, phase: Optional[complex],
                 ni = er * qi + ei * dr
             xr, xi = _cdiv(nr, ni, dr, di)
             mod = abs(complex(xr, xi))
-            if abs(mod - 1.0) > drift:
-                drift = abs(mod - 1.0)
             # _cdiv(xr, xi, mod, 0.0), written out
             scl = 1.0 / mod
             tr = (xr + xi * 0.0) * scl
@@ -398,7 +369,6 @@ def _tau_walk(a: np.ndarray, out: np.ndarray, phase: Optional[complex],
             res_im.append(ti)
         out.real[i + 1:i + 1 + len(res_re)] = res_re
         out.imag[i + 1:i + 1 + len(res_im)] = res_im
-    return drift
 
 
 @dataclass(frozen=True)
@@ -413,8 +383,8 @@ class CdParams:
     c: np.ndarray
     d: ChainSeq
     g: ParamSeq
-    # tau_0 .. tau_n as computed from the coefficients, or None for ``_c_tau``
-    _tau: Optional[TauSeq] = field(default=None, repr=False, compare=False)
+    # read-only tau_0 .. tau_n from the coefficients, or None for ``_c_tau``
+    _tau: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         c = _frozen(self.c)
@@ -433,11 +403,12 @@ class CdParams:
         return len(self.c)
 
     @property
-    def tau(self) -> TauSeq:
+    def tau(self) -> np.ndarray:
+        """Read-only tau_0 .. tau_n."""
         return self._c_tau if self._tau is None else self._tau
 
     @functools.cached_property
-    def _c_tau(self) -> TauSeq:
+    def _c_tau(self) -> np.ndarray:
         """tau from c alone (``_tau_from_c``), computed on first read: the tau
         of an inline cd, and the one the reverse transform reads."""
         return _tau_from_c(self.c)
@@ -466,48 +437,47 @@ class CdParams:
         return cls(c, dseq, g)
 
 
-def _tau_from_c(c: np.ndarray) -> TauSeq:
-    """tau_0 = 1, tau_n = tau_{n-1} (1 - i c_n) / (1 + i c_n)."""
+def _tau_from_c(c: np.ndarray) -> np.ndarray:
+    """Read-only tau_0 = 1, tau_n = tau_{n-1} (1 - i c_n) / (1 + i c_n)."""
     out = np.empty(len(c) + 1, dtype=complex)
     out[0] = tau = 1.0 + 0.0j
-    drift = 0.0
     for i, block in _chunks(c):
         res = []
         for ck in block:
             tau = tau * (1.0 - 1j * ck) / (1.0 + 1j * ck)
-            mod = abs(tau)
-            if abs(mod - 1.0) > drift:
-                drift = abs(mod - 1.0)
-            tau /= mod
+            tau /= abs(tau)
             res.append(tau)
         out[i + 1:i + 1 + len(res)] = res
-    return TauSeq(out, max_drift=drift)
+    return _frozen(out, complex)
 
 
-def cd_from_verblunsky(alpha: VerblunskySeq, n_terms: Optional[int] = None,
-                       rotation: Optional[float] = None) -> CdParams:
+def cd_from_verblunsky(alpha: VerblunskySeq, n_terms: Optional[int] = None) -> CdParams:
     """(c, d, g, tau) of the measure described by ``alpha``.
 
     ``n_terms`` coefficients c_1 .. c_N are produced (defaulting to the
     sequence horizon), along with g_1 .. g_N and the N - 1 chain-sequence
     elements d_2 .. d_N.
     """
+    n_terms = _term_count(alpha, n_terms)
+    a = alpha.prefix(n_terms)
+    tau = tau_from_verblunsky(alpha, n_terms)
+    c, g = _cg(tau[:-1], a)
+    return CdParams(c, ChainSeq.from_values((1.0 - g[:-1]) * g[1:]), ParamSeq(g), tau)
+
+
+def _term_count(alpha: VerblunskySeq, n_terms: Optional[int]) -> int:
+    """``n_terms``, by default the horizon of ``alpha``; at least 1."""
     if n_terms is None:
         n_terms = alpha.horizon
     if n_terms < 1:
         raise InputError(f"need at least one coefficient, got n_terms={n_terms}")
-    a = alpha.prefix(n_terms)
-    tau = tau_from_verblunsky(alpha, n_terms, rotation)
-    c, g = _cg(tau.values[:-1], a)
-    d = (1.0 - g[:-1]) * g[1:]
-    return CdParams(c, ChainSeq.from_values(d), ParamSeq(g), tau)
+    return n_terms
 
 
 def _cg(tau: np.ndarray, a: np.ndarray, first: int = 0) -> tuple:
     """(c, g) from tau_first .. and alpha_first .. (``first`` names them)."""
     prod = tau * a
-    re = prod.real
-    im = prod.imag
+    re, im = prod.real, prod.imag
     denom = 1.0 - re
     if not (denom > 0.0).all():  # analytically 1 - Re(tau alpha) >= 1 - |alpha|
         k = int(np.argmin(denom > 0.0))
@@ -520,39 +490,41 @@ def _cg(tau: np.ndarray, a: np.ndarray, first: int = 0) -> tuple:
 
 
 def _rotated_blocks(alpha: VerblunskySeq, theta2: float, n_terms: int):
-    """(first, c, g) of ``rotated_cd(alpha, theta2, n_terms)`` a block at a
-    time: c_{first+1} .., g_{first+1} .. with the same bits, in blocks of 64
-    terms and then twice as many up to ``_CHUNK``, each carrying its tau over
-    to the next.  A consumer that stops early computes no further block, so
-    no guard of a later block (a coefficient within rounding of the unit
-    circle) fires."""
+    """(first, tau, c, g) of ``rotated_cd(alpha, theta2, n_terms)`` a block at
+    a time: tau_first .. tau_stop, c_{first+1} .. c_stop and g_{first+1} ..
+    g_stop, in blocks of 64 terms and then twice as many up to ``_CHUNK``.  A
+    walk starts each block from the last tau of the one before.  A consumer
+    that stops early computes no further block, so no guard of a later block
+    (a coefficient within rounding of the unit circle) fires."""
     rotation = _normalize_rotation(theta2)
     closed = alpha._rotated_tau_fn(rotation)
-    phase = cmath.exp(1j * rotation)
-    tau = phase
+    phase = last = cmath.exp(1j * rotation)
     stops = _block_stops(n_terms)
     for (start, stop), a in zip(_ranges(stops), alpha.blocks(stops)):
         if closed is not None:
-            values = closed(start, stop)
+            tau = closed(start, stop + 1)
         else:
-            out = np.empty(stop - start + 1, dtype=complex)
-            out[0] = tau
-            _tau_walk(a, out, phase, start)
-            tau, values = out[-1], out[:-1]
-        yield (start, *_cg(values, a, start))
+            tau = np.empty(stop - start + 1, dtype=complex)
+            tau[0] = last
+            _tau_walk(a, tau, phase, start)
+            last = tau[-1]
+        yield (start, tau, *_cg(tau[:-1], a, start))
 
 
 def rotated_cd(alpha: VerblunskySeq, theta2: float,
                n_terms: Optional[int] = None) -> CdParams:
     """Parametrization after rotating the measure so that the circle point at
-    angle ``theta2`` is carried to z = 1.
+    angle ``theta2`` is carried to z = 1; its tau starts at e^{i theta2}.
 
     Equivalent to replacing alpha_n by e^{i (n+1) theta2} alpha_n; angles are
-    folded modulo 2*pi into (0, 2*pi].
+    folded modulo 2*pi into (0, 2*pi].  Assembled from ``_rotated_blocks``.
     """
     if theta2 <= 0.0:
         raise InputError(f"rotation angle must be positive, got {theta2}")
-    return cd_from_verblunsky(alpha, n_terms, rotation=theta2)
+    _, taus, cs, gs = zip(*_rotated_blocks(alpha, theta2, _term_count(alpha, n_terms)))
+    tau = _frozen(np.concatenate([taus[0][:1], *(t[1:] for t in taus)]), complex)
+    c, g = np.concatenate(cs), np.concatenate(gs)
+    return CdParams(c, ChainSeq.from_values((1.0 - g[:-1]) * g[1:]), ParamSeq(g), tau)
 
 
 def verblunsky_from_cd(cd: CdParams, t: float = 0.0) -> VerblunskySeq:
@@ -603,7 +575,7 @@ def verblunsky_from_cd(cd: CdParams, t: float = 0.0) -> VerblunskySeq:
         raise InvariantError(
             f"augmented parameter recursion left (0, 1) at step {k + 1}")
     ic = 1j * cd.c
-    tau = cd._c_tau.values[:n]
+    tau = cd._c_tau[:n]
     return VerblunskySeq.from_values((1.0 - 2.0 * m - ic) / ((1.0 - ic) * tau))
 
 

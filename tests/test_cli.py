@@ -336,7 +336,7 @@ def _plant_guard(values, k, guard, theta2, half):
     coefficient within rounding of the unit circle (``"circle"``, exit 2) or
     one putting c_{k+1} on the probe's cotangent direction (exit 3)."""
     inline = pp.VerblunskySeq.from_values(values[:k])
-    tau = pp.tau_from_verblunsky(inline, k, theta2).values[k]
+    tau = pp.rotated_cd(inline, theta2, k).tau[k]
     if guard == "circle":  # |1 - tau_k alpha_k| < 1e-15
         values[k] = (1.0 - 2.0 ** -51) * np.conj(tau)
     else:  # tau_k alpha_k = (1 - i cot(half)) / 2, so c_{k+1} = cot(half)
@@ -575,6 +575,24 @@ class TestScalingThreshold:
                               "--params", "lam=1e200,eta=1", "--infinite"])
         assert code == 0, err
         assert out.splitlines()[1] == "infinite,1.0"
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["--family", "lambda-eta", "--params", "lam=1,eta=1", "--n", "10",
+          "--d-const", "0.2"], ("--d-const", "--infinite")),
+        (["--d-const", "0.2", "--infinite", "--n", "10"], ("--n", "--infinite")),
+        (["--family", "lambda-eta", "--params", "lam=1,eta=1", "--infinite", "--n", "10"],
+         ("--n", "--infinite")),
+        (["--family", "lambda-eta", "--params", "lam=1,eta=1", "--d-const", "0.2",
+          "--infinite"], ("--d-const", "--family")),
+        (["--input", "{src}", "--d-const", "0.2", "--infinite"], ("--d-const", "--input")),
+    ])
+    def test_unread_flag_combination(self, tmp_path, argv, flags):
+        # each used to exit 0 with one of the flags ignored
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.0] * 10, "d": [0.2] * 9}}))
+        code, out, err = run(["scaling-threshold", *(a.format(src=src) for a in argv)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and all(flag in err for flag in flags)
 
     @settings(max_examples=300, deadline=None)
     @given(value=st.one_of(st.floats(), st.sampled_from(
@@ -1042,6 +1060,15 @@ class TestRejectedInput:
         src = tmp_path / "family.json"
         src.write_text(json.dumps({"family": family, "params": cli._parse_params(params)}))
         assert run(["zeros", "--input", str(src), "--n", "3"]) == (code, out, err)
+
+    @pytest.mark.parametrize("params, key", [
+        ("lam=1,lam=2,eta=1", "'lam'"), ("alpha_re=0.3, alpha_re=0.3", "'alpha_re'")])
+    def test_repeated_family_parameter(self, params, key):
+        # used to keep the last value without a word
+        family = "lambda-eta" if "lam" in params else "geronimus"
+        code, out, err = run(["zeros", "--family", family, "--params", params, "--n", "2"])
+        assert (code, out) == (2, "")
+        assert err == f"error: --params gives {key} twice\n"
 
     @pytest.mark.parametrize("command", [["zeros", "--n", "3"], ["transform", "--n", "3"],
                                          ["bounds", "--n", "3"],

@@ -3,8 +3,8 @@
 The library runs its sequential loops on Python floats, read ``_CHUNK``
 terms at a time, and writes each complex128 operation out the way numpy
 rounds it.  The ``ref_*`` functions below are the earlier loops, which index
-numpy arrays one numpy scalar at a time; results, drift, verdicts and error
-indices must agree bit for bit, across chunk boundaries included.
+numpy arrays one numpy scalar at a time; results, verdicts and error indices
+must agree bit for bit, across chunk boundaries included.
 """
 
 import cmath
@@ -30,7 +30,6 @@ LENGTHS = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
 
 def ref_tau(a, rotation=None):
     out = np.empty(len(a) + 1, dtype=complex)
-    drift = 0.0
     if rotation is None:
         tau = 1.0 + 0.0j
         phase = None
@@ -49,24 +48,21 @@ def ref_tau(a, rotation=None):
         else:
             tau = phase * tau * (1.0 - prod.conjugate()) / denom
         mod = abs(tau)
-        drift = max(drift, abs(mod - 1.0))
         tau /= mod
         out[k + 1] = tau
-    return out, drift
+    return out
 
 
 def ref_tau_from_c(c):
     out = np.empty(len(c) + 1, dtype=complex)
     tau = 1.0 + 0.0j
     out[0] = tau
-    drift = 0.0
     for k, ck in enumerate(c):
         tau = tau * (1.0 - 1j * ck) / (1.0 + 1j * ck)
         mod = abs(tau)
-        drift = max(drift, abs(mod - 1.0))
         tau /= mod
         out[k + 1] = tau
-    return out, drift
+    return out
 
 
 def ref_alpha_from_cd(cd, t):
@@ -74,7 +70,7 @@ def ref_alpha_from_cd(cd, t):
     m1_max = pp.maximal_params(cd.d).values[0]
     n = cd.n
     d = cd.d.values
-    tau = ref_tau_from_c(cd.c)[0]
+    tau = ref_tau_from_c(cd.c)
     alpha = np.empty(n, dtype=complex)
     head = (1.0 - t) * m1_max
     stored = cd.g.values
@@ -206,24 +202,65 @@ def random_cd(n, seed):
 # -- tau recursions ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", LENGTHS)
+# the rotated tau is computed in blocks of terms 1..64, 65..192, 193..448, ..
+SEAMS = [63, 64, 65, 192, 193]
+
+
+def checked_rotated_cd(alpha, rotation, n, exact=True):
+    """``rotated_cd(alpha, rotation, n)``, after checking that its tau holds
+    tau_0 .. tau_n and that tau_0 is e^{i theta} of the folded angle: exactly
+    where the recursion runs, to rounding where a closed form gives it."""
+    cd = pp.rotated_cd(alpha, rotation, n)
+    phase = cmath.exp(1j * transforms._normalize_rotation(rotation))
+    assert len(cd.tau) == n + 1
+    assert cd.tau[0] == phase if exact else abs(cd.tau[0] - phase) <= 2.0 ** -51
+    return cd
+
+
+def tau_of(alpha, n, rotation):
+    """tau_0 .. tau_n of ``alpha``, rotated by ``rotation`` unless it is None."""
+    if rotation is None:
+        return pp.tau_from_verblunsky(alpha, n)
+    return checked_rotated_cd(alpha, rotation, n).tau
+
+
+@pytest.mark.parametrize("n", LENGTHS + SEAMS)
 @pytest.mark.parametrize("rotation", [None, 1.234, 2.0 * math.pi])
 def test_tau_recursion_bits(n, rotation):
     rng = np.random.default_rng(n)
     a = random_alpha(rng, n)
-    ref, ref_drift = ref_tau(a, rotation)
-    got = pp.tau_from_verblunsky(pp.VerblunskySeq.from_values(a), n, rotation)
-    assert same_bits(got.values, ref)
-    assert got.max_drift == ref_drift
+    got = tau_of(pp.VerblunskySeq.from_values(a), n, rotation)
+    assert same_bits(got, ref_tau(a, rotation))
 
 
-@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("n", LENGTHS + SEAMS)
 def test_rotated_geronimus_bits(n):
     alpha = pp.VerblunskySeq.geronimus(complex(-0.5, 0.2), n)
-    ref, ref_drift = ref_tau(alpha.prefix(n), 5.5)
-    got = pp.tau_from_verblunsky(alpha, n, 5.5)
-    assert same_bits(got.values, ref)
-    assert got.max_drift == ref_drift
+    assert alpha._rotated_tau_fn(5.5) is None  # in the support: the recursion runs
+    assert same_bits(tau_of(alpha, n, 5.5), ref_tau(alpha.prefix(n), 5.5))
+
+
+@pytest.mark.parametrize("n", LENGTHS + SEAMS)
+@pytest.mark.parametrize("alpha", [-0.5, complex(-0.5, 0.2)])
+def test_rotated_geronimus_closed_form_bits(n, alpha):
+    # at the middle of the gap the closed form gives tau; joined from blocks,
+    # tau, c and g keep the bits of one closed-form evaluation over 0 .. n
+    alpha = complex(alpha)
+    family = pp.VerblunskySeq.geronimus(alpha, n)
+    theta = 2.0 * math.pi - cmath.phase((1 + alpha.conjugate()) / (1 + alpha))
+    closed = family._rotated_tau_fn(transforms._normalize_rotation(theta))
+    assert closed is not None
+    cd = checked_rotated_cd(family, theta, n, exact=False)
+    whole = closed(0, n + 1)
+    c, g = transforms._cg(whole[:-1], family.prefix(n))
+    assert same_bits(cd.tau, whole)
+    assert same_bits(cd.c, c) and same_bits(cd.g.values, g)
+
+
+def test_rotated_cd_needs_a_term():
+    alpha = pp.VerblunskySeq.from_values(np.zeros(4))
+    with pytest.raises(InputError, match=r"^need at least one coefficient, got n_terms=0$"):
+        pp.rotated_cd(alpha, 1.0, 0)
 
 
 @pytest.mark.parametrize("rotation", [None, 0.75])
@@ -235,10 +272,8 @@ def test_tau_recursion_signed_zeros(rotation):
                   complex(0.5, 0.5), complex(0.5, -0.5), complex(-0.0, 0.25), 0.0,
                   complex(0.0, -0.0), complex(-0.0, -0.0)])
     a = np.tile(a, 3)
-    ref, ref_drift = ref_tau(a, rotation)
-    got = pp.tau_from_verblunsky(pp.VerblunskySeq.from_values(a), len(a), rotation)
-    assert same_bits(got.values, ref)
-    assert got.max_drift == ref_drift
+    got = tau_of(pp.VerblunskySeq.from_values(a), len(a), rotation)
+    assert same_bits(got, ref_tau(a, rotation))
 
 
 def test_division_guard_index_past_chunk():
@@ -256,10 +291,7 @@ def test_division_guard_index_past_chunk():
 @pytest.mark.parametrize("n", LENGTHS)
 def test_tau_from_c_bits(n):
     c = np.random.default_rng(n).uniform(-2.5, 2.5, n)
-    ref, ref_drift = ref_tau_from_c(c)
-    got = transforms._tau_from_c(c)
-    assert same_bits(got.values, ref)
-    assert got.max_drift == ref_drift
+    assert same_bits(transforms._tau_from_c(c), ref_tau_from_c(c))
 
 
 # -- verblunsky_from_cd ----------------------------------------------------------

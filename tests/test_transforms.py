@@ -21,15 +21,15 @@ def geronimus_expected(alpha):
 class TestTau:
     def test_zero_coefficients(self):
         tau = pp.tau_from_verblunsky(pp.VerblunskySeq.from_values(np.zeros(8)))
-        np.testing.assert_allclose(tau.values, 1.0, rtol=1e-15)
+        np.testing.assert_allclose(tau, 1.0, rtol=1e-15)
 
     def test_alternating_period_two(self):
         c = 0.5
         fam = pp.VerblunskySeq.alternating(0.6, 0.3, c, horizon=12)
         tau = pp.tau_from_verblunsky(fam, 12)
         expect_odd = (1 + 1j * c) / (1 - 1j * c)
-        np.testing.assert_allclose(tau.values[0::2], 1.0, atol=1e-14)
-        np.testing.assert_allclose(tau.values[1::2], expect_odd, atol=1e-14)
+        np.testing.assert_allclose(tau[0::2], 1.0, atol=1e-14)
+        np.testing.assert_allclose(tau[1::2], expect_odd, atol=1e-14)
 
     def test_geronimus_inverse_powers(self):
         alpha = 0.3 + 0.4j
@@ -37,27 +37,33 @@ class TestTau:
         fam = pp.VerblunskySeq.geronimus(alpha, horizon=10)
         tau = pp.tau_from_verblunsky(fam, 10)
         expect = np.array([w ** (-n) for n in range(11)])
-        np.testing.assert_allclose(tau.values, expect, atol=1e-13)
+        np.testing.assert_allclose(tau, expect, atol=1e-13)
 
     def test_recursion_matches_closed_forms_at_small_n(self):
         # inline values force the Moebius iteration; it must agree with the
         # closed forms while the accumulated phase error is still small
         fam = pp.VerblunskySeq.alternating(0.6, 0.6, 0.5, horizon=8)
         inline = pp.VerblunskySeq.from_values(fam.prefix(8))
-        np.testing.assert_allclose(pp.tau_from_verblunsky(inline, 8).values,
-                                   pp.tau_from_verblunsky(fam, 8).values,
-                                   atol=1e-10)
+        np.testing.assert_allclose(pp.tau_from_verblunsky(inline, 8),
+                                   pp.tau_from_verblunsky(fam, 8), atol=1e-10)
 
     def test_unimodularity_drift(self, rng):
         alpha = pp.VerblunskySeq.from_values(random_alpha(rng, 2000, rmax=0.95))
         tau = pp.tau_from_verblunsky(alpha)
-        assert tau.max_drift < 1e-12
-        np.testing.assert_allclose(np.abs(tau.values), 1.0, atol=1e-13)
+        np.testing.assert_allclose(np.abs(tau), 1.0, atol=1e-13)
+
+    def test_read_only_arrays(self, rng):
+        alpha = pp.VerblunskySeq.from_values(random_alpha(rng, 20))
+        cd = pp.cd_from_verblunsky(alpha)
+        for tau in (pp.tau_from_verblunsky(alpha), cd.tau, cd._c_tau,
+                    pp.CdParams.from_sequences(cd.c, cd.d).tau, pp.rotated_cd(alpha, 1.0).tau,
+                    pp.tau_from_verblunsky(pp.VerblunskySeq.geronimus(0.3, 20))):
+            assert tau.dtype == complex and len(tau) == 21 and not tau.flags.writeable
 
     def test_phase_identity(self, rng):
         alpha = pp.VerblunskySeq.from_values(random_alpha(rng, 60))
         cd = pp.cd_from_verblunsky(alpha)
-        tau = cd.tau.values
+        tau = cd.tau
         step = (1 - 1j * cd.c) / (1 + 1j * cd.c)
         np.testing.assert_allclose(tau[1:], tau[:-1] * step, atol=1e-12)
 
@@ -145,7 +151,8 @@ class TestRotation:
 
     def test_rotation_angle_validation(self):
         alpha = pp.VerblunskySeq.from_values(np.zeros(4))
-        with pytest.raises(pp.InputError):
+        with pytest.raises(pp.InputError,
+                           match=r"^rotation angle must be positive, got 0\.0$"):
             pp.rotated_cd(alpha, 0.0)
 
 
@@ -185,7 +192,7 @@ class TestRotatedGeronimusClosedForm:
         # D = sqrt(|alpha|^2 - sin^2 psi) >= 1/32 at 1e-2 inside the edge, not at 1e-4
         uses_closed_form = inside != 1e-4
         assert (family._rotated_tau_fn(theta) is not None) == uses_closed_form
-        assert np.array_equal(closed.tau.values, recursion.tau.values) != uses_closed_form
+        assert np.array_equal(closed.tau, recursion.tau) != uses_closed_form
         c, d = mp_rotated_geronimus_cd(alpha, theta, n)
         u = 2.0 ** -53
         for got, ref, exact in ((closed.c, recursion.c, c),
@@ -201,8 +208,8 @@ class TestRotatedGeronimusClosedForm:
             if alpha == -0.5:
                 assert family._rotated_tau_fn(theta % (2 * math.pi)) is None
             recursion = pp.VerblunskySeq.from_values(family.prefix(50))
-            assert np.array_equal(pp.tau_from_verblunsky(family, 50, theta).values,
-                                  pp.tau_from_verblunsky(recursion, 50, theta).values)
+            assert np.array_equal(pp.rotated_cd(family, theta, 50).tau,
+                                  pp.rotated_cd(recursion, theta, 50).tau)
 
 
 class TestVerblunskyFromCd:
