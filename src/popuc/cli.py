@@ -25,7 +25,7 @@ from . import scaling as scaling_mod
 from .bounds import gap_certificate, support_arc, _METHODS
 from .chainseq import ChainSeq, ScalingSeq, _CHUNK, make_scaling
 from .errors import BoundaryCaseError, InputError, InvariantError, PopucError
-from .recurrence import zeros_of_degrees, zeros_R
+from .recurrence import extreme_zeros, zeros_R
 from .transforms import (CdParams, VerblunskySeq, cd_from_verblunsky,
                          mass_at_one, verblunsky_from_cd)
 
@@ -84,10 +84,19 @@ def _family_from_params(name: str, params: dict) -> VerblunskySeq:
     return VerblunskySeq.lambda_eta(lam[0], params.get("eta", 0.0))
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key is a parse error, not a last value."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in out if keys.count(k) > 1)!r}")
+    return out
+
+
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_json_object)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}")
     except (ValueError, RecursionError) as exc:  # also bad UTF-8 and deep nesting
@@ -256,13 +265,14 @@ def table_rows(which: int) -> list:
     # the cd at each smaller N is a prefix of this one, bit for bit
     alpha = VerblunskySeq.lambda_eta(fam["lam"], fam["eta"], horizon=TABLE_N_VALUES[-1])
     cd = cd_from_verblunsky(alpha)
+    theta = 2.0 * np.arccos(extreme_zeros(cd, TABLE_N_VALUES))
     rows = []
-    for N, zl in zip(TABLE_N_VALUES, zeros_of_degrees(cd, TABLE_N_VALUES)):
+    for N, (theta_first, theta_last) in zip(TABLE_N_VALUES, theta.tolist()):
         q = scaling_mod.default_scaling_for(alpha, N, cd=cd)
         enc = _METHODS["thm44"](cd, q, N)
         rows.append(dict(zip(TABLE_HEADER, (
-            N, f"{enc.theta1:.7f}", enc.argmax_index, f"{zl.theta[0]:.7f}",
-            f"{enc.theta2:.7f}", enc.argmin_index, f"{zl.theta[-1]:.7f}"))))
+            N, f"{enc.theta1:.7f}", enc.argmax_index, f"{theta_first:.7f}",
+            f"{enc.theta2:.7f}", enc.argmin_index, f"{theta_last:.7f}"))))
     return rows
 
 

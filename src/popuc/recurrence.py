@@ -29,8 +29,9 @@ points, and replays bisection's h decisions from those counts.  Midpoints
 come from the same ``0.5 * (lo + hi)`` and each decision reads the count at
 the midpoint bisection visits, so the output is plain bisection's bit for
 bit, with no appeal to the count being monotone in x.  The array count runs
-``_BLOCK`` steps at a time and defers the zero-ratio guard to the points
-that need it, which it counts again step by step.
+``_BLOCK`` steps at a time, sums each block's signs in uint8 and counts the
+few points that reach a zero ratio again on Python floats.  Commands bisect
+only the zeros they print: ``tables`` its extreme ones.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -87,20 +88,16 @@ def _count_above(c, d, degree, x):
 
 
 def _count_steps(c, d, degree, x):
-    """``_count_above`` one step at a time, on a float or an array of points."""
-    s = (np.sqrt if isinstance(x, np.ndarray) else math.sqrt)(1.0 - x * x)
-    top = int(np.max(degree))
-    # r_k counts when it is below its limit: 0 up to the point's own degree
-    # and -inf past it, so one pass serves points of different degrees
-    limits = (repeat(0.0) if np.ndim(degree) == 0 else
-              (np.where(k < degree, 0.0, -np.inf) for k in range(top)))
+    """``_count_above`` one step at a time, on one Python float ``x``."""
+    s = math.sqrt(1.0 - x * x)
     r = 1.0
     count = 0
     # d_1 = 0 makes the first step r_1 = x - c_1 s
-    for ck, dk, limit in zip(c[:top], chain((0.0,), d), limits):
+    for ck, dk in zip(c[:degree], chain((0.0,), d)):
         r = x - ck * s - dk / r
-        r = r + (r == 0.0) * _TINY
-        count = count + (r < limit)
+        if r == 0.0:
+            r = _TINY
+        count += r < 0.0
     return count
 
 
@@ -108,10 +105,11 @@ def _count_blocked(c, d, degree, x):
     """``_count_above`` on an array of points, ``_BLOCK`` steps at a time.
 
     One outer product gives x - c_k s for a whole block, so a step costs one
-    divide and one subtract, and the signs are counted once per block.  The
-    ``_TINY`` guard is deferred: the ratios are the step loop's up to the
-    first one that rounds to zero, and the few points that reach one are
-    counted again by ``_count_steps``, so every count is the step loop's.
+    divide and one subtract; the block's signs fill one bool array, summed
+    in uint8, which 64 rows cannot wrap.  The ``_TINY`` guard is deferred:
+    the ratios are the step loop's up to the first one that rounds to zero,
+    and the few points that reach one are counted again by ``_count_steps``,
+    so every count is the step loop's.
     """
     degree = np.asarray(degree)
     top = int(degree.max())
@@ -127,6 +125,7 @@ def _count_blocked(c, d, degree, x):
     rows[0] = 1.0
     views = list(rows)
     quotient = np.empty(len(x))
+    signs = np.empty((len(rows) - 1, len(x)), dtype=bool)
     # past a zero ratio the block divides by zero and may form inf - inf, on
     # points that are counted again; a ratio so near 0 that d_{k+1} / r_k
     # overflows makes r_{k+1} infinite, with the sign it has to count by.  The
@@ -143,16 +142,17 @@ def _count_blocked(c, d, degree, x):
             for dk, prev, r in zip(d[k0:k0 + b], views, views[1:b + 1]):
                 np.divide(dk, prev, out=quotient)
                 np.subtract(r, quotient, out=r)
-            negative = block < 0.0
+            negative = np.less(block, 0.0, out=signs[:b])
             if per_point:
                 negative &= np.arange(k0, k0 + b)[:, None] < degree
-            count += np.count_nonzero(negative, axis=0)
+            count += np.add.reduce(negative.view(np.uint8), axis=0, dtype=np.uint8)
             if not block.all():
                 zero |= ~block.all(axis=0)
             rows[0] = rows[b]
-        if zero.any():
-            count[zero] = _count_steps(c, d[1:], degree[zero] if per_point else degree,
-                                       x[zero])
+    if zero.any():
+        c, d, degree = c.tolist(), d[1:], degree.tolist()
+        for i in np.flatnonzero(zero).tolist():
+            count[i] = _count_steps(c, d, degree[i] if per_point else degree, float(x[i]))
     return count
 
 
@@ -244,42 +244,43 @@ class ZeroList:
                 raise InvariantError("zeros must be interior to (-1, 1)")
 
 
-def _bisect_degrees(cd: CdParams, N: int, degrees: np.ndarray) -> list:
-    """x of the zeros of W_n, descending, for each n of ``degrees`` (none
-    above N), all bisected in one pass, one point per (n, j) pair: the count
-    for degree n is the count for N stopped after n steps."""
-    degree = np.repeat(degrees, degrees)
-    ends = np.cumsum(degrees)
-    j = np.arange(len(degree)) - np.repeat(ends - degrees, degrees) + 1
-    return np.split(_bisect_zeros(cd, N, degree, j), ends[:-1])
-
-
 def zeros_W(cd: CdParams, N: int) -> ZeroList:
     """All N zeros of W_N, each bisected on the zero count.
 
     A zero that rounds to an endpoint or ties its neighbour cannot be told
     apart in double precision and raises :class:`BoundaryCaseError`.
     """
-    return _zero_list(N, _bisect_zeros(cd, N, N, np.arange(1, N + 1)))
-
-
-def zeros_of_degrees(cd: CdParams, degrees) -> list:
-    """``zeros_W(cd, N)`` for each N of ``degrees``, bisected in one pass."""
-    xs = _bisect_degrees(cd, max(degrees), np.asarray(degrees))
-    return [_zero_list(N, x) for N, x in zip(degrees, xs)]
-
-
-def _zero_list(N: int, x: np.ndarray) -> ZeroList:
-    """The ZeroList of the bisected zeros ``x`` of W_N, x descending; raises
-    :class:`BoundaryCaseError` where they cannot be told apart."""
+    x = _bisect_zeros(cd, N, N, np.arange(1, N + 1))
     unresolved = np.abs(x) >= 1.0
     unresolved[1:] |= x[1:] >= x[:-1]
     if unresolved.any():
-        j = int(np.argmax(unresolved)) + 1
-        raise BoundaryCaseError(
-            j, f"zero {j} of degree {N} is not resolvable in double precision: "
-               "it rounds to x = +-1 or ties its neighbour")
+        raise _unresolvable(int(np.argmax(unresolved)) + 1, N)
     return ZeroList(N, x, 2.0 * np.arccos(x))
+
+
+def extreme_zeros(cd: CdParams, degrees) -> np.ndarray:
+    """x of the largest and the smallest zero of W_n, one row per n of
+    ``degrees``, all bisected in one pass: the first and last zero of
+    ``zeros_W(cd, n)``, bit for bit.
+
+    A pair that rounds to an endpoint or is out of order cannot be told apart
+    in double precision and raises :class:`BoundaryCaseError`, for j = 1
+    before j = n.
+    """
+    degrees = np.asarray(degrees)
+    j = np.column_stack((np.ones_like(degrees), degrees)).ravel()
+    x = _bisect_zeros(cd, int(degrees.max()), np.repeat(degrees, 2), j).reshape(-1, 2)
+    for N, (first, last) in zip(degrees.tolist(), x.tolist()):
+        bad = 1 if first >= 1.0 else N if last <= -1.0 or first <= last and N > 1 else 0
+        if bad:
+            raise _unresolvable(bad, N)
+    return x
+
+
+def _unresolvable(j: int, N: int) -> BoundaryCaseError:
+    return BoundaryCaseError(
+        j, f"zero {j} of degree {N} is not resolvable in double precision: "
+           "it rounds to x = +-1 or ties its neighbour")
 
 
 def zeros_R(cd: CdParams, N: int) -> ZeroList:

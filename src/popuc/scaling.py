@@ -21,9 +21,10 @@ from typing import Optional
 import numpy as np
 
 from .chainseq import ChainSeq, ScalingSeq, chain_failure_index, ismail_li_constant
-from .errors import BoundaryCaseError, InputError, NotChainSequenceError
+from .errors import InputError, NotChainSequenceError
 # zeros_W stays importable from here: perfbench's tracer wraps this binding
-from .recurrence import _BISECTION_STEPS, _count_above, zeros_W  # noqa: F401
+from .recurrence import (_BISECTION_STEPS, _count_above, _unresolvable,  # noqa: F401
+                         zeros_W)
 from .transforms import CdParams, VerblunskySeq, cd_from_verblunsky
 
 def constant_scaling_threshold(d: ChainSeq) -> float:
@@ -51,9 +52,7 @@ def constant_scaling_threshold(d: ChainSeq) -> float:
             hi = mid
     x = 0.5 * (lo + hi)
     if x >= 1.0:
-        raise BoundaryCaseError(
-            1, f"zero 1 of degree {N} is not resolvable in double precision: "
-               "it rounds to x = +-1 or ties its neighbour")
+        raise _unresolvable(1, N)
     return x ** 2
 
 

@@ -317,9 +317,14 @@ def tau_from_verblunsky(alpha: VerblunskySeq, n: Optional[int] = None) -> np.nda
         n = alpha.horizon
     if alpha._tau_fn is not None:
         return _frozen(alpha._tau_fn(n), complex)
-    out = np.empty(n + 1, dtype=complex)
+    return _walked_tau(alpha.prefix(n))
+
+
+def _walked_tau(a: np.ndarray) -> np.ndarray:
+    """Read-only tau_0 = 1 .. tau_len(a) of the recursion over alpha_0 .. = ``a``."""
+    out = np.empty(len(a) + 1, dtype=complex)
     out[0] = 1.0
-    _tau_walk(alpha.prefix(n), out, None)
+    _tau_walk(a, out, None)
     return _frozen(out, complex)
 
 
@@ -460,7 +465,7 @@ def cd_from_verblunsky(alpha: VerblunskySeq, n_terms: Optional[int] = None) -> C
     """
     n_terms = _term_count(alpha, n_terms)
     a = alpha.prefix(n_terms)
-    tau = tau_from_verblunsky(alpha, n_terms)
+    tau = tau_from_verblunsky(alpha, n_terms) if alpha._tau_fn else _walked_tau(a)
     c, g = _cg(tau[:-1], a)
     return CdParams(c, ChainSeq.from_values((1.0 - g[:-1]) * g[1:]), ParamSeq(g), tau)
 

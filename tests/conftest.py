@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from popuc import CdParams, InputError, chainseq
-from popuc.recurrence import _BISECTION_STEPS, _TINY, _bisect_degrees, _coeffs
+from popuc.recurrence import _BISECTION_STEPS, _TINY, _bisect_zeros, _coeffs
 
 # Rescale the running recurrence pair every this many steps to keep the
 # magnitudes representable; growth per step is bounded by ~(1 + |c| + 1).
@@ -93,6 +93,16 @@ def below_noise_floor(cd, degree, points):
     with np.errstate(divide="ignore"):
         level = np.log2(np.abs(m)) + e
     return (m == 0.0) | (level <= pk - 52.0 + math.log2(32.0 * degree * degree) + 6.0)
+
+
+def _bisect_degrees(cd, N, degrees):
+    """x of the zeros of W_n, descending, for each n of ``degrees`` (none
+    above N), all bisected in one pass, one point per (n, j) pair: the count
+    for degree n is the count for N stopped after n steps."""
+    degree = np.repeat(degrees, degrees)
+    ends = np.cumsum(degrees)
+    j = np.arange(len(degree)) - np.repeat(ends - degrees, degrees) + 1
+    return np.split(_bisect_zeros(cd, N, degree, j), ends[:-1])
 
 
 def zeros_ladder(cd, N):

@@ -1070,6 +1070,19 @@ class TestRejectedInput:
         assert (code, out) == (2, "")
         assert err == f"error: --params gives {key} twice\n"
 
+    @pytest.mark.parametrize("blob, key", [
+        ('{"family": "lambda-eta", "params": {"lam": 1, "lam": 2, "eta": 1}}', "'lam'"),
+        ('{"family": "geronimus", "family": "alternating"}', "'family'"),
+        ('{"cd": {"c": [0.1, 0.2], "d": [0.2], "c": [0.3, 0.4]}}', "'c'"),
+    ])
+    def test_repeated_input_file_key(self, tmp_path, blob, key):
+        # used to keep the last value without a word, like a repeated --params key
+        src = tmp_path / "repeat.json"
+        src.write_text(blob)
+        code, out, err = run(["zeros", "--input", str(src), "--n", "2"])
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot parse {src}: repeated key {key}\n"
+
     @pytest.mark.parametrize("command", [["zeros", "--n", "3"], ["transform", "--n", "3"],
                                          ["bounds", "--n", "3"],
                                          ["scaling-threshold", "--n", "3"],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import popuc as pp
-from popuc.recurrence import _bisect_zeros, _count_above, zeros_of_degrees
+from popuc.recurrence import _bisect_zeros, _count_above, extreme_zeros
 
 from conftest import (_eval_W_grid, assert_interlacing, plain_bisect_zeros,
                       plain_count_above, random_alpha, random_cd_q, zeros_ladder)
@@ -72,22 +72,34 @@ class TestZerosW:
         assert zl.theta[-1] == pytest.approx(5.7874076, abs=1e-6)
 
     @pytest.mark.parametrize("degrees", [[10, 15, 30, 50], [1, 7, 2, 40]])
-    def test_zeros_of_degrees_bits(self, rng, degrees):
-        # one bisection for every degree gives each zeros_W bit for bit
+    def test_extreme_zeros_bits(self, rng, degrees):
+        # one bisection for every degree gives the first and last zero of
+        # each zeros_W bit for bit
         cd, _ = random_cd_q(rng, 50)
-        for N, zl in zip(degrees, zeros_of_degrees(cd, degrees)):
-            ref = pp.zeros_W(cd, N)
-            assert zl.n == N
-            assert np.array_equal(zl.x, ref.x) and np.array_equal(zl.theta, ref.theta)
+        x = extreme_zeros(cd, degrees)
+        assert x.shape == (len(degrees), 2)
+        for N, pair in zip(degrees, x):
+            assert_bits_equal(pair, pp.zeros_W(cd, N).x[[0, -1]])
 
     @pytest.mark.parametrize("degrees, N, j", [([5, 6, 7], 6, 6), ([2, 9], 9, 1)])
-    def test_zeros_of_degrees_unresolvable(self, degrees, N, j):
+    def test_extreme_zeros_unresolvable(self, degrees, N, j):
         # d alternates 1 and 2e-31: zeros round to x = +-1 from degree 6 on
         alpha = pp.VerblunskySeq.alternating(1 - 1e-15, -(1 - 1e-15), 0.0)
         cd = pp.cd_from_verblunsky(alpha, n_terms=12)
         with pytest.raises(pp.BoundaryCaseError) as exc:
-            zeros_of_degrees(cd, degrees)
+            extreme_zeros(cd, degrees)
         assert exc.value.index == j and f"of degree {N} is not" in str(exc.value)
+
+    def test_extreme_zeros_tie(self):
+        # d_2 = 1e-40 puts both zeros of W_2 within 1e-20 of each other: they
+        # bisect to one double, and the pair is out of order as zeros_W finds
+        cd = pp.CdParams.from_sequences([0.3, 0.3], [1e-40])
+        errors = []
+        for call in (lambda: extreme_zeros(cd, [1, 2]), lambda: pp.zeros_W(cd, 2)):
+            with pytest.raises(pp.BoundaryCaseError) as exc:
+                call()
+            errors.append((exc.value.index, str(exc.value)))
+        assert errors[0] == errors[1] and errors[0][0] == 2
 
     def test_interlacing_random_instances(self, rng):
         for _ in range(4):
@@ -323,6 +335,20 @@ class TestMultisection:
         assert_bits_equal(_count_above(c, d, degree, xs),
                           plain_count_above(c, d, degree, xs))
 
+
+    @pytest.mark.parametrize("per_point", [False, True], ids=["one-degree", "per-point"])
+    def test_full_blocks_count(self, rng, per_point):
+        # at x = -1 every ratio is negative, so each block of 64 rows counts 64
+        # in its uint8 sum; the counts must be the per-step ones, the degrees
+        top = 129
+        cd, _ = random_cd_q(rng, top)
+        c, d = cd.c.tolist(), cd.d.values.tolist()
+        xs = np.concatenate(([-1.0] * 4, rng.uniform(-1.0, 1.0, 40)))
+        degree = rng.integers(1, top + 1, len(xs)) if per_point else np.full(len(xs), top)
+        degree[:2] = top
+        got = _count_above(c, d, degree if per_point else top, xs)
+        assert_bits_equal(got, plain_count_above(c, d, degree if per_point else top, xs))
+        np.testing.assert_array_equal(got[:4], degree[:4])
 
 class TestZerosR:
     def test_degree_two_symmetric(self):

@@ -103,6 +103,19 @@ class TestCdFromVerblunsky:
         with pytest.raises(pp.InputError):
             pp.VerblunskySeq.from_values([0.5, 1.0 + 0j])
 
+    def test_inline_prefix_read_once(self, rng, monkeypatch):
+        # the tau walk runs on the prefix cd_from_verblunsky already read
+        alpha = pp.VerblunskySeq.from_values(random_alpha(rng, 80))
+        reads = []
+        validate = pp.transforms._validate_alpha
+        monkeypatch.setattr(pp.transforms, "_validate_alpha",
+                            lambda values, first=0: reads.append(len(values))
+                            or validate(values, first))
+        cd = pp.cd_from_verblunsky(alpha, n_terms=50)
+        assert reads == [50]
+        tau = pp.tau_from_verblunsky(alpha, 50)
+        assert np.array_equal(cd.tau.view(np.int64), tau.view(np.int64))
+
     def test_small_chain_term_keeps_maximal_g(self):
         # M_1 = 1 - 1e-6 / M_2 is near 1, where 1 - M_1 is exact only to
         # 2^-53 absolute; doubling d is still inconsistent with that g
