@@ -122,6 +122,10 @@ def _load_input_file(path: str):
     if not isinstance(blob, dict):
         raise InputError(f'{path} must hold a JSON object with "alpha", "family" '
                          'or "cd"')
+    sources = [key for key in ("alpha", "family", "cd") if key in blob]
+    if len(sources) > 1:
+        raise InputError(f'{path} gives {" and ".join(map(repr, sources))}; '
+                         "give one source")
     if "alpha" in blob:
         message = '"alpha" must be a list of [re, im] pairs'
         pairs = blob["alpha"]
@@ -165,6 +169,8 @@ def _source(args):
 
 
 def _n_values(args) -> list:
+    if args.n_list is not None and args.n is not None:
+        raise InputError("give --n or --n-list, not both")
     if args.n_list:
         try:
             return [int(v) for v in args.n_list.split(",")]
@@ -209,44 +215,65 @@ def _scaling_at(args, alpha, cd: CdParams, N: int, q_values) -> ScalingSeq:
     return make_scaling(d, q_values[:N - 1])
 
 
+# A chunk's column whose first _PROBE values are mostly repeats is formatted
+# one distinct value at a time
+_PROBE = 64
+
+
 def _emit(header: list, rows, stream, output: str, command: str) -> None:
     """Write ``rows``, an iterable of value sequences in ``header`` order, as
-    ``output`` (csv or json) for ``command``.
+    ``output`` (csv or json) for ``command``: the bytes of
+    ``csv.writer(stream, lineterminator="\\n")`` over the header and the rows,
+    or of ``json.dumps({"command": command, "rows": [dict(zip(header, row)),
+    ...]}, separators=(",", ":"))`` and a newline.  No csv field is quoted,
+    which holds for two or more columns and values free of ',', '"' and line
+    breaks: every string a command writes is a code literal or an argparse
+    choice.
 
     Rows are consumed ``_CHUNK`` at a time, so a generator never holds the
-    whole table.  Values are Python scalars; csv renders floats by repr.
+    whole table, and each chunk is rendered column by column.  A column of
+    finite floats that mostly repeats formats each distinct value once.
     """
     if output == "json":
-        # json.dumps({"command": ..., "rows": [dict(zip(header, row)), ...]},
-        # separators=(",", ":")) through one %-template, _CHUNK rows at a time.
-        # %s renders ints and finite floats as json does; other values are encoded
         encode = json.JSONEncoder(separators=(",", ":")).encode
         template = "{%s}" % ",".join(encode(k).replace("%", "%%") + ":%s" for k in header)
-
-        def column(values: tuple):
-            if set(map(type, values)) in ({int}, {float}) and \
-                    -math.inf < sum(values) < math.inf:
-                return values
-            return [v if type(v) in (int, float) and -math.inf < v < math.inf
-                    else encode(v) for v in values]
-
         stream.write(f'{{"command":{encode(command)},"rows":[')
-        rows = iter(rows)
-        sep = ""
-        while block := list(islice(rows, _CHUNK)):
-            columns = [column(values) for values in zip(*block)]
-            stream.write(sep + ",".join([template % row for row in zip(*columns)]))
-            sep = ","
-        stream.write("]}\n")
-        return
-    # csv.writer's bytes, joined a block at a time: str() of each value (repr
-    # for a float), None as an empty field.  No field needs csv quoting: every
-    # string is a code literal or an argparse choice free of ',', '"' and line
-    # breaks, and every header has at least two columns.
-    rows = chain([header], rows)
+        sep, tail = ",", "]}\n"
+
+        def cell(v):  # %s renders ints and finite floats as json does
+            return v if type(v) in (int, float) and -math.inf < v < math.inf else encode(v)
+    else:
+        template = ",".join(["%s"] * len(header)) + "\n"
+        stream.write(",".join(header) + "\n")
+        sep, tail = "", ""
+
+        def cell(v):
+            return "" if v is None else v
+
+    def column(values: tuple):
+        """One chunk's column, as values that %s renders as ``output`` does."""
+        kinds = set(map(type, values))
+        if kinds == {int}:
+            return values
+        if kinds != {float} or not -math.inf < sum(values) < math.inf:
+            return list(map(cell, values))
+        probe = values[:_PROBE]
+        if 2 * len(set(probe)) > len(probe):  # mostly distinct
+            return values
+        distinct = set(values)
+        text = dict(zip(distinct, map(repr, distinct)))
+        if 0.0 in text:  # 0.0 and -0.0 are one key but print differently
+            return [text[v] if v else repr(v) for v in values]
+        return list(map(text.__getitem__, values))
+
+    rows = iter(rows)
+    lead = ""
     while block := list(islice(rows, _CHUNK)):
-        stream.write("".join([",".join(["" if v is None else str(v) for v in row])
-                              + "\n" for row in block]))
+        columns = [column(values) for values in zip(*block)]
+        stream.write(lead)  # not joined to the chunk: that would copy it
+        stream.write(sep.join(map(template.__mod__, zip(*columns))))
+        lead = sep
+    stream.write(tail)
 
 
 TABLE_HEADER = ["N", "bound_theta_first", "argext_plus", "theta_first",
@@ -312,6 +339,10 @@ def cmd_bounds(args, stream, err) -> int:
     """``bounds`` and ``support-arc``: per degree of --n or --n-list, the
     enclosure of the extreme zeros or the support arc it gives."""
     row, header, too_small, summary = _ENCLOSURE_JOBS[args.command]
+    for flag, value, mode in (("--q-const", args.q_const, "constant"),
+                              ("--q-file", args.q_file, "custom")):
+        if value is not None and args.q_mode != mode:
+            raise InputError(f"{flag} needs --q-mode {mode}")
     n_values = _n_values(args)
     alpha, cd_inline = _source(args)
     q_values = None

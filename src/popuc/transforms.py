@@ -253,6 +253,10 @@ class VerblunskySeq:
                 raise InputError(f"lambda-eta {name} must be finite, got {value}")
         if lam <= -0.5:
             raise InputError(f"lambda must be > -1/2, got {lam}")
+        # past this the complex divisions below overflow
+        if not math.isfinite(abs(lam) + abs(eta) + 1.0):
+            raise InputError(f"lambda-eta needs |lam| + |eta| within the float range, "
+                             f"got lam={lam}, eta={eta}")
         b = complex(lam, eta)
 
         def blocks(stops):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -7,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import popuc as pp
 from popuc import cli
@@ -948,9 +949,25 @@ def tables(draw):
     return header, list(zip(*columns))
 
 
+def _long_table(*columns) -> tuple:
+    """(header, rows): ``_CHUNK`` rows, each column its cycle of values."""
+    return ([f"c{k}" for k in range(len(columns))],
+            list(zip(*[(list(c) * cli._CHUNK)[:cli._CHUNK] for c in columns])))
+
+
+# Columns that mostly repeat, so that each distinct value is formatted once:
+# 0.0 and -0.0 are one dict key but print differently, and a column with NaN
+# or an infinity is not formatted that way
+SIGNED_ZEROS = _long_table([0.0, -0.0, 0.5, 0.5], [-0.0, -0.0, 0.0, 3.0], [-0.0])
+NON_FINITE = _long_table([0.25, 0.25, math.nan, 0.25], [math.inf, 1.5, 1.5, -math.inf],
+                         [0.1, 0.1, 0.2, 0.2])
+
+
 class TestJsonBytes:
     @settings(max_examples=150, deadline=None)
     @given(table=tables(), command=st.text(max_size=4))
+    @example(table=SIGNED_ZEROS, command="transform")
+    @example(table=NON_FINITE, command="transform")
     def test_rows_are_json_dumps(self, table, command):
         header, rows = table
         out = io.StringIO()
@@ -958,7 +975,27 @@ class TestJsonBytes:
         want = json.dumps({"command": command,
                            "rows": [dict(zip(header, row)) for row in rows]},
                           separators=(",", ":")) + "\n"
-        assert out.getvalue() == want
+        # as lists, so that a failure on a long table reports the first
+        # difference instead of diffing the whole text
+        assert out.getvalue().split(",") == want.split(",")
+
+
+class TestCsvBytes:
+    @settings(max_examples=150, deadline=None)
+    @given(table=tables())
+    @example(table=SIGNED_ZEROS)
+    @example(table=NON_FINITE)
+    def test_rows_are_csv_writer(self, table):
+        # the documented contract: two or more columns, and no field that
+        # csv.writer would quote
+        header, rows = table
+        fields = header + ["" if v is None else str(v) for row in rows for v in row]
+        assume(len(header) >= 2 and not any(set(f) & set(',"\r\n') for f in fields))
+        out = io.StringIO()
+        cli._emit(header, iter(rows), out, "csv", "transform")
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows([header, *rows])
+        assert out.getvalue().splitlines(True) == want.getvalue().splitlines(True)
 
 
 class TestArgparseStreams:
@@ -1100,6 +1137,57 @@ class TestRejectedInput:
         src.write_text(json.dumps({"alpha": [[-0.5, 0.0]] * 4}))
         argv = command + [arg.format(src=src) for arg in source]
         assert run(argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("keys", [("alpha", "family"), ("alpha", "cd"),
+                                      ("family", "cd"), ("alpha", "family", "cd")])
+    def test_input_file_with_two_sources(self, tmp_path, keys):
+        # "alpha" used to win without a word, then "family"
+        blob = {"alpha": [[0.3, 0.0]] * 3, "family": "geronimus",
+                "cd": {"c": [0.1] * 3, "d": [0.2] * 2}}
+        src = tmp_path / "two.json"
+        src.write_text(json.dumps({k: blob[k] for k in keys}))
+        code, out, err = run(["zeros", "--input", str(src), "--n", "3"])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {src} gives {' and '.join(map(repr, keys))}; "
+                       "give one source\n")
+
+    @pytest.mark.parametrize("command", ["zeros", "bounds", "support-arc"])
+    def test_n_with_n_list(self, command):
+        # --n used to be dropped: zeros printed the rows of --n-list 3 alone
+        argv = [command, "--family", "lambda-eta", "--params", "lam=1,eta=1",
+                "--n-list", "3"]
+        assert run(argv)[0] == 0
+        assert run(argv + ["--n", "4"]) == (2, "", "error: give --n or --n-list, "
+                                                  "not both\n")
+
+    @pytest.mark.parametrize("command", ["bounds", "support-arc"])
+    @pytest.mark.parametrize("mode", ["trivial", "ismail-li", "family-default",
+                                      "custom", "constant"])
+    def test_q_flag_without_its_mode(self, tmp_path, command, mode):
+        # --q-const was dropped, and --q-file read and checked, then dropped
+        q_file = tmp_path / "q.json"
+        q_file.write_text(json.dumps([0.9] * 4))
+        argv = [command, "--family", "lambda-eta", "--params", "lam=1,eta=1",
+                "--n", "5", "--q-mode", mode]
+        for flag, value, needs in (("--q-const", "0.9", "constant"),
+                                   ("--q-file", str(q_file), "custom")):
+            want = (0, 2)[mode != needs]
+            code, out, err = run(argv + [flag, value])
+            assert code == want, err
+            if want:
+                assert (out, err) == ("", f"error: {flag} needs --q-mode {needs}\n")
+
+    @pytest.mark.parametrize("command", [["transform", "--n", "3"], ["zeros", "--n", "3"],
+                                         ["gap", "--theta1", "1", "--theta2", "2"]])
+    @pytest.mark.parametrize("params", ["lam=1e308,eta=1e308", "lam=1e308,eta=-1e308",
+                                        "lam=9e307,eta=9e307"])
+    def test_lambda_eta_ratios_overflow(self, command, params):
+        # the coefficient ratios overflowed with numpy warnings on stderr, which
+        # escaped main under -W error::RuntimeWarning, before an error line
+        code, out, err = run(command + ["--family", "lambda-eta", "--params", params])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: lambda-eta needs |lam| + |eta| within the float "
+                              "range") and err.count("\n") == 1
 
     def test_non_numeric_params_value(self):
         code, _, err = run(["bounds", "--family", "geronimus",
