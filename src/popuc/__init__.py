@@ -9,8 +9,8 @@ gaps in that support.
 
 from .errors import (BoundaryCaseError, InputError, InvariantError,
                      NotChainSequenceError, PopucError, ScalingError)
-from .chainseq import (ChainSeq, ParamSeq, ScalingSeq, chain_failure_index,
-                       ismail_li_constant, make_scaling, maximal_params)
+from .chainseq import (ScalingSeq, chain_failure_index, ismail_li_constant, make_scaling,
+                       maximal_params)
 from .transforms import (CdParams, VerblunskySeq, cd_from_verblunsky, mass_at_one,
                          rotated_cd, tau_from_verblunsky, verblunsky_from_cd)
 from .recurrence import ZeroList, zeros_R, zeros_W
@@ -24,13 +24,12 @@ from .scaling import (constant_scaling_threshold,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryCaseError", "CdParams", "ChainSeq", "Enclosure", "GapCertificate",
-    "InputError", "InvariantError", "NotChainSequenceError", "ParamSeq",
-    "PopucError", "ScalingError", "ScalingSeq", "SupportArc",
-    "VerblunskySeq", "ZeroList", "cd_from_verblunsky", "chain_failure_index",
-    "constant_scaling_threshold", "constant_scaling_threshold_infinite",
-    "default_scaling_for", "enclosure_cor45", "enclosure_cor47",
-    "enclosure_thm44", "enclosure_thm46", "gap_certificate",
+    "BoundaryCaseError", "CdParams", "Enclosure", "GapCertificate", "InputError",
+    "InvariantError", "NotChainSequenceError", "PopucError", "ScalingError",
+    "ScalingSeq", "SupportArc", "VerblunskySeq", "ZeroList", "cd_from_verblunsky",
+    "chain_failure_index", "constant_scaling_threshold",
+    "constant_scaling_threshold_infinite", "default_scaling_for", "enclosure_cor45",
+    "enclosure_cor47", "enclosure_thm44", "enclosure_thm46", "gap_certificate",
     "ismail_li_constant", "legendre_dominant", "make_scaling", "mass_at_one",
     "maximal_params", "quadratic_roots", "rotated_cd", "support_arc",
     "tau_from_verblunsky", "verblunsky_from_cd", "zeros_R", "zeros_W",

@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .chainseq import (ChainSeq, ScalingSeq, _chunks, _forward_params, _frozen,
-                       _require_positive, make_scaling)
+from .chainseq import (ScalingSeq, _chunks, _forward_params, _frozen, _require_positive,
+                       make_scaling)
 from .errors import BoundaryCaseError, InputError
 from .transforms import TWO_PI, CdParams, VerblunskySeq, _rotated_blocks
 # rotated_cd joins the blocks that gap_certificate walks; perfbench's tracer
@@ -124,9 +124,9 @@ def _coerce_scaling(cd: CdParams, q, N: int) -> np.ndarray:
     if len(vals) < N - 1:
         raise InputError(f"need {N - 1} scaling terms for degree {N}, have {len(vals)}")
     chain = getattr(q, "chain", None)
-    vals, d = vals[:N - 1], cd.d.values[:N - 1]
-    if chain is None or not np.array_equal(chain.values[:N - 1], d):
-        make_scaling(ChainSeq.from_values(d), vals)
+    vals, d = vals[:N - 1], cd.d[:N - 1]
+    if chain is None or not np.array_equal(chain[:N - 1], d):
+        make_scaling(d, vals)
     return vals
 
 

@@ -20,7 +20,6 @@ error bound when that is larger (see ``_final_param_ok``).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -60,60 +59,6 @@ def _require_positive(values: np.ndarray, first: int = 0) -> None:
 
 
 @dataclass(frozen=True)
-class ChainSeq:
-    """A finite positive-real sequence.
-
-    ``values[k]`` is the element d_{k+2}, i.e. the sequence is indexed the way
-    it enters the three-term recurrences (its first element pairs with the
-    second recurrence step).
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = _frozen(self.values)
-        object.__setattr__(self, "values", values)
-        _require_positive(values)
-
-    @functools.cached_property
-    def _maximal(self) -> "ParamSeq":
-        """``maximal_params(self)``, computed on first use and kept: an inline
-        cd reads it to build g, again for its mass at z = 1 and again to
-        recover its coefficients."""
-        return ParamSeq(_backward_maximal(self.values))
-
-    @classmethod
-    def from_values(cls, values) -> "ChainSeq":
-        return cls(np.asarray(values, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class ParamSeq:
-    """Parameter sequence {g_n} of a chain sequence; ``values[k]`` is g_{k+1}."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = _frozen(self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) == 0:
-            raise InputError("parameter sequence cannot be empty")
-        if not (0.0 <= values[0] < 1.0):
-            raise InputError(f"parameter head must lie in [0, 1), got {values[0]}")
-        interior = values[1:-1] if len(values) > 2 else values[1:0]
-        if len(interior) and not ((interior > 0.0) & (interior < 1.0)).all():
-            raise InputError("interior parameters must lie in (0, 1)")
-        if len(values) > 1 and not _final_param_ok(values):
-            raise InputError(f"final parameter out of range: {values[-1]}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class ScalingSeq:
     """Scaling sequence {q_{n+1}} with q in (0, 1]; ``values[k]`` is q_{k+2}.
 
@@ -124,7 +69,7 @@ class ScalingSeq:
     """
 
     values: np.ndarray
-    chain: Optional[ChainSeq] = field(default=None, repr=False, compare=False)
+    chain: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         values = _frozen(self.values)
@@ -221,10 +166,10 @@ def _minimal_raw(d: np.ndarray) -> np.ndarray:
     return g
 
 
-def chain_failure_index(d: ChainSeq) -> Optional[int]:
+def chain_failure_index(d: np.ndarray) -> Optional[int]:
     """First index at which ``d`` fails the chain-sequence test, else None."""
     try:
-        _minimal_raw(np.asarray(d.values, dtype=float))
+        _minimal_raw(np.asarray(d, dtype=float))
     except NotChainSequenceError as exc:
         return exc.index
     return None
@@ -246,25 +191,25 @@ def _backward_maximal(d: np.ndarray) -> np.ndarray:
     return m
 
 
-def maximal_params(d: ChainSeq) -> ParamSeq:
-    """Maximal parameter sequence {M_n} of ``d``: the exact backward
-    recursion anchored at M_{N+1} = 1; computed once per ``d``."""
-    return d._maximal
+def maximal_params(d: np.ndarray) -> np.ndarray:
+    """Maximal parameter sequence {M_n} of ``d``, read-only: the exact
+    backward recursion anchored at M_{N+1} = 1."""
+    return _frozen(_backward_maximal(np.asarray(d, dtype=float)))
 
 
-def make_scaling(d: ChainSeq, q) -> ScalingSeq:
+def make_scaling(d: np.ndarray, q) -> ScalingSeq:
     """Validate ``q`` as a scaling sequence for ``d``; wrap it with chain d.
 
     Checks q in (0, 1] termwise, then walks d/q to check that it is still a
     positive chain sequence.  Raises :class:`ScalingError` carrying the first
     failing index.
     """
-    q = np.asarray(q, dtype=float)
-    if len(q) != len(d.values):
-        raise InputError(f"scaling length {len(q)} does not match {len(d.values)} terms")
+    d, q = _frozen(d), np.asarray(q, dtype=float)
+    if len(q) != len(d):
+        raise InputError(f"scaling length {len(q)} does not match {len(d)} terms")
     scaling = ScalingSeq(q, d)  # the (0, 1] check, before dividing by q
     with np.errstate(over="ignore"):  # a d/q that overflows fails the walk
-        bad = chain_failure_index(ChainSeq.from_values(d.values / q))
+        bad = chain_failure_index(d / q)
     if bad is not None:
         raise ScalingError(bad, f"scaling invalid at n={bad}: d/q is not a "
                            f"positive chain sequence at term n={bad}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import scaling as scaling_mod
 from .bounds import gap_certificate, support_arc, _METHODS
-from .chainseq import ChainSeq, ScalingSeq, _CHUNK, make_scaling
+from .chainseq import ScalingSeq, _CHUNK, make_scaling
 from .errors import BoundaryCaseError, InputError, InvariantError, PopucError
 from .recurrence import extreme_zeros, zeros_R
 from .transforms import (CdParams, VerblunskySeq, cd_from_verblunsky,
@@ -168,17 +168,30 @@ def _source(args):
     return None, None
 
 
+# The largest degree or horizon a command takes; numpy raises on a length
+# from about 2**59 up, and 2**53 itself exits 2 as an allocation that fails.
+_MAX_DEGREE = 2 ** 53
+
+
+def _degree(flag: str, value: int) -> int:
+    """``value``, given by ``flag``, unless it exceeds ``_MAX_DEGREE``."""
+    if value > _MAX_DEGREE:
+        raise InputError(f"{flag} {value} exceeds the largest degree, 2**53")
+    return value
+
+
 def _n_values(args) -> list:
     if args.n_list is not None and args.n is not None:
         raise InputError("give --n or --n-list, not both")
     if args.n_list:
         try:
-            return [int(v) for v in args.n_list.split(",")]
+            values = [int(v) for v in args.n_list.split(",")]
         except ValueError:
             raise InputError(f"malformed --n-list {args.n_list!r}")
+        return [_degree("--n-list", v) for v in values]
     if args.n is None:
         raise InputError("specify --n or --n-list")
-    return [args.n]
+    return [_degree("--n", args.n)]
 
 
 def _cd_at(alpha, cd_inline, n_terms: int) -> CdParams:
@@ -198,12 +211,12 @@ def _scaling_at(args, alpha, cd: CdParams, N: int, q_values) -> ScalingSeq:
     if mode == "trivial":
         return ScalingSeq(np.ones(N - 1), cd.d)
     if mode in ("ismail-li", "legendre"):
-        return scaling_mod._dominant_scaling(cd.d.values, mode, N)
+        return scaling_mod._dominant_scaling(cd.d, mode, N)
     if mode == "family-default":
         if alpha is None or alpha.family == "inline":
             raise InputError("family-default scaling needs a named family source")
         return scaling_mod.default_scaling_for(alpha, N, cd=cd)
-    d = ChainSeq.from_values(cd.d.values[:N - 1])
+    d = cd.d[:N - 1]
     if mode == "constant":
         if args.q_const is None:
             raise InputError("--q-mode constant needs --q-const")
@@ -381,7 +394,7 @@ def cmd_zeros(args, stream, err) -> int:
 def cmd_gap(args, stream, err) -> int:
     if args.theta1 is None or args.theta2 is None:
         raise InputError("gap needs --theta1 and --theta2")
-    n = 1000 if args.n is None else args.n
+    n = 1000 if args.n is None else _degree("--n", args.n)
     alpha, _ = _source(args)
     if alpha is None:
         raise InputError('gap needs Verblunsky coefficients: --family, or --input with '
@@ -401,7 +414,7 @@ def cmd_gap(args, stream, err) -> int:
 
 
 def cmd_transform(args, stream, err) -> int:
-    n = 16 if args.n is None else args.n
+    n = 16 if args.n is None else _degree("--n", args.n)
     alpha, cd = _source(args)
     if args.reverse:
         if cd is None:
@@ -424,8 +437,8 @@ def cmd_transform(args, stream, err) -> int:
         residual = float(np.abs(recovered - alpha.prefix(n)).max())
         summary = f"transform: roundtrip residual {residual:.3e} at t={t_star!r}\n"
     tau = cd.tau[:n]
-    rows = zip(range(1, n + 1), cd.c.tolist(), cd.g.values.tolist(),
-               chain(cd.d.values.tolist(), [""]), tau.real.tolist(), tau.imag.tolist())
+    rows = zip(range(1, n + 1), cd.c.tolist(), cd.g.tolist(), chain(cd.d.tolist(), [""]),
+               tau.real.tolist(), tau.imag.tolist())
     _emit(["n", "c", "g", "d_next", "tau_re", "tau_im"], rows, stream, args.output,
           args.command)
     err.write(summary)
@@ -453,9 +466,9 @@ def cmd_scaling_threshold(args, stream, err) -> int:
             raise InputError("--d-const needs --infinite")
         if args.n is None:
             raise InputError("finite threshold needs --n")
-        N = args.n
+        N = _degree("--n", args.n)
         cd = _cd_at(alpha, cd_inline, N)
-        d = ChainSeq.from_values(cd.d.values[:N - 1])
+        d = cd.d[:N - 1]
         threshold = scaling_mod.constant_scaling_threshold
         kind = f"finite-N={N}"
     # a closed form or a fixed number of bisection steps: --tol is only checked

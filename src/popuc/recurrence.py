@@ -70,7 +70,7 @@ def _coeffs(cd: CdParams, n: int):
         raise InputError(f"degree must be >= 0, got {n}")
     if cd.n < n:
         raise InputError(f"need {n} coefficients c_1..c_{n}, have {cd.n}")
-    return cd.c, cd.d.values
+    return cd.c, cd.d
 
 
 def _count_above(c, d, degree, x):

@@ -20,20 +20,20 @@ from typing import Optional
 
 import numpy as np
 
-from .chainseq import ChainSeq, ScalingSeq, chain_failure_index, ismail_li_constant
+from .chainseq import ScalingSeq, chain_failure_index, ismail_li_constant
 from .errors import InputError, NotChainSequenceError
 # zeros_W stays importable from here: perfbench's tracer wraps this binding
 from .recurrence import (_BISECTION_STEPS, _count_above, _unresolvable,  # noqa: F401
                          zeros_W)
 from .transforms import CdParams, VerblunskySeq, cd_from_verblunsky
 
-def constant_scaling_threshold(d: ChainSeq) -> float:
+def constant_scaling_threshold(d: np.ndarray) -> float:
     """Squared largest zero of the symmetric W_N over the N - 1 terms of ``d``.
 
     A constant q is a scaling sequence for ``d`` iff q > threshold (finite,
     strict); q must also satisfy q <= 1.
     """
-    N = len(d.values) + 1
+    N = len(d) + 1
     if N < 2:
         raise InputError("threshold needs at least one chain-sequence term")
     bad = chain_failure_index(d)
@@ -42,7 +42,7 @@ def constant_scaling_threshold(d: ChainSeq) -> float:
             bad, f"d is not a positive chain sequence at n={bad}")
     # the top zero alone of the c = 0 member over d, whose W_n are
     # polynomials in x, by the same bisection steps as zeros_W
-    c, dl = [0.0] * N, d.values.tolist()
+    c, dl = [0.0] * N, np.asarray(d, dtype=float).tolist()
     lo, hi = -1.0, 1.0
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
@@ -78,7 +78,7 @@ def constant_scaling_threshold_infinite(d: Optional[float]) -> float:
     return 4.0 * d
 
 
-def legendre_dominant(N: int) -> ChainSeq:
+def legendre_dominant(N: int) -> np.ndarray:
     """Rescaled Legendre chain sequence dominating every ultraspherical one.
 
     Elements d_{n+1} = (n^2 / (4 n^2 - 1)) / cos^2(pi / (2 N)) for
@@ -93,7 +93,7 @@ def legendre_dominant(N: int) -> ChainSeq:
     n = np.arange(1, N, dtype=float)
     base = 0.25 * n * n / ((n - 0.5) * (n + 0.5))
     scale = math.cos(math.pi / (2.0 * N)) ** 2
-    return ChainSeq.from_values(base / scale)
+    return base / scale
 
 
 def _dominant_scaling(d: np.ndarray, dominant: str, N: int) -> ScalingSeq:
@@ -109,11 +109,11 @@ def _dominant_scaling(d: np.ndarray, dominant: str, N: int) -> ScalingSeq:
     if dominant == "ismail-li":
         dhat = ismail_li_constant(N)
     elif dominant == "legendre":
-        dhat = legendre_dominant(N).values
+        dhat = legendre_dominant(N)
     else:
         dhat = 0.25
     d = d[:N - 1]
-    return ScalingSeq(d / dhat, ChainSeq.from_values(d))
+    return ScalingSeq(d / dhat, d)
 
 
 def default_scaling_for(alpha: VerblunskySeq, N: int,
@@ -145,4 +145,4 @@ def default_scaling_for(alpha: VerblunskySeq, N: int,
         dominant = "quarter"
     else:
         raise InputError(f"no default scaling for family {family!r}; supply q")
-    return _dominant_scaling(cd.d.values, dominant, N)
+    return _dominant_scaling(cd.d, dominant, N)

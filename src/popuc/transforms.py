@@ -36,8 +36,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .chainseq import (ChainSeq, ParamSeq, chain_failure_index, maximal_params,
-                       SP_THRESHOLD, _CHUNK, _chunks, _forward_params, _frozen)
+from .chainseq import (chain_failure_index, maximal_params, SP_THRESHOLD, _CHUNK,
+                       _chunks, _final_param_ok, _forward_params, _frozen,
+                       _require_positive)
 from .errors import InputError, InvariantError, NotChainSequenceError
 
 TWO_PI = 2.0 * math.pi
@@ -384,25 +385,35 @@ def _tau_walk(a: np.ndarray, out: np.ndarray, phase: Optional[complex],
 class CdParams:
     """(c_n, d_{n+1}) parametrization together with its g_n and tau_n.
 
-    ``c.values[k]`` is c_{k+1}, ``g`` holds the parameter sequence of the
-    generating measure (the member with mass t = 1 - g_1/M_1 at z = 1), and
-    ``d`` factors as d_{n+1} = (1 - g_n) g_{n+1}.
+    ``c[k]`` is c_{k+1}, ``d[k]`` is d_{k+2}, and ``g[k]`` is g_{k+1}, the
+    parameter sequence of the generating measure (the member with mass
+    t = 1 - g_1/M_1 at z = 1), so that d_{n+1} = (1 - g_n) g_{n+1}.  All
+    three are read-only views of the arrays given.
     """
 
     c: np.ndarray
-    d: ChainSeq
-    g: ParamSeq
+    d: np.ndarray
+    g: np.ndarray
     # read-only tau_0 .. tau_n from the coefficients, or None for ``_c_tau``
     _tau: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        c = _frozen(self.c)
-        object.__setattr__(self, "c", c)
-        if len(self.g) != len(c):
+        c, d, g = _frozen(self.c), _frozen(self.d), _frozen(self.g)
+        for name, value in (("c", c), ("d", d), ("g", g)):
+            object.__setattr__(self, name, value)
+        _require_positive(d)
+        if len(g) == 0:
+            raise InputError("parameter sequence cannot be empty")
+        if not (0.0 <= g[0] < 1.0):
+            raise InputError(f"parameter head must lie in [0, 1), got {g[0]}")
+        if not ((g[1:-1] > 0.0) & (g[1:-1] < 1.0)).all():
+            raise InputError("interior parameters must lie in (0, 1)")
+        if len(g) > 1 and not _final_param_ok(g):
+            raise InputError(f"final parameter out of range: {g[-1]}")
+        if len(g) != len(c):
             raise InputError("parameter sequence length must match c")
-        if len(self.d.values) != max(len(c) - 1, 0):
+        if len(d) != max(len(c) - 1, 0):
             raise InputError("chain sequence must have one term fewer than c")
-        g, d = self.g.values, self.d.values
         # + 4 u g_{n+1}, u = 2^-53: 1 - g_n is exact only to u for g_n near 1
         if (np.abs((1.0 - g[:-1]) * g[1:] - d) > 1e-13 * d + 2.0 ** -51 * g[1:]).any():
             raise InputError("d and g are inconsistent: d != (1 - g_n) g_{n+1}")
@@ -417,6 +428,14 @@ class CdParams:
         return self._c_tau if self._tau is None else self._tau
 
     @functools.cached_property
+    def _maximal_head(self) -> float:
+        """Maximal head M_1 of ``d``, walked on first read (``from_sequences``
+        sets it from its own walk); 1 for an empty d, which constrains no
+        parameter (the supremum head 1 is not attained, so no parameter
+        sequence carries it)."""
+        return float(maximal_params(self.d)[0]) if len(self.d) else 1.0
+
+    @functools.cached_property
     def _c_tau(self) -> np.ndarray:
         """tau from c alone (``_tau_from_c``), computed on first read: the tau
         of an inline cd, and the one the reverse transform reads."""
@@ -428,22 +447,22 @@ class CdParams:
         sequence, i.e. the family member carrying no mass at z = 1."""
         c = np.asarray(c, dtype=float)
         _require_finite(c, "c", 1)
-        dseq = d if isinstance(d, ChainSeq) else ChainSeq.from_values(d)
-        _require_finite(dseq.values, "d", 2)
-        if len(dseq.values) != len(c) - 1:
-            raise InputError(
-                f"need len(d) = len(c) - 1, got {len(dseq.values)} and {len(c)}")
-        bad = chain_failure_index(dseq)
+        d = np.asarray(d, dtype=float)
+        _require_positive(d)
+        _require_finite(d, "d", 2)
+        if len(d) != len(c) - 1:
+            raise InputError(f"need len(d) = len(c) - 1, got {len(d)} and {len(c)}")
+        bad = chain_failure_index(d)
         if bad is not None:
             raise NotChainSequenceError(
                 bad, f"d is not a positive chain sequence at n={bad}")
-        if len(dseq.values) == 0:
+        if len(d) == 0:
             # a single coefficient carries no chain constraint and the
             # supremum head 1 is not attained; use the symmetric member
-            g = ParamSeq(np.array([0.5]))
-        else:
-            g = ParamSeq(maximal_params(dseq).values[:len(c)])
-        return cls(c, dseq, g)
+            return cls(c, d, np.array([0.5]))
+        cd = cls(c, d, maximal_params(d))
+        cd.__dict__["_maximal_head"] = float(cd.g[0])  # one walk per cd
+        return cd
 
 
 def _tau_from_c(c: np.ndarray) -> np.ndarray:
@@ -471,7 +490,7 @@ def cd_from_verblunsky(alpha: VerblunskySeq, n_terms: Optional[int] = None) -> C
     a = alpha.prefix(n_terms)
     tau = tau_from_verblunsky(alpha, n_terms) if alpha._tau_fn else _walked_tau(a)
     c, g = _cg(tau[:-1], a)
-    return CdParams(c, ChainSeq.from_values((1.0 - g[:-1]) * g[1:]), ParamSeq(g), tau)
+    return CdParams(c, (1.0 - g[:-1]) * g[1:], g, tau)
 
 
 def _term_count(alpha: VerblunskySeq, n_terms: Optional[int]) -> int:
@@ -533,7 +552,7 @@ def rotated_cd(alpha: VerblunskySeq, theta2: float,
     _, taus, cs, gs = zip(*_rotated_blocks(alpha, theta2, _term_count(alpha, n_terms)))
     tau = _frozen(np.concatenate([taus[0][:1], *(t[1:] for t in taus)]), complex)
     c, g = np.concatenate(cs), np.concatenate(gs)
-    return CdParams(c, ChainSeq.from_values((1.0 - g[:-1]) * g[1:]), ParamSeq(g), tau)
+    return CdParams(c, (1.0 - g[:-1]) * g[1:], g, tau)
 
 
 def verblunsky_from_cd(cd: CdParams, t: float = 0.0) -> VerblunskySeq:
@@ -555,20 +574,20 @@ def verblunsky_from_cd(cd: CdParams, t: float = 0.0) -> VerblunskySeq:
     """
     if not (0.0 <= t < 1.0):
         raise InputError(f"t must lie in [0, 1), got {t}")
-    m1_max = _maximal_head(cd.d)
+    m1_max = cd._maximal_head
     if t > 0.0 and m1_max <= SP_THRESHOLD:
         raise InputError("no mass-variant family: chain sequence is "
                          "single-parameter (maximal head is 0)")
     n = cd.n
     head = (1.0 - t) * m1_max
-    stored = cd.g.values
+    stored = cd.g
     # a stored head at or above M_1 (by rounding) is the member with no mass
     # at z = 1 as well
     use_orbit = (abs(head - stored[0]) <= 4.0 * np.finfo(float).eps
                  * max(stored[0], 1e-300)) or (t == 0.0 and stored[0] >= m1_max)
     # m_1 .. m_n: the stored orbit, or the walk from the head, which stops at
     # the first term outside (0, 1); only m_1 may be 0
-    m = stored if use_orbit else _forward_params(cd.d.values, head=head)[0]
+    m = stored if use_orbit else _forward_params(cd.d, head=head)[0]
     ok = (m > 0.0) & (m < 1.0)
     ok[0] |= m[0] == 0.0
     if not ok.all():
@@ -595,16 +614,7 @@ def mass_at_one(cd: CdParams) -> float:
     back into :func:`verblunsky_from_cd` reproduces the generating
     coefficients.
     """
-    m1 = _maximal_head(cd.d)
+    m1 = cd._maximal_head
     if m1 <= 0.0:
         return 0.0
-    return min(max(1.0 - float(cd.g.values[0]) / m1, 0.0), math.nextafter(1.0, 0.0))
-
-
-def _maximal_head(d: ChainSeq) -> float:
-    """Maximal head M_1 of ``d``; 1 for an empty chain sequence, which
-    constrains no parameter (the supremum head 1 is not attained, so no
-    parameter sequence carries it)."""
-    if len(d.values) == 0:
-        return 1.0
-    return float(maximal_params(d).values[0])
+    return min(max(1.0 - float(cd.g[0]) / m1, 0.0), math.nextafter(1.0, 0.0))

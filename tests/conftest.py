@@ -88,7 +88,7 @@ def below_noise_floor(cd, degree, points):
     At such points the sign, and hence the exact zero ordering, is not
     decidable in double precision.
     """
-    m, e, pk = _eval_W_grid(cd.c, cd.d.values, degree,
+    m, e, pk = _eval_W_grid(cd.c, cd.d, degree,
                             np.asarray(points, dtype=float), track_peak=True)
     with np.errstate(divide="ignore"):
         level = np.log2(np.abs(m)) + e
@@ -203,15 +203,26 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-@pytest.fixture
-def walks(monkeypatch):
-    """Lengths of the chain sequences walked by the minimal-parameter test."""
+def _counted_walks(monkeypatch, name):
+    """Lengths of the chain sequences that ``chainseq.<name>`` walks."""
     lengths = []
-    walk = chainseq._minimal_raw
+    walk = getattr(chainseq, name)
 
     def counted(d):
         lengths.append(len(d))
         return walk(d)
 
-    monkeypatch.setattr(chainseq, "_minimal_raw", counted)
+    monkeypatch.setattr(chainseq, name, counted)
     return lengths
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Lengths of the chain sequences walked by the minimal-parameter test."""
+    return _counted_walks(monkeypatch, "_minimal_raw")
+
+
+@pytest.fixture
+def maximal_walks(monkeypatch):
+    """Lengths of the chain sequences walked for their maximal parameters."""
+    return _counted_walks(monkeypatch, "_backward_maximal")

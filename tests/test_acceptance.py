@@ -134,7 +134,7 @@ def test_criterion_4_enclosure_soundness(corpus):
         if n_deg > 30:
             continue
         # independent oracle: sign scan plus in-cell bisection
-        c, d = cd.c, cd.d.values
+        c, d = cd.c, cd.d
         mant, _ = _eval_W_grid(c, d, n_deg, grid)
         sign = np.sign(mant)
         flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -170,7 +170,7 @@ def test_criterion_5_interlacing_and_endpoint_signs(corpus):
             w_prev, w = 0.0, 1.0
             for n in range(1, 101):
                 w, w_prev = ((x - cd.c[n - 1] * math.sqrt(max(0.0, 1 - x * x)))
-                             * w - (cd.d.values[n - 2] * w_prev if n > 1 else 0.0)), w
+                             * w - (cd.d[n - 2] * w_prev if n > 1 else 0.0)), w
                 expected = 1.0 if parity == 0 else (-1.0) ** n
                 assert expected * w > 0.0
                 scale = max(abs(w), abs(w_prev))
@@ -202,16 +202,13 @@ def test_criterion_7_chain_sequence_extremality():
     """Extremal constants flip across their strict boundaries."""
     for n_deg in range(3, 51):
         base = pp.ismail_li_constant(n_deg)
-        assert pp.chain_failure_index(
-            pp.ChainSeq.from_values([base * (1 - 1e-9)] * (n_deg - 1))) is None
-        assert pp.chain_failure_index(
-            pp.ChainSeq.from_values([base * (1 + 1e-9)] * (n_deg - 1))) is not None
+        assert pp.chain_failure_index(np.full(n_deg - 1, base * (1 - 1e-9))) is None
+        assert pp.chain_failure_index(np.full(n_deg - 1, base * (1 + 1e-9))) is not None
     gen = np.random.default_rng(9090)
     for _ in range(20):
         n = int(gen.integers(3, 21))
         h = gen.uniform(0.15, 0.85, n)
-        d = pp.ChainSeq.from_values(
-            (1 - h[:-1]) * h[1:] * gen.uniform(0.3, 1.0, n - 1))
+        d = (1 - h[:-1]) * h[1:] * gen.uniform(0.3, 1.0, n - 1)
         thr = pp.constant_scaling_threshold(d)
         assert pp.make_scaling(d, np.full(n - 1, min(thr * (1 + 1e-6), 1.0)))
         with pytest.raises(pp.ScalingError):

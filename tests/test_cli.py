@@ -651,6 +651,22 @@ class TestExitCodeContract:
         monkeypatch.setattr(cli, kernel, alloc)
         assert run(argv) == (2, "", f"error: {message or 'out of memory'}\n")
 
+    @pytest.mark.parametrize("n", ["9007199254740993", "4611686018427387904",
+                                   "9223372036854775807", "1" + "0" * 30])
+    @pytest.mark.parametrize("argv, flag", [
+        (["zeros"], "--n"), (["zeros"], "--n-list"), (["bounds"], "--n"),
+        (["support-arc"], "--n-list"), (["transform"], "--n"),
+        (["scaling-threshold"], "--n"),
+        (["gap", "--theta1", "5.3", "--theta2", "7.2"], "--n"),
+    ])
+    def test_huge_degree_maps_to_2(self, argv, flag, n):
+        # numpy used to raise ValueError ("array is too big") past about 2**59
+        value = f"3,{n}" if flag == "--n-list" else n
+        code, out, err = run(argv + [flag, value, "--family", "lambda-eta",
+                                     "--params", "lam=1,eta=1"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} {n} exceeds the largest degree, 2**53\n"
+
     def test_unknown_family(self):
         code, _, err = run(["bounds", "--family", "nope", "--n", "4"])
         assert code == 2
@@ -1280,6 +1296,27 @@ class TestRejectedInput:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read {src}: ")
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"cd": {"c": [0.1, 0.2, 0.3], "d": [0.2, 0.0]}}',
+         "chain sequence elements must be positive (term n=2)"),
+        ('{"cd": {"c": [0.1, 0.2, 0.3], "d": [0.2, -Infinity]}}',
+         "chain sequence elements must be positive (term n=2)"),
+        ('{"cd": {"c": [0.1, 0.2, 0.3], "d": [NaN, 0.2]}}', "d_2 = nan is not finite"),
+        ('{"cd": {"c": [0.1, 0.2, 0.3], "d": [0.2]}}',
+         "need len(d) = len(c) - 1, got 1 and 3"),
+        (json.dumps({"cd": {"c": [0.0] * 13, "d": [0.3] * 12}}),
+         "d is not a positive chain sequence at n=6"),
+        # the walk rounds M_1 of the extremal constant below 0
+        (json.dumps({"cd": {"c": [0.0] * 10, "d": [pp.ismail_li_constant(10)] * 9}}),
+         "maximal parameters undefined: backward recursion left (0, 1] at n=1"),
+    ])
+    @pytest.mark.parametrize("argv", [["zeros", "--n", "2"],
+                                      ["transform", "--reverse", "--t", "0.5"]])
+    def test_inline_cd_checks(self, tmp_path, text, message, argv):
+        src = tmp_path / "cd.json"
+        src.write_text(text)
+        assert run(argv + ["--input", str(src)]) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("command", ["transform", "scaling-threshold"])
     def test_zero_degree_on_inline_cd(self, tmp_path, command):
         # an inline cd source used to serve --n 0 as if no degree were asked
@@ -1405,7 +1442,7 @@ class TestFlagsWhereRead:
         src.write_text(json.dumps({"cd": {"c": [0.0] * 10, "d": [0.2] * 9}}))
         rows = {tol: run(["scaling-threshold", "--input", str(src), "--n", "10"]
                          + (["--tol", tol] if tol else []))[1] for tol in (None, "1e-12")}
-        thr = pp.constant_scaling_threshold(pp.ChainSeq.from_values([0.2] * 9))
+        thr = pp.constant_scaling_threshold(np.full(9, 0.2))
         assert rows[None] == rows["1e-12"] == f"kind,threshold\nfinite-N=10,{thr!r}\n"
 
 
@@ -1429,3 +1466,19 @@ class TestWalkCounts:
                             "lam=1,eta=1", "--n", "40", "--q-mode", mode])
         assert code == 0, err
         assert walks == []
+
+    def test_reverse_walks_maximal_params_once(self, tmp_path, maximal_walks):
+        # from_sequences takes g from the walk, and the reverse transform
+        # reads M_1 from it
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.1] * 8, "d": [0.2] * 7}}))
+        code, _, err = run(["transform", "--input", str(src), "--reverse", "--t", "0.3"])
+        assert code == 0, err
+        assert maximal_walks == [7]
+
+    def test_roundtrip_walks_maximal_params_once(self, maximal_walks):
+        # mass_at_one and verblunsky_from_cd share one walk
+        code, _, err = run(["transform", "--family", "lambda-eta", "--params",
+                            "lam=1,eta=1", "--n", "12", "--roundtrip"])
+        assert code == 0, err
+        assert maximal_walks == [11]

@@ -22,21 +22,21 @@ class TestEvalW:
 
     def test_chebyshev_zero(self):
         cd = chebyshev_cd(9)
-        mant, exp2 = _eval_W_grid(cd.c, cd.d.values, 8, np.array([math.cos(math.pi / 9)]))
+        mant, exp2 = _eval_W_grid(cd.c, cd.d, 8, np.array([math.cos(math.pi / 9)]))
         assert abs(math.ldexp(mant[0], int(exp2[0]))) < 1e-15
 
     def test_endpoint_signs(self, rng):
         for _ in range(5):
             cd, _ = random_cd_q(rng, 200)
             for n in (1, 2, 17, 100, 200):
-                mant, _ = _eval_W_grid(cd.c, cd.d.values, n, np.array([1.0, -1.0]))
+                mant, _ = _eval_W_grid(cd.c, cd.d, n, np.array([1.0, -1.0]))
                 assert mant[0] > 0
                 assert (-1) ** n * np.sign(mant[1]) > 0
 
     def test_scaled_representation_avoids_overflow(self):
         n = 3000
         cd = pp.CdParams.from_sequences(np.full(n, 3.0), np.full(n - 1, 0.2))
-        mant, exp2 = _eval_W_grid(cd.c, cd.d.values, n, np.array([-0.95]))
+        mant, exp2 = _eval_W_grid(cd.c, cd.d, n, np.array([-0.95]))
         assert math.isfinite(mant[0]) and mant[0] != 0.0
         assert math.log2(abs(mant[0])) + exp2[0] > 1200  # far beyond double range
 
@@ -125,7 +125,7 @@ class TestZerosW:
             cd, _ = random_cd_q(rng, n)
             zl = pp.zeros_W(cd, n)
             grid = np.linspace(-1.0, 1.0, 100_001)
-            mant, _ = _eval_W_grid(cd.c, cd.d.values, n, grid)
+            mant, _ = _eval_W_grid(cd.c, cd.d, n, grid)
             sign = np.sign(mant)
             flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
             assert len(flips) == n
@@ -133,8 +133,8 @@ class TestZerosW:
             hi = grid[flips + 1].copy()
             for _ in range(40):
                 mid = 0.5 * (lo + hi)
-                sm = np.sign(_eval_W_grid(cd.c, cd.d.values, n, mid)[0])
-                slo = np.sign(_eval_W_grid(cd.c, cd.d.values, n, lo)[0])
+                sm = np.sign(_eval_W_grid(cd.c, cd.d, n, mid)[0])
+                slo = np.sign(_eval_W_grid(cd.c, cd.d, n, lo)[0])
                 take = sm == slo
                 lo = np.where(take, mid, lo)
                 hi = np.where(take, hi, mid)
@@ -194,7 +194,7 @@ class TestZerosOracle:
         with localcontext() as ctx:
             ctx.prec = 40
             c = [Decimal(v) for v in cd.c.tolist()]
-            d = [Decimal(v) for v in cd.d.values.tolist()]
+            d = [Decimal(v) for v in cd.d.tolist()]
             eps = Decimal("1e-9")
             for j, x in enumerate(zl.x.tolist(), start=1):
                 x = Decimal(x)
@@ -213,9 +213,9 @@ class TestZerosOracle:
         with localcontext() as ctx, mpmath.workdps(40):
             ctx.prec = 40
             c_dec = [Decimal(v) for v in cd.c.tolist()]
-            d_dec = [Decimal(v) for v in cd.d.values.tolist()]
+            d_dec = [Decimal(v) for v in cd.d.tolist()]
             c_mp = [mpmath.mpf(v) for v in cd.c.tolist()]
-            d_mp = [mpmath.mpf(v) for v in cd.d.values.tolist()]
+            d_mp = [mpmath.mpf(v) for v in cd.d.tolist()]
             for x, sgn in points:
                 got = dec_sign_W(c_dec, d_dec, N, Decimal(x) + sgn * Decimal("1e-9"))
                 ref = mp_sign_W(c_mp, d_mp, N, mpmath.mpf(x) + sgn * mpmath.mpf("1e-9"))
@@ -225,7 +225,7 @@ class TestZerosOracle:
 class TestCountAbove:
     def test_float_and_array_agree(self, rng):
         cd, _ = random_cd_q(rng, 60)
-        c, d = cd.c.tolist(), cd.d.values.tolist()
+        c, d = cd.c.tolist(), cd.d.tolist()
         xs = np.concatenate((rng.uniform(-1.0, 1.0, 40), pp.zeros_W(cd, 60).x,
                              [-1.0, 0.0, 1.0]))
         counts = {}
@@ -342,7 +342,7 @@ class TestMultisection:
         # in its uint8 sum; the counts must be the per-step ones, the degrees
         top = 129
         cd, _ = random_cd_q(rng, top)
-        c, d = cd.c.tolist(), cd.d.values.tolist()
+        c, d = cd.c.tolist(), cd.d.tolist()
         xs = np.concatenate(([-1.0] * 4, rng.uniform(-1.0, 1.0, 40)))
         degree = rng.integers(1, top + 1, len(xs)) if per_point else np.full(len(xs), top)
         degree[:2] = top

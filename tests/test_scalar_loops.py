@@ -67,13 +67,13 @@ def ref_tau_from_c(c):
 
 def ref_alpha_from_cd(cd, t):
     """Coefficients, or (step, m) where the augmented recursion leaves (0, 1)."""
-    m1_max = pp.maximal_params(cd.d).values[0]
+    m1_max = pp.maximal_params(cd.d)[0]
     n = cd.n
-    d = cd.d.values
+    d = cd.d
     tau = ref_tau_from_c(cd.c)
     alpha = np.empty(n, dtype=complex)
     head = (1.0 - t) * m1_max
-    stored = cd.g.values
+    stored = cd.g
     if abs(head - stored[0]) <= 4.0 * np.finfo(float).eps * max(stored[0], 1e-300):
         orbit = stored
     else:
@@ -120,7 +120,7 @@ def ref_gap(cd, theta1, theta2, N):
     x_star = math.cos(half)
     s = math.sqrt(max(0.0, 1.0 - x_star * x_star))
     t = x_star - cd.c * s
-    d = cd.d.values
+    d = cd.d
     m = np.empty(N)
     prev = 0.0
     for n in range(1, N + 1):
@@ -254,7 +254,7 @@ def test_rotated_geronimus_closed_form_bits(n, alpha):
     whole = closed(0, n + 1)
     c, g = transforms._cg(whole[:-1], family.prefix(n))
     assert same_bits(cd.tau, whole)
-    assert same_bits(cd.c, c) and same_bits(cd.g.values, g)
+    assert same_bits(cd.c, c) and same_bits(cd.g, g)
 
 
 def test_rotated_cd_needs_a_term():
@@ -337,7 +337,7 @@ def test_minimal_failure_index_past_chunk():
     with pytest.raises(NotChainSequenceError) as ref_exc:
         ref_minimal(d)
     assert ref_exc.value.index == _CHUNK + 1
-    assert chainseq.chain_failure_index(pp.ChainSeq.from_values(d)) == _CHUNK + 1
+    assert chainseq.chain_failure_index(d) == _CHUNK + 1
 
 
 def test_minimal_boundary_tolerance_on_final_term():

@@ -72,16 +72,16 @@ class TestCdFromVerblunsky:
     def test_zero_coefficients(self):
         cd = pp.cd_from_verblunsky(pp.VerblunskySeq.from_values(np.zeros(6)))
         np.testing.assert_allclose(cd.c, 0.0, atol=0)
-        np.testing.assert_allclose(cd.g.values, 0.5, rtol=1e-15)
-        np.testing.assert_allclose(cd.d.values, 0.25, rtol=1e-15)
+        np.testing.assert_allclose(cd.g, 0.5, rtol=1e-15)
+        np.testing.assert_allclose(cd.d, 0.25, rtol=1e-15)
 
     def test_geronimus_constants(self):
         alpha = 0.3 + 0.4j
         cd = pp.cd_from_verblunsky(pp.VerblunskySeq.geronimus(alpha, horizon=40))
         c, g, d = geronimus_expected(alpha)
         np.testing.assert_allclose(cd.c, c, rtol=1e-13)
-        np.testing.assert_allclose(cd.g.values, g, rtol=1e-13)
-        np.testing.assert_allclose(cd.d.values, d, rtol=1e-13)
+        np.testing.assert_allclose(cd.g, g, rtol=1e-13)
+        np.testing.assert_allclose(cd.d, d, rtol=1e-13)
 
     def test_lambda_eta_closed_forms(self):
         lam, eta = 1.0, 1.0
@@ -89,15 +89,15 @@ class TestCdFromVerblunsky:
         n = np.arange(1, 31)
         np.testing.assert_allclose(cd.c, eta / (n + lam), rtol=1e-13)
         expect_d = ultraspherical_d(lam, 29)
-        np.testing.assert_allclose(cd.d.values, expect_d, rtol=1e-13)
+        np.testing.assert_allclose(cd.d, expect_d, rtol=1e-13)
 
     def test_invariants_hold(self, rng):
         alpha = pp.VerblunskySeq.from_values(random_alpha(rng, 50))
         cd = pp.cd_from_verblunsky(alpha)
-        g = cd.g.values
+        g = cd.g
         assert np.all((g > 0) & (g < 1))
         recon = (1 - g[:-1]) * g[1:]
-        np.testing.assert_allclose(recon, cd.d.values, rtol=1e-13)
+        np.testing.assert_allclose(recon, cd.d, rtol=1e-13)
 
     def test_modulus_validation(self):
         with pytest.raises(pp.InputError):
@@ -120,9 +120,34 @@ class TestCdFromVerblunsky:
         # M_1 = 1 - 1e-6 / M_2 is near 1, where 1 - M_1 is exact only to
         # 2^-53 absolute; doubling d is still inconsistent with that g
         cd = pp.CdParams.from_sequences([0.1, -0.2, 0.3], [1e-6, 0.2])
-        assert cd.g.values[0] > 1.0 - 1e-5
+        assert cd.g[0] > 1.0 - 1e-5
         with pytest.raises(pp.InputError, match="d and g are inconsistent"):
-            pp.CdParams(cd.c, pp.ChainSeq.from_values(2.0 * cd.d.values), cd.g, cd.tau)
+            pp.CdParams(cd.c, 2.0 * cd.d, cd.g, cd.tau)
+
+    @pytest.mark.parametrize("c, d, g, message", [
+        (np.zeros(4), np.full(3, 0.2), [0.5, 0.5, 0.5, 1.0 + 1e-6],
+         "final parameter out of range: 1.000001"),
+        (np.zeros(4), np.full(3, 0.2), [1.0, 0.5, 0.5, 0.5],
+         "parameter head must lie in [0, 1), got 1.0"),
+        (np.zeros(4), np.full(3, 0.2), [0.5, 0.0, 0.5, 0.5],
+         "interior parameters must lie in (0, 1)"),
+        (np.zeros(4), np.full(3, 0.2), [], "parameter sequence cannot be empty"),
+        # d first, then g, then the lengths, then consistency
+        (np.zeros(4), [0.2, 0.0, 0.2], [1.0, 0.5, 0.5, 0.5],
+         "chain sequence elements must be positive (term n=2)"),
+        (np.zeros(3), np.full(3, 0.2), [0.5, 0.0, 0.5, 0.5],
+         "interior parameters must lie in (0, 1)"),
+        (np.zeros(3), np.full(3, 0.2), np.full(4, 0.5),
+         "parameter sequence length must match c"),
+        (np.zeros(4), np.full(2, 0.2), np.full(4, 0.5),
+         "chain sequence must have one term fewer than c"),
+        (np.zeros(4), np.full(3, 0.2), np.full(4, 0.5),
+         "d and g are inconsistent: d != (1 - g_n) g_{n+1}"),
+    ])
+    def test_checks_in_order(self, c, d, g, message):
+        with pytest.raises(pp.InputError) as exc:
+            pp.CdParams(c, d, g)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("lam, eta, name", [
         (math.nan, 1.0, "lam"), (math.inf, 1.0, "lam"), (1.0, math.nan, "eta"),
@@ -138,7 +163,7 @@ class TestRotation:
         plain = pp.cd_from_verblunsky(alpha)
         turned = pp.rotated_cd(alpha, 2 * math.pi)
         np.testing.assert_allclose(turned.c, plain.c, atol=1e-14)
-        np.testing.assert_allclose(turned.d.values, plain.d.values, atol=1e-14)
+        np.testing.assert_allclose(turned.d, plain.d, atol=1e-14)
 
     def test_equivalence_with_prerotated_coefficients(self, rng):
         values = random_alpha(rng, 40)
@@ -148,7 +173,7 @@ class TestRotation:
         pre = pp.VerblunskySeq.from_values(np.exp(1j * k * theta2) * values)
         direct = pp.cd_from_verblunsky(pre)
         np.testing.assert_allclose(rotated.c, direct.c, atol=1e-12)
-        np.testing.assert_allclose(rotated.d.values, direct.d.values, atol=1e-12)
+        np.testing.assert_allclose(rotated.d, direct.d, atol=1e-12)
 
     def test_constant_family_rotated_to_axis(self):
         # rotating the constant-coefficient measure by arg(w) lands on the
@@ -160,7 +185,7 @@ class TestRotation:
         cd = pp.rotated_cd(inline, theta)
         c, _, d = geronimus_expected(alpha)
         np.testing.assert_allclose(cd.c, c, atol=1e-10)
-        np.testing.assert_allclose(cd.d.values, d, atol=1e-10)
+        np.testing.assert_allclose(cd.d, d, atol=1e-10)
 
     def test_rotation_angle_validation(self):
         alpha = pp.VerblunskySeq.from_values(np.zeros(4))
@@ -209,7 +234,7 @@ class TestRotatedGeronimusClosedForm:
         c, d = mp_rotated_geronimus_cd(alpha, theta, n)
         u = 2.0 ** -53
         for got, ref, exact in ((closed.c, recursion.c, c),
-                                (closed.d.values, recursion.d.values, d)):
+                                (closed.d, recursion.d, d)):
             assert np.abs(got - exact).max() <= 2.0 * np.abs(ref - exact).max() + 64 * u
 
     @pytest.mark.parametrize("theta", [1.5, math.pi, 2 * math.pi - 1.2])
@@ -229,7 +254,7 @@ class TestVerblunskyFromCd:
     def test_roundtrip_constant_real(self):
         cd = pp.cd_from_verblunsky(pp.VerblunskySeq.geronimus(-0.5, horizon=40))
         np.testing.assert_allclose(cd.c, 0.0, atol=1e-15)
-        np.testing.assert_allclose(cd.d.values, 3 / 16, rtol=1e-14)
+        np.testing.assert_allclose(cd.d, 3 / 16, rtol=1e-14)
         rec = pp.verblunsky_from_cd(cd, t=pp.mass_at_one(cd)).prefix(40)
         np.testing.assert_allclose(rec, -0.5, atol=1e-9)
 
@@ -247,7 +272,7 @@ class TestVerblunskyFromCd:
         rec = pp.verblunsky_from_cd(cd, t=0.5).prefix(6)
         # member with half the mass: the recursion walks the parameter orbit
         # of head M_1 / 2, and alpha_{k-1} = 1 - 2 m_k
-        m = 0.5 * pp.maximal_params(cd.d).values[0]
+        m = 0.5 * pp.maximal_params(cd.d)[0]
         expect = []
         for k in range(6):
             expect.append(1 - 2 * m)
@@ -268,8 +293,8 @@ class TestVerblunskyFromCd:
         mod = 0.9 * np.sqrt(gen.uniform(0.0, 1.0, 643))
         values = mod * np.exp(1j * gen.uniform(0.0, 2 * np.pi, 643))
         cd = pp.cd_from_verblunsky(pp.VerblunskySeq.from_values(values))
-        m1 = pp.maximal_params(cd.d).values[0]
-        assert cd.g.values[0] > m1 and pp.mass_at_one(cd) == 0.0
+        m1 = pp.maximal_params(cd.d)[0]
+        assert cd.g[0] > m1 and pp.mass_at_one(cd) == 0.0
         rec = pp.verblunsky_from_cd(cd, t=0.0).prefix(643)
         assert np.abs(rec - values).max() < 1e-13
 
@@ -283,7 +308,7 @@ class TestVerblunskyFromCd:
             pp.verblunsky_from_cd(cd, t=0.0)
         ger = pp.cd_from_verblunsky(pp.VerblunskySeq.geronimus(0.3, horizon=1))
         t = pp.mass_at_one(ger)
-        assert t == pytest.approx(1.0 - ger.g.values[0])
+        assert t == pytest.approx(1.0 - ger.g[0])
         assert t > 0.0
         rec = pp.verblunsky_from_cd(ger, t=t).prefix(1)
         assert rec[0] == pytest.approx(0.3, abs=1e-15)
