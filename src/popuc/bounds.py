@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
 from typing import Optional
 
 import numpy as np
 
-from .chainseq import (ScalingSeq, _chunks, _forward_params, _frozen, _require_positive,
+from .chainseq import (_CHUNK, ScalingSeq, _forward_params, _frozen, _require_positive,
                        make_scaling)
 from .errors import BoundaryCaseError, InputError
 from .transforms import TWO_PI, CdParams, VerblunskySeq, _rotated_blocks
@@ -37,6 +36,10 @@ from .transforms import rotated_cd  # noqa: F401
 # A support-arc extremum counts as stabilized when halving the horizon moves
 # it by less than this.
 STABILIZATION_TOL = 1e-8
+
+# np.hypot and math.hypot round x = u / hypot(1, u) apart by at most 2 ulps;
+# the degrees within this of a block's extremum are decided by ``_x_from_u``.
+_HYPOT_SLACK = 2.0 ** -40
 
 
 def quadratic_roots(a: float, b: float, q: float) -> tuple:
@@ -49,26 +52,34 @@ def quadratic_roots(a: float, b: float, q: float) -> tuple:
     """
     if not 0.0 <= q <= 1.0:
         raise InputError(f"q must lie in [0, 1], got {q}")
+    with np.errstate(all="ignore"):
+        u = _roots(*np.array([[a], [b], [q]], dtype=float))
+    return float(u[0, 0]), float(u[1, 0])
+
+
+def _roots(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Rows u^(-), u^(+) of ``quadratic_roots`` over arrays, q unchecked;
+    every operation rounds as the formula does on Python floats."""
     s = a + b
-    if q == 1.0:
-        if s > 0.0:
-            return (a * b - 1.0) / s, math.inf
-        if s < 0.0:
-            return -math.inf, (a * b - 1.0) / s
-        return -math.inf, math.inf
     lead = 1.0 - q
     prod = a * b - q
-    disc = s * s - 4.0 * lead * prod
-    disc = max(disc, 0.0)  # nonnegative analytically; clip rounding dust
-    root = math.sqrt(disc)
-    if s >= 0.0:
-        big = (s + root) / (2.0 * lead)
-    else:
-        big = (s - root) / (2.0 * lead)
-    if big == 0.0:  # s == 0 and a b == q: double root at the origin
-        return 0.0, 0.0
-    other = prod / (lead * big)
-    return (other, big) if other <= big else (big, other)
+    # max(disc, 0.0) clips rounding dust; disc is never -0.0 (s * s >= +0),
+    # so np.maximum is that max
+    root = np.sqrt(np.maximum(s * s - 4.0 * lead * prod, 0.0))
+    big = (s + np.copysign(root, s + 0.0)) / (2.0 * lead)  # s - root only at s < 0.0
+    # at q = 1, big is the signed infinity and the other root (a b - 1) / s
+    other = prod / np.where(lead == 0.0, s, lead * big)
+    # (other, big) if other <= big else (big, other): a NaN other comes
+    # second, a NaN big has a NaN other, and at big = 0 both are set below
+    u = np.array((np.fmin(other, big), np.maximum(other, big)))
+    finite = np.isfinite(other)  # false at big = 0, at q = 1 and s = 0, on overflow
+    if not finite[finite.argmin()]:
+        u[:, big == 0.0] = 0.0  # s == 0 and a b == q: double root at the origin
+        # q = 1: (other, inf) at s > 0, (-inf, other) at s < 0, else (-inf, inf)
+        at = lead == 0.0
+        u[0, at] = np.where(s[at] > 0.0, other[at], -np.inf)
+        u[1, at] = np.where(s[at] < 0.0, other[at], np.inf)
+    return u
 
 
 def _x_from_u(u: float) -> float:
@@ -78,13 +89,21 @@ def _x_from_u(u: float) -> float:
     return u / math.hypot(1.0, u)
 
 
-def _x_from_quarter(u: float) -> float:
-    """cot(theta/4) = u  ->  cos(theta/2) = (u^2 - 1) / (u^2 + 1), which is 1
-    once u^2 overflows."""
-    uu = u * u
-    if math.isinf(uu):
-        return 1.0
-    return (uu - 1.0) / (uu + 1.0)
+def _least_x(u: np.ndarray, first: int, best: list, arg: list) -> None:
+    """Fold into ``best[k]`` and ``arg[k]`` the least x = _x_from_u(u[k]) at
+    degrees first, first + 1, ..; ties keep the smaller degree.  np.hypot
+    picks the candidates and ``_x_from_u`` decides among them."""
+    v = np.maximum(np.minimum(u, 1e300), -1e300)  # x(+-inf) = +-1 = x(+-1e300)
+    x = v / np.hypot(1.0, v)
+    side, n = (x <= x.min(axis=1, keepdims=True) + _HYPOT_SLACK).nonzero()
+    vals = u[side, n]
+    if len(n) > 2:  # past one per row: a run of equal u has one x, at its first degree
+        new = np.concatenate(([True], (vals[1:] != vals[:-1]) | (side[1:] != side[:-1])))
+        side, n, vals = side[new], n[new], vals[new]
+    for k, m, w in zip(side.tolist(), n.tolist(), vals.tolist()):
+        w = _x_from_u(w)
+        if w < best[k]:
+            best[k], arg[k] = w, first + m
 
 
 @dataclass(frozen=True)
@@ -125,7 +144,7 @@ def _coerce_scaling(cd: CdParams, q, N: int) -> np.ndarray:
         raise InputError(f"need {N - 1} scaling terms for degree {N}, have {len(vals)}")
     chain = getattr(q, "chain", None)
     vals, d = vals[:N - 1], cd.d[:N - 1]
-    if chain is None or not np.array_equal(chain[:N - 1], d):
+    if chain is None or chain is not cd.d and not np.array_equal(chain[:N - 1], d):
         make_scaling(d, vals)
     return vals
 
@@ -138,7 +157,7 @@ def _check_degree(cd: CdParams, N: int):
     # the enclosures' domain: it keeps c^2, c_n c_{n+1}, (c_n + c_{n+1})^2 and
     # the discriminant of the bounding quadratic below 1e301
     c = cd.c[:N]
-    if c.max() > 1e150 or c.min() < -1e150:  # no temporary array of N terms
+    if c[c.argmax()] > 1e150 or c[c.argmin()] < -1e150:  # no temporary array of N terms
         k = int(np.argmax(np.abs(c) > 1e150))
         raise InputError(f"c_{k + 1} = {float(cd.c[k])!r} lies outside the enclosures' "
                          "domain |c_n| <= 1e150")
@@ -149,54 +168,46 @@ def enclosure_thm44(cd: CdParams, q, N: int) -> Enclosure:
     d/q is walked unless ``q`` is a ScalingSeq whose ``chain`` is this d."""
     _check_degree(cd, N)
     qv = _coerce_scaling(cd, q, N)
-    best_lo = math.inf
-    best_hi = -math.inf
-    arg_lo = arg_hi = None
-    for i, c_prev, c_next, q_blk in _chunks(cd.c[:N - 1], cd.c[1:N], qv):
-        for m, a, b, qm in zip(count(i + 2), c_prev, c_next, q_blk):
-            u_minus, u_plus = quadratic_roots(a, b, qm)
-            x_lo = _x_from_u(u_minus)
-            x_hi = _x_from_u(u_plus)
-            if x_lo < best_lo:
-                best_lo, arg_lo = x_lo, m
-            if x_hi > best_hi:
-                best_hi, arg_hi = x_hi, m
-    return Enclosure(best_lo, best_hi, arg_lo, arg_hi, "thm44")
+    a, b = cd.c[:N - 1], cd.c[1:N]
+    best, arg = [math.inf, math.inf], [None, None]  # x_lo and -x_hi
+    with np.errstate(all="ignore"):  # q = 1 divides by zero
+        for i in range(0, N - 1, _CHUNK):
+            u = _roots(a[i:i + _CHUNK], b[i:i + _CHUNK], qv[i:i + _CHUNK])
+            u[1] *= -1.0  # x(-u) = -x(u): both extrema are minima
+            _least_x(u, i + 2, best, arg)
+    return Enclosure(best[0], -best[1], arg[0], arg[1], "thm44")
 
 
 def _staggered_max(q: np.ndarray, N: int) -> np.ndarray:
     """q_n^{(1,N)}: q_2, max(q_n, q_{n+1}) for 2 <= n <= N-1, then q_N."""
     out = np.empty(N)
-    out[0] = q[0]
-    # max(a, b) keeps a unless b > a
-    out[1:N - 1] = np.where(q[1:N - 1] > q[:N - 2], q[1:N - 1], q[:N - 2])
-    out[N - 1] = q[N - 2]
+    out[0], out[N - 1] = q[0], q[N - 2]
+    # q in (0, 1] holds no signed zero or NaN, so np.maximum is max
+    np.maximum(q[1:], q[:-1], out=out[1:N - 1])
     return out
 
 
 def enclosure_thm46(cd: CdParams, q, N: int) -> Enclosure:
     """Single-coefficient enclosure from staggered maxima of q, checked as thm44's."""
     _check_degree(cd, N)
-    qv = _coerce_scaling(cd, q, N)
-    qs = _staggered_max(qv, N)
-    best_lo = math.inf
-    best_hi = -math.inf
-    arg_lo = arg_hi = None
-    for i, c_blk, q_blk in _chunks(cd.c[:N], qs):
-        for n, cn, qn in zip(count(i + 1), c_blk, q_blk):
-            root = math.sqrt(cn * cn + (1.0 - qn))
-            sq = math.sqrt(qn)
-            u1 = (cn + root) / (1.0 + sq)
-            x_lo = _x_from_quarter(u1)
-            den = -cn + root
-            if den == 0.0:
-                x_hi = 1.0
-            else:
-                x_hi = _x_from_quarter((1.0 + sq) / den)
-            if x_lo < best_lo:
-                best_lo, arg_lo = x_lo, n
-            if x_hi > best_hi:
-                best_hi, arg_hi = x_hi, n
+    c, qs = cd.c[:N], _staggered_max(_coerce_scaling(cd, q, N), N)
+    best_lo, best_hi, arg_lo, arg_hi = math.inf, -math.inf, None, None
+    with np.errstate(all="ignore"):  # u^2 may overflow, and den = 0 divides
+        for i in range(0, N, _CHUNK):
+            cn, qn = c[i:i + _CHUNK], qs[i:i + _CHUNK]
+            root = np.sqrt(cn * cn + (1.0 - qn))
+            sq = 1.0 + np.sqrt(qn)
+            # u = cot(theta/4) at x_lo and at x_hi (den = -c + root); x =
+            # (u^2 - 1) / (u^2 + 1) rounds to 1 at every u^2 >= 1e300, so capped
+            # there an infinite u^2 (or u, at den = 0) gives 1, not inf / inf
+            u = np.array(((cn + root) / sq, sq / (root - cn)))
+            uu = np.minimum(u * u, 1e300)
+            x = (uu - 1.0) / (uu + 1.0)
+            j, k = x[0].argmin(), x[1].argmax()
+            if x[0, j] < best_lo:
+                best_lo, arg_lo = float(x[0, j]), i + 1 + int(j)
+            if x[1, k] > best_hi:
+                best_hi, arg_hi = float(x[1, k]), i + 1 + int(k)
     return Enclosure(best_lo, best_hi, arg_lo, arg_hi, "thm46")
 
 

@@ -133,6 +133,15 @@ class TestEnclosures:
         enc = pp.enclosure_cor45(cd, 5)
         assert (enc.A, enc.B) == (-1.0, 1.0)
 
+    @pytest.mark.parametrize("c", [[0.5, -0.5, 1.0, 2.0], [1.0, 2.0, -2.0, 3.0],
+                                   [-1.0, -2.0, 2.0, -3.0]])
+    def test_one_sided_trivial_on_zero_sum(self, c):
+        # one sum c_n + c_{n+1} is exactly 0, the others share a sign
+        cd = pp.CdParams.from_sequences(np.array(c), np.full(3, 0.2))
+        enc = pp.enclosure_cor45(cd, 4)
+        assert (enc.A, enc.B) == (-1.0, 1.0)
+        assert (enc.argmin_index, enc.argmax_index) == (None, None)
+
     def test_trivial_single_term_negative_c(self):
         cd = pp.CdParams.from_sequences(np.full(9, -1.0), np.full(8, 0.2))
         enc = pp.enclosure_cor47(cd, 9)
@@ -271,6 +280,16 @@ class TestSupportArc:
         vplus = math.acos((c * c - b * b + (1 - b * b)) / (c * c + 1))
         assert sa.theta1 == pytest.approx(vplus, abs=1e-9)
         assert sa.theta2 == pytest.approx(2 * math.pi - vplus, abs=1e-9)
+
+    def test_odd_horizon_halves_down(self):
+        # B moves at degree 4, which lies between 7 // 2 and (7 + 1) // 2
+        cd = pp.CdParams.from_sequences(np.array([0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0]),
+                                        np.full(6, 0.1))
+        q = np.full(6, 0.5)
+        sa = pp.support_arc(cd, q, 7)
+        assert sa.enclosure.B == pp.enclosure_thm44(cd, q, 4).B
+        assert sa.enclosure.B - pp.enclosure_thm44(cd, q, 3).B > 0.1
+        assert (sa.stabilized_lower, sa.stabilized_upper) == (True, False)
 
     def test_methods_dispatch(self, rng):
         cd, q = random_cd_q(rng, 16)

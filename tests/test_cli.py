@@ -57,6 +57,31 @@ class TestZerosGolden:
         assert out == (GOLDEN / f"{name}.csv").read_text()
 
 
+# Enclosure outputs pinned byte for byte, each method and both commands.
+BOUNDS_GOLDEN = {
+    "bounds-thm44-geronimus": "bounds --family geronimus --params alpha_re=0.5,alpha_im=0.3 "
+                              "--n-list 5,40,1000 --q-mode family-default --method thm44",
+    "bounds-thm46-lambda-eta": "bounds --family lambda-eta --params lam=1,eta=1 --n 1000 "
+                               "--q-mode ismail-li --method thm46",
+    "bounds-cor45-quarter-chain": f"bounds --input {GOLDEN / 'quarter-chain.json'} --n 31 "
+                                  "--method cor45",
+    # q = 1: every upper root is +inf
+    "bounds-cor45-lambda-eta": "bounds --family lambda-eta --params lam=1,eta=1 --n 5000 "
+                               "--method cor45",
+    "bounds-cor47-alternating": "bounds --family alternating --params b1=0.5,b2=0.5,c=0.2 "
+                                "--n 5000 --method cor47",
+    "bounds-support-arc-geronimus": "support-arc --family geronimus --params alpha_re=-0.5 "
+                                    "--n 5001 --q-mode family-default --method thm44",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS_GOLDEN))
+def test_golden_bounds(name):
+    code, out, _ = run(BOUNDS_GOLDEN[name].split())
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.csv").read_text()
+
+
 class TestBounds:
     def test_geronimus_family_default(self):
         code, out, err = run(["bounds", "--family", "geronimus",

@@ -1,14 +1,17 @@
-"""Sequential recursions against frozen numpy-scalar references.
+"""Sequential recursions and enclosure sweeps against frozen scalar references.
 
 The library runs its sequential loops on Python floats, read ``_CHUNK``
 terms at a time, and writes each complex128 operation out the way numpy
-rounds it.  The ``ref_*`` functions below are the earlier loops, which index
-numpy arrays one numpy scalar at a time; results, verdicts and error indices
+rounds it; the enclosure sweeps run as numpy array kernels over the same
+blocks.  The ``ref_*`` functions below are the earlier loops, which index
+numpy arrays one numpy scalar at a time, or for the sweeps walk Python floats
+through the earlier scalar root formulas; results, verdicts and error indices
 must agree bit for bit, across chunk boundaries included.
 """
 
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -132,12 +135,51 @@ def ref_gap(cd, theta1, theta2, N):
     return None, m
 
 
+def ref_quadratic_roots(a, b, q):
+    if not 0.0 <= q <= 1.0:
+        raise InputError(f"q must lie in [0, 1], got {q}")
+    s = a + b
+    if q == 1.0:
+        if s > 0.0:
+            return (a * b - 1.0) / s, math.inf
+        if s < 0.0:
+            return -math.inf, (a * b - 1.0) / s
+        return -math.inf, math.inf
+    lead = 1.0 - q
+    prod = a * b - q
+    disc = s * s - 4.0 * lead * prod
+    disc = max(disc, 0.0)
+    root = math.sqrt(disc)
+    if s >= 0.0:
+        big = (s + root) / (2.0 * lead)
+    else:
+        big = (s - root) / (2.0 * lead)
+    if big == 0.0:
+        return 0.0, 0.0
+    other = prod / (lead * big)
+    return (other, big) if other <= big else (big, other)
+
+
+def ref_x_from_u(u):
+    if math.isinf(u):
+        return 1.0 if u > 0 else -1.0
+    return u / math.hypot(1.0, u)
+
+
+def ref_x_from_quarter(u):
+    uu = u * u
+    if math.isinf(uu):
+        return 1.0
+    return (uu - 1.0) / (uu + 1.0)
+
+
 def ref_thm44(c, q, N):
+    c, q = c.tolist(), q.tolist()
     best_lo, best_hi, arg_lo, arg_hi = math.inf, -math.inf, None, None
     for m in range(2, N + 1):
-        u_minus, u_plus = bounds.quadratic_roots(c[m - 2], c[m - 1], q[m - 2])
-        x_lo = bounds._x_from_u(u_minus)
-        x_hi = bounds._x_from_u(u_plus)
+        u_minus, u_plus = ref_quadratic_roots(c[m - 2], c[m - 1], q[m - 2])
+        x_lo = ref_x_from_u(u_minus)
+        x_hi = ref_x_from_u(u_plus)
         if x_lo < best_lo:
             best_lo, arg_lo = x_lo, m
         if x_hi > best_hi:
@@ -146,19 +188,16 @@ def ref_thm44(c, q, N):
 
 
 def ref_thm46(c, q, N):
-    qs = np.empty(N)
-    qs[0] = q[0]
-    for n in range(2, N):
-        qs[n - 1] = max(q[n - 2], q[n - 1])
-    qs[N - 1] = q[N - 2]
+    c, q = c.tolist(), q.tolist()
+    qs = [q[0]] + [max(q[n - 2], q[n - 1]) for n in range(2, N)] + [q[N - 2]]
     best_lo, best_hi, arg_lo, arg_hi = math.inf, -math.inf, None, None
     for n in range(1, N + 1):
         cn, qn = c[n - 1], qs[n - 1]
         root = math.sqrt(cn * cn + (1.0 - qn))
         sq = math.sqrt(qn)
-        x_lo = bounds._x_from_quarter((cn + root) / (1.0 + sq))
+        x_lo = ref_x_from_quarter((cn + root) / (1.0 + sq))
         den = -cn + root
-        x_hi = 1.0 if den == 0.0 else bounds._x_from_quarter((1.0 + sq) / den)
+        x_hi = 1.0 if den == 0.0 else ref_x_from_quarter((1.0 + sq) / den)
         if x_lo < best_lo:
             best_lo, arg_lo = x_lo, n
         if x_hi > best_hi:
@@ -171,12 +210,36 @@ def ref_cor45(c, N):
     if not ((sums > 0.0).all() or (sums < 0.0).all()):
         return -1.0, 1.0, None, None
     lower = sums[0] > 0.0
+    c = c.tolist()
     best, arg = (math.inf if lower else -math.inf), None
     for m in range(2, N + 1):
-        x = bounds._x_from_u((c[m - 2] * c[m - 1] - 1.0) / (c[m - 2] + c[m - 1]))
+        x = ref_x_from_u((c[m - 2] * c[m - 1] - 1.0) / (c[m - 2] + c[m - 1]))
         if (x < best) if lower else (x > best):
             best, arg = x, m
     return (best, 1.0, arg, None) if lower else (-1.0, best, None, arg)
+
+
+def bits(*values):
+    """Floats as their bit patterns (signed zeros told apart), others as they are."""
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in values)
+
+
+def assert_enclosures_match(cd, q, N):
+    """The four enclosures against the references, bit for bit, or the same
+    InputError where the extrema make no open interval."""
+    for method, ref in [
+        (lambda: bounds.enclosure_thm44(cd, q, N), ref_thm44(cd.c, q, N)),
+        (lambda: bounds.enclosure_thm46(cd, q, N), ref_thm46(cd.c, q, N)),
+        (lambda: bounds.enclosure_cor45(cd, N), ref_cor45(cd.c, N)),
+        (lambda: bounds.enclosure_cor47(cd, N), ref_thm46(cd.c, np.ones(N - 1), N)),
+    ]:
+        try:
+            enc = method()
+        except InputError as exc:
+            assert not -1.0 <= ref[0] < ref[1] <= 1.0
+            assert str(exc) == f"invalid enclosure ({ref[0]}, {ref[1]})"
+        else:
+            assert bits(enc.A, enc.B, enc.argmin_index, enc.argmax_index) == bits(*ref)
 
 
 def same_bits(a, b):
@@ -534,12 +597,7 @@ def test_random_alpha_gap_bits(n):
 @pytest.mark.parametrize("n", LENGTHS[1:])
 def test_enclosure_sweeps_bits(n):
     cd, q = random_cd(n + 1, n)
-    for got, ref in [
-        (bounds.enclosure_thm44(cd, q, n), ref_thm44(cd.c, q, n)),
-        (bounds.enclosure_thm46(cd, q, n), ref_thm46(cd.c, q, n)),
-        (bounds.enclosure_cor45(cd, n), ref_cor45(cd.c, n)),
-    ]:
-        assert (got.A, got.B, got.argmin_index, got.argmax_index) == ref
+    assert_enclosures_match(cd, q, n)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -547,13 +605,84 @@ def test_enclosure_ties_keep_smallest_index(sign):
     n = _CHUNK + 7
     c = sign * np.tile([0.5, 1.5, 0.75], n // 3 + 2)[:n + 1]
     cd = pp.CdParams.from_sequences(c, np.full(n, 0.2))
-    q = np.full(n - 1, 0.9)
-    for got, ref in [
-        (bounds.enclosure_thm44(cd, q, n), ref_thm44(cd.c, q, n)),
-        (bounds.enclosure_thm46(cd, q, n), ref_thm46(cd.c, q, n)),
-        (bounds.enclosure_cor45(cd, n), ref_cor45(cd.c, n)),
-    ]:
-        assert (got.A, got.B, got.argmin_index, got.argmax_index) == ref
+    assert_enclosures_match(cd, np.full(n - 1, 0.9), n)
+
+
+def runs(values, lengths):
+    """Arrays of constant runs: ties between degrees, across blocks too."""
+    return st.lists(st.tuples(values, lengths), min_size=1, max_size=5).map(
+        lambda rs: np.repeat([v for v, _ in rs], [k for _, k in rs]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=runs(st.one_of(st.floats(-1e150, 1e150),
+                        st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0])),
+              st.one_of(st.integers(1, 6), st.integers(1000, 2500))),
+       q=runs(st.one_of(st.just(1.0), st.floats(1e-300, 1.0)), st.integers(1, 3000)),
+       sign=st.sampled_from([0.0, 1.0, -1.0]))
+def test_enclosures_match_scalar_references(c, q, sign):
+    if sign:  # sums of one sign, for cor45's one-sided bound
+        c = np.copysign(c, sign)
+    if len(c) < 3:
+        c = np.concatenate((c, [0.25, -0.75]))
+    n = len(c) - 1
+    q = np.resize(q, n)
+    cd = pp.CdParams.from_sequences(c, 0.2 * q)
+    assert_enclosures_match(cd, q[:n - 1], n)
+
+
+# x(-1 / b) at these b differ by one ulp under math.hypot; np.hypot (glibc,
+# x86-64) orders them the other way
+ONE_ULP_FLIP = (4.947008708873048, 4.9470087088730486)
+
+
+@pytest.mark.parametrize("c, q", [
+    # c_{n-1} + c_n = 0.0, -0.0 and 0.0, at q < 1 and at q = 1
+    ([0.0, -0.0, -0.0, 0.5, -0.5, 0.25], 0.6),
+    ([0.0, -0.0, -0.0, 0.5, -0.5, 0.25], 1.0),
+    # a discriminant that rounds below 0, clipped to a double root
+    ([1.7312936149201734, 1.7312936149201736, 0.3], 1e-20),
+    ([0.0, ONE_ULP_FLIP[0], 0.0, ONE_ULP_FLIP[1], 0.0], 1.0),
+])
+def test_enclosure_edge_cases_bits(c, q):
+    n = len(c) - 1
+    q = np.full(n, q)
+    cd = pp.CdParams.from_sequences(np.array(c), 0.2 * q)
+    assert_enclosures_match(cd, q[:n - 1], n)
+
+
+def test_hypot_flip_is_decided_by_math_hypot():
+    u1, u2 = (-1.0 / b for b in ONE_ULP_FLIP)
+    assert ref_x_from_u(u2) == math.nextafter(ref_x_from_u(u1), -1.0)
+    c = np.array([0.0, ONE_ULP_FLIP[0], 0.0, ONE_ULP_FLIP[1], 0.0])
+    enc = bounds.enclosure_cor45(pp.CdParams.from_sequences(c, np.full(4, 0.2)), 5)
+    assert (enc.A, enc.argmin_index) == (ref_x_from_u(u2), 4)
+
+
+@pytest.mark.parametrize("a, b, q", [
+    (0.0, 0.0, 0.0), (0.0, -0.0, 0.0), (-0.0, -0.0, 0.0),  # double root at 0
+    (-0.0, -0.0, 0.5), (0.3, -0.3, 0.0), (0.3, -0.3, 1.0), (-0.0, -0.0, 1.0),
+    (1.7312936149201734, 1.7312936149201736, 1e-20),  # disc rounds below 0
+    (1.0, 2.0, 1.0), (-1.0, -2.0, 1.0), (0.7, -0.2, 0.0), (1e150, 1e150, 0.999),
+])
+def test_quadratic_roots_fixed_cases(a, b, q):
+    assert bits(*bounds.quadratic_roots(a, b, q)) == bits(*ref_quadratic_roots(a, b, q))
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=st.floats(-1e150, 1e150), b=st.floats(-1e150, 1e150),
+       q=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_quadratic_roots_matches_reference(a, b, q):
+    assert bits(*bounds.quadratic_roots(a, b, q)) == bits(*ref_quadratic_roots(a, b, q))
+
+
+@pytest.mark.parametrize("q", [-0.1, 1.5, math.nan, -math.inf])
+def test_quadratic_roots_range_error(q):
+    with pytest.raises(InputError) as got:
+        bounds.quadratic_roots(0.1, 0.2, q)
+    with pytest.raises(InputError) as ref:
+        ref_quadratic_roots(0.1, 0.2, q)
+    assert str(got.value) == str(ref.value)
 
 
 # -- Smith division ------------------------------------------------------------
