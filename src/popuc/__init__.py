@@ -16,7 +16,7 @@ from .transforms import (CdParams, VerblunskySeq, cd_from_verblunsky, mass_at_on
 from .recurrence import ZeroList, zeros_R, zeros_W
 from .bounds import (Enclosure, GapCertificate, SupportArc, enclosure_cor45,
                      enclosure_cor47, enclosure_thm44, enclosure_thm46,
-                     gap_certificate, quadratic_roots, support_arc)
+                     gap_certificate, support_arc)
 from .scaling import (constant_scaling_threshold,
                       constant_scaling_threshold_infinite, default_scaling_for,
                       legendre_dominant)
@@ -31,6 +31,6 @@ __all__ = [
     "constant_scaling_threshold_infinite", "default_scaling_for", "enclosure_cor45",
     "enclosure_cor47", "enclosure_thm44", "enclosure_thm46", "gap_certificate",
     "ismail_li_constant", "legendre_dominant", "make_scaling", "mass_at_one",
-    "maximal_params", "quadratic_roots", "rotated_cd", "support_arc",
-    "tau_from_verblunsky", "verblunsky_from_cd", "zeros_R", "zeros_W",
+    "maximal_params", "rotated_cd", "support_arc", "tau_from_verblunsky",
+    "verblunsky_from_cd", "zeros_R", "zeros_W",
 ]

@@ -42,24 +42,11 @@ STABILIZATION_TOL = 1e-8
 _HYPOT_SLACK = 2.0 ** -40
 
 
-def quadratic_roots(a: float, b: float, q: float) -> tuple:
-    """Roots u^(-) <= u^(+) of (1 - q) u^2 - (a + b) u + (a b - q) for q in
-    [0, 1], as the pair (u^(-), u^(+)).
-
-    For q < 1 the discriminant is nonnegative and both roots are real; at
-    q = 1 the leading coefficient vanishes and the unbounded root is reported
-    as a signed infinity.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise InputError(f"q must lie in [0, 1], got {q}")
-    with np.errstate(all="ignore"):
-        u = _roots(*np.array([[a], [b], [q]], dtype=float))
-    return float(u[0, 0]), float(u[1, 0])
-
-
 def _roots(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Rows u^(-), u^(+) of ``quadratic_roots`` over arrays, q unchecked;
-    every operation rounds as the formula does on Python floats."""
+    """Roots u^(-) <= u^(+) of (1 - q) u^2 - (a + b) u + (a b - q) termwise,
+    as the rows of one array; q is taken to lie in [0, 1], unchecked.  At
+    q = 1 the unbounded root is a signed infinity.  Every operation rounds as
+    the formula does on Python floats."""
     s = a + b
     lead = 1.0 - q
     prod = a * b - q

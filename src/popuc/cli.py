@@ -4,6 +4,8 @@ Subcommands: ``tables``, ``bounds``, ``zeros``, ``support-arc``, ``gap``,
 ``transform``, ``scaling-threshold``.  Machine output goes to stdout as CSV
 (header row, LF endings) or JSON; a one-line human summary goes to stderr,
 and ``--degrees`` (``bounds``, ``support-arc``) converts its angles only.
+Each ``cmd_*`` handler maps the parsed arguments to (header, rows, summary)
+and writes nothing; ``main`` writes both streams.
 
 Exit codes: 0 success, 2 input validation, 3 analytic boundary case,
 4 internal invariant breach.
@@ -316,13 +318,11 @@ def table_rows(which: int) -> list:
     return rows
 
 
-def cmd_tables(args, stream, err) -> int:
+def cmd_tables(args) -> tuple:
     which = int(args.which)
     rows = table_rows(which)
-    _emit(TABLE_HEADER, map(dict.values, rows), stream, args.output, args.command)
-    err.write(f"table {which}: {len(rows)} rows (N = "
-              f"{', '.join(str(r['N']) for r in rows)})\n")
-    return 0
+    return TABLE_HEADER, map(dict.values, rows), (
+        f"table {which}: {len(rows)} rows (N = {', '.join(str(r['N']) for r in rows)})\n")
 
 
 def _bounds_row(args, cd: CdParams, q: ScalingSeq, N: int) -> tuple:
@@ -348,7 +348,7 @@ _ENCLOSURE_JOBS = {
 }
 
 
-def cmd_bounds(args, stream, err) -> int:
+def cmd_bounds(args) -> tuple:
     """``bounds`` and ``support-arc``: per degree of --n or --n-list, the
     enclosure of the extreme zeros or the support arc it gives."""
     row, header, too_small, summary = _ENCLOSURE_JOBS[args.command]
@@ -368,17 +368,15 @@ def cmd_bounds(args, stream, err) -> int:
             raise InputError(too_small.format(N))
         cd = _cd_at(alpha, cd_inline, N)
         rows.append(row(args, cd, _scaling_at(args, alpha, cd, N, q_values), N))
-    _emit(header.split(), rows, stream, args.output, args.command)
     last = dict(zip(header.split(), rows[-1]))
     for k in ("theta1", "theta2"):
         last[k] = (f"{math.degrees(last[k]):.7f} deg" if args.degrees
                    else f"{last[k]:.7f} rad")
-    err.write(summary.format(**last, stabilized=last.get("stabilized_lower")
-                             and last.get("stabilized_upper")))
-    return 0
+    return header.split(), rows, summary.format(
+        **last, stabilized=last.get("stabilized_lower") and last.get("stabilized_upper"))
 
 
-def cmd_zeros(args, stream, err) -> int:
+def cmd_zeros(args) -> tuple:
     n_values = _n_values(args)
     alpha, cd_inline = _source(args)
     rows = []
@@ -386,12 +384,10 @@ def cmd_zeros(args, stream, err) -> int:
         cd = _cd_at(alpha, cd_inline, N)
         zl = zeros_R(cd, N)
         rows += zip([N] * N, range(1, N + 1), zl.theta.tolist(), zl.x.tolist())
-    _emit(["N", "j", "theta", "x"], rows, stream, args.output, args.command)
-    err.write(f"zeros: {len(rows)} rows\n")
-    return 0
+    return ["N", "j", "theta", "x"], rows, f"zeros: {len(rows)} rows\n"
 
 
-def cmd_gap(args, stream, err) -> int:
+def cmd_gap(args) -> tuple:
     if args.theta1 is None or args.theta2 is None:
         raise InputError("gap needs --theta1 and --theta2")
     n = 1000 if args.n is None else _degree("--n", args.n)
@@ -405,15 +401,16 @@ def cmd_gap(args, stream, err) -> int:
     else:
         header = ["verdict", "horizon", "violated_at", "c1_condition"]
         rows = [(cert.verdict, cert.horizon, cert.violated_at, cert.c1_condition)]
-    _emit(header, rows, stream, args.output, args.command)
-    if cert.verified:
-        err.write(f"gap: verified to N={cert.horizon}\n")
-    else:
-        err.write(f"gap: violated at n={cert.violated_at}\n")
-    return 0
+    return header, rows, (f"gap: verified to N={cert.horizon}\n" if cert.verified
+                          else f"gap: violated at n={cert.violated_at}\n")
 
 
-def cmd_transform(args, stream, err) -> int:
+def cmd_transform(args) -> tuple:
+    for flag, given in (("--n", args.n is not None), ("--roundtrip", args.roundtrip)):
+        if given and args.reverse:
+            raise InputError(f"give {flag} or --reverse, not both")
+    if args.t is not None and not args.reverse:
+        raise InputError("--t needs --reverse")
     n = 16 if args.n is None else _degree("--n", args.n)
     alpha, cd = _source(args)
     if args.reverse:
@@ -422,14 +419,12 @@ def cmd_transform(args, stream, err) -> int:
         if args.t is None:
             raise InputError("--reverse needs --t, the mass at z = 1, in (0, 1)")
         values = verblunsky_from_cd(cd, t=args.t).prefix(cd.n)
-        _emit(["n", "alpha_re", "alpha_im"],
-              zip(range(cd.n), values.real.tolist(), values.imag.tolist()), stream,
-              args.output, args.command)
-        err.write(f"transform: recovered {cd.n} coefficients at t={args.t}\n")
-        return 0
+        return (["n", "alpha_re", "alpha_im"],
+                zip(range(cd.n), values.real.tolist(), values.imag.tolist()),
+                f"transform: recovered {cd.n} coefficients at t={args.t}\n")
     cd = _cd_at(alpha, cd, n)  # an inline cd may carry more than n rows
     summary = f"transform: {n} coefficient rows\n"
-    if args.roundtrip:  # before any row, so that a failure prints none
+    if args.roundtrip:
         if alpha is None:
             raise InputError("--roundtrip needs an alpha source")
         t_star = mass_at_one(cd)
@@ -439,13 +434,10 @@ def cmd_transform(args, stream, err) -> int:
     tau = cd.tau[:n]
     rows = zip(range(1, n + 1), cd.c.tolist(), cd.g.tolist(), chain(cd.d.tolist(), [""]),
                tau.real.tolist(), tau.imag.tolist())
-    _emit(["n", "c", "g", "d_next", "tau_re", "tau_im"], rows, stream, args.output,
-          args.command)
-    err.write(summary)
-    return 0
+    return ["n", "c", "g", "d_next", "tau_re", "tau_im"], rows, summary
 
 
-def cmd_scaling_threshold(args, stream, err) -> int:
+def cmd_scaling_threshold(args) -> tuple:
     alpha, cd_inline = _source(args)
     if args.infinite:
         if args.n is not None:
@@ -474,10 +466,8 @@ def cmd_scaling_threshold(args, stream, err) -> int:
     # a closed form or a fixed number of bisection steps: --tol is only checked
     if not 0 < args.tol < math.inf:
         raise InputError(f"tol must be positive and finite, got {args.tol}")
-    thr = threshold(d)
-    _emit(["kind", "threshold"], [(kind, float(thr))], stream, args.output, args.command)
-    err.write(f"scaling-threshold: {float(thr)}\n")
-    return 0
+    thr = float(threshold(d))
+    return ["kind", "threshold"], [(kind, thr)], f"scaling-threshold: {thr}\n"
 
 
 def _add_source_flags(p):
@@ -582,7 +572,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args, stdout, stderr)
+        header, rows, summary = _HANDLERS[args.command](args)
+        _emit(header, rows, stdout, args.output, args.command)
     except BoundaryCaseError as exc:
         stderr.write(f"error: {exc}\n")
         return 3
@@ -595,6 +586,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except MemoryError as exc:  # an --n too large to allocate for
         stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 2
+    stderr.write(summary)
+    return 0
 
 
 if __name__ == "__main__":

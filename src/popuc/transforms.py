@@ -259,8 +259,17 @@ class VerblunskySeq:
             raise InputError(f"lambda-eta needs |lam| + |eta| within the float range, "
                              f"got lam={lam}, eta={eta}")
         b = complex(lam, eta)
+        # 1 - |alpha_0|^2 = (2 lam + 1) / |lam + 1 + i eta|^2 exactly, taken as
+        # 2 (lam + 1/2) / h / h so that no step overflows; alpha_0 is the
+        # coefficient nearest the circle
+        h = abs(b + 1.0)
+        margin = 2.0 * ((lam + 0.5) / h / h)
 
         def blocks(stops):
+            if margin < 2.0 ** -52:
+                raise InputError(f"lambda-eta lam={lam}, eta={eta} puts alpha_0 within "
+                                 f"rounding of the unit circle: 1 - |alpha_0|^2 = "
+                                 f"{margin:.3g} < 2**-52")
             # the running product is carried into the next block as the first
             # factor of its cumprod, which multiplies in the same order
             last = None

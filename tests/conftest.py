@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from popuc import CdParams, InputError, chainseq
+from popuc.bounds import _roots
 from popuc.recurrence import _BISECTION_STEPS, _TINY, _bisect_zeros, _coeffs
 
 # Rescale the running recurrence pair every this many steps to keep the
@@ -18,6 +19,13 @@ def random_alpha(rng, n, rmax=0.9):
     mod = rng.uniform(0.0, rmax, n)
     phase = rng.uniform(0.0, 2.0 * np.pi, n)
     return mod * np.exp(1j * phase)
+
+
+def one_term_roots(a, b, q):
+    """``bounds._roots`` on one-term arrays, as the pair (u^(-), u^(+))."""
+    with np.errstate(all="ignore"):  # q = 1 divides by zero
+        u = _roots(*np.array([[a], [b], [q]], dtype=float))
+    return float(u[0, 0]), float(u[1, 0])
 
 
 def ultraspherical_d(lam, count):

@@ -6,7 +6,7 @@ import pytest
 
 import popuc as pp
 
-from conftest import random_alpha, random_cd_q
+from conftest import one_term_roots, random_alpha, random_cd_q
 
 
 def geronimus_support_angles(alpha):
@@ -29,22 +29,22 @@ def geronimus_cot_bounds(alpha):
 
 class TestQuadraticRoots:
     def test_symmetric(self):
-        u_minus, u_plus = pp.quadratic_roots(0.0, 0.0, 0.75)
+        u_minus, u_plus = one_term_roots(0.0, 0.0, 0.75)
         assert u_minus == pytest.approx(-math.sqrt(3), rel=1e-15)
         assert u_plus == pytest.approx(math.sqrt(3), rel=1e-15)
 
     def test_degenerate_leading_coefficient(self):
-        u_minus, u_plus = pp.quadratic_roots(1.0, 2.0, 1.0)
+        u_minus, u_plus = one_term_roots(1.0, 2.0, 1.0)
         assert u_minus == pytest.approx(1 / 3, rel=1e-15)
         assert u_plus == math.inf
-        u_minus, u_plus = pp.quadratic_roots(-1.0, -2.0, 1.0)
+        u_minus, u_plus = one_term_roots(-1.0, -2.0, 1.0)
         assert u_minus == -math.inf
         assert u_plus == pytest.approx(-1 / 3, rel=1e-15)
-        u_minus, u_plus = pp.quadratic_roots(1.0, -1.0, 1.0)
+        u_minus, u_plus = one_term_roots(1.0, -1.0, 1.0)
         assert (u_minus, u_plus) == (-math.inf, math.inf)
 
     def test_no_scaling_recovers_coefficients(self):
-        u_minus, u_plus = pp.quadratic_roots(0.7, -0.2, 0.0)
+        u_minus, u_plus = one_term_roots(0.7, -0.2, 0.0)
         assert u_minus == pytest.approx(-0.2, abs=1e-15)
         assert u_plus == pytest.approx(0.7, abs=1e-15)
 
@@ -53,7 +53,7 @@ class TestQuadraticRoots:
         c = -alpha.imag / (1 + alpha.real)
         g = (1 - abs(alpha) ** 2) / (2 * (1 + alpha.real))
         d = (1 - g) * g
-        u_minus, u_plus = pp.quadratic_roots(c, c, 4 * d)
+        u_minus, u_plus = one_term_roots(c, c, 4 * d)
         lo, up = geronimus_cot_bounds(alpha)
         assert u_minus == pytest.approx(lo, rel=1e-12)
         assert u_plus == pytest.approx(up, rel=1e-12)
@@ -62,7 +62,7 @@ class TestQuadraticRoots:
         for _ in range(200):
             a, b = rng.uniform(-4, 4, 2)
             q = rng.uniform(1e-6, 1 - 1e-6)
-            u_minus, u_plus = pp.quadratic_roots(a, b, q)
+            u_minus, u_plus = one_term_roots(a, b, q)
             assert u_minus < min(a, b) <= max(a, b) < u_plus
 
     def test_scaling_monotonicity(self, rng):
@@ -70,14 +70,10 @@ class TestQuadraticRoots:
             a, b = rng.uniform(-3, 3, 2)
             q = rng.uniform(0.05, 0.95)
             qs = q * rng.uniform(0.2, 1.0)
-            big_minus, big_plus = pp.quadratic_roots(a, b, q)
-            small_minus, small_plus = pp.quadratic_roots(a, b, qs)
+            big_minus, big_plus = one_term_roots(a, b, q)
+            small_minus, small_plus = one_term_roots(a, b, qs)
             assert small_plus <= big_plus + 1e-12
             assert small_minus >= big_minus - 1e-12
-
-    def test_q_validation(self):
-        with pytest.raises(pp.InputError):
-            pp.quadratic_roots(0.0, 0.0, 1.2)
 
     def test_solution_set_membership(self, rng):
         # h(x; a, b) >= q exactly outside the open interval cut by the roots
@@ -85,7 +81,7 @@ class TestQuadraticRoots:
         for _ in range(20):
             a, b = rng.uniform(-3, 3, 2)
             q = rng.uniform(0.05, 0.95)
-            u_minus, u_plus = pp.quadratic_roots(a, b, q)
+            u_minus, u_plus = one_term_roots(a, b, q)
             s = np.sqrt(1 - xs ** 2)
             h = (xs - a * s) * (xs - b * s)
             x_lo = u_minus / math.hypot(1, u_minus)
@@ -364,3 +360,32 @@ class TestGapCertificate:
             pp.gap_certificate(alpha, theta1, theta2, 1)
         assert err.value.index == 2
 
+    # The probe of the arc (2 pi - 0.9, 2 pi + 0.9) and two first coefficients
+    # that put the rotated c_1 on it, or 1e-14 from it; each was found by
+    # stepping the imaginary part of alpha_0 one ulp at a time.
+    GAP_ARC = (2 * math.pi - 0.9, 2 * math.pi + 0.9)
+
+    def _probe(self, alpha0):
+        theta1, theta2 = self.GAP_ARC
+        half = 0.5 * (2 * math.pi - (theta2 - theta1))
+        x_star = math.cos(half)
+        alpha = pp.VerblunskySeq.from_values(np.array([alpha0, 0.1]))
+        c1 = float(pp.rotated_cd(alpha, theta2, 2).c[0])
+        return alpha, x_star, math.sin(half), c1
+
+    def test_head_condition_is_strict(self):
+        # x* / sin(half) == c_1 exactly fails the head condition
+        alpha, x_star, sin_half, c1 = self._probe(0.6216099682706642 - 0.1450238028980408j)
+        assert x_star / sin_half == c1
+        cert = pp.gap_certificate(alpha, *self.GAP_ARC, 1)
+        assert (cert.verdict, cert.violated_at, cert.c1_condition) == ("violated", 0, False)
+
+    def test_cotangent_guard_threshold(self):
+        # the probe passes the head condition and lies 1e-14 from the
+        # cotangent direction of c_1, inside the 1e-13 guard
+        alpha, x_star, sin_half, c1 = self._probe(0.6216099682706592 - 0.1450238028980401j)
+        assert x_star / sin_half < c1
+        assert 1e-15 < abs(x_star - c1 * math.sqrt(1.0 - x_star * x_star)) < 1e-13
+        with pytest.raises(pp.BoundaryCaseError) as err:
+            pp.gap_certificate(alpha, *self.GAP_ARC, 1)
+        assert err.value.index == 1

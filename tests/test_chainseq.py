@@ -262,6 +262,15 @@ class TestExtremalConstantEveryDegree:
         with pytest.raises(pp.InputError, match="final parameter out of range"):
             pp.CdParams(np.zeros(12), d, g)
 
+    def test_rounding_bound_counts_three_roundings_a_step(self):
+        # parameters 0, 1/2, 1/2, .. walk exactly, and the bound grows by
+        # 3u/2 a step to 2 e_N = 2.0e-12 at N = 3000 (1.3e-12 at 2u a step):
+        # a final parameter 1.6e-12 above 1 passes
+        d = np.array([0.5] + [0.25] * 2998 + [0.5 * (1 + 1.6e-12)])
+        g = pp.chainseq._forward_params(d)[0]
+        assert pp.chainseq.BOUNDARY_TOL < g[-1] - 1.0 < 1.7e-12
+        assert pp.chain_failure_index(d) is None
+
     def test_tolerance_is_capped(self):
         # at N = 3000 the walk of the extremal constant ends 1.1e-7 above 1,
         # past the 2 sqrt(u) the first-order bound may grant

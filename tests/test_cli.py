@@ -556,6 +556,21 @@ class TestTransform:
         assert run(["transform", "--input", str(src), "--reverse"]) == (
             2, "", "error: --reverse needs --t, the mass at z = 1, in (0, 1)\n")
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--family", "geronimus", "--params", "alpha_re=0.3", "--t", "0.3"],
+         "--t needs --reverse"),
+        (["--input", "{cd}", "--reverse", "--t", "0.3", "--roundtrip"],
+         "give --roundtrip or --reverse, not both"),
+        (["--input", "{cd}", "--reverse", "--t", "0.3", "--n", "2"],
+         "give --n or --reverse, not both"),
+    ])
+    def test_flag_mix_exits_2(self, tmp_path, flags, message):
+        # each flag would be dropped: --reverse prints every row of the cd
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.0] * 3, "d": [0.25] * 2}}))
+        argv = ["transform"] + [f.format(cd=src) for f in flags]
+        assert run(argv) == (2, "", f"error: {message}\n")
+
     def test_reverse_rejects_bad_chain(self, tmp_path):
         src = tmp_path / "cd.json"
         # constant 0.4 exceeds the three-term extremal constant
@@ -643,9 +658,61 @@ class TestScalingThreshold:
             assert out == "" and err.startswith("error: ")
 
 
+class TestErrorPaths:
+    """Input errors that no other test pins."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["zeros", "--n", "3", "--family", "geronimus", "--params", "alpha_re"],
+         "malformed --params entry 'alpha_re'; expected k=v"),
+        (["zeros", "--n", "3", "--family", "alternating", "--params", "b2=0.5"],
+         "alternating family needs parameter 'b1'"),
+        (["bounds", "--n", "3"], "no coefficient source; use --input or --family"),
+        (["bounds", "--n", "3", "--input", "{alpha}", "--q-mode", "family-default"],
+         "family-default scaling needs a named family source"),
+        (["bounds", "--n", "3", "--family", "geronimus", "--params", "alpha_re=0.3",
+          "--q-mode", "constant"], "--q-mode constant needs --q-const"),
+        (["bounds", "--n", "3", "--family", "geronimus", "--params", "alpha_re=0.3",
+          "--q-mode", "custom"], "--q-mode custom needs --q-file"),
+        (["scaling-threshold", "--infinite", "--family", "geronimus", "--params",
+          "alpha_re=0.3"], "--infinite needs --d-const or a lambda-eta family"),
+        (["scaling-threshold", "--family", "geronimus", "--params", "alpha_re=0.3"],
+         "finite threshold needs --n"),
+    ])
+    def test_exits_2(self, tmp_path, argv, message):
+        src = tmp_path / "alpha.json"
+        src.write_text(json.dumps({"alpha": [[0.1, 0.2], [0.3, 0.0], [0.0, 0.1]]}))
+        assert run([a.format(alpha=src) for a in argv]) == (2, "", f"error: {message}\n")
+
+    def test_chain_parameter_one_is_rejected(self, tmp_path):
+        # g_2 = d_2 / (1 - g_1) = 1 leaves (0, 1); walking on would divide by 0
+        src = tmp_path / "cd.json"
+        src.write_text(json.dumps({"cd": {"c": [0.1, 0.2, 0.3], "d": [1.0, 0.1]}}))
+        assert run(["zeros", "--n", "3", "--input", str(src)]) == (
+            2, "", "error: d is not a positive chain sequence at n=1\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--n", "3"],
+        ["gap", "--theta1", "5.3", "--theta2", "7.2", "--n", "10"],
+    ])
+    @pytest.mark.parametrize("params, margin", [("lam=8e307,eta=8e307", "1.25e-308"),
+                                                ("lam=1e20,eta=1", "2e-20")])
+    def test_lambda_eta_within_rounding_of_the_circle(self, argv, params, margin):
+        # 1 - |alpha_0|^2 = (2 lam + 1) / |lam + 1 + i eta|^2 below 2**-52
+        code, out, err = run(argv + ["--family", "lambda-eta", "--params", params])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: lambda-eta lam=") and err.endswith(
+            f"1 - |alpha_0|^2 = {margin} < 2**-52\n")
+
+    def test_lambda_eta_near_the_circle_accepted(self):
+        # 1 - |alpha_0|^2 = 9.999999999999995e-16 lies above 2**-52
+        code, out, _ = run(["transform", "--n", "3", "--family", "lambda-eta",
+                            "--params", "lam=1e15,eta=1e15"])
+        assert code == 0 and len(out.splitlines()) == 4
+
+
 class TestExitCodeContract:
     def test_internal_invariant_maps_to_4(self, monkeypatch):
-        def boom(args, stream, err):
+        def boom(args):
             raise pp.InvariantError("synthetic breach")
 
         monkeypatch.setitem(cli._HANDLERS, "tables", boom)
@@ -654,7 +721,7 @@ class TestExitCodeContract:
         assert "internal error" in err
 
     def test_boundary_case_maps_to_3(self, monkeypatch):
-        def edge(args, stream, err):
+        def edge(args):
             raise pp.BoundaryCaseError(3)
 
         monkeypatch.setitem(cli._HANDLERS, "tables", edge)
