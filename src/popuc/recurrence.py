@@ -23,15 +23,21 @@ degrees; a zero ratio is replaced by a tiny positive one so the recursion
 never divides by zero (Demmel, Dhillon & Ren, ETNA 3 (1995)).
 
 The halvings run as multisection (Lo, Philippe & Sameh, SIAM J. Sci. Stat.
-Comput. 8 (1987)): a pass counts, in one call, every midpoint that the next
-h halvings of each distinct bracket could visit, up to ``_POINT_BUDGET``
-points, and replays bisection's h decisions from those counts.  Midpoints
-come from the same ``0.5 * (lo + hi)`` and each decision reads the count at
-the midpoint bisection visits, so the output is plain bisection's bit for
-bit, with no appeal to the count being monotone in x.  The array count runs
-``_BLOCK`` steps at a time, sums each block's signs in uint8 and counts the
-few points that reach a zero ratio again on Python floats.  Commands bisect
-only the zeros they print: ``tables`` its extreme ones.
+Comput. 8 (1987)): a pass fills, in place, every midpoint that the next h
+halvings of each distinct bracket could visit, up to ``_POINT_BUDGET``
+points, counts them in one call and replays bisection's h decisions from
+those counts.  Midpoints come from the same ``0.5 * (lo + hi)`` and each
+decision reads the count at the midpoint bisection visits, so the output is
+plain bisection's bit for bit, with no appeal to the count being monotone in
+x.  Where a bracket's counts happen not to rise, bisection's walk ends after
+the run of midpoints with count >= j, and one ``searchsorted`` finds that
+end for every point; otherwise the pass walks level by level.  The array
+count runs ``_BLOCK`` steps at a time on operands prepared once per
+bisection: each block's x - c_k s is one ``einsum``, and each step one
+divide and one subtract by 0-d arrays into preallocated outputs.  It sums
+each block's signs in uint8 and counts the few points that reach a zero
+ratio again on Python floats.  Commands bisect only the zeros they print:
+``tables`` its extreme ones.
 """
 
 from __future__ import annotations
@@ -104,19 +110,24 @@ def _count_steps(c, d, degree, x):
 def _count_blocked(c, d, degree, x):
     """``_count_above`` on an array of points, ``_BLOCK`` steps at a time.
 
-    One outer product gives x - c_k s for a whole block, so a step costs one
-    divide and one subtract; the block's signs fill one bool array, summed
+    ``x - c_k s`` for a whole block is one ``einsum`` outer product into the
+    block's rows, so a step costs one divide and one subtract, each with a
+    positional output.  ``d`` may hold the d_k as 0-d float64 arrays, as
+    ``_bisect_zeros`` prepares them once per call, so that the step loop
+    converts no Python float.  The block's signs fill one bool array, summed
     in uint8, which 64 rows cannot wrap.  The ``_TINY`` guard is deferred:
     the ratios are the step loop's up to the first one that rounds to zero,
     and the few points that reach one are counted again by ``_count_steps``,
-    so every count is the step loop's.
+    so every count is the step loop's.  ``einsum`` adds each product to a
+    zeroed output, so a product that is -0.0 comes out +0.0; that changes at
+    most the sign of a zero ratio, and every zero ratio is counted again.
     """
     degree = np.asarray(degree)
     top = int(degree.max())
     per_point = degree.ndim != 0
     c = np.asarray(c[:top])
     # d_1 = 0 and r_0 = 1 make the first step r_1 = x - c_1 s
-    d = [0.0, *np.asarray(d[:top - 1]).tolist()]
+    d = [np.zeros(()), *d[:top - 1]]
     s = np.sqrt(1.0 - x * x)
     count = np.zeros(len(x), dtype=np.int64)
     zero = np.zeros(len(x), dtype=bool)
@@ -137,12 +148,12 @@ def _count_blocked(c, d, degree, x):
         for k0 in range(0, top, _BLOCK):
             b = min(_BLOCK, top - k0)
             block = rows[1:b + 1]
-            np.multiply.outer(c[k0:k0 + b], s, out=block)
-            np.subtract(x, block, out=block)
+            np.einsum("i,j->ij", c[k0:k0 + b], s, out=block)
+            np.subtract(x, block, block)
             for dk, prev, r in zip(d[k0:k0 + b], views, views[1:b + 1]):
-                np.divide(dk, prev, out=quotient)
-                np.subtract(r, quotient, out=r)
-            negative = np.less(block, 0.0, out=signs[:b])
+                np.divide(dk, prev, quotient)
+                np.subtract(r, quotient, r)
+            negative = np.less(block, 0.0, signs[:b])
             if per_point:
                 negative &= np.arange(k0, k0 + b)[:, None] < degree
             count += np.add.reduce(negative.view(np.uint8), axis=0, dtype=np.uint8)
@@ -150,7 +161,7 @@ def _count_blocked(c, d, degree, x):
                 zero |= ~block.all(axis=0)
             rows[0] = rows[b]
     if zero.any():
-        c, d, degree = c.tolist(), d[1:], degree.tolist()
+        c, d, degree = c.tolist(), [float(dk) for dk in d[1:]], degree.tolist()
         for i in np.flatnonzero(zero).tolist():
             count[i] = _count_steps(c, d, degree[i] if per_point else degree, float(x[i]))
     return count
@@ -166,16 +177,29 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
 
     A pass takes the next h halvings at once (multisection; Lo, Philippe &
     Sameh, SIAM J. Sci. Stat. Comput. 8 (1987)).  For each distinct bracket it
-    forms the 2^h + 1 edges that h halvings can leave, each midpoint by the
-    same ``0.5 * (lo + hi)`` bisection computes, counts the 2^h - 1 interior
-    ones in one call, and replays bisection's h decisions from those counts.
-    So every bracket takes plain bisection's path, bit for bit, whether or
-    not the computed count is monotone in x.  h is the largest that keeps the
-    points of a pass within ``_POINT_BUDGET``, and at least 1.
+    fills, level by level and in place, one row of the 2^h + 1 edges that h
+    halvings can leave, each midpoint by the same ``0.5 * (lo + hi)``
+    bisection computes.  It counts the 2^h - 1 interior ones in one call and
+    replays bisection's h decisions (count >= j at the midpoint) from those
+    counts.  h is the largest that keeps the points of a pass within
+    ``_POINT_BUDGET``, and at least 1.
+
+    Where a bracket's counts do not rise from edge to edge, each of its
+    points reads a row of decisions that is a run of True then False.  Every
+    decision the walk reads then lies in the run or after it, and it moves
+    right exactly when it lies in the run, so the walk ends in the bracket
+    that starts at the run's last edge: the leaf is the run's length, the
+    number of interior edges whose count is >= j.  One ``searchsorted``
+    finds it for every point.  A pass with any rising
+    count takes the per-level walk instead.  So every bracket takes plain
+    bisection's path, bit for bit, whether or not the computed count is
+    monotone in x.  The d_k are made 0-d float64 arrays once per call, so that
+    the count's step loop converts no Python float.
     """
     if N < 1:
         raise InputError(f"degree must be >= 1, got {N}")
     c, d = _coeffs(cd, N)
+    d = [np.array(dk) for dk in d[:N - 1].tolist()]
     n = len(j)
     lo = np.full(n, -1.0)
     hi = np.full(n, 1.0)
@@ -198,21 +222,32 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
         else:
             first = inverse = each
         h = min(steps, max(1, (_POINT_BUDGET // len(first) + 1).bit_length() - 1))
-        edges = np.column_stack((lo[first], hi[first]))
-        for _ in range(h):
-            finer = np.empty((len(first), 2 * edges.shape[1] - 1))
-            finer[:, 0::2] = edges
-            finer[:, 1::2] = 0.5 * (edges[:, :-1] + edges[:, 1:])
-            edges = finer
         width = 2 ** h - 1
+        # the edges a level adds, every gap-th from gap / 2, are the midpoints
+        # of their neighbours on the level above
+        edges = np.empty((len(first), width + 2))
+        edges[:, 0] = lo[first]
+        edges[:, -1] = hi[first]
+        for level in range(h):
+            gap = 2 ** (h - level)
+            mid = edges[:, gap // 2::gap]
+            np.add(edges[:, :-1:gap], edges[:, gap::gap], mid)
+            np.multiply(0.5, mid, mid)
         counts = _count_above(c, d, np.repeat(degree[first], width) if per_point else degree,
                               edges[:, 1:-1].ravel())
-        # the bracket between edges a and a + 2^(t+1) halves at edge
-        # a + 2^t, whose count sits at position a + 2^t - 1 of its row
-        offset = inverse * width - 1
-        a = np.zeros(n, dtype=np.int64)
-        for t in reversed(range(h)):
-            a += (counts[offset + a + 2 ** t] >= j) * 2 ** t
+        # keyed by bracket and then by falling count, the counts of a pass
+        # sort as one array exactly when no bracket's count rises; a point's
+        # leaf is then where (its bracket, j) falls in its bracket's row
+        runs = (np.arange(len(first))[:, None] * (N + 2) - counts.reshape(-1, width)).ravel()
+        if (runs[1:] >= runs[:-1]).all():
+            a = np.searchsorted(runs, inverse * (N + 2) - j, side="right") - inverse * width
+        else:
+            # the bracket between edges a and a + 2^(t+1) halves at edge
+            # a + 2^t, whose count sits at position a + 2^t - 1 of its row
+            offset = inverse * width - 1
+            a = np.zeros(n, dtype=np.int64)
+            for t in reversed(range(h)):
+                a += (counts[offset + a + 2 ** t] >= j) * 2 ** t
         lo = edges[inverse, a]
         hi = edges[inverse, a + 1]
         steps -= h

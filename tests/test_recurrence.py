@@ -1,3 +1,5 @@
+import io
+import json
 import math
 from decimal import Decimal, localcontext
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import popuc as pp
+from popuc import cli, recurrence
 from popuc.recurrence import _bisect_zeros, _count_above, extreme_zeros
 
 from conftest import (_eval_W_grid, assert_interlacing, plain_bisect_zeros,
@@ -250,6 +253,58 @@ class TestCountAbove:
         assert [_count_above(c, d, n, 0.0) for n in range(1, 10)] == \
             [n // 2 for n in range(1, 10)]
 
+    def test_product_underflow_to_negative_zero(self):
+        # c_1 s underflows to -0.0 wherever s < 1/2, and is -0.0 outright at
+        # x = +-1; the array count's einsum gives +0.0 there.  x - c_1 s is x
+        # either way, so the counts agree
+        c, d = [-5e-324, -1e-300, 0.3, -0.0], [0.2, 0.25, 0.1]
+        xs = np.array([1.0, -1.0, 1 - 2.0 ** -53, -1 + 2.0 ** -53, 0.9, -0.95])
+        s = np.sqrt(1.0 - xs * xs)
+        assert (np.signbit(c[0] * s) & (c[0] * s == 0.0)).all()
+        for n in range(1, 5):
+            want = [_count_above(c, d, n, x) for x in xs.tolist()]
+            assert _count_above(c, d, n, xs).tolist() == want
+            assert plain_count_above(c, d, n, xs).tolist() == want
+
+    @pytest.mark.parametrize("c1", [-0.0, 0.0, 0.3])
+    def test_negative_zero_x(self, c1):
+        # x = -0.0 gives s = 1.  With c_1 = -0.0 the step loop forms
+        # x - c_1 s = +0.0 and the einsum block -0.0: a zero ratio either way,
+        # which the array count counts again on Python floats
+        c, d = [c1, 0.2, -0.1], [0.25, 0.1]
+        xs = np.array([-0.0, 0.0, -0.0])
+        for n in range(1, 4):
+            want = [_count_above(c, d, n, x) for x in xs.tolist()]
+            assert want[0] == _count_above(c, d, n, -0.0)
+            assert _count_above(c, d, n, xs).tolist() == want
+            assert _count_above(c, d, np.full(len(xs), n), xs).tolist() == want
+            assert plain_count_above(c, d, n, xs).tolist() == want
+
+
+class TestTinyRatio:
+    """A ratio that rounds to zero becomes ``_TINY`` = 1e-100.  On c = (0, -1),
+    d = (1e-200), r_1 = 0 at x = 0, and r_2 = 1 - 1e-200 / _TINY keeps the
+    sign of 1: the count at x = 0 misses the zero of W_2 near 1e-200, which
+    lies inside the final 2^-55 bracket.  These pin that behaviour, so a
+    different ``_TINY`` shows."""
+
+    c, d = [0.0, -1.0], [1e-200]
+
+    def test_counts_near_the_tiny_zero(self):
+        xs = [0.0, 1e-300, -1e-17]
+        assert [_count_above(self.c, self.d, 2, x) for x in xs] == [0, 1, 1]
+        assert _count_above(self.c, self.d, 2, np.array(xs)).tolist() == [0, 1, 1]
+
+    def test_top_zero_of_degree_two(self, tmp_path):
+        src = tmp_path / "tiny.json"
+        src.write_text(json.dumps({"cd": {"c": self.c, "d": self.d}}))
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(["zeros", "--input", str(src), "--n", "2"],
+                        stdout=out, stderr=err) == 0
+        assert out.getvalue() == ("N,j,theta,x\n"
+                                  "2,1,3.141592653589793,-1.3877787807814457e-17\n"
+                                  "2,2,4.71238898038469,-0.7071067811865475\n")
+
 
 def alpha_cd(alpha):
     return pp.cd_from_verblunsky(pp.VerblunskySeq.from_values(alpha), n_terms=len(alpha))
@@ -349,6 +404,48 @@ class TestMultisection:
         got = _count_above(c, d, degree if per_point else top, xs)
         assert_bits_equal(got, plain_count_above(c, d, degree if per_point else top, xs))
         np.testing.assert_array_equal(got[:4], degree[:4])
+
+    def test_replay_walks_rows_that_are_not_runs(self, monkeypatch):
+        # a count that rises and falls with x gives decision rows that are
+        # not a run of True then False; the replay must walk them level by
+        # level to plain bisection's leaf, not take the run's length
+        def wobbly(c, d, degree, x):
+            return (np.sin(40.0 * x) > 0.0) + (x < 0.0)
+
+        cd = chebyshev_cd(3)
+        j = np.array([1, 2, 1, 2])
+        degree = np.array([3, 3, 2, 3])
+        monkeypatch.setattr(recurrence, "_count_above", wobbly)
+        got = _bisect_zeros(cd, 3, degree, j)
+        lo, hi = np.full(len(j), -1.0), np.full(len(j), 1.0)
+        for _ in range(recurrence._BISECTION_STEPS):
+            mid = 0.5 * (lo + hi)
+            above = wobbly(None, None, degree, mid) >= j
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        assert_bits_equal(got, 0.5 * (lo + hi))
+        # the count does rise from one midpoint of the first pass to the next
+        assert (np.diff(wobbly(None, None, 3, np.linspace(-1.0, 1.0, 1025))) > 0).any()
+
+    @pytest.mark.parametrize("argv, calls, points", [
+        (["zeros", "--family", "lambda-eta", "--params", "lam=1,eta=1", "--n", "150"],
+         24, 11367),
+        (["zeros", "--family", "geronimus", "--params", "alpha_re=0.5,alpha_im=0.3",
+          "--n", "120"], 17, 13736),
+        (["tables", "1"], 8, 7620),
+    ], ids=["zeros-lambda-eta-150", "zeros-geronimus-120", "tables-1"])
+    def test_pass_schedule(self, monkeypatch, argv, calls, points):
+        # _POINT_BUDGET, the h of each pass and the merge rule fix the passes
+        # and their points: a cheaper pass must not come from fewer passes
+        sizes = []
+
+        def counted(c, d, degree, x):
+            sizes.append(len(x))
+            return _count_above(c, d, degree, x)
+
+        monkeypatch.setattr(recurrence, "_count_above", counted)
+        assert cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+        assert (len(sizes), sum(sizes)) == (calls, points)
+
 
 class TestZerosR:
     def test_degree_two_symmetric(self):
