@@ -4,7 +4,7 @@ Subcommands: ``tables``, ``bounds``, ``zeros``, ``support-arc``, ``gap``,
 ``transform``, ``scaling-threshold``.  Machine output goes to stdout as CSV
 (header row, LF endings) or JSON; a one-line human summary goes to stderr,
 and ``--degrees`` (``bounds``, ``support-arc``) converts its angles only.
-Each ``cmd_*`` handler maps the parsed arguments to (header, rows, summary)
+Each ``cmd_*`` handler maps the parsed arguments to (header, columns, summary)
 and writes nothing; ``main`` writes both streams.
 
 Exit codes: 0 success, 2 input validation, 3 analytic boundary case,
@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import chain, islice
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -235,19 +235,22 @@ def _scaling_at(args, alpha, cd: CdParams, N: int, q_values) -> ScalingSeq:
 _PROBE = 64
 
 
-def _emit(header: list, rows, stream, output: str, command: str) -> None:
-    """Write ``rows``, an iterable of value sequences in ``header`` order, as
-    ``output`` (csv or json) for ``command``: the bytes of
-    ``csv.writer(stream, lineterminator="\\n")`` over the header and the rows,
-    or of ``json.dumps({"command": command, "rows": [dict(zip(header, row)),
-    ...]}, separators=(",", ":"))`` and a newline.  No csv field is quoted,
-    which holds for two or more columns and values free of ',', '"' and line
-    breaks: every string a command writes is a code literal or an argparse
-    choice.
+def _emit(header: list, columns: list, stream, output: str, command: str) -> None:
+    """Write the table whose ``columns`` are in ``header`` order as ``output``
+    (csv or json) for ``command``: the bytes of ``csv.writer(stream,
+    lineterminator="\\n")`` over the header and the rows, or of
+    ``json.dumps({"command": command, "rows": [dict(zip(header, row)), ...]},
+    separators=(",", ":"))`` and a newline.  A column is a float64 array, a
+    ``range`` or a list or tuple of cells; one may end a row early, and its
+    missing cell is ``""``.  No csv field is quoted, which holds for two or
+    more columns and values free of ',', '"' and line breaks: every string a
+    command writes is a code literal or an argparse choice.
 
-    Rows are consumed ``_CHUNK`` at a time, so a generator never holds the
-    whole table, and each chunk is rendered column by column.  A column of
-    finite floats that mostly repeats formats each distinct value once.
+    Every column is sliced ``_CHUNK`` rows at a time, an array slice becomes
+    Python floats only then, and each chunk is zipped once into rows.  An
+    array's finiteness is read from the array, a list's from its cells.  A
+    chunk of finite floats that mostly repeats formats each distinct value
+    once.
     """
     if output == "json":
         encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -265,13 +268,20 @@ def _emit(header: list, rows, stream, output: str, command: str) -> None:
         def cell(v):
             return "" if v is None else v
 
-    def column(values: tuple):
-        """One chunk's column, as values that %s renders as ``output`` does."""
-        kinds = set(map(type, values))
-        if kinds == {int}:
+    def column(values):
+        """One chunk of a column, as values that %s renders as ``output`` does."""
+        if type(values) is range:
             return values
-        if kinds != {float} or not -math.inf < sum(values) < math.inf:
-            return list(map(cell, values))
+        if type(values) is np.ndarray:
+            if not np.isfinite(values).all():
+                return list(map(cell, values.tolist()))
+            values = values.tolist()
+        else:
+            kinds = set(map(type, values))
+            if kinds == {int}:
+                return values
+            if kinds != {float} or not -math.inf < sum(values) < math.inf:
+                return list(map(cell, values))
         probe = values[:_PROBE]
         if 2 * len(set(probe)) > len(probe):  # mostly distinct
             return values
@@ -281,12 +291,11 @@ def _emit(header: list, rows, stream, output: str, command: str) -> None:
             return [text[v] if v else repr(v) for v in values]
         return list(map(text.__getitem__, values))
 
-    rows = iter(rows)
-    lead = ""
-    while block := list(islice(rows, _CHUNK)):
-        columns = [column(values) for values in zip(*block)]
+    blank, lead = cell(""), ""
+    for start in range(0, max(map(len, columns)), _CHUNK):
+        chunk = [column(values[start:start + _CHUNK]) for values in columns]
         stream.write(lead)  # not joined to the chunk: that would copy it
-        stream.write(sep.join(map(template.__mod__, zip(*columns))))
+        stream.write(sep.join(map(template.__mod__, zip_longest(*chunk, fillvalue=blank))))
         lead = sep
     stream.write(tail)
 
@@ -321,7 +330,7 @@ def table_rows(which: int) -> list:
 def cmd_tables(args) -> tuple:
     which = int(args.which)
     rows = table_rows(which)
-    return TABLE_HEADER, map(dict.values, rows), (
+    return TABLE_HEADER, [[row[k] for row in rows] for k in TABLE_HEADER], (
         f"table {which}: {len(rows)} rows (N = {', '.join(str(r['N']) for r in rows)})\n")
 
 
@@ -372,19 +381,19 @@ def cmd_bounds(args) -> tuple:
     for k in ("theta1", "theta2"):
         last[k] = (f"{math.degrees(last[k]):.7f} deg" if args.degrees
                    else f"{last[k]:.7f} rad")
-    return header.split(), rows, summary.format(
+    return header.split(), list(zip(*rows)), summary.format(
         **last, stabilized=last.get("stabilized_lower") and last.get("stabilized_upper"))
 
 
 def cmd_zeros(args) -> tuple:
     n_values = _n_values(args)
     alpha, cd_inline = _source(args)
-    rows = []
-    for N in n_values:
-        cd = _cd_at(alpha, cd_inline, N)
-        zl = zeros_R(cd, N)
-        rows += zip([N] * N, range(1, N + 1), zl.theta.tolist(), zl.x.tolist())
-    return ["N", "j", "theta", "x"], rows, f"zeros: {len(rows)} rows\n"
+    zeros = [zeros_R(_cd_at(alpha, cd_inline, N), N) for N in n_values]
+    columns = [[N for N in n_values for _ in range(N)],
+               [j for N in n_values for j in range(1, N + 1)],
+               np.concatenate([zl.theta for zl in zeros]),
+               np.concatenate([zl.x for zl in zeros])]
+    return ["N", "j", "theta", "x"], columns, f"zeros: {len(columns[0])} rows\n"
 
 
 def cmd_gap(args) -> tuple:
@@ -397,11 +406,11 @@ def cmd_gap(args) -> tuple:
                          'an "alpha" list or a family (an inline cd carries no rotation)')
     cert = gap_certificate(alpha, args.theta1, args.theta2, n)
     if args.trace:
-        header, rows = ["n", "m"], zip(range(1, len(cert.m) + 1), cert.m.tolist())
+        header, columns = ["n", "m"], [range(1, len(cert.m) + 1), cert.m]
     else:
         header = ["verdict", "horizon", "violated_at", "c1_condition"]
-        rows = [(cert.verdict, cert.horizon, cert.violated_at, cert.c1_condition)]
-    return header, rows, (f"gap: verified to N={cert.horizon}\n" if cert.verified
+        columns = [[cert.verdict], [cert.horizon], [cert.violated_at], [cert.c1_condition]]
+    return header, columns, (f"gap: verified to N={cert.horizon}\n" if cert.verified
                           else f"gap: violated at n={cert.violated_at}\n")
 
 
@@ -419,8 +428,7 @@ def cmd_transform(args) -> tuple:
         if args.t is None:
             raise InputError("--reverse needs --t, the mass at z = 1, in (0, 1)")
         values = verblunsky_from_cd(cd, t=args.t).prefix(cd.n)
-        return (["n", "alpha_re", "alpha_im"],
-                zip(range(cd.n), values.real.tolist(), values.imag.tolist()),
+        return (["n", "alpha_re", "alpha_im"], [range(cd.n), values.real, values.imag],
                 f"transform: recovered {cd.n} coefficients at t={args.t}\n")
     cd = _cd_at(alpha, cd, n)  # an inline cd may carry more than n rows
     summary = f"transform: {n} coefficient rows\n"
@@ -432,9 +440,9 @@ def cmd_transform(args) -> tuple:
         residual = float(np.abs(recovered - alpha.prefix(n)).max())
         summary = f"transform: roundtrip residual {residual:.3e} at t={t_star!r}\n"
     tau = cd.tau[:n]
-    rows = zip(range(1, n + 1), cd.c.tolist(), cd.g.tolist(), chain(cd.d.tolist(), [""]),
-               tau.real.tolist(), tau.imag.tolist())
-    return ["n", "c", "g", "d_next", "tau_re", "tau_im"], rows, summary
+    # d_next ends a row early unless an inline cd carries more than n rows
+    columns = [range(1, n + 1), cd.c[:n], cd.g[:n], cd.d[:n], tau.real, tau.imag]
+    return ["n", "c", "g", "d_next", "tau_re", "tau_im"], columns, summary
 
 
 def cmd_scaling_threshold(args) -> tuple:
@@ -467,7 +475,7 @@ def cmd_scaling_threshold(args) -> tuple:
     if not 0 < args.tol < math.inf:
         raise InputError(f"tol must be positive and finite, got {args.tol}")
     thr = float(threshold(d))
-    return ["kind", "threshold"], [(kind, thr)], f"scaling-threshold: {thr}\n"
+    return ["kind", "threshold"], [[kind], [thr]], f"scaling-threshold: {thr}\n"
 
 
 def _add_source_flags(p):
@@ -572,8 +580,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        header, rows, summary = _HANDLERS[args.command](args)
-        _emit(header, rows, stdout, args.output, args.command)
+        header, columns, summary = _HANDLERS[args.command](args)
+        _emit(header, columns, stdout, args.output, args.command)
     except BoundaryCaseError as exc:
         stderr.write(f"error: {exc}\n")
         return 3

@@ -453,10 +453,12 @@ class CdParams:
     @classmethod
     def from_sequences(cls, c, d) -> "CdParams":
         """Build from raw (c, d); the g attached is the maximal parameter
-        sequence, i.e. the family member carrying no mass at z = 1."""
-        c = np.asarray(c, dtype=float)
+        sequence, i.e. the family member carrying no mass at z = 1.  It keeps
+        its own copies of ``c`` and ``d``: a later write to the arrays given
+        cannot undo the checks."""
+        c = np.array(c, dtype=float)
         _require_finite(c, "c", 1)
-        d = np.asarray(d, dtype=float)
+        d = np.array(d, dtype=float)
         _require_positive(d)
         _require_finite(d, "d", 2)
         if len(d) != len(c) - 1:

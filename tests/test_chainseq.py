@@ -282,7 +282,8 @@ class TestExtremalConstantEveryDegree:
 
 class TestCallerArrays:
     """Scalings and parametrizations freeze a view of the arrays they are
-    given: the caller's own arrays stay writeable, and no bytes are copied."""
+    given: the caller's own arrays stay writeable, and no bytes are copied,
+    except by ``CdParams.from_sequences``."""
 
     @staticmethod
     def assert_frozen_view(mine, theirs):
@@ -297,11 +298,17 @@ class TestCallerArrays:
         self.assert_frozen_view(scaling.chain, d)
 
     def test_cd_params(self):
+        # the constructor freezes views; from_sequences validates raw input,
+        # so it freezes copies that a later write cannot reach
         c, d = np.zeros(10), np.full(9, 0.2)
         cd = pp.CdParams.from_sequences(c, d)
         assert c.flags.writeable and d.flags.writeable
-        self.assert_frozen_view(cd.c, c)
-        self.assert_frozen_view(cd.d, d)
+        assert not cd.c.flags.writeable and not cd.d.flags.writeable
+        assert not np.shares_memory(cd.c, c) and not np.shares_memory(cd.d, d)
+        g = cd.g.copy()
+        view = pp.CdParams(c, d, g)
+        for mine, theirs in ((view.c, c), (view.d, d), (view.g, g)):
+            self.assert_frozen_view(mine, theirs)
 
     def test_verblunsky_values(self):
         alpha = np.full(6, 0.3 + 0.1j)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import pathlib
@@ -55,6 +56,24 @@ class TestZerosGolden:
         code, out, _ = run(["zeros", *argv])
         assert code == 0
         assert out == (GOLDEN / f"{name}.csv").read_text()
+
+
+class TestTransformGolden:
+    """Transform tables pinned byte for byte: both directions, csv and json,
+    and the d_next cell the last forward row leaves empty."""
+
+    LAMBDA_ETA = ["--family", "lambda-eta", "--params", "lam=1,eta=1", "--n", "64"]
+
+    @pytest.mark.parametrize("name, argv", [
+        ("transform-lambda-eta-64.csv", LAMBDA_ETA),
+        ("transform-lambda-eta-64.json", LAMBDA_ETA + ["--output", "json"]),
+        ("transform-reverse-quarter-chain.csv",
+         ["--input", str(GOLDEN / "quarter-chain.json"), "--reverse", "--t", "0.25"]),
+    ])
+    def test_golden_transform(self, name, argv):
+        code, out, _ = run(["transform", *argv])
+        assert code == 0
+        assert out == (GOLDEN / name).read_text()
 
 
 # Enclosure outputs pinned byte for byte, each method and both commands.
@@ -1037,30 +1056,56 @@ CELLS = (st.integers() | st.integers(2 ** 63, 2 ** 70) | st.floats()
          | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf])
          | st.none() | st.booleans() | st.text(max_size=4))
 
+# The doubles of a float64 column: signed zeros and non-finite values included
+DOUBLES = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
 
 @st.composite
 def tables(draw):
-    """(header, rows): distinct column names, and 0, 1, ``_CHUNK``,
-    ``_CHUNK + 1`` or a few rows, each column of one kind or mixed."""
+    """(header, columns): distinct column names, and 0, 1, 3, ``_CHUNK`` or
+    ``_CHUNK + 1`` rows, or one more with one column a row short.  A column
+    is a list of one kind of cell or of mixed cells, a ``range``, or a
+    float64 array that mostly repeats or is mostly distinct."""
     name = st.text(max_size=4) | st.sampled_from(["%", "%s", "a%%b", '"', "\\"])
     header = draw(st.lists(name, min_size=1, max_size=4, unique=True))
     count = draw(st.sampled_from([0, 1, 3, cli._CHUNK, cli._CHUNK + 1]))
+    short = draw(st.sampled_from([None, *range(len(header))]))
     columns = []
-    for _ in header:
-        kind = draw(st.sampled_from([st.integers(), st.floats(allow_nan=False,
-                                                              allow_infinity=False),
-                                     CELLS]))
-        head = draw(st.lists(kind, min_size=min(count, 3), max_size=min(count, 3)))
-        # long tables repeat a drawn prefix, with one drawn cell at the end
-        tail = [draw(CELLS)] if count > 3 else []
-        columns.append((head * count)[:count - len(tail)] + tail)
-    return header, list(zip(*columns))
+    for k in range(len(header)):
+        size = count if k == short else count + (short is not None)
+        kind = draw(st.sampled_from(["ints", "floats", "cells", "range", "array",
+                                     "distinct array"]))
+        if kind == "range":
+            start = draw(st.integers(-5, 5))
+            columns.append(range(start, start + size))
+            continue
+        if kind == "distinct array":
+            values = np.random.default_rng(draw(st.integers(0, 99))).standard_normal(size)
+            values[::997] = draw(DOUBLES)
+            columns.append(values)
+            continue
+        cells = {"ints": st.integers(), "cells": CELLS, "array": DOUBLES,
+                 "floats": st.floats(allow_nan=False, allow_infinity=False)}[kind]
+        head = draw(st.lists(cells, min_size=min(size, 3), max_size=min(size, 3)))
+        # long columns repeat a drawn prefix, with one drawn cell at the end
+        tail = [draw(DOUBLES if kind == "array" else CELLS)] if size > 3 else []
+        values = (head * size)[:size - len(tail)] + tail
+        columns.append(np.array(values, dtype=np.float64) if kind == "array" else values)
+    return header, columns
+
+
+def _rows(columns) -> list:
+    """The rows of ``columns`` as Python values, a short column's missing cell ``""``."""
+    return list(itertools.zip_longest(
+        *[c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns],
+        fillvalue=""))
 
 
 def _long_table(*columns) -> tuple:
-    """(header, rows): ``_CHUNK`` rows, each column its cycle of values."""
+    """(header, columns): ``_CHUNK`` rows, each column a float64 array of its
+    cycle of values."""
     return ([f"c{k}" for k in range(len(columns))],
-            list(zip(*[(list(c) * cli._CHUNK)[:cli._CHUNK] for c in columns])))
+            [np.resize(np.array(c, dtype=np.float64), cli._CHUNK) for c in columns])
 
 
 # Columns that mostly repeat, so that each distinct value is formatted once:
@@ -1077,11 +1122,11 @@ class TestJsonBytes:
     @example(table=SIGNED_ZEROS, command="transform")
     @example(table=NON_FINITE, command="transform")
     def test_rows_are_json_dumps(self, table, command):
-        header, rows = table
+        header, columns = table
         out = io.StringIO()
-        cli._emit(header, iter(rows), out, "json", command)
+        cli._emit(header, columns, out, "json", command)
         want = json.dumps({"command": command,
-                           "rows": [dict(zip(header, row)) for row in rows]},
+                           "rows": [dict(zip(header, row)) for row in _rows(columns)]},
                           separators=(",", ":")) + "\n"
         # as lists, so that a failure on a long table reports the first
         # difference instead of diffing the whole text
@@ -1096,11 +1141,12 @@ class TestCsvBytes:
     def test_rows_are_csv_writer(self, table):
         # the documented contract: two or more columns, and no field that
         # csv.writer would quote
-        header, rows = table
+        header, columns = table
+        rows = _rows(columns)
         fields = header + ["" if v is None else str(v) for row in rows for v in row]
         assume(len(header) >= 2 and not any(set(f) & set(',"\r\n') for f in fields))
         out = io.StringIO()
-        cli._emit(header, iter(rows), out, "csv", "transform")
+        cli._emit(header, columns, out, "csv", "transform")
         want = io.StringIO()
         csv.writer(want, lineterminator="\n").writerows([header, *rows])
         assert out.getvalue().splitlines(True) == want.getvalue().splitlines(True)

@@ -124,6 +124,19 @@ class TestCdFromVerblunsky:
         with pytest.raises(pp.InputError, match="d and g are inconsistent"):
             pp.CdParams(cd.c, 2.0 * cd.d, cd.g, cd.tau)
 
+    def test_from_sequences_keeps_its_own_copies(self):
+        # d = 0.3 is no chain sequence from n = 6 on; the write must not
+        # reach the validated cd
+        c, d = np.zeros(12), np.full(11, 0.1)
+        cd = pp.CdParams.from_sequences(c, d)
+        c[:] = 5.0
+        d[:] = 0.3
+        assert pp.chain_failure_index(np.full(11, 0.3)) == 6
+        assert pp.chain_failure_index(cd.d) is None
+        assert (cd.c == 0.0).all() and (cd.d == 0.1).all()
+        zeros = pp.zeros_W(cd, 12)
+        assert zeros.n == 12
+
     @pytest.mark.parametrize("c, d, g, message", [
         (np.zeros(4), np.full(3, 0.2), [0.5, 0.5, 0.5, 1.0 + 1e-6],
          "final parameter out of range: 1.000001"),
