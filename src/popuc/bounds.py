@@ -206,17 +206,22 @@ def enclosure_cor45(cd: CdParams, N: int) -> Enclosure:
     full interval (-1, 1) is returned.
     """
     _check_degree(cd, N)
-    sums = cd.c[:N - 1] + cd.c[1:N]
+    a, b = cd.c[:N - 1], cd.c[1:N]
+    sums = a + b
     lower = bool((sums > 0.0).all())
     if not lower and not (sums < 0.0).all():
         return Enclosure(-1.0, 1.0, None, None, "cor45")
-    # at q = 1 the pairwise quadratic keeps one finite root,
+    # at q = 1 thm44's pairwise quadratic keeps one finite root,
     # (c_{n-1} c_n - 1) / (c_{n-1} + c_n), on the bound side: the lower one for
-    # positive sums, the upper one for negative sums
-    enc = enclosure_thm44(cd, ScalingSeq(np.ones(N - 1), cd.d), N)
+    # positive sums, the upper one for negative sums, where x(-u) = -x(u)
+    best, arg = [math.inf], [None]
+    with np.errstate(all="ignore"):  # the root may overflow
+        for i in range(0, N - 1, _CHUNK):
+            u = (a[i:i + _CHUNK] * b[i:i + _CHUNK] - 1.0) / sums[i:i + _CHUNK]
+            _least_x((u if lower else -u)[None], i + 2, best, arg)
     if lower:
-        return Enclosure(enc.A, 1.0, enc.argmin_index, None, "cor45")
-    return Enclosure(-1.0, enc.B, None, enc.argmax_index, "cor45")
+        return Enclosure(best[0], 1.0, arg[0], None, "cor45")
+    return Enclosure(-1.0, -best[0], None, arg[0], "cor45")
 
 
 def enclosure_cor47(cd: CdParams, N: int) -> Enclosure:

@@ -22,28 +22,32 @@ largest zero of any degree on its own, with no brackets carried between
 degrees; a zero ratio is replaced by a tiny positive one so the recursion
 never divides by zero (Demmel, Dhillon & Ren, ETNA 3 (1995)).
 
-The halvings run as multisection (Lo, Philippe & Sameh, SIAM J. Sci. Stat.
-Comput. 8 (1987)): a pass fills, in place, every midpoint that the next h
-halvings of each distinct bracket could visit, up to ``_POINT_BUDGET``
-points, counts them in one call and replays bisection's h decisions from
-those counts.  Midpoints come from the same ``0.5 * (lo + hi)`` and each
-decision reads the count at the midpoint bisection visits, so the output is
-plain bisection's bit for bit, with no appeal to the count being monotone in
-x.  Where a bracket's counts happen not to rise, bisection's walk ends after
-the run of midpoints with count >= j, and one ``searchsorted`` finds that
-end for every point; otherwise the pass walks level by level.  The array
-count runs ``_BLOCK`` steps at a time on operands prepared once per
-bisection: each block's x - c_k s is one ``einsum``, and each step one
-divide and one subtract by 0-d arrays into preallocated outputs.  It sums
-each block's signs in uint8 and counts the few points that reach a zero
-ratio again on Python floats.  Commands bisect only the zeros they print:
-``tables`` its extreme ones.
+The halvings run in passes, and a pass counts all its midpoints in one
+array call.  A bracket that holds one zero follows a predicted path: the
+secant of W_N through the bracket's ends crosses zero at x_hat, the next K
+midpoints are the ones bisection visits if every decision goes toward x_hat,
+and the zero takes them down to and including the first level whose count
+disagrees.  A bracket that several zeros share, or with no usable W_N at its
+ends, takes a multisection subtree (Lo, Philippe & Sameh, SIAM J. Sci. Stat.
+Comput. 8 (1987)): every midpoint its next h halvings could visit, h from a
+cost model of a pass.  Either way each midpoint is bisection's
+``0.5 * (lo + hi)`` and each decision reads the count at the midpoint
+bisection visits, so the output is plain bisection's bit for bit, with no
+appeal to the count being monotone in x or to the prediction being right.
+W_N comes with the count: the product of each block's ratios, which is also
+its check for a ratio that rounds to zero.  The array count runs ``_BLOCK``
+steps at a time on operands prepared once per bisection: each block's
+x - c_k s is one outer product, and each step one divide and one subtract by
+0-d arrays into preallocated outputs.  It sums each block's signs in uint8
+and counts the few points that reach a zero ratio again on Python floats.
+Commands bisect only the zeros they print: ``tables`` its extreme ones.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from functools import lru_cache
 from dataclasses import dataclass
 from itertools import chain
 
@@ -63,12 +67,31 @@ _TINY = 1e-100
 _BISECTION_STEPS = 56
 
 # Steps per block of the array count: x - c_k s for a block is one outer
-# product, and its sign counts and zero checks are one call each.
+# product, and its sign counts and its product of ratios are one call each.
 _BLOCK = 64
 
-# Midpoints counted per pass of the array bisection, over all brackets,
-# unless one per bracket is already more.
-_POINT_BUDGET = 1024
+# Points above which a block's outer product is ``np.multiply.outer``: below
+# it ``einsum`` is faster (64 x 2700 points: 94 against 215 us), above it
+# ``np.multiply.outer`` (64 x 2800: 91 against 45 us; 2-vCPU Xeon, numpy 2.4).
+_OUTER_POINTS = 2700
+
+# Points counted per run of the block loop, whose rows take 4.3 MB.
+_CHUNK_POINTS = 8192
+
+# Cost of a count call in point-steps, one step of the ratio recursion on one
+# point (2.4-3.5 ns): a fixed part, 30-50 us, and a part per step of the
+# recursion, 1.3-1.7 us, whatever the number of points.  Least squares over
+# N = 20-300 and 2-2000 points on a 2-vCPU Xeon.
+_PASS_COST = 14000
+_STEP_COST = 550
+
+# A predicted path is as long as the halvings its zero has taken, less
+# _LEAD: from a bracket of level L the secant keeps bisection's path for a
+# median of L - 3 to L - 8 further levels.
+_LEAD = 5
+
+_POWERS = 2.0 ** np.arange(_BISECTION_STEPS + 1)
+_BELOW_ONE = 1.0 - 2.0 ** -53
 
 
 def _coeffs(cd: CdParams, n: int):
@@ -84,13 +107,31 @@ def _count_above(c, d, degree, x):
 
     ``x`` is either one Python float, with ``c`` and ``d`` given as lists so
     the loop runs on Python floats, or an array of points, where ``degree``
-    may also give one degree per point.  A ratio that rounds to zero becomes
-    ``_TINY``: W_k(x) = 0 then counts with the sign of W_{k-1}(x), and the
-    next step divides by a representable number.
+    may also give one degree per point, and where ``c`` may be an
+    :class:`_ArrayCount` prepared once for many calls (``d`` is then not
+    read).  A ratio that rounds to zero becomes ``_TINY``: W_k(x) = 0 then
+    counts with the sign of W_{k-1}(x), and the next step divides by a
+    representable number.
     """
+    if isinstance(c, _ArrayCount):
+        return c.count(degree, x)
     if isinstance(x, np.ndarray):
-        return _count_blocked(c, d, degree, x)
+        with _quiet():
+            return _ArrayCount(c, d, int(np.max(degree))).count(degree, x)
     return _count_steps(c, d, degree, x)
+
+
+class _quiet(warnings.catch_warnings):
+    """Past a zero ratio the array count divides by zero and may form
+    inf - inf, on points that are counted again; a ratio so near 0 that
+    d_{k+1} / r_k overflows makes r_{k+1} infinite, with the sign it has to
+    count by.  The warnings are filtered rather than switched off by
+    np.errstate, under which every ufunc runs a few per cent slower."""
+
+    def __enter__(self):
+        super().__enter__()
+        warnings.filterwarnings("ignore", "divide by zero|invalid value|overflow",
+                                RuntimeWarning)
 
 
 def _count_steps(c, d, degree, x):
@@ -107,64 +148,116 @@ def _count_steps(c, d, degree, x):
     return count
 
 
-def _count_blocked(c, d, degree, x):
-    """``_count_above`` on an array of points, ``_BLOCK`` steps at a time.
+class _ArrayCount:
+    """``_count_above`` on arrays of points, ``_BLOCK`` steps at a time, on
+    operands prepared once for degrees up to ``top``: ``c`` as an array and
+    the d_k as 0-d float64 arrays, so that the step loop converts no Python
+    float.  Callers run it under ``_quiet``.
 
-    ``x - c_k s`` for a whole block is one ``einsum`` outer product into the
-    block's rows, so a step costs one divide and one subtract, each with a
-    positional output.  ``d`` may hold the d_k as 0-d float64 arrays, as
-    ``_bisect_zeros`` prepares them once per call, so that the step loop
-    converts no Python float.  The block's signs fill one bool array, summed
-    in uint8, which 64 rows cannot wrap.  The ``_TINY`` guard is deferred:
-    the ratios are the step loop's up to the first one that rounds to zero,
-    and the few points that reach one are counted again by ``_count_steps``,
-    so every count is the step loop's.  ``einsum`` adds each product to a
-    zeroed output, so a product that is -0.0 comes out +0.0; that changes at
-    most the sign of a zero ratio, and every zero ratio is counted again.
+    ``x - c_k s`` for a whole block is one outer product into the block's
+    rows, so a step costs one divide and one subtract, each with a
+    positional output.  The block's signs fill one bool array, summed in
+    uint8, which 64 rows cannot wrap.  Each call also leaves W_degree at its
+    points in ``w``, as mantissa + 1j * exponent: the product of each block's
+    ratios is folded into a mantissa that ``np.frexp`` keeps in [0.5, 1).
+    That product is the zero check as well: a ratio that rounds to zero makes
+    it 0 or NaN, and the few points where it is are counted again by
+    ``_count_steps``, so every count is the step loop's; their W is NaN.
+    ``einsum`` adds each product to a zeroed output, so a product that is
+    -0.0 comes out +0.0; that changes at most the sign of a zero ratio, and
+    every zero ratio is counted again.
     """
-    degree = np.asarray(degree)
-    top = int(degree.max())
-    per_point = degree.ndim != 0
-    c = np.asarray(c[:top])
-    # d_1 = 0 and r_0 = 1 make the first step r_1 = x - c_1 s
-    d = [np.zeros(()), *d[:top - 1]]
-    s = np.sqrt(1.0 - x * x)
-    count = np.zeros(len(x), dtype=np.int64)
-    zero = np.zeros(len(x), dtype=bool)
-    # row 0 holds the ratio before the block, rows 1..b the block's ratios
-    rows = np.empty((min(top, _BLOCK) + 1, len(x)))
-    rows[0] = 1.0
-    views = list(rows)
-    quotient = np.empty(len(x))
-    signs = np.empty((len(rows) - 1, len(x)), dtype=bool)
-    # past a zero ratio the block divides by zero and may form inf - inf, on
-    # points that are counted again; a ratio so near 0 that d_{k+1} / r_k
-    # overflows makes r_{k+1} infinite, with the sign it has to count by.  The
-    # warnings are filtered rather than switched off by np.errstate, under
-    # which every ufunc runs a few per cent slower
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "divide by zero|invalid value|overflow",
-                                RuntimeWarning)
+
+    def __init__(self, c, d, top):
+        self.c = np.asarray(c[:top], dtype=float)
+        # d_1 = 0 and r_0 = 1 make the first step r_1 = x - c_1 s
+        self.d = [np.zeros(()), *map(np.array, np.asarray(d[:top - 1], dtype=float).tolist())]
+        self.w = None
+
+    def count(self, degree, x):
+        degree = np.asarray(degree)
+        if len(x) <= _CHUNK_POINTS:
+            return self._count(degree, x)
+        counts, ws = [], []
+        for p in range(0, len(x), _CHUNK_POINTS):
+            part = slice(p, p + _CHUNK_POINTS)
+            counts.append(self._count(degree[part] if degree.ndim else degree, x[part]))
+            ws.append(self.w)
+        self.w = np.concatenate(ws)
+        return np.concatenate(counts)
+
+    def _count(self, degree, x):
+        per_point = degree.ndim != 0
+        top = int(degree.max())
+        c, d = self.c, self.d
+        s = np.sqrt(1.0 - x * x)
+        count = np.zeros(len(x), dtype=np.int64)
+        mantissa = np.ones(len(x))
+        exponent = np.zeros(len(x))
+        e = np.empty(len(x), dtype=np.int32)
+        # row 0 holds the ratio before the block, rows 1..b the block's ratios
+        rows = np.empty((min(top, _BLOCK) + 1, len(x)))
+        rows[0] = 1.0
+        views = list(rows)
+        quotient = np.empty(len(x))
+        signs = np.empty((len(rows) - 1, len(x)), dtype=bool)
+        outer = np.multiply.outer if len(x) > _OUTER_POINTS else _einsum_outer
         for k0 in range(0, top, _BLOCK):
             b = min(_BLOCK, top - k0)
             block = rows[1:b + 1]
-            np.einsum("i,j->ij", c[k0:k0 + b], s, out=block)
+            outer(c[k0:k0 + b], s, out=block)
             np.subtract(x, block, block)
             for dk, prev, r in zip(d[k0:k0 + b], views, views[1:b + 1]):
                 np.divide(dk, prev, quotient)
                 np.subtract(r, quotient, r)
             negative = np.less(block, 0.0, signs[:b])
             if per_point:
-                negative &= np.arange(k0, k0 + b)[:, None] < degree
+                live = np.arange(k0, k0 + b)[:, None] < degree
+                negative &= live
+                product = np.multiply.reduce(block, axis=0, where=live, initial=1.0)
+            else:
+                product = np.multiply.reduce(block, axis=0)
             count += np.add.reduce(negative.view(np.uint8), axis=0, dtype=np.uint8)
-            if not block.all():
-                zero |= ~block.all(axis=0)
+            np.frexp(np.multiply(mantissa, product, mantissa), mantissa, e)
+            exponent += e
             rows[0] = rows[b]
-    if zero.any():
-        c, d, degree = c.tolist(), [float(dk) for dk in d[1:]], degree.tolist()
-        for i in np.flatnonzero(zero).tolist():
-            count[i] = _count_steps(c, d, degree[i] if per_point else degree, float(x[i]))
-    return count
+        # 0 and NaN fail the test, and a mantissa that overflowed to inf
+        # marks no zero ratio
+        zero = ~(np.abs(mantissa) >= 0.5)
+        if zero.any():
+            c, d, degree = c.tolist(), [float(dk) for dk in d[1:]], degree.tolist()
+            for i in np.flatnonzero(zero).tolist():
+                count[i] = _count_steps(c, d, degree[i] if per_point else degree, float(x[i]))
+            mantissa[zero] = np.nan
+        self.w = mantissa + 1j * exponent
+        return count
+
+
+def _einsum_outer(a, b, out):
+    return np.einsum("i,j->ij", a, b, out=out)
+
+
+@lru_cache(maxsize=1024)
+def _levels(brackets, N, steps):
+    """Halvings h of a multisection pass over ``brackets`` brackets of degree
+    up to ``N``, at most ``steps``: the h that minimises the pass's cost per
+    halving, (_PASS_COST + N _STEP_COST + brackets (2^h - 1) N) / h."""
+    fixed = _PASS_COST + N * _STEP_COST
+
+    def cost(h):
+        return (fixed + brackets * (2 ** h - 1) * N) / h
+
+    h = 1
+    while h < steps and cost(h + 1) < cost(h):
+        h += 1
+    return h
+
+
+def _secant(wlo, whi):
+    """Where the secant of W through the bracket ends crosses zero, as a
+    fraction of the bracket in [0, 1), or NaN where W does not change sign."""
+    rho = whi.real / wlo.real * np.exp2(whi.imag - wlo.imag)
+    return np.where(rho < 0.0, np.minimum(1.0 / (1.0 - rho), _BELOW_ONE), np.nan)
 
 
 def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
@@ -173,85 +266,194 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
     ``N`` is the largest degree asked for.  Each point bisects [-1, 1] on
     whether at least j zeros lie above the midpoint, ``_BISECTION_STEPS``
     times: neighbouring zeros can sit closer than any coarse tolerance near
-    support endpoints.
+    support endpoints.  The halvings run in passes, and each pass counts all
+    its points in one ``_count_above`` call, which also gives W_degree at
+    them; a bracket carries W at its ends.
 
-    A pass takes the next h halvings at once (multisection; Lo, Philippe &
-    Sameh, SIAM J. Sci. Stat. Comput. 8 (1987)).  For each distinct bracket it
-    fills, level by level and in place, one row of the 2^h + 1 edges that h
-    halvings can leave, each midpoint by the same ``0.5 * (lo + hi)``
-    bisection computes.  It counts the 2^h - 1 interior ones in one call and
-    replays bisection's h decisions (count >= j at the midpoint) from those
-    counts.  h is the largest that keeps the points of a pass within
-    ``_POINT_BUDGET``, and at least 1.
+    A zero whose bracket holds only it, and across which W changes sign,
+    follows a predicted path: the secant of W through the bracket ends
+    crosses zero at x_hat, and the next K midpoints are those bisection visits
+    if every decision goes toward x_hat, the binary digits of x_hat's place in the
+    bracket.  K is the number of halvings the zero has taken, less
+    ``_LEAD``.  The zero follows its path down to and including the first
+    level whose count disagrees with the prediction, so each decision it
+    takes is read at the midpoint bisection visits.  Every point of a path is
+    ``0.5 * (lo + hi)`` of the bracket above it on the path, and that
+    bracket's ends are lo + (hi - lo) a / 2^t for its index a among the 2^t
+    brackets t levels down: exact dyadics to level 54, and at level 55, where
+    the midpoint of adjacent doubles rounds to one of them, rounded as
+    bisection's midpoint is.  There and at level 56 a midpoint can round onto
+    an end of its bracket; bisection then takes that end's decision, and so
+    does the prediction.  The path's bracket below such a point can shrink to
+    that end where bisection's keeps both, but the 56th midpoint and the
+    final ``0.5 * (lo + hi)`` are the same doubles.
 
-    Where a bracket's counts do not rise from edge to edge, each of its
-    points reads a row of decisions that is a run of True then False.  Every
-    decision the walk reads then lies in the run or after it, and it moves
-    right exactly when it lies in the run, so the walk ends in the bracket
-    that starts at the run's last edge: the leaf is the run's length, the
-    number of interior edges whose count is >= j.  One ``searchsorted``
-    finds it for every point.  A pass with any rising
-    count takes the per-level walk instead.  So every bracket takes plain
-    bisection's path, bit for bit, whether or not the computed count is
-    monotone in x.  The d_k are made 0-d float64 arrays once per call, so that
-    the count's step loop converts no Python float.
+    Any other bracket, one that several zeros share or with no usable W,
+    takes a multisection subtree (Lo, Philippe & Sameh, SIAM J. Sci. Stat.
+    Comput. 8 (1987)): it fills, level by level and in place, one row of the
+    2^h + 1 edges that h halvings can leave, each midpoint by the same
+    ``0.5 * (lo + hi)``, and replays bisection's h decisions (count >= j at
+    the midpoint) from the counts of the 2^h - 1 interior ones.  h minimises
+    the pass's cost per halving (``_levels``), and a zero takes a path only
+    when K is at least the h of a pass over every bracket.  Where a bracket's
+    counts do not rise from edge to edge, each of its points reads a row of
+    decisions that is a run of True then False, and the walk ends in the
+    bracket that starts at the run's last edge; one ``searchsorted`` finds it
+    for every point.  Otherwise the replay walks level by level.  So every
+    zero takes plain bisection's path, bit for bit, whether or not the
+    computed count is monotone in x.
     """
     if N < 1:
         raise InputError(f"degree must be >= 1, got {N}")
     c, d = _coeffs(cd, N)
-    d = [np.array(dk) for dk in d[:N - 1].tolist()]
-    n = len(j)
-    lo = np.full(n, -1.0)
-    hi = np.full(n, 1.0)
+    kernel = _ArrayCount(c, d, N)
+    x = np.empty(len(j))
+    # the zeros still bisecting, with each one's bracket, W_degree at the
+    # bracket's ends (unknown at -1 and 1) and the halvings taken
+    ids = np.arange(len(j))
+    lo = np.full(len(j), -1.0)
+    hi = np.full(len(j), 1.0)
+    wlo = np.full(len(j), complex(np.nan, 0.0))
+    whi = wlo.copy()
+    done = np.zeros(len(j), dtype=np.int64)
     degree = np.asarray(degree)
     per_point = degree.ndim != 0
-    # equal brackets (of equal degree) are counted once.  They are nodes of
-    # one bisection tree, so once a pass finds them all distinct only
-    # brackets shrunk to a single double could meet again, and the search
-    # for equal ones stops
-    each = np.arange(n)
     merge = True
-    steps = _BISECTION_STEPS
-    while steps:
-        if merge:
-            key = lo + 1j * hi
-            if per_point:
-                key = np.unique(key, return_inverse=True)[1] * (N + 1) + degree
-            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-            merge = len(first) < n
-        else:
-            first = inverse = each
-        h = min(steps, max(1, (_POINT_BUDGET // len(first) + 1).bit_length() - 1))
-        width = 2 ** h - 1
-        # the edges a level adds, every gap-th from gap / 2, are the midpoints
-        # of their neighbours on the level above
-        edges = np.empty((len(first), width + 2))
-        edges[:, 0] = lo[first]
-        edges[:, -1] = hi[first]
-        for level in range(h):
-            gap = 2 ** (h - level)
-            mid = edges[:, gap // 2::gap]
-            np.add(edges[:, :-1:gap], edges[:, gap::gap], mid)
-            np.multiply(0.5, mid, mid)
-        counts = _count_above(c, d, np.repeat(degree[first], width) if per_point else degree,
-                              edges[:, 1:-1].ravel())
-        # keyed by bracket and then by falling count, the counts of a pass
-        # sort as one array exactly when no bracket's count rises; a point's
-        # leaf is then where (its bracket, j) falls in its bracket's row
-        runs = (np.arange(len(first))[:, None] * (N + 2) - counts.reshape(-1, width)).ravel()
-        if (runs[1:] >= runs[:-1]).all():
-            a = np.searchsorted(runs, inverse * (N + 2) - j, side="right") - inverse * width
-        else:
-            # the bracket between edges a and a + 2^(t+1) halves at edge
-            # a + 2^t, whose count sits at position a + 2^t - 1 of its row
-            offset = inverse * width - 1
-            a = np.zeros(n, dtype=np.int64)
-            for t in reversed(range(h)):
-                a += (counts[offset + a + 2 ** t] >= j) * 2 ** t
-        lo = edges[inverse, a]
-        hi = edges[inverse, a + 1]
-        steps -= h
-    return 0.5 * (lo + hi)
+    with _quiet():
+        while len(ids):
+            # zeros of one bracket (and degree) sit next to each other; they
+            # are counted once and take no path.  They are nodes of one
+            # bisection tree, so once a pass finds them all distinct only
+            # brackets shrunk to a single double could meet again, and the
+            # search for equal ones stops
+            if merge:
+                same = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+                if per_point:
+                    same &= degree[1:] == degree[:-1]
+                merge = same.any()
+            if merge:
+                new = np.concatenate(([True], ~same))
+                first = np.flatnonzero(new)
+                inverse = np.cumsum(new) - 1
+            # a zero takes a path where it is expected to go deeper than a
+            # multisection pass over every bracket would.  Where that pass is
+            # one halving, plain bisection, a pass costs less than its points
+            # and the tail of a path that fails costs more than it saves
+            every = _levels(len(first) if merge else len(ids), N, _BISECTION_STEPS)
+            guess = (done - _LEAD >= every) & (every > 1)
+            if merge:
+                guess &= np.diff(first, append=len(ids))[inverse] == 1
+            if guess.any():
+                u = _secant(wlo, whi)
+                guess &= u >= 0.0
+            path = np.flatnonzero(guess)
+            members = np.flatnonzero(~guess)
+            if merge:
+                tree = ~guess[first]
+                first = first[tree]
+                rows = (np.cumsum(tree) - 1)[inverse[members]]
+            else:
+                first, rows = members, np.arange(len(members))
+            points, degrees = [], []
+            m = 0
+            if len(members):
+                h = _levels(len(first), N, _BISECTION_STEPS - done[first].max())
+                width = 2 ** h - 1
+                m = len(first) * width
+                # the edges a level adds, every gap-th from gap / 2, are the
+                # midpoints of their neighbours on the level above
+                edges = np.empty((len(first), width + 2))
+                edges[:, 0] = lo[first]
+                edges[:, -1] = hi[first]
+                for level in range(h):
+                    gap = 2 ** (h - level)
+                    mid = edges[:, gap // 2::gap]
+                    np.add(edges[:, :-1:gap], edges[:, gap::gap], mid)
+                    np.multiply(0.5, mid, mid)
+                points.append(edges[:, 1:-1].ravel())
+                degrees.append(np.repeat(degree[first], width) if per_point else None)
+            if len(path):
+                L = done[path]
+                K = np.minimum(_BISECTION_STEPS - L, L - _LEAD)
+                ends = np.cumsum(K)
+                starts = ends - K
+                # point p is level t + 1 of its path, in the bracket of index
+                # a among the 2^t that t halvings leave; the binary digits of
+                # u are the predicted decisions
+                t = np.arange(ends[-1]) - np.repeat(starts, K)
+                scale = _POWERS[t]
+                frac, a = np.modf(np.repeat(u[path], K) * scale)
+                bits = frac >= 0.5
+                base = np.repeat(lo[path], K)
+                step = np.repeat(hi[path] - lo[path], K) / scale
+                left = step * a
+                right = base + (left + step)
+                left += base
+                mids = 0.5 * (left + right)
+                bits |= mids == left
+                bits &= mids != right
+                points.append(mids)
+                degrees.append(np.repeat(degree[path], K) if per_point else None)
+            counts = _count_above(kernel, None, np.concatenate(degrees) if per_point else degree,
+                                  np.concatenate(points) if len(points) > 1 else points[0])
+            # a count that leaves no W (a stand-in in tests) predicts nothing
+            w, kernel.w = kernel.w, None
+            if w is None:
+                w = np.full(len(counts), complex(np.nan, 0.0))
+            if len(members):
+                jm = j[ids[members]]
+                # keyed by bracket and then by falling count, the counts of a
+                # pass sort as one array exactly when no bracket's count
+                # rises; a zero's leaf is then where (its bracket, j) falls
+                runs = (np.arange(len(first))[:, None] * (N + 2)
+                        - counts[:m].reshape(-1, width)).ravel()
+                if (runs[1:] >= runs[:-1]).all():
+                    leaf = np.searchsorted(runs, rows * (N + 2) - jm, side="right") - rows * width
+                else:
+                    # the bracket between edges a and a + 2^(t+1) halves at
+                    # edge a + 2^t, whose count sits at a + 2^t - 1 of its row
+                    offset = rows * width - 1
+                    leaf = np.zeros(len(members), dtype=np.int64)
+                    for t in reversed(range(h)):
+                        leaf += (counts[offset + leaf + 2 ** t] >= jm) * 2 ** t
+                wedges = np.empty(edges.shape, dtype=complex)
+                wedges[:, 0] = wlo[first]
+                wedges[:, -1] = whi[first]
+                wedges[:, 1:-1] = w[:m].reshape(-1, width)
+                lo[members] = edges[rows, leaf]
+                hi[members] = edges[rows, leaf + 1]
+                wlo[members] = wedges[rows, leaf]
+                whi[members] = wedges[rows, leaf + 1]
+                done[members] += h
+            if len(path):
+                above = counts[m:] >= np.repeat(j[ids[path]], K)
+                stop = above != bits
+                stop[ends - 1] = True
+                at = np.flatnonzero(stop)
+                s = at[np.searchsorted(at, starts)]
+                ab = above[s]
+                # the end that stays was last moved at s - 1 - z, z the
+                # trailing zeros of the bracket's index a[s] (left end) or of
+                # a[s] + 1 (right end); a bit above the path's stands for the
+                # bracket's own end
+                n = s - starts
+                z = a[s].astype(np.int64) + np.where(ab, 1, np.left_shift(1, n))
+                q = s - np.frexp((z & -z).astype(float))[1]
+                wp = w[m:]
+                wo = np.where(q >= starts, wp[q], np.where(ab, whi[path], wlo[path]))
+                lo[path] = np.where(ab, mids[s], left[s])
+                hi[path] = np.where(ab, right[s], mids[s])
+                wlo[path] = np.where(ab, wp[s], wo)
+                whi[path] = np.where(ab, wo, wp[s])
+                done[path] = L + n + 1
+            end = done == _BISECTION_STEPS
+            if end.any():
+                x[ids[end]] = 0.5 * (lo[end] + hi[end])
+                keep = ~end
+                ids, lo, hi, wlo, whi, done = (v[keep] for v in (ids, lo, hi, wlo, whi, done))
+                if per_point:
+                    degree = degree[keep]
+    return x
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,10 @@ class TestZerosGolden:
         # c = 0, d = 1/4 at odd N: x = 0 is a zero, and an exact zero ratio
         ("zeros-quarter-chain-31",
          ["--input", str(GOLDEN / "quarter-chain.json"), "--n", "31"]),
+        # random alpha, |alpha| = 0.9 sqrt(u): zeros that cluster unevenly,
+        # where a secant through a bracket predicts the fewest levels
+        ("zeros-random-alpha-300",
+         ["--input", str(GOLDEN / "random-alpha-300.json"), "--n", "300"]),
     ])
     def test_golden_zeros(self, name, argv):
         code, out, _ = run(["zeros", *argv])

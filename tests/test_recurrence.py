@@ -2,6 +2,7 @@ import io
 import json
 import math
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,6 +15,8 @@ from popuc.recurrence import _bisect_zeros, _count_above, extreme_zeros
 
 from conftest import (_eval_W_grid, assert_interlacing, plain_bisect_zeros,
                       plain_count_above, random_alpha, random_cd_q, zeros_ladder)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def chebyshev_cd(n):
@@ -332,12 +335,24 @@ class TestMultisection:
                           plain_bisect_zeros(cd, N, degree, j))
 
     @settings(max_examples=50, deadline=None)
-    @given(N=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1),
-           source=st.sampled_from(["alpha", "cd"]), per_point=st.booleans())
+    @given(N=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+           source=st.sampled_from(["alpha", "alpha-0.9", "cd", "cd-1e-12"]),
+           per_point=st.booleans())
     def test_matches_plain_bisection(self, N, seed, source, per_point):
         rng = np.random.default_rng(seed)
-        cd = (alpha_cd(random_alpha(rng, N)) if source == "alpha"
-              else random_cd_q(rng, N)[0])
+        if source == "alpha":
+            cd = alpha_cd(random_alpha(rng, N))
+        elif source == "alpha-0.9":
+            # |alpha| near 0.9: zeros crowd together, where a secant through a
+            # bracket predicts least
+            cd = alpha_cd(rng.uniform(0.88, 0.9, N) * np.exp(2j * np.pi * rng.random(N)))
+        else:
+            cd = random_cd_q(rng, N)[0]
+            if source == "cd-1e-12":
+                # d_n down to 1e-12 all but splits W_N, and its zeros come in
+                # close pairs
+                scale = 10.0 ** rng.uniform(-12.0, 0.0, N - 1)
+                cd = pp.CdParams.from_sequences(cd.c, cd.d * scale)
         if per_point:
             degree, j = ladder_points(rng, N, 2 * N)
         else:
@@ -391,6 +406,46 @@ class TestMultisection:
                           plain_count_above(c, d, degree, xs))
 
 
+    @pytest.mark.parametrize("size", [recurrence._OUTER_POINTS, recurrence._OUTER_POINTS + 1,
+                                      recurrence._CHUNK_POINTS + 1])
+    def test_wide_counts(self, rng, size):
+        # einsum up to _OUTER_POINTS points, np.multiply.outer past it, and
+        # runs of _CHUNK_POINTS past that: the counts stay the per-step
+        # ones, and a zero ratio (c_1 = 0 at x = +-0.0) is counted again
+        c = rng.uniform(-2.0, 2.0, 70)
+        d = rng.uniform(0.05, 0.25, 69)
+        c[0] = 0.0
+        c, d = c.tolist(), d.tolist()
+        xs = rng.uniform(-1.0, 1.0, size)
+        xs[:4] = [0.0, -0.0, 1.0, -1.0]
+        xs[-2:] = [-0.0, 0.0]
+        assert_bits_equal(_count_above(c, d, 70, xs), plain_count_above(c, d, 70, xs))
+        degree = rng.integers(1, 71, size)
+        assert_bits_equal(_count_above(c, d, degree, xs), plain_count_above(c, d, degree, xs))
+
+    @pytest.mark.parametrize("per_point", [False, True], ids=["one-degree", "per-point"])
+    def test_count_leaves_w(self, rng, per_point):
+        # the count leaves W_degree at its points, mantissa + 1j * exponent,
+        # for the secants of _bisect_zeros; NaN where a ratio rounds to zero
+        top = 150
+        cd, _ = random_cd_q(rng, top)
+        xs = np.concatenate((rng.uniform(-1.0, 1.0, 200), [0.0]))
+        degree = rng.integers(1, top + 1, len(xs)) if per_point else np.full(len(xs), top)
+        c = cd.c.copy()
+        c[0] = 0.0  # r_1 = 0 at x = 0
+        kernel = recurrence._ArrayCount(c, cd.d, top)
+        with recurrence._quiet():
+            kernel.count(degree if per_point else top, xs)
+        w = kernel.w
+        assert np.isnan(w[-1].real)
+        for i in range(len(xs) - 1):
+            mantissa, exp2, peak = _eval_W_grid(c, cd.d, int(degree[i]), xs[i:i + 1],
+                                                track_peak=True)
+            want = math.ldexp(float(mantissa[0]), int(exp2[0]))
+            got = math.ldexp(float(w[i].real), int(w[i].imag))
+            # both round at about 2^-52 of the largest |W_k| on the way
+            assert abs(got - want) <= 2.0 ** (peak[0] - 40.0)
+
     @pytest.mark.parametrize("per_point", [False, True], ids=["one-degree", "per-point"])
     def test_full_blocks_count(self, rng, per_point):
         # at x = -1 every ratio is negative, so each block of 64 rows counts 64
@@ -426,16 +481,49 @@ class TestMultisection:
         # the count does rise from one midpoint of the first pass to the next
         assert (np.diff(wobbly(None, None, 3, np.linspace(-1.0, 1.0, 1025))) > 0).any()
 
+    def test_paths_whose_secants_mislead(self, monkeypatch):
+        # the count's W inverted at every point makes each secant cross zero
+        # at the mirror image, in its bracket, of where the true one does: a
+        # path then goes the wrong way from its first level, and its counts
+        # contradict it there.  The zeros must still be plain bisection's,
+        # after more passes than with the true W
+        cd = alpha_cd(random_alpha(np.random.default_rng(7), 60))
+        j = np.arange(1, 61)
+        calls = []
+
+        def counted(c, d, degree, x):
+            calls.append(len(x))
+            return _count_above(c, d, degree, x)
+
+        def misled(c, d, degree, x):
+            counts = counted(c, d, degree, x)
+            c.w = 1.0 / c.w.real - 1j * c.w.imag
+            return counts
+
+        monkeypatch.setattr(recurrence, "_count_above", counted)
+        self.assert_same_zeros(cd, 60, 60, j)
+        honest = len(calls)
+        calls.clear()
+        monkeypatch.setattr(recurrence, "_count_above", misled)
+        self.assert_same_zeros(cd, 60, 60, j)
+        assert len(calls) > honest + 10
+
     @pytest.mark.parametrize("argv, calls, points", [
         (["zeros", "--family", "lambda-eta", "--params", "lam=1,eta=1", "--n", "150"],
-         24, 11367),
+         8, 8236),
         (["zeros", "--family", "geronimus", "--params", "alpha_re=0.5,alpha_im=0.3",
-          "--n", "120"], 17, 13736),
-        (["tables", "1"], 8, 7620),
-    ], ids=["zeros-lambda-eta-150", "zeros-geronimus-120", "tables-1"])
+          "--n", "120"], 8, 6589),
+        (["zeros", "--input", str(GOLDEN / "random-alpha-300.json"), "--n", "300"],
+         9, 18481),
+        (["tables", "1"], 7, 890),
+    ], ids=["zeros-lambda-eta-150", "zeros-geronimus-120", "zeros-random-alpha-300",
+            "tables-1"])
     def test_pass_schedule(self, monkeypatch, argv, calls, points):
-        # _POINT_BUDGET, the h of each pass and the merge rule fix the passes
-        # and their points: a cheaper pass must not come from fewer passes
+        # the cost model of _levels, the path length (_LEAD), the rule that
+        # picks paths and the merge rule fix the passes and their points: a
+        # faster bisection must not come from a different schedule.  Plain
+        # multisection took 24 passes over 11367 points, 17 over 13736, and 8
+        # over 7620 for table 1
         sizes = []
 
         def counted(c, d, degree, x):
