@@ -75,9 +75,6 @@ _BLOCK = 64
 # ``np.multiply.outer`` (64 x 2800: 91 against 45 us; 2-vCPU Xeon, numpy 2.4).
 _OUTER_POINTS = 2700
 
-# Points counted per run of the block loop, whose rows take 4.3 MB.
-_CHUNK_POINTS = 8192
-
 # Cost of a count call in point-steps, one step of the ratio recursion on one
 # point (2.4-3.5 ns): a fixed part, 30-50 us, and a part per step of the
 # recursion, 1.3-1.7 us, whatever the number of points.  Least squares over
@@ -91,6 +88,7 @@ _STEP_COST = 550
 _LEAD = 5
 
 _POWERS = 2.0 ** np.arange(_BISECTION_STEPS + 1)
+# the largest double below 1: a path's digits then never leave its bracket
 _BELOW_ONE = 1.0 - 2.0 ** -53
 
 
@@ -176,17 +174,6 @@ class _ArrayCount:
 
     def count(self, degree, x):
         degree = np.asarray(degree)
-        if len(x) <= _CHUNK_POINTS:
-            return self._count(degree, x)
-        counts, ws = [], []
-        for p in range(0, len(x), _CHUNK_POINTS):
-            part = slice(p, p + _CHUNK_POINTS)
-            counts.append(self._count(degree[part] if degree.ndim else degree, x[part]))
-            ws.append(self.w)
-        self.w = np.concatenate(ws)
-        return np.concatenate(counts)
-
-    def _count(self, degree, x):
         per_point = degree.ndim != 0
         top = int(degree.max())
         c, d = self.c, self.d

@@ -406,12 +406,11 @@ class TestMultisection:
                           plain_count_above(c, d, degree, xs))
 
 
-    @pytest.mark.parametrize("size", [recurrence._OUTER_POINTS, recurrence._OUTER_POINTS + 1,
-                                      recurrence._CHUNK_POINTS + 1])
+    @pytest.mark.parametrize("size", [recurrence._OUTER_POINTS, recurrence._OUTER_POINTS + 1])
     def test_wide_counts(self, rng, size):
-        # einsum up to _OUTER_POINTS points, np.multiply.outer past it, and
-        # runs of _CHUNK_POINTS past that: the counts stay the per-step
-        # ones, and a zero ratio (c_1 = 0 at x = +-0.0) is counted again
+        # einsum up to _OUTER_POINTS points and np.multiply.outer past it: the
+        # counts stay the per-step ones, and a zero ratio (c_1 = 0 at
+        # x = +-0.0) is counted again
         c = rng.uniform(-2.0, 2.0, 70)
         d = rng.uniform(0.05, 0.25, 69)
         c[0] = 0.0
