@@ -519,10 +519,10 @@ class TestMultisection:
             "tables-1"])
     def test_pass_schedule(self, monkeypatch, argv, calls, points):
         # the cost model of _levels, the path length (_LEAD), the rule that
-        # picks paths and the merge rule fix the passes and their points: a
-        # faster bisection must not come from a different schedule.  Plain
-        # multisection took 24 passes over 11367 points, 17 over 13736, and 8
-        # over 7620 for table 1
+        # picks paths and the merge rule fix the passes and their points, so
+        # that a change of speed is told apart from a change of schedule.
+        # Multisection alone took 24 passes over 11367 points, 17 over 13736
+        # and 8 over 7620 for table 1
         sizes = []
 
         def counted(c, d, degree, x):
