@@ -84,7 +84,8 @@ _STEP_COST = 550
 
 # A predicted path is as long as the halvings its zero has taken, less
 # _LEAD: from a bracket of level L the secant keeps bisection's path for a
-# median of L - 3 to L - 8 further levels.
+# median of L - 9 to L - 1 further levels (lambda-eta, random alpha and
+# random cd, N = 40-300).
 _LEAD = 5
 
 _POWERS = 2.0 ** np.arange(_BISECTION_STEPS + 1)
