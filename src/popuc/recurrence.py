@@ -374,10 +374,12 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                 bits = frac >= 0.5
                 base = np.repeat(lo[path], K)
                 step = np.repeat(hi[path] - lo[path], K) / scale
+                # each end is its dyadic rounded once, as bisection's are
                 left = step * a
                 right = base + (left + step)
                 left += base
                 mids = 0.5 * (left + right)
+                # a midpoint that rounds onto an end takes that end's decision
                 bits |= mids == left
                 bits &= mids != right
                 points.append(mids)
