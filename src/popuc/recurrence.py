@@ -16,11 +16,16 @@ found by counting.  The ratios r_k = W_k(x) / W_{k-1}(x) follow
     r_1 = x - c_1 s,    r_k = (x - c_k s) - d_k / r_{k-1},    s = sqrt(1 - x^2),
 
 and W_0 .. W_n is a generalized Sturm sequence, so the number of negative
-r_k with k <= n is the number of zeros of W_n above x.  Bisection on that
-count (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)) pins down the j-th
-largest zero of any degree on its own, with no brackets carried between
-degrees; a zero ratio is replaced by a tiny positive one so the recursion
-never divides by zero (Demmel, Dhillon & Ren, ETNA 3 (1995)).
+r_k with k <= n is the number of zeros of W_n above x.  The r_k / s are the
+pivots of t B - A at t = x / s, for the Hermitian-definite pencil with A
+tridiagonal, c_k on its diagonal and -+i sqrt(d_{k+1}) beside it, and
+B = tridiag(sqrt d, 1, sqrt d); so by Sylvester's law of inertia the count
+is the number of pencil eigenvalues above t (Ismail & Masson 1995; Zhedanov,
+J. Approx. Theory 101 (1999)).  Bisection on that count (Barth, Martin &
+Wilkinson, Numer. Math. 9 (1967)) pins down the j-th largest zero of any
+degree on its own, with no brackets carried between degrees; a zero ratio is
+replaced by a tiny positive one so the recursion never divides by zero
+(Demmel, Dhillon & Ren, ETNA 3 (1995)).
 
 The halvings run in passes, and a pass counts all its midpoints in one
 array call.  A bracket that holds one zero follows a predicted path: the
@@ -93,31 +98,25 @@ _POWERS = 2.0 ** np.arange(_BISECTION_STEPS + 1)
 _BELOW_ONE = 1.0 - 2.0 ** -53
 
 
-def _coeffs(cd: CdParams, n: int):
-    if n < 0:
-        raise InputError(f"degree must be >= 0, got {n}")
-    if cd.n < n:
-        raise InputError(f"need {n} coefficients c_1..c_{n}, have {cd.n}")
-    return cd.c, cd.d
-
-
 def _count_above(c, d, degree, x):
-    """Number of zeros of W_degree above ``x``: the negative r_k, k <= degree.
-
-    ``x`` is either one Python float, with ``c`` and ``d`` given as lists so
-    the loop runs on Python floats, or an array of points, where ``degree``
-    may also give one degree per point, and where ``c`` may be an
-    :class:`_ArrayCount` prepared once for many calls (``d`` is then not
-    read).  A ratio that rounds to zero becomes ``_TINY``: W_k(x) = 0 then
-    counts with the sign of W_{k-1}(x), and the next step divides by a
-    representable number.
+    """Number of zeros of W_degree above the Python float ``x``: the negative
+    r_k, k <= degree, one step at a time on Python floats, with ``c`` and
+    ``d`` given as lists.  By Sylvester's law of inertia it is also the
+    number of eigenvalues of the pencil (A, B) of the module docstring above
+    t = x / sqrt(1 - x^2).  A ratio that rounds to zero becomes ``_TINY``:
+    W_k(x) = 0 then counts with the sign of W_{k-1}(x), and the next step
+    divides by a representable number.
     """
-    if isinstance(c, _ArrayCount):
-        return c.count(degree, x)
-    if isinstance(x, np.ndarray):
-        with _quiet():
-            return _ArrayCount(c, d, int(np.max(degree))).count(degree, x)
-    return _count_steps(c, d, degree, x)
+    s = math.sqrt(1.0 - x * x)
+    r = 1.0
+    count = 0
+    # d_1 = 0 makes the first step r_1 = x - c_1 s
+    for ck, dk in zip(c[:degree], chain((0.0,), d)):
+        r = x - ck * s - dk / r
+        if r == 0.0:
+            r = _TINY
+        count += r < 0.0
+    return count
 
 
 class _quiet(warnings.catch_warnings):
@@ -133,20 +132,6 @@ class _quiet(warnings.catch_warnings):
                                 RuntimeWarning)
 
 
-def _count_steps(c, d, degree, x):
-    """``_count_above`` one step at a time, on one Python float ``x``."""
-    s = math.sqrt(1.0 - x * x)
-    r = 1.0
-    count = 0
-    # d_1 = 0 makes the first step r_1 = x - c_1 s
-    for ck, dk in zip(c[:degree], chain((0.0,), d)):
-        r = x - ck * s - dk / r
-        if r == 0.0:
-            r = _TINY
-        count += r < 0.0
-    return count
-
-
 class _ArrayCount:
     """``_count_above`` on arrays of points, ``_BLOCK`` steps at a time, on
     operands prepared once for degrees up to ``top``: ``c`` as an array and
@@ -156,12 +141,12 @@ class _ArrayCount:
     ``x - c_k s`` for a whole block is one outer product into the block's
     rows, so a step costs one divide and one subtract, each with a
     positional output.  The block's signs fill one bool array, summed in
-    uint8, which 64 rows cannot wrap.  Each call also leaves W_degree at its
-    points in ``w``, as mantissa + 1j * exponent: the product of each block's
-    ratios is folded into a mantissa that ``np.frexp`` keeps in [0.5, 1).
-    That product is the zero check as well: a ratio that rounds to zero makes
-    it 0 or NaN, and the few points where it is are counted again by
-    ``_count_steps``, so every count is the step loop's; their W is NaN.
+    uint8, which 64 rows cannot wrap.  Each call returns the counts and
+    W_degree at the points, as mantissa + 1j * exponent: the product of each
+    block's ratios is folded into a mantissa that ``np.frexp`` keeps in
+    [0.5, 1).  That product is the zero check as well: a ratio that rounds to
+    zero makes it 0 or NaN, and the few points where it is are counted again
+    by ``_count_above``, so every count is the step loop's; their W is NaN.
     ``einsum`` adds each product to a zeroed output, so a product that is
     -0.0 comes out +0.0; that changes at most the sign of a zero ratio, and
     every zero ratio is counted again.
@@ -171,7 +156,6 @@ class _ArrayCount:
         self.c = np.asarray(c[:top], dtype=float)
         # d_1 = 0 and r_0 = 1 make the first step r_1 = x - c_1 s
         self.d = [np.zeros(()), *map(np.array, np.asarray(d[:top - 1], dtype=float).tolist())]
-        self.w = None
 
     def count(self, degree, x):
         degree = np.asarray(degree)
@@ -215,10 +199,9 @@ class _ArrayCount:
         if zero.any():
             c, d, degree = c.tolist(), [float(dk) for dk in d[1:]], degree.tolist()
             for i in np.flatnonzero(zero).tolist():
-                count[i] = _count_steps(c, d, degree[i] if per_point else degree, float(x[i]))
+                count[i] = _count_above(c, d, degree[i] if per_point else degree, float(x[i]))
             mantissa[zero] = np.nan
-        self.w = mantissa + 1j * exponent
-        return count
+        return count, mantissa + 1j * exponent
 
 
 def _einsum_outer(a, b, out):
@@ -255,8 +238,8 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
     whether at least j zeros lie above the midpoint, ``_BISECTION_STEPS``
     times: neighbouring zeros can sit closer than any coarse tolerance near
     support endpoints.  The halvings run in passes, and each pass counts all
-    its points in one ``_count_above`` call, which also gives W_degree at
-    them; a bracket carries W at its ends.
+    its points in one ``_ArrayCount.count`` call, which also gives W_degree
+    at them; a bracket carries W at its ends.
 
     A zero whose bracket holds only it, and across which W changes sign,
     follows a predicted path: the secant of W through the bracket ends
@@ -283,18 +266,15 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
     ``0.5 * (lo + hi)``, and replays bisection's h decisions (count >= j at
     the midpoint) from the counts of the 2^h - 1 interior ones.  h minimises
     the pass's cost per halving (``_levels``), and a zero takes a path only
-    when K is at least the h of a pass over every bracket.  Where a bracket's
-    counts do not rise from edge to edge, each of its points reads a row of
-    decisions that is a run of True then False, and the walk ends in the
-    bracket that starts at the run's last edge; one ``searchsorted`` finds it
-    for every point.  Otherwise the replay walks level by level.  So every
-    zero takes plain bisection's path, bit for bit, whether or not the
-    computed count is monotone in x.
+    when K is at least the h of a pass over every bracket.  The replay walks
+    level by level, so every zero takes plain bisection's path, bit for bit,
+    whether or not the computed count is monotone in x.
     """
     if N < 1:
         raise InputError(f"degree must be >= 1, got {N}")
-    c, d = _coeffs(cd, N)
-    kernel = _ArrayCount(c, d, N)
+    if cd.n < N:
+        raise InputError(f"need {N} coefficients c_1..c_{N}, have {cd.n}")
+    kernel = _ArrayCount(cd.c, cd.d, N)
     x = np.empty(len(j))
     # the zeros still bisecting, with each one's bracket, W_degree at the
     # bracket's ends (unknown at -1 and 1) and the halvings taken
@@ -384,28 +364,16 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                 bits &= mids != right
                 points.append(mids)
                 degrees.append(np.repeat(degree[path], K) if per_point else None)
-            counts = _count_above(kernel, None, np.concatenate(degrees) if per_point else degree,
-                                  np.concatenate(points) if len(points) > 1 else points[0])
-            # a count that leaves no W (a stand-in in tests) predicts nothing
-            w, kernel.w = kernel.w, None
-            if w is None:
-                w = np.full(len(counts), complex(np.nan, 0.0))
+            counts, w = kernel.count(np.concatenate(degrees) if per_point else degree,
+                                     np.concatenate(points) if len(points) > 1 else points[0])
             if len(members):
                 jm = j[ids[members]]
-                # keyed by bracket and then by falling count, the counts of a
-                # pass sort as one array exactly when no bracket's count
-                # rises; a zero's leaf is then where (its bracket, j) falls
-                runs = (np.arange(len(first))[:, None] * (N + 2)
-                        - counts[:m].reshape(-1, width)).ravel()
-                if (runs[1:] >= runs[:-1]).all():
-                    leaf = np.searchsorted(runs, rows * (N + 2) - jm, side="right") - rows * width
-                else:
-                    # the bracket between edges a and a + 2^(t+1) halves at
-                    # edge a + 2^t, whose count sits at a + 2^t - 1 of its row
-                    offset = rows * width - 1
-                    leaf = np.zeros(len(members), dtype=np.int64)
-                    for t in reversed(range(h)):
-                        leaf += (counts[offset + leaf + 2 ** t] >= jm) * 2 ** t
+                # the bracket between edges a and a + 2^(t+1) halves at edge
+                # a + 2^t, whose count sits 2^t past where edge a's would
+                offset = at = rows * width - 1
+                for t in reversed(range(h)):
+                    at = at + (counts[at + 2 ** t] >= jm) * 2 ** t
+                leaf = at - offset
                 wedges = np.empty(edges.shape, dtype=complex)
                 wedges[:, 0] = wlo[first]
                 wedges[:, -1] = whi[first]

@@ -27,6 +27,7 @@ from .recurrence import (_BISECTION_STEPS, _count_above, _unresolvable,  # noqa:
                          zeros_W)
 from .transforms import CdParams, VerblunskySeq, cd_from_verblunsky
 
+
 def constant_scaling_threshold(d: np.ndarray) -> float:
     """Squared largest zero of the symmetric W_N over the N - 1 terms of ``d``.
 

@@ -7,7 +7,7 @@ import pytest
 
 from popuc import CdParams, InputError, chainseq
 from popuc.bounds import _roots
-from popuc.recurrence import _BISECTION_STEPS, _TINY, _bisect_zeros, _coeffs
+from popuc.recurrence import _BISECTION_STEPS, _TINY, _ArrayCount, _bisect_zeros, _quiet
 
 # Rescale the running recurrence pair every this many steps to keep the
 # magnitudes representable; growth per step is bounded by ~(1 + |c| + 1).
@@ -140,11 +140,18 @@ def assert_interlacing(cd, ladder):
                 f"resolvable tie at degree {degree}, x={ties[np.argmin(quiet)]}"
 
 
+def array_count_above(c, d, degree, x):
+    """``recurrence._ArrayCount`` made for one call: the counts at ``x``."""
+    with _quiet():
+        return _ArrayCount(c, d, int(np.max(degree))).count(degree, x)[0]
+
+
 def plain_count_above(c, d, degree, x):
     """Number of zeros of W_degree above ``x``, one ratio step at a time.
 
-    The oracle that ``recurrence._count_above`` must match bit for bit, on a
-    float or an array of points with one degree or one degree per point.
+    The oracle, on a float or an array of points with one degree or one
+    degree per point, that the library's two counts must match bit for bit:
+    ``recurrence._count_above`` on a float, ``array_count_above`` on arrays.
     """
     s = (np.sqrt if isinstance(x, np.ndarray) else math.sqrt)(1.0 - x * x)
     top = int(np.max(degree))
@@ -170,7 +177,6 @@ def plain_bisect_zeros(cd, N, degree, j):
     """
     if N < 1:
         raise InputError(f"degree must be >= 1, got {N}")
-    c, d = _coeffs(cd, N)
     lo = np.full(len(j), -1.0)
     hi = np.full(len(j), 1.0)
     # a ratio r_k so near 0 that d_{k+1} / r_k overflows makes r_{k+1}
@@ -181,7 +187,7 @@ def plain_bisect_zeros(cd, N, degree, j):
         warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
         for _ in range(_BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
-            above = plain_count_above(c, d, degree, mid) >= j
+            above = plain_count_above(cd.c, cd.d, degree, mid) >= j
             lo = np.where(above, mid, lo)
             hi = np.where(above, hi, mid)
     return 0.5 * (lo + hi)

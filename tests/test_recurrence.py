@@ -13,7 +13,7 @@ import popuc as pp
 from popuc import cli, recurrence
 from popuc.recurrence import _bisect_zeros, _count_above, extreme_zeros
 
-from conftest import (_eval_W_grid, assert_interlacing, plain_bisect_zeros,
+from conftest import (_eval_W_grid, array_count_above, assert_interlacing, plain_bisect_zeros,
                       plain_count_above, random_alpha, random_cd_q, zeros_ladder)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -58,6 +58,16 @@ class TestZerosW:
             zl = pp.zeros_W(chebyshev_cd(n), n)
             expect = np.cos(np.arange(1, n + 1) * math.pi / (n + 1))
             np.testing.assert_allclose(zl.x, expect, atol=1e-10)
+
+    def test_degree_needs_its_coefficients(self):
+        # zeros_W and extreme_zeros are public: a degree past the source's
+        # coefficients, or below 1, is an input error, not an array mismatch
+        cd = chebyshev_cd(3)
+        for call in (lambda: pp.zeros_W(cd, 4), lambda: extreme_zeros(cd, [2, 4]),
+                     lambda: pp.zeros_W(cd, 0)):
+            with pytest.raises(pp.InputError):
+                call()
+        assert len(pp.zeros_W(cd, 3).x) == 3
 
     def test_theta_consistency(self, rng):
         cd, _ = random_cd_q(rng, 25)
@@ -236,12 +246,12 @@ class TestCountAbove:
                              [-1.0, 0.0, 1.0]))
         counts = {}
         for n in (1, 2, 17, 60):
-            counts[n] = _count_above(c, d, n, xs)
+            counts[n] = array_count_above(c, d, n, xs)
             assert [_count_above(c, d, n, x) for x in xs.tolist()] == counts[n].tolist()
         # one degree per point reads each count off the same pass
         mixed = np.resize([1, 2, 17, 60], len(xs))
         np.testing.assert_array_equal(
-            _count_above(c, d, mixed, xs),
+            array_count_above(c, d, mixed, xs),
             [counts[n][i] for i, n in enumerate(mixed.tolist())])
 
     def test_counts_zeros_above(self):
@@ -250,7 +260,7 @@ class TestCountAbove:
         assert _count_above(c, d, 9, 1.0) == 0
         assert _count_above(c, d, 9, -1.0) == 9
         mids = 0.5 * (zeros[:-1] + zeros[1:])
-        np.testing.assert_array_equal(_count_above(c, d, 9, mids), np.arange(1, 9))
+        np.testing.assert_array_equal(array_count_above(c, d, 9, mids), np.arange(1, 9))
         # x = 0 is an exact zero of every odd degree; the zero-ratio guard
         # keeps the float path from dividing by zero and counts it as not above
         assert [_count_above(c, d, n, 0.0) for n in range(1, 10)] == \
@@ -266,7 +276,7 @@ class TestCountAbove:
         assert (np.signbit(c[0] * s) & (c[0] * s == 0.0)).all()
         for n in range(1, 5):
             want = [_count_above(c, d, n, x) for x in xs.tolist()]
-            assert _count_above(c, d, n, xs).tolist() == want
+            assert array_count_above(c, d, n, xs).tolist() == want
             assert plain_count_above(c, d, n, xs).tolist() == want
 
     @pytest.mark.parametrize("c1", [-0.0, 0.0, 0.3])
@@ -279,9 +289,19 @@ class TestCountAbove:
         for n in range(1, 4):
             want = [_count_above(c, d, n, x) for x in xs.tolist()]
             assert want[0] == _count_above(c, d, n, -0.0)
-            assert _count_above(c, d, n, xs).tolist() == want
-            assert _count_above(c, d, np.full(len(xs), n), xs).tolist() == want
+            assert array_count_above(c, d, n, xs).tolist() == want
+            assert array_count_above(c, d, np.full(len(xs), n), xs).tolist() == want
             assert plain_count_above(c, d, n, xs).tolist() == want
+
+
+    def test_subnormal_negative_ratio(self):
+        # c_1 = 5e-324 at x = 0 makes r_1 = -5e-324: below zero, so it counts;
+        # only a ratio that is exactly zero becomes _TINY
+        c, d = [5e-324], []
+        xs = np.array([0.0, -0.0])
+        assert _count_above(c, d, 1, 0.0) == 1
+        assert array_count_above(c, d, 1, xs).tolist() == [1, 1]
+        assert plain_count_above(c, d, 1, xs).tolist() == [1, 1]
 
 
 class TestTinyRatio:
@@ -296,7 +316,7 @@ class TestTinyRatio:
     def test_counts_near_the_tiny_zero(self):
         xs = [0.0, 1e-300, -1e-17]
         assert [_count_above(self.c, self.d, 2, x) for x in xs] == [0, 1, 1]
-        assert _count_above(self.c, self.d, 2, np.array(xs)).tolist() == [0, 1, 1]
+        assert array_count_above(self.c, self.d, 2, np.array(xs)).tolist() == [0, 1, 1]
 
     def test_top_zero_of_degree_two(self, tmp_path):
         src = tmp_path / "tiny.json"
@@ -323,6 +343,51 @@ def ladder_points(rng, N, size):
 def assert_bits_equal(got, want):
     np.testing.assert_array_equal(np.asarray(got).view(np.int64),
                                   np.asarray(want).view(np.int64))
+
+
+def pencil_eigenvalues(c, d, n):
+    """Eigenvalues of the degree-n pencil (A, B): A with c_k on its diagonal,
+    -i sqrt(d_{k+1}) above it and i sqrt(d_{k+1}) below it, and
+    B = tridiag(sqrt d, 1, sqrt d), as those of L^-1 A L^-H with B = L L^H."""
+    root = np.sqrt(np.asarray(d[:n - 1], dtype=float))
+    A = np.diag(np.asarray(c[:n], dtype=complex)) + np.diag(-1j * root, 1) + np.diag(1j * root, -1)
+    L = np.linalg.cholesky(np.eye(n) + np.diag(root, 1) + np.diag(root, -1))
+    M = np.linalg.solve(L, np.linalg.solve(L, A).conj().T)
+    return np.linalg.eigvalsh(M)
+
+
+class TestPencilOracle:
+    """The r_k / s are the pivots of t B - A at t = x / s, so by Sylvester's
+    law of inertia the count is the number of pencil eigenvalues above t
+    (Ismail & Masson 1995; Zhedanov 1999): an oracle for both counts that
+    shares no code with the ratio recursion."""
+
+    @pytest.mark.parametrize("source", ["alpha", "cd"])
+    def test_counts_are_pencil_inertia(self, source):
+        rng = np.random.default_rng(26)
+        checked = 0
+        for N in (2, 3, 4, 6, 9, 13, 18, 25, 33, 40):
+            cd = alpha_cd(random_alpha(rng, N)) if source == "alpha" else random_cd_q(rng, N)[0]
+            c, d = cd.c.tolist(), cd.d.tolist()
+            xs = rng.uniform(-1.0, 1.0, 50)
+            t = xs / np.sqrt(1.0 - xs * xs)
+            degree = rng.integers(1, N + 1, len(xs))
+            eig = {n: pencil_eigenvalues(c, d, n) for n in range(1, N + 1)}
+
+            def above(n, ti):
+                # -1, and the point skipped, within rounding of an eigenvalue
+                near = (abs(eig[n] - ti) < 1e-8 * (1.0 + abs(ti))).any()
+                return -1 if near else (eig[n] > ti).sum()
+
+            top = np.array([above(N, ti) for ti in t])
+            want = np.array([above(n, ti) for n, ti in zip(degree.tolist(), t)])
+            keep = (top >= 0) & (want >= 0)
+            scalar = np.array([_count_above(c, d, N, x) for x in xs.tolist()])
+            np.testing.assert_array_equal(scalar[keep], top[keep])
+            np.testing.assert_array_equal(array_count_above(c, d, N, xs)[keep], top[keep])
+            np.testing.assert_array_equal(array_count_above(c, d, degree, xs)[keep], want[keep])
+            checked += keep.sum()
+        assert checked >= 490
 
 
 class TestMultisection:
@@ -400,9 +465,9 @@ class TestMultisection:
             d[k - 2] = 0.0
         c, d = c.tolist(), d.tolist()
         xs = np.concatenate(([0.0], rng.uniform(-1.0, 1.0, 40), [-0.0, 1.0, -1.0]))
-        assert_bits_equal(_count_above(c, d, top, xs), plain_count_above(c, d, top, xs))
+        assert_bits_equal(array_count_above(c, d, top, xs), plain_count_above(c, d, top, xs))
         degree = rng.integers(1, top + 1, len(xs))
-        assert_bits_equal(_count_above(c, d, degree, xs),
+        assert_bits_equal(array_count_above(c, d, degree, xs),
                           plain_count_above(c, d, degree, xs))
 
 
@@ -418,13 +483,13 @@ class TestMultisection:
         xs = rng.uniform(-1.0, 1.0, size)
         xs[:4] = [0.0, -0.0, 1.0, -1.0]
         xs[-2:] = [-0.0, 0.0]
-        assert_bits_equal(_count_above(c, d, 70, xs), plain_count_above(c, d, 70, xs))
+        assert_bits_equal(array_count_above(c, d, 70, xs), plain_count_above(c, d, 70, xs))
         degree = rng.integers(1, 71, size)
-        assert_bits_equal(_count_above(c, d, degree, xs), plain_count_above(c, d, degree, xs))
+        assert_bits_equal(array_count_above(c, d, degree, xs), plain_count_above(c, d, degree, xs))
 
     @pytest.mark.parametrize("per_point", [False, True], ids=["one-degree", "per-point"])
     def test_count_leaves_w(self, rng, per_point):
-        # the count leaves W_degree at its points, mantissa + 1j * exponent,
+        # the count returns W_degree at its points, mantissa + 1j * exponent,
         # for the secants of _bisect_zeros; NaN where a ratio rounds to zero
         top = 150
         cd, _ = random_cd_q(rng, top)
@@ -434,8 +499,7 @@ class TestMultisection:
         c[0] = 0.0  # r_1 = 0 at x = 0
         kernel = recurrence._ArrayCount(c, cd.d, top)
         with recurrence._quiet():
-            kernel.count(degree if per_point else top, xs)
-        w = kernel.w
+            _, w = kernel.count(degree if per_point else top, xs)
         assert np.isnan(w[-1].real)
         for i in range(len(xs) - 1):
             mantissa, exp2, peak = _eval_W_grid(c, cd.d, int(degree[i]), xs[i:i + 1],
@@ -444,6 +508,15 @@ class TestMultisection:
             got = math.ldexp(float(w[i].real), int(w[i].imag))
             # both round at about 2^-52 of the largest |W_k| on the way
             assert abs(got - want) <= 2.0 ** (peak[0] - 40.0)
+
+    def test_zero_last_ratio_leaves_nan_w(self):
+        # r_1 = 0 at x = 0 is the last ratio of degree 1, so the product of the
+        # ratios is 0 there, not NaN; W is still NaN, as at every zero ratio
+        kernel = recurrence._ArrayCount([0.0, 0.3], [0.2], 2)
+        with recurrence._quiet():
+            counts, w = kernel.count(1, np.array([0.0, 0.5]))
+        assert counts.tolist() == [0, 0]
+        assert np.isnan(w[0].real) and w[1].real > 0.0
 
     @pytest.mark.parametrize("per_point", [False, True], ids=["one-degree", "per-point"])
     def test_full_blocks_count(self, rng, per_point):
@@ -455,30 +528,34 @@ class TestMultisection:
         xs = np.concatenate(([-1.0] * 4, rng.uniform(-1.0, 1.0, 40)))
         degree = rng.integers(1, top + 1, len(xs)) if per_point else np.full(len(xs), top)
         degree[:2] = top
-        got = _count_above(c, d, degree if per_point else top, xs)
+        got = array_count_above(c, d, degree if per_point else top, xs)
         assert_bits_equal(got, plain_count_above(c, d, degree if per_point else top, xs))
         np.testing.assert_array_equal(got[:4], degree[:4])
 
     def test_replay_walks_rows_that_are_not_runs(self, monkeypatch):
         # a count that rises and falls with x gives decision rows that are
-        # not a run of True then False; the replay must walk them level by
-        # level to plain bisection's leaf, not take the run's length
-        def wobbly(c, d, degree, x):
+        # not a run of True then False; the replay must still walk them level
+        # by level to plain bisection's leaf.  Its W is NaN, so no zero takes
+        # a path and every pass is a multisection subtree
+        def count(x):
             return (np.sin(40.0 * x) > 0.0) + (x < 0.0)
+
+        def wobbly(kernel, degree, x):
+            return count(x), np.full(len(x), complex(np.nan, 0.0))
 
         cd = chebyshev_cd(3)
         j = np.array([1, 2, 1, 2])
         degree = np.array([3, 3, 2, 3])
-        monkeypatch.setattr(recurrence, "_count_above", wobbly)
+        monkeypatch.setattr(recurrence._ArrayCount, "count", wobbly)
         got = _bisect_zeros(cd, 3, degree, j)
         lo, hi = np.full(len(j), -1.0), np.full(len(j), 1.0)
         for _ in range(recurrence._BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
-            above = wobbly(None, None, degree, mid) >= j
+            above = count(mid) >= j
             lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
         assert_bits_equal(got, 0.5 * (lo + hi))
         # the count does rise from one midpoint of the first pass to the next
-        assert (np.diff(wobbly(None, None, 3, np.linspace(-1.0, 1.0, 1025))) > 0).any()
+        assert (np.diff(count(np.linspace(-1.0, 1.0, 1025))) > 0).any()
 
     def test_paths_whose_secants_mislead(self, monkeypatch):
         # the count's W inverted at every point makes each secant cross zero
@@ -489,21 +566,21 @@ class TestMultisection:
         cd = alpha_cd(random_alpha(np.random.default_rng(7), 60))
         j = np.arange(1, 61)
         calls = []
+        count = recurrence._ArrayCount.count
 
-        def counted(c, d, degree, x):
+        def counted(kernel, degree, x):
             calls.append(len(x))
-            return _count_above(c, d, degree, x)
+            return count(kernel, degree, x)
 
-        def misled(c, d, degree, x):
-            counts = counted(c, d, degree, x)
-            c.w = 1.0 / c.w.real - 1j * c.w.imag
-            return counts
+        def misled(kernel, degree, x):
+            counts, w = counted(kernel, degree, x)
+            return counts, 1.0 / w.real - 1j * w.imag
 
-        monkeypatch.setattr(recurrence, "_count_above", counted)
+        monkeypatch.setattr(recurrence._ArrayCount, "count", counted)
         self.assert_same_zeros(cd, 60, 60, j)
         honest = len(calls)
         calls.clear()
-        monkeypatch.setattr(recurrence, "_count_above", misled)
+        monkeypatch.setattr(recurrence._ArrayCount, "count", misled)
         self.assert_same_zeros(cd, 60, 60, j)
         assert len(calls) > honest + 10
 
@@ -524,12 +601,13 @@ class TestMultisection:
         # Multisection alone took 24 passes over 11367 points, 17 over 13736
         # and 8 over 7620 for table 1
         sizes = []
+        count = recurrence._ArrayCount.count
 
-        def counted(c, d, degree, x):
+        def counted(kernel, degree, x):
             sizes.append(len(x))
-            return _count_above(c, d, degree, x)
+            return count(kernel, degree, x)
 
-        monkeypatch.setattr(recurrence, "_count_above", counted)
+        monkeypatch.setattr(recurrence._ArrayCount, "count", counted)
         assert cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
         assert (len(sizes), sum(sizes)) == (calls, points)
 
