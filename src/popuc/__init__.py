@@ -12,7 +12,7 @@ from .errors import (BoundaryCaseError, InputError, InvariantError,
 from .chainseq import (ScalingSeq, chain_failure_index, ismail_li_constant, make_scaling,
                        maximal_params)
 from .transforms import (CdParams, VerblunskySeq, cd_from_verblunsky, mass_at_one,
-                         rotated_cd, tau_from_verblunsky, verblunsky_from_cd)
+                         rotated_cd, verblunsky_from_cd)
 from .recurrence import ZeroList, zeros_R, zeros_W
 from .bounds import (Enclosure, GapCertificate, SupportArc, enclosure_cor45,
                      enclosure_cor47, enclosure_thm44, enclosure_thm46,
@@ -31,6 +31,6 @@ __all__ = [
     "constant_scaling_threshold_infinite", "default_scaling_for", "enclosure_cor45",
     "enclosure_cor47", "enclosure_thm44", "enclosure_thm46", "gap_certificate",
     "ismail_li_constant", "legendre_dominant", "make_scaling", "mass_at_one",
-    "maximal_params", "rotated_cd", "support_arc", "tau_from_verblunsky",
-    "verblunsky_from_cd", "zeros_R", "zeros_W",
+    "maximal_params", "rotated_cd", "support_arc", "verblunsky_from_cd",
+    "zeros_R", "zeros_W",
 ]

@@ -28,9 +28,9 @@ import numpy as np
 from .chainseq import (_CHUNK, ScalingSeq, _forward_params, _frozen, _require_positive,
                        make_scaling)
 from .errors import BoundaryCaseError, InputError
-from .transforms import TWO_PI, CdParams, VerblunskySeq, _rotated_blocks
-# rotated_cd joins the blocks that gap_certificate walks; perfbench's tracer
-# still wraps the name here (tracer.BY_VALUE)
+from .transforms import TWO_PI, CdParams, VerblunskySeq, _cd_blocks
+# rotated_cd is the stream gap_certificate walks, taken as one block;
+# perfbench's tracer still wraps the name here (tracer.BY_VALUE)
 from .transforms import rotated_cd  # noqa: F401
 
 # A support-arc extremum counts as stabilized when halving the horizon moves
@@ -307,6 +307,17 @@ class GapCertificate:
         return self.verdict == "verified"
 
 
+def _block_stops(n: int) -> list:
+    """Ends of consecutive blocks covering indices 0 .. n - 1: 64 terms, then
+    twice as many each time up to ``_CHUNK``."""
+    stops, stop, size = [], 0, 64
+    while stop < n:
+        stop = min(stop + size, n)
+        stops.append(stop)
+        size = min(2 * size, _CHUNK)
+    return stops
+
+
 def gap_certificate(alpha: VerblunskySeq, theta1: float, theta2: float,
                     N: int) -> GapCertificate:
     """Test whether the open arc (theta1, theta2) avoids the measure's support.
@@ -334,7 +345,7 @@ def gap_certificate(alpha: VerblunskySeq, theta1: float, theta2: float,
     s = math.sqrt(max(0.0, 1.0 - x_star * x_star))
     m = np.empty(N + 1)  # m_0 = 0, m_1, ..
     m[0] = 0.0
-    for first, _, c, g in _rotated_blocks(alpha, theta2, N + 1):
+    for first, _, c, g in _cd_blocks(alpha, theta2, _block_stops(N + 1)):
         t = x_star - c * s  # t[k] = x* - c_{first+k+1} sqrt(1 - x*^2)
         if first:  # d_{first+1} and its scale reach back into the last block
             d = (1.0 - np.concatenate(([g_last], g[:-1]))) * g

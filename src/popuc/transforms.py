@@ -17,9 +17,9 @@ through which
 
 A rotated variant tau^(theta) (tau_0 = e^{i theta}) produces the
 parametrization of the measure rotated so that an arbitrary point of the
-circle plays the role of z = 1.  It is computed in one place, a block at a
-time (``_rotated_blocks``): the gap certificate walks those blocks, and
-``rotated_cd`` joins them.
+circle plays the role of z = 1.  Both come from one stream, a block at a
+time (``_cd_blocks``): the gap certificate walks its blocks, and
+``cd_from_verblunsky`` and ``rotated_cd`` take it as one block.
 
 The reverse direction recovers the coefficients of the family member with
 mass t at z = 1 from the chain sequence augmented by d_1 = (1 - t) M_1,
@@ -36,9 +36,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .chainseq import (chain_failure_index, maximal_params, SP_THRESHOLD, _CHUNK,
-                       _chunks, _final_param_ok, _forward_params, _frozen,
-                       _require_positive)
+from .chainseq import (chain_failure_index, maximal_params, SP_THRESHOLD, _chunks,
+                       _final_param_ok, _forward_params, _frozen, _require_positive)
 from .errors import InputError, InvariantError, NotChainSequenceError
 
 TWO_PI = 2.0 * math.pi
@@ -95,17 +94,6 @@ def _validate_alpha(values: np.ndarray, first: int = 0) -> np.ndarray:
     return values
 
 
-def _block_stops(n: int) -> list:
-    """Ends of consecutive blocks covering indices 0 .. n - 1: 64 terms, then
-    twice as many each time up to ``_CHUNK``."""
-    stops, stop, size = [], 0, 64
-    while stop < n:
-        stop = min(stop + size, n)
-        stops.append(stop)
-        size = min(2 * size, _CHUNK)
-    return stops
-
-
 def _ranges(stops: Sequence[int]):
     """(start, stop) of each block ending at ``stops``."""
     return zip([0, *stops[:-1]], stops)
@@ -120,13 +108,15 @@ class VerblunskySeq:
     ``horizon`` is only the default length.  ``params`` keeps the family's
     scalar parameters for consumers such as the per-family default scalings.
 
-    Named families also carry their closed-form tau sequence.  The tau
+    Named families also carry their closed-form tau sequence, which
+    ``_cd_blocks`` reads a block at a time in place of the recursion.  The tau
     recursion, as a circle map, multiplies phase errors by
     (1 - |alpha|^2) / |1 - tau alpha|^2 per step, which exceeds 1 exactly
     along the special orbits these families live on, so iterating it there
     loses the structure at an exponential rate; the closed forms keep the
     parametrization exact.  Geronimus also carries the closed form of its
-    rotated tau, where that is well conditioned (see ``geronimus``).
+    rotated tau, where that is well conditioned (see ``geronimus``); every
+    other rotation runs the recursion.
     """
 
     family: str
@@ -135,10 +125,9 @@ class VerblunskySeq:
     # stops -> one array of coefficients per block (see ``blocks``)
     _blocks_fn: Callable[[Sequence[int]], Iterator[np.ndarray]] = field(
         default=None, repr=False)
-    _tau_fn: Optional[Callable[[int], np.ndarray]] = field(default=None, repr=False)
-    # folded rotation -> (start, stop) -> rotated tau_start .. tau_{stop - 1},
-    # or None where the recursion runs
-    _rotated_tau_fn: Callable[[float], Optional[Callable]] = field(
+    # folded rotation, or None for the measure itself -> (start, stop) ->
+    # tau_start .. tau_{stop - 1}, or None where the recursion runs
+    _tau_fn: Callable[[Optional[float]], Optional[Callable]] = field(
         default=lambda rotation: None, repr=False)
 
     @classmethod
@@ -184,10 +173,12 @@ class VerblunskySeq:
             for start, stop in _ranges(stops):
                 yield np.exp(1j * phase * np.arange(start + 1, stop + 1)) * alpha
 
-        def tau(n: int) -> np.ndarray:
-            return np.exp(-1j * phase * np.arange(n + 1))
+        def unrotated_tau(start: int, stop: int) -> np.ndarray:
+            return np.exp(-1j * phase * np.arange(start, stop))
 
-        def rotated_tau(theta: float):
+        def tau(theta: Optional[float]):
+            if theta is None:
+                return unrotated_tau
             psi = 0.5 * (theta + phase)
             sin_psi, cos_psi = math.sin(psi), math.cos(psi)
             r, s = abs(alpha), abs(sin_psi)
@@ -213,7 +204,7 @@ class VerblunskySeq:
 
             return values
 
-        return cls("geronimus", horizon, {"alpha": alpha}, blocks, tau, rotated_tau)
+        return cls("geronimus", horizon, {"alpha": alpha}, blocks, tau)
 
     @classmethod
     def alternating(cls, b1: float, b2: float, c: float,
@@ -235,12 +226,13 @@ class VerblunskySeq:
                 out[1 - start % 2::2] = odd
                 yield out
 
-        def tau(n: int) -> np.ndarray:
-            out = np.ones(n + 1, dtype=complex)
-            out[1::2] = tau_odd
+        def tau(start: int, stop: int) -> np.ndarray:
+            out = np.ones(stop - start, dtype=complex)
+            out[1 - start % 2::2] = tau_odd
             return out
 
-        return cls("alternating", horizon, {"b1": b1, "b2": b2, "c": c}, blocks, tau)
+        return cls("alternating", horizon, {"b1": b1, "b2": b2, "c": c}, blocks,
+                   lambda rotation: None if rotation is not None else tau)
 
     @classmethod
     def lambda_eta(cls, lam: float, eta: float, horizon: int = 64) -> "VerblunskySeq":
@@ -277,23 +269,24 @@ class VerblunskySeq:
                 k = np.arange(start, stop)
                 ratios = (b + k) / (b.conjugate() + 1 + k)
                 if last is None:
-                    products = np.cumprod(ratios)
+                    products = _cumprod(ratios)
                 else:
-                    products = np.cumprod(np.concatenate(([last], ratios)))[1:]
+                    products = _cumprod(np.concatenate(([last], ratios)))[1:]
                 if len(products):
                     last = products[-1]
                 yield -products
 
-        def tau(n: int) -> np.ndarray:
-            k = np.arange(1, n + 1)
+        def tau(start: int, stop: int) -> np.ndarray:
+            k = np.arange(1, stop)
             ratios = (k + lam - 1j * eta) / (k + lam + 1j * eta)
-            out = np.empty(n + 1, dtype=complex)
+            out = np.empty(stop, dtype=complex)
             out[0] = 1.0
-            out[1:] = np.cumprod(ratios)
+            out[1:] = _cumprod(ratios)
             out[1:] /= np.abs(out[1:])
-            return out
+            return out[start:]
 
-        return cls("lambda-eta", horizon, {"lam": lam, "eta": eta}, blocks, tau)
+        return cls("lambda-eta", horizon, {"lam": lam, "eta": eta}, blocks,
+                   lambda rotation: None if rotation is not None else tau)
 
     def blocks(self, stops: Sequence[int]) -> Iterator[np.ndarray]:
         """Coefficients alpha_start .. alpha_{stop - 1} of consecutive blocks,
@@ -312,34 +305,22 @@ class VerblunskySeq:
         return self.horizon
 
 
+def _cumprod(factors: np.ndarray) -> np.ndarray:
+    """``np.cumprod(factors)``, never over exactly two factors: numpy forms
+    that product with its element-wise multiply, which may fuse, and any
+    longer one with its accumulate loop, so the bits would depend on where
+    a block ends."""
+    if len(factors) != 2:
+        return np.cumprod(factors)
+    return np.cumprod(np.append(factors, 1.0))[:2]
+
+
 def _normalize_rotation(theta: float) -> float:
     """Fold a rotation angle into (0, 2*pi]."""
     folded = math.fmod(theta, TWO_PI)
     if folded <= 0.0:
         folded += TWO_PI
     return folded
-
-
-def tau_from_verblunsky(alpha: VerblunskySeq, n: Optional[int] = None) -> np.ndarray:
-    """Read-only tau_0 .. tau_n driven by the first n Verblunsky coefficients.
-
-    This is the Moebius recursion with tau_0 = 1, each value renormalized to
-    unit modulus.  Named families with a closed-form tau bypass the recursion
-    (see :class:`VerblunskySeq`); the rotated tau is ``rotated_cd(...).tau``.
-    """
-    if n is None:
-        n = alpha.horizon
-    if alpha._tau_fn is not None:
-        return _frozen(alpha._tau_fn(n), complex)
-    return _walked_tau(alpha.prefix(n))
-
-
-def _walked_tau(a: np.ndarray) -> np.ndarray:
-    """Read-only tau_0 = 1 .. tau_len(a) of the recursion over alpha_0 .. = ``a``."""
-    out = np.empty(len(a) + 1, dtype=complex)
-    out[0] = 1.0
-    _tau_walk(a, out, None)
-    return _frozen(out, complex)
 
 
 def _tau_walk(a: np.ndarray, out: np.ndarray, phase: Optional[complex],
@@ -497,20 +478,19 @@ def cd_from_verblunsky(alpha: VerblunskySeq, n_terms: Optional[int] = None) -> C
     sequence horizon), along with g_1 .. g_N and the N - 1 chain-sequence
     elements d_2 .. d_N.
     """
-    n_terms = _term_count(alpha, n_terms)
-    a = alpha.prefix(n_terms)
-    tau = tau_from_verblunsky(alpha, n_terms) if alpha._tau_fn else _walked_tau(a)
-    c, g = _cg(tau[:-1], a)
-    return CdParams(c, (1.0 - g[:-1]) * g[1:], g, tau)
+    return _one_block(alpha, None, n_terms)
 
 
-def _term_count(alpha: VerblunskySeq, n_terms: Optional[int]) -> int:
-    """``n_terms``, by default the horizon of ``alpha``; at least 1."""
+def _one_block(alpha: VerblunskySeq, rotation: Optional[float],
+               n_terms: Optional[int]) -> CdParams:
+    """``_cd_blocks`` over ``n_terms`` terms (by default the horizon of
+    ``alpha``; at least 1) taken as one block."""
     if n_terms is None:
         n_terms = alpha.horizon
     if n_terms < 1:
         raise InputError(f"need at least one coefficient, got n_terms={n_terms}")
-    return n_terms
+    [(_, tau, c, g)] = _cd_blocks(alpha, rotation, [n_terms])
+    return CdParams(c, (1.0 - g[:-1]) * g[1:], g, _frozen(tau, complex))
 
 
 def _cg(tau: np.ndarray, a: np.ndarray, first: int = 0) -> tuple:
@@ -528,17 +508,20 @@ def _cg(tau: np.ndarray, a: np.ndarray, first: int = 0) -> tuple:
     return c, g
 
 
-def _rotated_blocks(alpha: VerblunskySeq, theta2: float, n_terms: int):
-    """(first, tau, c, g) of ``rotated_cd(alpha, theta2, n_terms)`` a block at
-    a time: tau_first .. tau_stop, c_{first+1} .. c_stop and g_{first+1} ..
-    g_stop, in blocks of 64 terms and then twice as many up to ``_CHUNK``.  A
-    walk starts each block from the last tau of the one before.  A consumer
-    that stops early computes no further block, so no guard of a later block
-    (a coefficient within rounding of the unit circle) fires."""
-    rotation = _normalize_rotation(theta2)
-    closed = alpha._rotated_tau_fn(rotation)
-    phase = last = cmath.exp(1j * rotation)
-    stops = _block_stops(n_terms)
+def _cd_blocks(alpha: VerblunskySeq, rotation: Optional[float], stops: Sequence[int]):
+    """(first, tau, c, g) of the measure ``alpha`` describes, rotated by the
+    angle ``rotation`` unless it is None, one block per entry of the
+    increasing ``stops``: tau_first .. tau_stop, c_{first+1} .. c_stop and
+    g_{first+1} .. g_stop.  A walk starts each block from the last tau of the
+    one before.  A consumer that stops early computes no further block, so no
+    guard of a later block (a coefficient within rounding of the unit circle)
+    fires."""
+    phase = None
+    if rotation is not None:
+        rotation = _normalize_rotation(rotation)
+        phase = cmath.exp(1j * rotation)
+    closed = alpha._tau_fn(rotation)
+    last = 1.0 if phase is None else phase
     for (start, stop), a in zip(_ranges(stops), alpha.blocks(stops)):
         if closed is not None:
             tau = closed(start, stop + 1)
@@ -556,14 +539,11 @@ def rotated_cd(alpha: VerblunskySeq, theta2: float,
     angle ``theta2`` is carried to z = 1; its tau starts at e^{i theta2}.
 
     Equivalent to replacing alpha_n by e^{i (n+1) theta2} alpha_n; angles are
-    folded modulo 2*pi into (0, 2*pi].  Assembled from ``_rotated_blocks``.
+    folded modulo 2*pi into (0, 2*pi].
     """
     if theta2 <= 0.0:
         raise InputError(f"rotation angle must be positive, got {theta2}")
-    _, taus, cs, gs = zip(*_rotated_blocks(alpha, theta2, _term_count(alpha, n_terms)))
-    tau = _frozen(np.concatenate([taus[0][:1], *(t[1:] for t in taus)]), complex)
-    c, g = np.concatenate(cs), np.concatenate(gs)
-    return CdParams(c, (1.0 - g[:-1]) * g[1:], g, tau)
+    return _one_block(alpha, theta2, n_terms)
 
 
 def verblunsky_from_cd(cd: CdParams, t: float = 0.0) -> VerblunskySeq:

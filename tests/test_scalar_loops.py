@@ -283,7 +283,7 @@ def checked_rotated_cd(alpha, rotation, n, exact=True):
 def tau_of(alpha, n, rotation):
     """tau_0 .. tau_n of ``alpha``, rotated by ``rotation`` unless it is None."""
     if rotation is None:
-        return pp.tau_from_verblunsky(alpha, n)
+        return pp.cd_from_verblunsky(alpha, n).tau
     return checked_rotated_cd(alpha, rotation, n).tau
 
 
@@ -299,25 +299,79 @@ def test_tau_recursion_bits(n, rotation):
 @pytest.mark.parametrize("n", LENGTHS + SEAMS)
 def test_rotated_geronimus_bits(n):
     alpha = pp.VerblunskySeq.geronimus(complex(-0.5, 0.2), n)
-    assert alpha._rotated_tau_fn(5.5) is None  # in the support: the recursion runs
+    assert alpha._tau_fn(5.5) is None  # in the support: the recursion runs
     assert same_bits(tau_of(alpha, n, 5.5), ref_tau(alpha.prefix(n), 5.5))
 
 
 @pytest.mark.parametrize("n", LENGTHS + SEAMS)
 @pytest.mark.parametrize("alpha", [-0.5, complex(-0.5, 0.2)])
 def test_rotated_geronimus_closed_form_bits(n, alpha):
-    # at the middle of the gap the closed form gives tau; joined from blocks,
-    # tau, c and g keep the bits of one closed-form evaluation over 0 .. n
+    # at the middle of the gap the closed form gives tau, and tau, c and g keep
+    # the bits of one closed-form evaluation over 0 .. n
     alpha = complex(alpha)
     family = pp.VerblunskySeq.geronimus(alpha, n)
     theta = 2.0 * math.pi - cmath.phase((1 + alpha.conjugate()) / (1 + alpha))
-    closed = family._rotated_tau_fn(transforms._normalize_rotation(theta))
+    closed = family._tau_fn(transforms._normalize_rotation(theta))
     assert closed is not None
     cd = checked_rotated_cd(family, theta, n, exact=False)
     whole = closed(0, n + 1)
     c, g = transforms._cg(whole[:-1], family.prefix(n))
     assert same_bits(cd.tau, whole)
     assert same_bits(cd.c, c) and same_bits(cd.g, g)
+
+
+GAP_SOURCES = {
+    "inline": lambda n: pp.VerblunskySeq.from_values(random_alpha(np.random.default_rng(n), n)),
+    "geronimus": lambda n: pp.VerblunskySeq.geronimus(complex(-0.5, 0.2), n),
+    "alternating": lambda n: pp.VerblunskySeq.alternating(0.6, -0.3, 0.5, n),
+    "lambda-eta 1,1": lambda n: pp.VerblunskySeq.lambda_eta(1.0, 1.0, n),
+    "lambda-eta -0.25,1": lambda n: pp.VerblunskySeq.lambda_eta(-0.25, 1.0, n),
+}
+# the middle of the gap of Geronimus -0.5 + 0.2i, where its closed form runs;
+# 1.3 lies in the gap too, 5.5 in the support, where the recursion runs
+MID_GAP = 2.0 * math.pi - cmath.phase((0.5 - 0.2j) / (0.5 + 0.2j))
+
+
+@pytest.mark.parametrize("n", LENGTHS + SEAMS + [2, 3, 66, 194])
+@pytest.mark.parametrize("rotation", [None, 1.3, 5.5, MID_GAP])
+@pytest.mark.parametrize("source", sorted(GAP_SOURCES))
+def test_gap_blocks_equal_one_block(source, rotation, n):
+    # the blocks the gap certificate walks join to the bits of one block
+    alpha = GAP_SOURCES[source](n)
+    if source == "geronimus" and rotation in (5.5, MID_GAP):
+        closed = alpha._tau_fn(transforms._normalize_rotation(rotation))
+        assert (closed is None) == (rotation == 5.5)
+    blocks = list(transforms._cd_blocks(alpha, rotation, bounds._block_stops(n)))
+    tau = np.concatenate([blocks[0][1][:1], *(b[1][1:] for b in blocks)])
+    c, g = (np.concatenate([b[i] for b in blocks]) for i in (2, 3))
+    if rotation is None:
+        cd = pp.cd_from_verblunsky(alpha, n)
+    else:
+        cd = pp.rotated_cd(alpha, rotation, n)
+    assert [b[0] for b in blocks] == [0, *bounds._block_stops(n)[:-1]]
+    assert same_bits(tau, cd.tau) and same_bits(c, cd.c) and same_bits(g, cd.g)
+
+
+PREFIX_SOURCES = [pp.VerblunskySeq.lambda_eta(*p, 600) for p in (
+    (-0.25, 1.0), (1.0, 1.0), (10.0, 0.01), (1.5, -1.3), (0.7, -0.0))]
+
+
+@pytest.mark.parametrize("rotation", [None, 1.3])
+@pytest.mark.parametrize("alpha", PREFIX_SOURCES, ids=lambda a: str(a.params))
+def test_shorter_cd_is_a_prefix(alpha, rotation):
+    # a cd of n terms is the first n terms of a longer one, bit for bit:
+    # lambda-eta products never go through a two-factor cumprod
+    def cd_of(n):
+        if rotation is None:
+            return pp.cd_from_verblunsky(alpha, n)
+        return pp.rotated_cd(alpha, rotation, n)
+
+    whole = cd_of(600)
+    for n in range(1, 600):
+        cd = cd_of(n)
+        assert same_bits(cd.tau, whole.tau[:n + 1]), n
+        assert same_bits(cd.c, whole.c[:n]) and same_bits(cd.g, whole.g[:n]), n
+        assert same_bits(cd.d, whole.d[:n - 1]), n
 
 
 def test_rotated_cd_needs_a_term():
@@ -346,7 +400,7 @@ def test_division_guard_index_past_chunk():
     with pytest.raises(InputError) as ref_exc:
         ref_tau(a)
     with pytest.raises(InputError) as exc:
-        pp.tau_from_verblunsky(pp.VerblunskySeq.from_values(a))
+        pp.cd_from_verblunsky(pp.VerblunskySeq.from_values(a)).tau
     assert str(exc.value) == str(ref_exc.value)
     assert f"alpha_{_CHUNK + 1} " in str(exc.value)
 
@@ -576,7 +630,7 @@ def test_streamed_gap_matches_whole(source, n, kick, near_one, theta2, width, la
     pp.VerblunskySeq.from_values(random_alpha(np.random.default_rng(5), 3 * _CHUNK)),
 ])
 def test_coefficient_blocks_bits(family):
-    stops = transforms._block_stops(2 * _CHUNK + 7)
+    stops = bounds._block_stops(2 * _CHUNK + 7)
     assert stops[:3] == [64, 192, 448] and stops[-1] == 2 * _CHUNK + 7
     assert same_bits(np.concatenate(list(family.blocks(stops))),
                      family.prefix(2 * _CHUNK + 7))

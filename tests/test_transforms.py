@@ -20,13 +20,13 @@ def geronimus_expected(alpha):
 
 class TestTau:
     def test_zero_coefficients(self):
-        tau = pp.tau_from_verblunsky(pp.VerblunskySeq.from_values(np.zeros(8)))
+        tau = pp.cd_from_verblunsky(pp.VerblunskySeq.from_values(np.zeros(8))).tau
         np.testing.assert_allclose(tau, 1.0, rtol=1e-15)
 
     def test_alternating_period_two(self):
         c = 0.5
         fam = pp.VerblunskySeq.alternating(0.6, 0.3, c, horizon=12)
-        tau = pp.tau_from_verblunsky(fam, 12)
+        tau = pp.cd_from_verblunsky(fam, 12).tau
         expect_odd = (1 + 1j * c) / (1 - 1j * c)
         np.testing.assert_allclose(tau[0::2], 1.0, atol=1e-14)
         np.testing.assert_allclose(tau[1::2], expect_odd, atol=1e-14)
@@ -35,7 +35,7 @@ class TestTau:
         alpha = 0.3 + 0.4j
         w = (1 + alpha.conjugate()) / (1 + alpha)
         fam = pp.VerblunskySeq.geronimus(alpha, horizon=10)
-        tau = pp.tau_from_verblunsky(fam, 10)
+        tau = pp.cd_from_verblunsky(fam, 10).tau
         expect = np.array([w ** (-n) for n in range(11)])
         np.testing.assert_allclose(tau, expect, atol=1e-13)
 
@@ -44,20 +44,20 @@ class TestTau:
         # closed forms while the accumulated phase error is still small
         fam = pp.VerblunskySeq.alternating(0.6, 0.6, 0.5, horizon=8)
         inline = pp.VerblunskySeq.from_values(fam.prefix(8))
-        np.testing.assert_allclose(pp.tau_from_verblunsky(inline, 8),
-                                   pp.tau_from_verblunsky(fam, 8), atol=1e-10)
+        np.testing.assert_allclose(pp.cd_from_verblunsky(inline, 8).tau,
+                                   pp.cd_from_verblunsky(fam, 8).tau, atol=1e-10)
 
     def test_unimodularity_drift(self, rng):
         alpha = pp.VerblunskySeq.from_values(random_alpha(rng, 2000, rmax=0.95))
-        tau = pp.tau_from_verblunsky(alpha)
+        tau = pp.cd_from_verblunsky(alpha).tau
         np.testing.assert_allclose(np.abs(tau), 1.0, atol=1e-13)
 
     def test_read_only_arrays(self, rng):
         alpha = pp.VerblunskySeq.from_values(random_alpha(rng, 20))
         cd = pp.cd_from_verblunsky(alpha)
-        for tau in (pp.tau_from_verblunsky(alpha), cd.tau, cd._c_tau,
+        for tau in (pp.cd_from_verblunsky(alpha).tau, cd.tau, cd._c_tau,
                     pp.CdParams.from_sequences(cd.c, cd.d).tau, pp.rotated_cd(alpha, 1.0).tau,
-                    pp.tau_from_verblunsky(pp.VerblunskySeq.geronimus(0.3, 20))):
+                    pp.cd_from_verblunsky(pp.VerblunskySeq.geronimus(0.3, 20)).tau):
             assert tau.dtype == complex and len(tau) == 21 and not tau.flags.writeable
 
     def test_phase_identity(self, rng):
@@ -113,7 +113,9 @@ class TestCdFromVerblunsky:
                             or validate(values, first))
         cd = pp.cd_from_verblunsky(alpha, n_terms=50)
         assert reads == [50]
-        tau = pp.tau_from_verblunsky(alpha, 50)
+        tau = np.empty(51, dtype=complex)
+        tau[0] = 1.0
+        pp.transforms._tau_walk(alpha.prefix(50), tau, None)
         assert np.array_equal(cd.tau.view(np.int64), tau.view(np.int64))
 
     def test_small_chain_term_keeps_maximal_g(self):
@@ -242,7 +244,7 @@ class TestRotatedGeronimusClosedForm:
         recursion = pp.rotated_cd(pp.VerblunskySeq.from_values(family.prefix(n)), theta)
         # D = sqrt(|alpha|^2 - sin^2 psi) >= 1/32 at 1e-2 inside the edge, not at 1e-4
         uses_closed_form = inside != 1e-4
-        assert (family._rotated_tau_fn(theta) is not None) == uses_closed_form
+        assert (family._tau_fn(theta) is not None) == uses_closed_form
         assert np.array_equal(closed.tau, recursion.tau) != uses_closed_form
         c, d = mp_rotated_geronimus_cd(alpha, theta, n)
         u = 2.0 ** -53
@@ -257,7 +259,7 @@ class TestRotatedGeronimusClosedForm:
         for alpha in (-0.5, 0.0):
             family = pp.VerblunskySeq.geronimus(alpha, 50)
             if alpha == -0.5:
-                assert family._rotated_tau_fn(theta % (2 * math.pi)) is None
+                assert family._tau_fn(theta % (2 * math.pi)) is None
             recursion = pp.VerblunskySeq.from_values(family.prefix(50))
             assert np.array_equal(pp.rotated_cd(family, theta, 50).tau,
                                   pp.rotated_cd(recursion, theta, 50).tau)
