@@ -55,11 +55,19 @@ class TestZerosGolden:
         # where a secant through a bracket predicts the fewest levels
         ("zeros-random-alpha-300",
          ["--input", str(GOLDEN / "random-alpha-300.json"), "--n", "300"]),
+        # small degrees, one job and a list of them, where a pass's fixed
+        # part is most of its cost
+        ("zeros-lambda-eta-12",
+         ["--family", "lambda-eta", "--params", "lam=0.7,eta=0.4", "--n", "12"]),
+        ("zeros-n-list",
+         ["--family", "lambda-eta", "--params", "lam=0.7,eta=0.4", "--n-list", "5,8,40",
+          "--output", "json"]),
     ])
     def test_golden_zeros(self, name, argv):
         code, out, _ = run(["zeros", *argv])
         assert code == 0
-        assert out == (GOLDEN / f"{name}.csv").read_text()
+        suffix = ".json" if "json" in argv else ".csv"
+        assert out == (GOLDEN / (name + suffix)).read_text()
 
 
 class TestTransformGolden:

@@ -532,6 +532,46 @@ class TestMultisection:
         assert_bits_equal(got, plain_count_above(c, d, degree if per_point else top, xs))
         np.testing.assert_array_equal(got[:4], degree[:4])
 
+    @pytest.mark.parametrize("source", ["quarter-chain", "random"])
+    def test_reused_kernel_matches_fresh(self, rng, source):
+        # one kernel counts wide, narrow, wide and single-point passes in
+        # turn, over degrees of one, two and three blocks, uniform and per
+        # point: each call gives a fresh kernel's counts and W, bit for bit.
+        # On the quarter chain x = 0 makes r_1 = 0, so W is NaN there
+        top = 150
+        cd = chebyshev_cd(top) if source == "quarter-chain" else random_cd_q(rng, top)[0]
+        kernel = recurrence._ArrayCount(cd.c, cd.d, top)
+        for size in (3000, 7, 700, 1):
+            xs = rng.uniform(-1.0, 1.0, size)
+            xs[0] = 0.0
+            for cap in (40, 100, top):
+                spread = rng.integers(1, cap + 1, size)
+                spread[0] = cap
+                for degree in (cap, spread):
+                    with recurrence._quiet():
+                        got = kernel.count(degree, xs)
+                        want = recurrence._ArrayCount(cd.c, cd.d, top).count(degree, xs)
+                    assert_bits_equal(got[0], want[0])
+                    assert_bits_equal(got[1].view(float), want[1].view(float))
+                    if source == "quarter-chain":
+                        assert np.isnan(got[1][0].real)
+
+    @pytest.mark.parametrize("source", ["lambda-eta", "alpha"])
+    def test_small_degrees_match_plain_bisection(self, source):
+        # every N up to 40, where a pass's fixed part is most of its cost
+        if source == "lambda-eta":
+            cd = pp.cd_from_verblunsky(pp.VerblunskySeq.lambda_eta(0.7, 0.4, horizon=40))
+        else:
+            cd = alpha_cd(random_alpha(np.random.default_rng(28), 40))
+        for N in range(1, 41):
+            j = np.arange(1, N + 1)
+            assert_bits_equal(pp.zeros_W(cd, N).x, plain_bisect_zeros(cd, N, N, j))
+        for degrees in ([2, 3, 5], [7, 12, 13, 20], list(range(2, 41, 3))):
+            degrees = np.array(degrees)
+            j = np.column_stack((np.ones_like(degrees), degrees)).ravel()
+            want = plain_bisect_zeros(cd, int(degrees.max()), np.repeat(degrees, 2), j)
+            assert_bits_equal(extreme_zeros(cd, degrees).ravel(), want)
+
     def test_replay_walks_rows_that_are_not_runs(self, monkeypatch):
         # a count that rises and falls with x gives decision rows that are
         # not a run of True then False; the replay must still walk them level
@@ -592,8 +632,18 @@ class TestMultisection:
         (["zeros", "--input", str(GOLDEN / "random-alpha-300.json"), "--n", "300"],
          9, 18481),
         (["tables", "1"], 7, 890),
+        (["tables", "2"], 6, 882),
+        (["tables", "3"], 7, 1134),
+        # small N, where a pass's fixed part outweighs its steps
+        (["zeros", "--family", "lambda-eta", "--params", "lam=0.7,eta=0.4", "--n", "5"],
+         6, 1380),
+        (["zeros", "--family", "lambda-eta", "--params", "lam=0.7,eta=0.4", "--n", "12"],
+         6, 1523),
+        (["zeros", "--family", "lambda-eta", "--params", "lam=0.7,eta=0.4", "--n", "40"],
+         6, 2637),
     ], ids=["zeros-lambda-eta-150", "zeros-geronimus-120", "zeros-random-alpha-300",
-            "tables-1"])
+            "tables-1", "tables-2", "tables-3", "zeros-lambda-eta-5", "zeros-lambda-eta-12",
+            "zeros-lambda-eta-40"])
     def test_pass_schedule(self, monkeypatch, argv, calls, points):
         # the cost model of _levels, the path length (_LEAD), the rule that
         # picks paths and the merge rule fix the passes and their points, so
