@@ -58,6 +58,11 @@ from itertools import chain
 
 import numpy as np
 
+try:  # np.einsum without its Python argument handling
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as _c_einsum
+
 from .chainseq import _frozen
 from .errors import BoundaryCaseError, InputError, InvariantError
 from .transforms import CdParams
@@ -94,6 +99,9 @@ _STEP_COST = 550
 _LEAD = 5
 
 _POWERS = 2.0 ** np.arange(_BISECTION_STEPS + 1)
+# K, the path length, by the number of halvings taken
+_PATH = np.minimum(_BISECTION_STEPS - np.arange(_BISECTION_STEPS + 1),
+                   np.arange(_BISECTION_STEPS + 1) - _LEAD)
 # the largest double below 1: a path's digits then never leave its bracket
 _BELOW_ONE = 1.0 - 2.0 ** -53
 
@@ -134,78 +142,107 @@ class _quiet(warnings.catch_warnings):
 
 class _ArrayCount:
     """``_count_above`` on arrays of points, ``_BLOCK`` steps at a time, on
-    operands prepared once for degrees up to ``top``: ``c`` as an array and
-    the d_k as 0-d float64 arrays, so that the step loop converts no Python
-    float.  Callers run it under ``_quiet``.
+    operands prepared once for degrees up to ``top``: each block's c_k as an
+    array, its d_k as 0-d float64 arrays, so that the step loop converts no
+    Python float, and its row indices as a column for per-point degrees.
+    The work buffers live as long as the kernel: one flat buffer per dtype,
+    grown geometrically, whose leading part a call views as contiguous
+    (rows, points) arrays.  Callers run it under ``_quiet``.
 
     ``x - c_k s`` for a whole block is one outer product into the block's
     rows, so a step costs one divide and one subtract, each with a
-    positional output.  The block's signs fill one bool array, summed in
-    uint8, which 64 rows cannot wrap.  Each call returns the counts and
-    W_degree at the points, as mantissa + 1j * exponent: the product of each
-    block's ratios is folded into a mantissa that ``np.frexp`` keeps in
-    [0.5, 1).  That product is the zero check as well: a ratio that rounds to
-    zero makes it 0 or NaN, and the few points where it is are counted again
-    by ``_count_above``, so every count is the step loop's; their W is NaN.
-    ``einsum`` adds each product to a zeroed output, so a product that is
-    -0.0 comes out +0.0; that changes at most the sign of a zero ratio, and
-    every zero ratio is counted again.
+    positional output; the block's first step divides by the last ratio of
+    the block before, read before the outer product overwrites it.  The
+    block's signs fill one bool array, summed in uint8, which 64 rows cannot
+    wrap.  Each call returns the counts and W_degree at the points, as
+    mantissa + 1j * exponent: the product of each block's ratios is folded
+    into a mantissa that ``np.frexp`` keeps in [0.5, 1).  That product is
+    the zero check as well: a ratio that rounds to zero makes it 0 or NaN,
+    and the few points where it is are counted again by ``_count_above``, so
+    every count is the step loop's; their W is NaN.  ``einsum`` adds each
+    product to a zeroed output, so a product that is -0.0 comes out +0.0;
+    that changes at most the sign of a zero ratio, and every zero ratio is
+    counted again.
     """
 
     def __init__(self, c, d, top):
         self.c = np.asarray(c[:top], dtype=float)
         # d_1 = 0 and r_0 = 1 make the first step r_1 = x - c_1 s
         self.d = [np.zeros(()), *map(np.array, np.asarray(d[:top - 1], dtype=float).tolist())]
+        self.blocks = [(k0, self.c[k0:k0 + _BLOCK], self.d[k0:k0 + _BLOCK],
+                        np.arange(k0, min(k0 + _BLOCK, top))[:, None])
+                       for k0 in range(0, top, _BLOCK)]
+        self.one = np.ones(())
+        self.height = min(top, _BLOCK)
+        self.size = 0
+
+    def _grow(self, size):
+        self.size = size
+        self.rows = np.empty(self.height * size)
+        self.signs = np.empty(self.height * size, dtype=bool)
+        self.live = np.empty(self.height * size, dtype=bool)
+        self.s, self.quotient, self.product = np.empty((3, size))
+        self.sums = np.empty(size, dtype=np.uint8)
+        self.e = np.empty(size, dtype=np.int32)
 
     def count(self, degree, x):
         degree = np.asarray(degree)
         per_point = degree.ndim != 0
-        top = int(degree.max())
-        c, d = self.c, self.d
-        s = np.sqrt(1.0 - x * x)
-        count = np.zeros(len(x), dtype=np.int64)
-        mantissa = np.ones(len(x))
-        exponent = np.zeros(len(x))
-        e = np.empty(len(x), dtype=np.int32)
-        # row 0 holds the ratio before the block, rows 1..b the block's ratios
-        rows = np.empty((min(top, _BLOCK) + 1, len(x)))
-        rows[0] = 1.0
+        top = int(degree.max()) if per_point else int(degree)
+        p = len(x)
+        if p > self.size:
+            self._grow(max(p, 2 * self.size))
+        height = min(top, _BLOCK)
+        rows = self.rows[:height * p].reshape(height, p)
+        signs = self.signs[:height * p].reshape(height, p)
         views = list(rows)
-        quotient = np.empty(len(x))
-        signs = np.empty((len(rows) - 1, len(x)), dtype=bool)
-        outer = np.multiply.outer if len(x) > _OUTER_POINTS else _einsum_outer
-        for k0 in range(0, top, _BLOCK):
+        s, quotient, product = self.s[:p], self.quotient[:p], self.product[:p]
+        sums, e = self.sums[:p], self.e[:p]
+        np.sqrt(np.subtract(1.0, np.multiply(x, x, s), s), s)
+        count = np.zeros(p, dtype=np.int64)
+        w = np.empty(p, dtype=complex)
+        w.fill(1.0)
+        mantissa, exponent = w.real, w.imag
+        outer = np.multiply.outer if p > _OUTER_POINTS else _einsum_outer
+        carry = self.one
+        for k0, c, d, index in self.blocks[:-(-top // _BLOCK)]:
             b = min(_BLOCK, top - k0)
-            block = rows[1:b + 1]
-            outer(c[k0:k0 + b], s, out=block)
+            if b < len(c):
+                c, d, index = c[:b], d[:b], index[:b]
+            np.divide(d[0], carry, quotient)
+            block = rows[:b]
+            outer(c, s, out=block)
             np.subtract(x, block, block)
-            for dk, prev, r in zip(d[k0:k0 + b], views, views[1:b + 1]):
+            np.subtract(views[0], quotient, views[0])
+            for dk, prev, r in zip(d[1:], views, views[1:b]):
                 np.divide(dk, prev, quotient)
                 np.subtract(r, quotient, r)
+            carry = views[b - 1]
             negative = np.less(block, 0.0, signs[:b])
             if per_point:
-                live = np.arange(k0, k0 + b)[:, None] < degree
-                negative &= live
-                product = np.multiply.reduce(block, axis=0, where=live, initial=1.0)
+                mask = np.less(index, degree, self.live[:b * p].reshape(b, p))
+                negative &= mask
+                np.multiply.reduce(block, axis=0, where=mask, initial=1.0, out=product)
             else:
-                product = np.multiply.reduce(block, axis=0)
-            count += np.add.reduce(negative.view(np.uint8), axis=0, dtype=np.uint8)
+                np.multiply.reduce(block, axis=0, out=product)
+            np.add(count, np.add.reduce(negative.view(np.uint8), axis=0, dtype=np.uint8,
+                                        out=sums), count)
             np.frexp(np.multiply(mantissa, product, mantissa), mantissa, e)
-            exponent += e
-            rows[0] = rows[b]
+            np.add(exponent, e, exponent)
         # 0 and NaN fail the test, and a mantissa that overflowed to inf
         # marks no zero ratio
-        zero = ~(np.abs(mantissa) >= 0.5)
-        if zero.any():
-            c, d, degree = c.tolist(), [float(dk) for dk in d[1:]], degree.tolist()
-            for i in np.flatnonzero(zero).tolist():
+        ok = np.abs(mantissa) >= 0.5
+        if not ok.all():
+            zero = ~ok
+            c, d, degree = self.c.tolist(), [float(dk) for dk in self.d[1:]], degree.tolist()
+            for i in zero.nonzero()[0].tolist():
                 count[i] = _count_above(c, d, degree[i] if per_point else degree, float(x[i]))
             mantissa[zero] = np.nan
-        return count, mantissa + 1j * exponent
+        return count, w
 
 
 def _einsum_outer(a, b, out):
-    return np.einsum("i,j->ij", a, b, out=out)
+    return _c_einsum("i,j->ij", a, b, out=out)
 
 
 @lru_cache(maxsize=1024)
@@ -224,11 +261,18 @@ def _levels(brackets, N, steps):
     return h
 
 
-def _secant(wlo, whi):
-    """Where the secant of W through the bracket ends crosses zero, as a
-    fraction of the bracket in [0, 1), or NaN where W does not change sign."""
-    rho = whi.real / wlo.real * np.exp2(whi.imag - wlo.imag)
-    return np.where(rho < 0.0, np.minimum(1.0 / (1.0 - rho), _BELOW_ONE), np.nan)
+def _ratio(wlo, whi):
+    """W at the bracket's upper end over W at its lower end: where it is
+    negative, the secant of W through the ends crosses zero a fraction
+    1 / (1 - rho) of the way up the bracket; it is NaN where W is unknown."""
+    return whi.real / wlo.real * np.exp2(whi.imag - wlo.imag)
+
+
+# One record per zero still bisecting: its bracket, W_degree at the bracket's
+# ends (unknown at -1 and 1), the halvings taken, its j and degree, and its
+# place in the output
+_ZERO = np.dtype([("lo", float), ("hi", float), ("wlo", complex), ("whi", complex),
+                  ("done", np.int64), ("j", np.int64), ("degree", np.int64), ("id", np.int64)])
 
 
 def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
@@ -276,141 +320,174 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
         raise InputError(f"need {N} coefficients c_1..c_{N}, have {cd.n}")
     kernel = _ArrayCount(cd.c, cd.d, N)
     x = np.empty(len(j))
-    # the zeros still bisecting, with each one's bracket, W_degree at the
-    # bracket's ends (unknown at -1 and 1) and the halvings taken
-    ids = np.arange(len(j))
-    lo = np.full(len(j), -1.0)
-    hi = np.full(len(j), 1.0)
-    wlo = np.full(len(j), complex(np.nan, 0.0))
-    whi = wlo.copy()
-    done = np.zeros(len(j), dtype=np.int64)
     degree = np.asarray(degree)
     per_point = degree.ndim != 0
+    zeros = np.zeros(len(j), _ZERO)
+    zeros["lo"] = -1.0
+    zeros["hi"] = 1.0
+    zeros["wlo"] = zeros["whi"] = complex(np.nan, 0.0)
+    zeros["j"] = j
+    zeros["degree"] = degree
+    zeros["id"] = np.arange(len(j))
     merge = True
     with _quiet():
-        while len(ids):
+        while len(zeros):
+            done = zeros["done"]
             # zeros of one bracket (and degree) sit next to each other; they
             # are counted once and take no path.  They are nodes of one
             # bisection tree, so once a pass finds them all distinct only
             # brackets shrunk to a single double could meet again, and the
             # search for equal ones stops
             if merge:
-                same = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+                lo, hi = zeros["lo"], zeros["hi"]
+                # cut[i]: zeros i - 1 and i lie in different brackets, with
+                # a cut before the first zero and after the last
+                cut = np.ones(len(zeros) + 1, dtype=bool)
+                np.not_equal(lo[1:], lo[:-1], cut[1:-1])
+                cut[1:-1] |= hi[1:] != hi[:-1]
                 if per_point:
-                    same &= degree[1:] == degree[:-1]
-                merge = same.any()
+                    deg = zeros["degree"]
+                    cut[1:-1] |= deg[1:] != deg[:-1]
+                merge = not cut.all()
             if merge:
-                new = np.concatenate(([True], ~same))
-                first = np.flatnonzero(new)
-                inverse = np.cumsum(new) - 1
+                first = cut[:-1].nonzero()[0]
+                inverse = cut[:-1].cumsum() - 1
             # a zero takes a path where it is expected to go deeper than a
             # multisection pass over every bracket would.  Where that pass is
             # one halving, plain bisection, a pass costs less than its points
             # and the tail of a path that fails costs more than it saves
-            every = _levels(len(first) if merge else len(ids), N, _BISECTION_STEPS)
-            guess = (done - _LEAD >= every) & (every > 1)
-            if merge:
-                guess &= np.diff(first, append=len(ids))[inverse] == 1
-            if guess.any():
-                u = _secant(wlo, whi)
-                guess &= u >= 0.0
-            path = np.flatnonzero(guess)
-            members = np.flatnonzero(~guess)
-            if merge:
-                tree = ~guess[first]
-                first = first[tree]
-                rows = (np.cumsum(tree) - 1)[inverse[members]]
+            every = _levels(len(first) if merge else len(zeros), N, _BISECTION_STEPS)
+            on = 0
+            if every > 1:
+                guess = done >= every + _LEAD
+                if merge:
+                    guess &= cut[:-1] & cut[1:]
+                if np.count_nonzero(guess):
+                    rho = _ratio(zeros["wlo"], zeros["whi"])
+                    guess &= rho < 0.0
+                    on = np.count_nonzero(guess)
+            # the zeros of each kind: the state itself where a pass takes
+            # them all one way, gathered where it splits them
+            if on == 0:
+                tree, path = zeros, None
+            elif on == len(zeros):
+                tree, path = None, zeros
             else:
-                first, rows = members, np.arange(len(members))
+                on, off = guess.nonzero()[0], (~guess).nonzero()[0]
+                tree, path = zeros.take(off), zeros.take(on)
+                rho = rho[on]
             points, degrees = [], []
             m = 0
-            if len(members):
-                h = _levels(len(first), N, _BISECTION_STEPS - done[first].max())
+            if tree is not None:
+                if not merge:
+                    brackets, rows = tree, np.arange(len(tree))
+                elif path is None:
+                    brackets, rows = zeros.take(first), inverse
+                else:
+                    kept = ~guess[first]
+                    brackets, rows = zeros.take(first[kept]), (kept.cumsum() - 1)[inverse[off]]
+                h = _levels(len(brackets), N, _BISECTION_STEPS - brackets["done"].max())
                 width = 2 ** h - 1
-                m = len(first) * width
+                m = len(brackets) * width
                 # the edges a level adds, every gap-th from gap / 2, are the
                 # midpoints of their neighbours on the level above
-                edges = np.empty((len(first), width + 2))
-                edges[:, 0] = lo[first]
-                edges[:, -1] = hi[first]
+                edges = np.empty((len(brackets), width + 2))
+                edges[:, 0] = brackets["lo"]
+                edges[:, -1] = brackets["hi"]
                 for level in range(h):
                     gap = 2 ** (h - level)
                     mid = edges[:, gap // 2::gap]
                     np.add(edges[:, :-1:gap], edges[:, gap::gap], mid)
                     np.multiply(0.5, mid, mid)
                 points.append(edges[:, 1:-1].ravel())
-                degrees.append(np.repeat(degree[first], width) if per_point else None)
-            if len(path):
-                L = done[path]
-                K = np.minimum(_BISECTION_STEPS - L, L - _LEAD)
-                ends = np.cumsum(K)
+                degrees.append(brackets["degree"].repeat(width))
+            if path is not None:
+                L = path["done"]
+                K = _PATH[L]
+                ends = K.cumsum()
                 starts = ends - K
                 # point p is level t + 1 of its path, in the bracket of index
                 # a among the 2^t that t halvings leave; the binary digits of
-                # u are the predicted decisions
-                t = np.arange(ends[-1]) - np.repeat(starts, K)
+                # u, where the secant crosses zero, are the predicted decisions
+                t = np.arange(ends[-1]) - starts.repeat(K)
                 scale = _POWERS[t]
-                frac, a = np.modf(np.repeat(u[path], K) * scale)
-                bits = frac >= 0.5
-                base = np.repeat(lo[path], K)
-                step = np.repeat(hi[path] - lo[path], K) / scale
+                u = np.minimum(1.0 / (1.0 - rho), _BELOW_ONE)
+                v = u.repeat(K) * scale
+                a = np.floor(v)
+                bits = v - a >= 0.5
+                lo = path["lo"]
+                base = lo.repeat(K)
+                step = (path["hi"] - lo).repeat(K) / scale
                 # each end is its dyadic rounded once, as bisection's are
-                left = step * a
-                right = base + (left + step)
+                left, mids, right = np.empty((3, len(t)))
+                np.multiply(step, a, left)
+                np.add(base, np.add(left, step, right), right)
                 left += base
-                mids = 0.5 * (left + right)
+                np.multiply(0.5, np.add(left, right, mids), mids)
                 # a midpoint that rounds onto an end takes that end's decision
                 bits |= mids == left
                 bits &= mids != right
                 points.append(mids)
-                degrees.append(np.repeat(degree[path], K) if per_point else None)
+                degrees.append(path["degree"].repeat(K))
             counts, w = kernel.count(np.concatenate(degrees) if per_point else degree,
                                      np.concatenate(points) if len(points) > 1 else points[0])
-            if len(members):
-                jm = j[ids[members]]
+            if tree is not None:
                 # the bracket between edges a and a + 2^(t+1) halves at edge
                 # a + 2^t, whose count sits 2^t past where edge a's would
+                jm = tree["j"]
                 offset = at = rows * width - 1
                 for t in reversed(range(h)):
                     at = at + (counts[at + 2 ** t] >= jm) * 2 ** t
+                # the leaf's ends are the count's points at and after at,
+                # or the bracket's own ends, which keep their W
                 leaf = at - offset
-                wedges = np.empty(edges.shape, dtype=complex)
-                wedges[:, 0] = wlo[first]
-                wedges[:, -1] = whi[first]
-                wedges[:, 1:-1] = w[:m].reshape(-1, width)
-                lo[members] = edges[rows, leaf]
-                hi[members] = edges[rows, leaf + 1]
-                wlo[members] = wedges[rows, leaf]
-                whi[members] = wedges[rows, leaf + 1]
-                done[members] += h
-            if len(path):
-                above = counts[m:] >= np.repeat(j[ids[path]], K)
+                inside, below = leaf > 0, leaf < width
+                up = at + 1
+                tree_points, wt = points[0], w[:m]
+                np.copyto(tree["lo"], tree_points.take(at), where=inside)
+                np.copyto(tree["hi"], tree_points.take(up, mode="clip"), where=below)
+                np.copyto(tree["wlo"], wt.take(at), where=inside)
+                np.copyto(tree["whi"], wt.take(up, mode="clip"), where=below)
+                tree["done"] += h
+            if path is not None:
+                above = counts[m:] >= path["j"].repeat(K)
                 stop = above != bits
                 stop[ends - 1] = True
-                at = np.flatnonzero(stop)
-                s = at[np.searchsorted(at, starts)]
+                at = stop.nonzero()[0]
+                s = at[at.searchsorted(starts)]
                 ab = above[s]
+                below = ~ab
                 # the end that stays was last moved at s - 1 - z, z the
                 # trailing zeros of the bracket's index a[s] (left end) or of
                 # a[s] + 1 (right end); a bit above the path's stands for the
-                # bracket's own end
+                # bracket's own end, which keeps its W
                 n = s - starts
-                z = a[s].astype(np.int64) + np.where(ab, 1, np.left_shift(1, n))
+                z = (a[s].astype(np.int64) + ab) | (1 << n)
                 q = s - np.frexp((z & -z).astype(float))[1]
+                moved = q >= starts
                 wp = w[m:]
-                wo = np.where(q >= starts, wp[q], np.where(ab, whi[path], wlo[path]))
-                lo[path] = np.where(ab, mids[s], left[s])
-                hi[path] = np.where(ab, right[s], mids[s])
-                wlo[path] = np.where(ab, wp[s], wo)
-                whi[path] = np.where(ab, wo, wp[s])
-                done[path] = L + n + 1
-            end = done == _BISECTION_STEPS
-            if end.any():
-                x[ids[end]] = 0.5 * (lo[end] + hi[end])
-                keep = ~end
-                ids, lo, hi, wlo, whi, done = (v[keep] for v in (ids, lo, hi, wlo, whi, done))
-                if per_point:
-                    degree = degree[keep]
+                ws, wq, ms = wp[s], wp[q], mids[s]
+                lo, hi, wlo, whi = path["lo"], path["hi"], path["wlo"], path["whi"]
+                # the midpoint is the new lower end where the zero lies above
+                # it, the new upper end where it lies below; the other end
+                # takes W from the point that last moved it
+                np.copyto(lo, left[s])
+                np.copyto(hi, right[s])
+                np.copyto(lo, ms, where=ab)
+                np.copyto(hi, ms, where=below)
+                np.copyto(wlo, wq, where=moved)
+                np.copyto(whi, wq, where=moved)
+                np.copyto(wlo, ws, where=ab)
+                np.copyto(whi, ws, where=below)
+                L += n + 1
+            if tree is not None and path is not None:
+                zeros.put(off, tree)
+                zeros.put(on, path)
+            end = zeros["done"] == _BISECTION_STEPS
+            if np.count_nonzero(end):
+                out = zeros.compress(end)
+                x[out["id"]] = 0.5 * (out["lo"] + out["hi"])
+                zeros = zeros.compress(~end)
     return x
 
 
