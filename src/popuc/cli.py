@@ -246,8 +246,9 @@ def _emit(header: list, columns: list, stream, output: str, command: str) -> Non
     more columns and values free of ',', '"' and line breaks: every string a
     command writes is a code literal or an argparse choice.
 
-    Every column is sliced ``_CHUNK`` rows at a time, an array slice becomes
-    Python floats only then, and each chunk is zipped once into rows.  An
+    A table longer than ``_CHUNK`` rows is sliced ``_CHUNK`` rows at a time,
+    an array slice becomes Python floats only then, and each chunk is zipped
+    once into rows; a shorter table is rendered as one chunk, unsliced.  An
     array's finiteness is read from the array, a list's from its cells.  A
     chunk of finite floats that mostly repeats formats each distinct value
     once.
@@ -292,8 +293,10 @@ def _emit(header: list, columns: list, stream, output: str, command: str) -> Non
         return list(map(text.__getitem__, values))
 
     blank, lead = cell(""), ""
-    for start in range(0, max(map(len, columns)), _CHUNK):
-        chunk = [column(values[start:start + _CHUNK]) for values in columns]
+    size = max(map(len, columns))
+    for start in range(0, size, _CHUNK):
+        chunk = [column(values if size <= _CHUNK else values[start:start + _CHUNK])
+                 for values in columns]
         stream.write(lead)  # not joined to the chunk: that would copy it
         stream.write(sep.join(map(template.__mod__, zip_longest(*chunk, fillvalue=blank))))
         lead = sep

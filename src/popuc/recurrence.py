@@ -41,10 +41,14 @@ bisection visits, so the output is plain bisection's bit for bit, with no
 appeal to the count being monotone in x or to the prediction being right.
 W_N comes with the count: the product of each block's ratios, which is also
 its check for a ratio that rounds to zero.  The array count runs ``_BLOCK``
-steps at a time on operands prepared once per bisection: each block's
-x - c_k s is one outer product, and each step one divide and one subtract by
-0-d arrays into preallocated outputs.  It sums each block's signs in uint8
-and counts the few points that reach a zero ratio again on Python floats.
+steps at a time on operands and buffers prepared once per bisection: each
+block's x - c_k s is one outer product, and each step one divide and one
+subtract by 0-d arrays into rows of a buffer the kernel keeps.  It sums each
+block's signs in uint8 and counts the few points that reach a zero ratio
+again on Python floats.  So a pass costs its N divide-and-subtract pairs and
+a fixed part: about 20 us to set up the count, 10 us more per block of a few
+dozen points, and 60-90 us of bookkeeping plus about 20 ns a point, on one
+record array of the zeros still bisecting (2-vCPU Xeon, numpy 2.4).
 Commands bisect only the zeros they print: ``tables`` its extreme ones.
 """
 
@@ -86,9 +90,11 @@ _BLOCK = 64
 _OUTER_POINTS = 2700
 
 # Cost of a count call in point-steps, one step of the ratio recursion on one
-# point (2.4-3.5 ns): a fixed part, 30-50 us, and a part per step of the
-# recursion, 1.3-1.7 us, whatever the number of points.  Least squares over
-# N = 20-300 and 2-2000 points on a 2-vCPU Xeon.
+# point (2.4-3.5 ns): a fixed part and a part per step of the recursion,
+# whatever the number of points.  Fitted as 30-50 us and 1.3-1.7 us; with the
+# kernel's buffers kept across calls the same least squares (N = 20-300,
+# 2-2000 points, 2-vCPU Xeon) reads 19 us and 0.8 us, against 27 us and
+# 0.9 us before in the same run.  The constants stay: they fix the schedule.
 _PASS_COST = 14000
 _STEP_COST = 550
 
@@ -313,6 +319,10 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
     when K is at least the h of a pass over every bracket.  The replay walks
     level by level, so every zero takes plain bisection's path, bit for bit,
     whether or not the computed count is monotone in x.
+
+    The zeros still bisecting are one ``_ZERO`` record array.  A pass that
+    sends them all one way updates it in place; one that splits them
+    between paths and subtrees gathers each kind and puts it back.
     """
     if N < 1:
         raise InputError(f"degree must be >= 1, got {N}")
@@ -357,7 +367,7 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
             # one halving, plain bisection, a pass costs less than its points
             # and the tail of a path that fails costs more than it saves
             every = _levels(len(first) if merge else len(zeros), N, _BISECTION_STEPS)
-            on = 0
+            paths = 0
             if every > 1:
                 guess = done >= every + _LEAD
                 if merge:
@@ -365,12 +375,12 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                 if np.count_nonzero(guess):
                     rho = _ratio(zeros["wlo"], zeros["whi"])
                     guess &= rho < 0.0
-                    on = np.count_nonzero(guess)
+                    paths = np.count_nonzero(guess)
             # the zeros of each kind: the state itself where a pass takes
             # them all one way, gathered where it splits them
-            if on == 0:
+            if paths == 0:
                 tree, path = zeros, None
-            elif on == len(zeros):
+            elif paths == len(zeros):
                 tree, path = None, zeros
             else:
                 on, off = guess.nonzero()[0], (~guess).nonzero()[0]
@@ -400,7 +410,8 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                     np.add(edges[:, :-1:gap], edges[:, gap::gap], mid)
                     np.multiply(0.5, mid, mid)
                 points.append(edges[:, 1:-1].ravel())
-                degrees.append(brackets["degree"].repeat(width))
+                if per_point:
+                    degrees.append(brackets["degree"].repeat(width))
             if path is not None:
                 L = path["done"]
                 K = _PATH[L]
@@ -428,7 +439,8 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                 bits |= mids == left
                 bits &= mids != right
                 points.append(mids)
-                degrees.append(path["degree"].repeat(K))
+                if per_point:
+                    degrees.append(path["degree"].repeat(K))
             counts, w = kernel.count(np.concatenate(degrees) if per_point else degree,
                                      np.concatenate(points) if len(points) > 1 else points[0])
             if tree is not None:
