@@ -45,11 +45,10 @@ steps at a time on operands and buffers prepared once per bisection: each
 block's x - c_k s is one outer product, and each step one divide and one
 subtract by 0-d arrays into rows of a buffer the kernel keeps.  It sums each
 block's signs in uint8 and counts the few points that reach a zero ratio
-again on Python floats.  So a pass costs its N divide-and-subtract pairs and
-a fixed part: about 20 us to set up the count, 10 us more per block of a few
-dozen points, and 60-90 us of bookkeeping plus about 20 ns a point, on one
-record array of the zeros still bisecting (2-vCPU Xeon, numpy 2.4).
-Commands bisect only the zeros they print: ``tables`` its extreme ones.
+again on Python floats.  A pass costs its N divide-and-subtract pairs and a
+fixed part: about 20 us of count set-up, 10 us per block, and 60-90 us of
+bookkeeping plus 20 ns a point (2-vCPU Xeon, numpy 2.4).  Commands bisect
+only the zeros they print: ``tables`` its extreme ones.
 """
 
 from __future__ import annotations
@@ -61,11 +60,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-
-try:  # np.einsum without its Python argument handling
-    from numpy._core.multiarray import c_einsum as _c_einsum
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import c_einsum as _c_einsum
 
 from .chainseq import _frozen
 from .errors import BoundaryCaseError, InputError, InvariantError
@@ -91,10 +85,9 @@ _OUTER_POINTS = 2700
 
 # Cost of a count call in point-steps, one step of the ratio recursion on one
 # point (2.4-3.5 ns): a fixed part and a part per step of the recursion,
-# whatever the number of points.  Fitted as 30-50 us and 1.3-1.7 us; with the
-# kernel's buffers kept across calls the same least squares (N = 20-300,
-# 2-2000 points, 2-vCPU Xeon) reads 19 us and 0.8 us, against 27 us and
-# 0.9 us before in the same run.  The constants stay: they fix the schedule.
+# whatever the number of points.  Least squares over N = 20-300 and 2-2000
+# points on a 2-vCPU Xeon gave 30-50 us and 1.3-1.7 us; with kept buffers it
+# gives 19 us and 0.8 us.  The constants stay, as they fix the schedule.
 _PASS_COST = 14000
 _STEP_COST = 550
 
@@ -151,9 +144,8 @@ class _ArrayCount:
     operands prepared once for degrees up to ``top``: each block's c_k as an
     array, its d_k as 0-d float64 arrays, so that the step loop converts no
     Python float, and its row indices as a column for per-point degrees.
-    The work buffers live as long as the kernel: one flat buffer per dtype,
-    grown geometrically, whose leading part a call views as contiguous
-    (rows, points) arrays.  Callers run it under ``_quiet``.
+    Its buffers, grown geometrically, outlive the calls, each of which views
+    their leading part as contiguous arrays.  Callers run it under ``_quiet``.
 
     ``x - c_k s`` for a whole block is one outer product into the block's
     rows, so a step costs one divide and one subtract, each with a
@@ -183,13 +175,11 @@ class _ArrayCount:
         self.size = 0
 
     def _grow(self, size):
-        self.size = size
-        self.rows = np.empty(self.height * size)
-        self.signs = np.empty(self.height * size, dtype=bool)
-        self.live = np.empty(self.height * size, dtype=bool)
+        self.size, cells = size, self.height * size
+        self.rows = np.empty(cells)
+        self.signs, self.live = np.empty((2, cells), dtype=bool)
         self.s, self.quotient, self.product = np.empty((3, size))
-        self.sums = np.empty(size, dtype=np.uint8)
-        self.e = np.empty(size, dtype=np.int32)
+        self.sums, self.e = np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.int32)
 
     def count(self, degree, x):
         degree = np.asarray(degree)
@@ -248,7 +238,7 @@ class _ArrayCount:
 
 
 def _einsum_outer(a, b, out):
-    return _c_einsum("i,j->ij", a, b, out=out)
+    return np.einsum("i,j->ij", a, b, out=out)
 
 
 @lru_cache(maxsize=1024)
@@ -265,13 +255,6 @@ def _levels(brackets, N, steps):
     while h < steps and cost(h + 1) < cost(h):
         h += 1
     return h
-
-
-def _ratio(wlo, whi):
-    """W at the bracket's upper end over W at its lower end: where it is
-    negative, the secant of W through the ends crosses zero a fraction
-    1 / (1 - rho) of the way up the bracket; it is NaN where W is unknown."""
-    return whi.real / wlo.real * np.exp2(whi.imag - wlo.imag)
 
 
 # One record per zero still bisecting: its bracket, W_degree at the bracket's
@@ -333,12 +316,9 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
     degree = np.asarray(degree)
     per_point = degree.ndim != 0
     zeros = np.zeros(len(j), _ZERO)
-    zeros["lo"] = -1.0
-    zeros["hi"] = 1.0
+    zeros["lo"], zeros["hi"] = -1.0, 1.0
     zeros["wlo"] = zeros["whi"] = complex(np.nan, 0.0)
-    zeros["j"] = j
-    zeros["degree"] = degree
-    zeros["id"] = np.arange(len(j))
+    zeros["j"], zeros["degree"], zeros["id"] = j, degree, np.arange(len(j))
     merge = True
     with _quiet():
         while len(zeros):
@@ -349,12 +329,10 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
             # brackets shrunk to a single double could meet again, and the
             # search for equal ones stops
             if merge:
-                lo, hi = zeros["lo"], zeros["hi"]
                 # cut[i]: zeros i - 1 and i lie in different brackets, with
                 # a cut before the first zero and after the last
-                cut = np.ones(len(zeros) + 1, dtype=bool)
-                np.not_equal(lo[1:], lo[:-1], cut[1:-1])
-                cut[1:-1] |= hi[1:] != hi[:-1]
+                lo, hi, cut = zeros["lo"], zeros["hi"], np.ones(len(zeros) + 1, dtype=bool)
+                cut[1:-1] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
                 if per_point:
                     deg = zeros["degree"]
                     cut[1:-1] |= deg[1:] != deg[:-1]
@@ -373,7 +351,10 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                 if merge:
                     guess &= cut[:-1] & cut[1:]
                 if np.count_nonzero(guess):
-                    rho = _ratio(zeros["wlo"], zeros["whi"])
+                    # W at the upper end over W at the lower end: where it is
+                    # negative the secant of W crosses zero in the bracket
+                    wlo, whi = zeros["wlo"], zeros["whi"]
+                    rho = whi.real / wlo.real * np.exp2(whi.imag - wlo.imag)
                     guess &= rho < 0.0
                     paths = np.count_nonzero(guess)
             # the zeros of each kind: the state itself where a pass takes
@@ -410,8 +391,7 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                     np.add(edges[:, :-1:gap], edges[:, gap::gap], mid)
                     np.multiply(0.5, mid, mid)
                 points.append(edges[:, 1:-1].ravel())
-                if per_point:
-                    degrees.append(brackets["degree"].repeat(width))
+                degrees.append(brackets["degree"].repeat(width) if per_point else None)
             if path is not None:
                 L = path["done"]
                 K = _PATH[L]
@@ -423,14 +403,14 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                 t = np.arange(ends[-1]) - starts.repeat(K)
                 scale = _POWERS[t]
                 u = np.minimum(1.0 / (1.0 - rho), _BELOW_ONE)
+                # rows: each point's bracket ends, the point and a
+                left, mids, right, a = table = np.empty((4, len(t)))
                 v = u.repeat(K) * scale
-                a = np.floor(v)
-                bits = v - a >= 0.5
+                bits = v - np.floor(v, a) >= 0.5
                 lo = path["lo"]
                 base = lo.repeat(K)
                 step = (path["hi"] - lo).repeat(K) / scale
                 # each end is its dyadic rounded once, as bisection's are
-                left, mids, right = np.empty((3, len(t)))
                 np.multiply(step, a, left)
                 np.add(base, np.add(left, step, right), right)
                 left += base
@@ -439,8 +419,7 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                 bits |= mids == left
                 bits &= mids != right
                 points.append(mids)
-                if per_point:
-                    degrees.append(path["degree"].repeat(K))
+                degrees.append(path["degree"].repeat(K) if per_point else None)
             counts, w = kernel.count(np.concatenate(degrees) if per_point else degree,
                                      np.concatenate(points) if len(points) > 1 else points[0])
             if tree is not None:
@@ -469,28 +448,28 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                 s = at[at.searchsorted(starts)]
                 ab = above[s]
                 below = ~ab
+                left_s, ms, right_s, a_s = table[:, s]
                 # the end that stays was last moved at s - 1 - z, z the
                 # trailing zeros of the bracket's index a[s] (left end) or of
                 # a[s] + 1 (right end); a bit above the path's stands for the
                 # bracket's own end, which keeps its W
                 n = s - starts
-                z = (a[s].astype(np.int64) + ab) | (1 << n)
+                z = (a_s.astype(np.int64) + ab) | (1 << n)
                 q = s - np.frexp((z & -z).astype(float))[1]
                 moved = q >= starts
                 wp = w[m:]
-                ws, wq, ms = wp[s], wp[q], mids[s]
-                lo, hi, wlo, whi = path["lo"], path["hi"], path["wlo"], path["whi"]
+                ws, wq = wp[s], wp[q]
                 # the midpoint is the new lower end where the zero lies above
                 # it, the new upper end where it lies below; the other end
                 # takes W from the point that last moved it
-                np.copyto(lo, left[s])
-                np.copyto(hi, right[s])
-                np.copyto(lo, ms, where=ab)
-                np.copyto(hi, ms, where=below)
-                np.copyto(wlo, wq, where=moved)
-                np.copyto(whi, wq, where=moved)
-                np.copyto(wlo, ws, where=ab)
-                np.copyto(whi, ws, where=below)
+                np.copyto(path["lo"], left_s)
+                np.copyto(path["hi"], right_s)
+                np.copyto(path["lo"], ms, where=ab)
+                np.copyto(path["hi"], ms, where=below)
+                np.copyto(path["wlo"], wq, where=moved)
+                np.copyto(path["whi"], wq, where=moved)
+                np.copyto(path["wlo"], ws, where=ab)
+                np.copyto(path["whi"], ws, where=below)
                 L += n + 1
             if tree is not None and path is not None:
                 zeros.put(off, tree)
