@@ -200,7 +200,7 @@ class _ArrayCount:
         w.fill(1.0)
         mantissa, exponent = w.real, w.imag
         outer = np.multiply.outer if p > _OUTER_POINTS else _einsum_outer
-        carry = self.one
+        carry, divide, subtract = self.one, np.divide, np.subtract
         for k0, c, d, index in self.blocks[:-(-top // _BLOCK)]:
             b = min(_BLOCK, top - k0)
             if b < len(c):
@@ -211,8 +211,8 @@ class _ArrayCount:
             np.subtract(x, block, block)
             np.subtract(views[0], quotient, views[0])
             for dk, prev, r in zip(d[1:], views, views[1:b]):
-                np.divide(dk, prev, quotient)
-                np.subtract(r, quotient, r)
+                divide(dk, prev, quotient)
+                subtract(r, quotient, r)
             carry = views[b - 1]
             negative = np.less(block, 0.0, signs[:b])
             if per_point:
