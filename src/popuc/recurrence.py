@@ -46,7 +46,7 @@ block's x - c_k s is one outer product, and each step one divide and one
 subtract by 0-d arrays into rows of a buffer the kernel keeps.  It sums each
 block's signs in uint8 and counts the few points that reach a zero ratio
 again on Python floats.  A pass costs its N divide-and-subtract pairs and a
-fixed part: about 20 us of count set-up, 10 us per block, and 60-90 us of
+fixed part: about 20 us of count set-up, 10 us per block, and 50-100 us of
 bookkeeping plus 20 ns a point (2-vCPU Xeon, numpy 2.4).  Commands bisect
 only the zeros they print: ``tables`` its extreme ones.
 """
@@ -205,11 +205,11 @@ class _ArrayCount:
             b = min(_BLOCK, top - k0)
             if b < len(c):
                 c, d, index = c[:b], d[:b], index[:b]
-            np.divide(d[0], carry, quotient)
+            divide(d[0], carry, quotient)
             block = rows[:b]
             outer(c, s, out=block)
             np.subtract(x, block, block)
-            np.subtract(views[0], quotient, views[0])
+            subtract(views[0], quotient, views[0])
             for dk, prev, r in zip(d[1:], views, views[1:b]):
                 divide(dk, prev, quotient)
                 subtract(r, quotient, r)
