@@ -432,13 +432,13 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                 # the leaf's ends are the count's points at and after at,
                 # or the bracket's own ends, which keep their W
                 leaf = at - offset
-                inside, below = leaf > 0, leaf < width
+                new_lo, new_hi = leaf > 0, leaf < width
                 up = at + 1
                 tree_points, wt = points[0], w[:m]
-                np.copyto(tree["lo"], tree_points.take(at), where=inside)
-                np.copyto(tree["hi"], tree_points.take(up, mode="clip"), where=below)
-                np.copyto(tree["wlo"], wt.take(at), where=inside)
-                np.copyto(tree["whi"], wt.take(up, mode="clip"), where=below)
+                np.copyto(tree["lo"], tree_points.take(at), where=new_lo)
+                np.copyto(tree["hi"], tree_points.take(up, mode="clip"), where=new_hi)
+                np.copyto(tree["wlo"], wt.take(at), where=new_lo)
+                np.copyto(tree["whi"], wt.take(up, mode="clip"), where=new_hi)
                 tree["done"] += h
             if path is not None:
                 above = counts[m:] >= path["j"].repeat(K)
