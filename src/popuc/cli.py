@@ -7,6 +7,13 @@ and ``--degrees`` (``bounds``, ``support-arc``) converts its angles only.
 Each ``cmd_*`` handler maps the parsed arguments to (header, columns, summary)
 and writes nothing; ``main`` writes both streams.
 
+``main`` parses a command line once.  When its first word names a command,
+that command's parser reads the rest, and a usage error prints that
+command's usage (``usage: popuc zeros ...``).  Otherwise (no arguments,
+``--help`` or an unknown word) the top-level parser reads it all and prints
+popuc's own help or usage.  Either way the namespace is the one
+``build_parser().parse_args`` gives.
+
 Exit codes: 0 success, 2 input validation, 3 analytic boundary case,
 4 internal invariant breach.
 """
@@ -509,8 +516,9 @@ def _add_enclosure_parser(sub, name: str, help: str) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared after that."""
+def _parsers() -> tuple:
+    """The top-level parser and its map from command to command parser,
+    built on first use and shared after that."""
     parser = argparse.ArgumentParser(
         prog="popuc",
         description="Unit-circle measures: chain-sequence parametrization, "
@@ -559,7 +567,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="constant chain-sequence value for --infinite")
     _add_output_flag(p)
     p.add_argument("--tol", type=float, default=1e-12)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared after that."""
+    return _parsers()[0]
 
 
 _HANDLERS = {
@@ -576,10 +589,16 @@ _HANDLERS = {
 def main(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
     try:
         # argparse writes usage, errors and --help to sys.stdout/sys.stderr
         with redirect_stdout(stdout), redirect_stderr(stderr):
-            args = build_parser().parse_args(argv)
+            if argv and argv[0] in commands:
+                args = commands[argv[0]].parse_args(argv[1:],
+                                                    argparse.Namespace(command=argv[0]))
+            else:
+                args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

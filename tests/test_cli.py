@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -1180,6 +1181,127 @@ class TestArgparseStreams:
         assert capsys.readouterr() == ("", "")
 
 
+def parse_with_build_parser(argv):
+    """(exit code or None, namespace or None, stdout, stderr) of
+    ``build_parser().parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    code, args = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+    return code, args, out.getvalue(), err.getvalue()
+
+
+# Valid argv for every command: every flag at least once, an abbreviated flag,
+# --flag=value, negative values and a repeated flag, whose last value wins
+ONE_PARSE_ARGV = [
+    ["tables", "1", "--output", "csv"],
+    ["tables", "3", "--out", "json"],
+    ["bounds", "--family", "geronimus", "--params", "alpha_re=-0.5", "--n", "12",
+     "--q-mode", "family-default", "--method", "cor45", "--degrees", "--output", "json"],
+    ["bounds", "--input", "in.json", "--n-list", "5,40", "--q-mode=constant",
+     "--q-const", "0.9", "--method=thm46"],
+    ["bounds", "--input=in.json", "--n", "3", "--n", "5", "--q-mode", "custom",
+     "--q-file", "q.json", "--q-c", "-0.5"],
+    ["support-arc", "--family", "alternating", "--params", "b1=0.5,b2=0.5,c=0.2",
+     "--n-list=5,10", "--q-mode", "ismail-li", "--method", "cor47", "--degrees"],
+    ["support-arc", "--input", "in.json", "--n", "7", "--q-mode", "custom",
+     "--q-file", "q.json", "--q-const", "0.5", "--output=json"],
+    ["zeros", "--family", "lambda-eta", "--params", "lam=1,eta=1", "--n", "5"],
+    ["zeros", "--input", "in.json", "--n-list", "3,4", "--out", "json"],
+    ["zeros", "--n", "-3", "--n-list=2", "--output", "csv"],
+    ["gap", "--family", "geronimus", "--params", "alpha_re=-0.5", "--theta1", "-0.5",
+     "--theta2", "7.3216", "--n", "100", "--trace", "--output", "json"],
+    ["gap", "--input", "in.json", "--theta1=5.2", "--theta2=-1e-3", "--theta1", "4.5"],
+    ["transform", "--family", "geronimus", "--params", "alpha_re=0.3", "--n", "8",
+     "--roundtrip", "--output", "csv"],
+    ["transform", "--input", "in.json", "--reverse", "--t", "0.25", "--t=-0.5"],
+    ["scaling-threshold", "--family", "lambda-eta", "--params", "lam=1,eta=1", "--n", "5",
+     "--tol", "1e-9", "--output", "csv"],
+    ["scaling-threshold", "--d-const", "0.2", "--infinite", "--tol=-1", "--out", "json"],
+    ["scaling-threshold", "--input", "in.json", "--d-const=-0.2", "--n", "4", "--n", "6"],
+]
+
+
+class TestOneParse:
+    """``main`` parses argv once, with the named command's parser, and gets
+    what ``build_parser().parse_args`` gets."""
+
+    @staticmethod
+    def parsed(monkeypatch, argv):
+        """The namespace ``main`` hands the handler of ``argv[0]``."""
+        seen = []
+
+        def handler(args):
+            seen.append(args)
+            return ["a"], [[1]], ""
+
+        monkeypatch.setitem(cli._HANDLERS, argv[0], handler)
+        assert run(argv)[0] == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("argv", ONE_PARSE_ARGV, ids=" ".join)
+    def test_same_namespace_as_build_parser(self, monkeypatch, argv):
+        code, want, _, _ = parse_with_build_parser(argv)
+        assert code is None
+        assert self.parsed(monkeypatch, argv) == want
+
+    def test_argv_cover_every_flag(self):
+        _, commands = cli._parsers()
+        assert set(commands) == set(cli._HANDLERS)
+        for name, parser in commands.items():
+            flags = set(re.findall(r"--[\w-]+", parser.format_usage())) - {"--help"}
+            given = {arg.split("=")[0] for argv in ONE_PARSE_ARGV if argv[0] == name
+                     for arg in argv if arg.startswith("--")}
+            assert flags <= given, (name, flags - given)
+
+    def test_default_argv_is_sys_argv(self, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["popuc", "zeros", "--n", "4"])
+        seen = []
+        monkeypatch.setitem(cli._HANDLERS, "zeros",
+                            lambda args: seen.append(args) or (["a"], [[1]], ""))
+        assert cli.main(stdout=io.StringIO(), stderr=io.StringIO()) == 0
+        assert seen == [parse_with_build_parser(["zeros", "--n", "4"])[1]]
+
+    def test_argv_any_iterable(self):
+        # parse_args takes any iterable of words, and so does main
+        assert run(iter(["tables", "1"])) == run(["tables", "1"])
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h", "zeros"], ["zeros", "--help"], ["tables", "-h"],
+        ["nope", "--n", "3"], ["--n", "3"], ["zeros", "--n"], ["bounds", "--method", "thm99"],
+        ["tables", "4"], ["zeros", "--n", "three"], ["gap", "--theta1", "x"],
+        ["transform", "--output", "xml"],
+    ], ids=" ".join)
+    def test_usage_streams_as_build_parser(self, argv):
+        # help, and every usage error but an unrecognized argument, prints
+        # what the top-level parser prints
+        code, _, want_out, want_err = parse_with_build_parser(argv)
+        assert code in (0, 2)
+        got = run(argv)
+        assert got == (code, want_out, want_err)
+        if code:
+            assert got[1] == "" and got[2].startswith("usage: popuc")
+        else:
+            assert got[1].startswith("usage: popuc") and got[2] == ""
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["zeros", "--n", "3", "--bogus"], "--bogus"),
+        (["tables", "1", "2"], "2"),
+        (["scaling-threshold", "--infinite", "--d-const", "0.2", "--degrees"], "--degrees"),
+    ])
+    def test_unrecognized_argument_prints_the_command_usage(self, argv, bad):
+        # the one stream that differs: the command's usage, not popuc's
+        code, _, _, top = parse_with_build_parser(argv)
+        assert code == 2 and top.startswith("usage: popuc [-h]")
+        parser = cli._parsers()[1][argv[0]]
+        assert run(argv) == (2, "", parser.format_usage() + f"popuc {argv[0]}: error: "
+                             f"unrecognized arguments: {bad}\n")
+        assert top.endswith(f"popuc: error: unrecognized arguments: {bad}\n")
+
+
 CD_LISTS = '"cd" must carry numeric lists "c" and "d"'
 
 # Any JSON value, numbers out of float range included
@@ -1387,7 +1509,8 @@ class TestRejectedInput:
         # used to leak numpy's invalid-value warning before exiting 2
         ["transform", "--family", "lambda-eta", "--params", "lam=nan,eta=1e300",
          "--n", "5"],
-        # the finite threshold bisects to --tol, as zeros does
+        # the finite threshold takes a fixed number of bisection steps and
+        # only checks --tol, which must still be positive and finite
         ["scaling-threshold", "--family", "geronimus", "--params", "alpha_re=0.3",
          "--n", "5", "--tol", "nan"],
     ])
