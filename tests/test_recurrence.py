@@ -532,6 +532,30 @@ class TestMultisection:
         assert_bits_equal(got, plain_count_above(c, d, degree if per_point else top, xs))
         np.testing.assert_array_equal(got[:4], degree[:4])
 
+    @pytest.mark.parametrize("limit", [40, 129, 1000])
+    def test_int64_degrees_past_the_int32_limit(self, rng, monkeypatch, limit):
+        # row indices and degrees compare as int32 only in a kernel whose top
+        # degree is at most _INT32_MAX; past it they stay int64, which no
+        # degree can wrap.  Lowering the limit takes the int64 path at small
+        # degrees: the counts and W are the int32 path's, bit for bit
+        top = 129
+        cd, _ = random_cd_q(rng, top)
+        xs = np.concatenate(([-1.0] * 4, rng.uniform(-1.0, 1.0, 40)))
+        degree = rng.integers(1, top + 1, len(xs))
+        degree[:2] = top
+        with recurrence._quiet():
+            want = recurrence._ArrayCount(cd.c, cd.d, top).count(degree, xs)
+            monkeypatch.setattr(recurrence, "_INT32_MAX", limit)
+            kernel = recurrence._ArrayCount(cd.c, cd.d, top)
+            got = kernel.count(degree, xs)
+        assert kernel.blocks[0][3].dtype == (np.int32 if top <= limit else np.int64)
+        assert_bits_equal(got[0], want[0])
+        assert_bits_equal(got[1].view(float), want[1].view(float))
+        np.testing.assert_array_equal(got[0][:4], degree[:4])
+
+    def test_int32_limit(self):
+        assert recurrence._INT32_MAX == 2 ** 31 - 1
+
     @pytest.mark.parametrize("source", ["quarter-chain", "random"])
     def test_reused_kernel_matches_fresh(self, rng, source):
         # one kernel counts wide, narrow, wide and single-point passes in
