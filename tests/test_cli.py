@@ -56,6 +56,9 @@ class TestZerosGolden:
         # where a secant through a bracket predicts the fewest levels
         ("zeros-random-alpha-300",
          ["--input", str(GOLDEN / "random-alpha-300.json"), "--n", "300"]),
+        # alternating (b1, b2, c): alpha_n that switch with the parity of n
+        ("zeros-alternating-100",
+         ["--family", "alternating", "--params", "b1=-0.5,b2=0.7,c=-0.8", "--n", "100"]),
         # small degrees, one job and a list of them, where a pass's fixed
         # part is most of its cost
         ("zeros-lambda-eta-12",

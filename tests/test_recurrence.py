@@ -655,6 +655,10 @@ class TestMultisection:
           "--n", "120"], 8, 6589),
         (["zeros", "--input", str(GOLDEN / "random-alpha-300.json"), "--n", "300"],
          9, 18481),
+        (["zeros", "--family", "alternating", "--params", "b1=-0.5,b2=0.7,c=-0.8",
+          "--n", "100"], 7, 5519),
+        (["zeros", "--input", str(GOLDEN / "random-alpha-300.json"), "--n", "80"],
+         8, 4903),
         (["tables", "1"], 7, 890),
         (["tables", "2"], 6, 882),
         (["tables", "3"], 7, 1134),
@@ -666,8 +670,8 @@ class TestMultisection:
         (["zeros", "--family", "lambda-eta", "--params", "lam=0.7,eta=0.4", "--n", "40"],
          6, 2637),
     ], ids=["zeros-lambda-eta-150", "zeros-geronimus-120", "zeros-random-alpha-300",
-            "tables-1", "tables-2", "tables-3", "zeros-lambda-eta-5", "zeros-lambda-eta-12",
-            "zeros-lambda-eta-40"])
+            "zeros-alternating-100", "zeros-random-alpha-80", "tables-1", "tables-2",
+            "tables-3", "zeros-lambda-eta-5", "zeros-lambda-eta-12", "zeros-lambda-eta-40"])
     def test_pass_schedule(self, monkeypatch, argv, calls, points):
         # the cost model of _levels, the path length (_LEAD), the rule that
         # picks paths and the merge rule fix the passes and their points, so
