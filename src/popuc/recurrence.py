@@ -78,10 +78,14 @@ _BISECTION_STEPS = 56
 # product, and its sign counts and its product of ratios are one call each.
 _BLOCK = 64
 
-# Points above which a block's outer product is ``np.multiply.outer``: below
-# it ``einsum`` is faster (64 x 2700 points: 94 against 215 us), above it
-# ``np.multiply.outer`` (64 x 2800: 91 against 45 us; 2-vCPU Xeon, numpy 2.4).
-_OUTER_POINTS = 2700
+# numpy's ufunc buffer, in elements, while points are counted.  numpy copies
+# the operands of a ufunc that broadcasts over rows shorter than a third of
+# its buffer through that buffer: at its default of 8192 elements that is
+# every block of fewer than 2731 points, and x - c_k s then cost 1.0-1.5 ns a
+# point-step against 0.5.  Below 256 a cast, as of the uint8 sign sums into
+# the int64 counts, runs in chunks too small for its loop (2-vCPU Xeon,
+# numpy 2.4)
+_BUFFER = 256
 
 # A kernel for degrees up to this compares its row indices and per-point
 # degrees as int32: at 50 x 290 points the mask takes 9 us against 15 us on
@@ -136,37 +140,42 @@ class _quiet(warnings.catch_warnings):
     inf - inf, on points that are counted again; a ratio so near 0 that
     d_{k+1} / r_k overflows makes r_{k+1} infinite, with the sign it has to
     count by.  The warnings are filtered rather than switched off by
-    np.errstate, under which every ufunc runs a few per cent slower."""
+    np.errstate, under which every ufunc runs a few per cent slower.  Inside,
+    numpy's ufunc buffer holds ``_BUFFER`` elements."""
 
     def __enter__(self):
         super().__enter__()
         warnings.filterwarnings("ignore", "divide by zero|invalid value|overflow",
                                 RuntimeWarning)
+        self.bufsize = np.setbufsize(_BUFFER)
+
+    def __exit__(self, *exc_info):
+        np.setbufsize(self.bufsize)
+        return super().__exit__(*exc_info)
 
 
 class _ArrayCount:
     """``_count_above`` on arrays of points, ``_BLOCK`` steps at a time, on
-    operands prepared once for degrees up to ``top``: each block's c_k as an
-    array, its d_k as 0-d float64 arrays, so that the step loop converts no
+    operands prepared once for degrees up to ``top``: each block's c_k as a
+    column, its d_k as 0-d float64 arrays, so that the step loop converts no
     Python float, and its row indices as a column for per-point degrees
     (int32 when ``top`` fits, as the degrees then are).
     Its buffers, grown geometrically, outlive the calls, each of which views
     their leading part as contiguous arrays.  Callers run it under ``_quiet``.
 
-    ``x - c_k s`` for a whole block is one outer product into the block's
-    rows, so a step costs one divide and one subtract, each with a
-    positional output; the block's first step divides by the last ratio of
-    the block before, read before the outer product overwrites it.  The
-    block's signs fill one bool array, summed in uint8, which 64 rows cannot
-    wrap.  Each call returns the counts and W_degree at the points, as
-    mantissa + 1j * exponent: the product of each block's ratios is folded
-    into a mantissa that ``np.frexp`` keeps in [0.5, 1).  That product is
-    the zero check as well: a ratio that rounds to zero makes it 0 or NaN,
-    and the few points where it is are counted again by ``_count_above``, so
-    every count is the step loop's; their W is NaN.  ``einsum`` adds each
-    product to a zeroed output, so a product that is -0.0 comes out +0.0;
-    that changes at most the sign of a zero ratio, and every zero ratio is
-    counted again.
+    ``x - c_k s`` for a whole block is one product of the c_k column by the
+    s row and one subtraction from x, into the block's rows, so a step costs
+    one divide and one subtract, each with a positional output; the block's
+    first step divides by the last ratio of the block before, read before
+    the product overwrites it.  Where each point has its own degree, the
+    ratios past it become 1, which neither counts nor moves W.  The block's
+    signs fill one bool array, summed in uint8, which 64 rows cannot wrap.
+    Each call returns the counts and W_degree at the points, as mantissa +
+    1j * exponent: the product of each block's ratios is folded into a
+    mantissa that ``np.frexp`` keeps in [0.5, 1).  That product is the zero
+    check as well: a ratio that rounds to zero makes it 0 or NaN, and the
+    few points where it is are counted again by ``_count_above``, so every
+    count is the step loop's; their W is NaN.
     """
 
     def __init__(self, c, d, top):
@@ -174,7 +183,7 @@ class _ArrayCount:
         # d_1 = 0 and r_0 = 1 make the first step r_1 = x - c_1 s
         self.d = [np.zeros(()), *map(np.array, np.asarray(d[:top - 1], dtype=float).tolist())]
         self.index = np.int32 if top <= _INT32_MAX else np.int64
-        self.blocks = [(k0, self.c[k0:k0 + _BLOCK], self.d[k0:k0 + _BLOCK],
+        self.blocks = [(k0, self.c[k0:k0 + _BLOCK, None], self.d[k0:k0 + _BLOCK],
                         np.arange(k0, min(k0 + _BLOCK, top), dtype=self.index)[:, None])
                        for k0 in range(0, top, _BLOCK)]
         self.one = np.ones(())
@@ -184,7 +193,7 @@ class _ArrayCount:
     def _grow(self, size):
         self.size, cells = size, self.height * size
         self.rows = np.empty(cells)
-        self.signs, self.live = np.empty((2, cells), dtype=bool)
+        self.signs, self.dead = np.empty((2, cells), dtype=bool)
         self.s, self.quotient, self.product = np.empty((3, size))
         self.sums, self.e = np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.int32)
 
@@ -208,7 +217,6 @@ class _ArrayCount:
         w = np.empty(p, dtype=complex)
         w.fill(1.0)
         mantissa, exponent = w.real, w.imag
-        outer = np.multiply.outer if p > _OUTER_POINTS else _einsum_outer
         carry, divide, subtract = self.one, np.divide, np.subtract
         for k0, c, d, index in self.blocks[:-(-top // _BLOCK)]:
             b = min(_BLOCK, top - k0)
@@ -216,20 +224,17 @@ class _ArrayCount:
                 c, d, index = c[:b], d[:b], index[:b]
             divide(d[0], carry, quotient)
             block = rows[:b]
-            outer(c, s, out=block)
-            np.subtract(x, block, block)
+            np.subtract(x, np.multiply(c, s, block), block)
             subtract(views[0], quotient, views[0])
             for dk, prev, r in zip(d[1:], views, views[1:b]):
                 divide(dk, prev, quotient)
                 subtract(r, quotient, r)
             carry = views[b - 1]
-            negative = np.less(block, 0.0, signs[:b])
             if per_point:
-                mask = np.less(index, degree, self.live[:b * p].reshape(b, p))
-                negative &= mask
-                np.multiply.reduce(block, axis=0, where=mask, initial=1.0, out=product)
-            else:
-                np.multiply.reduce(block, axis=0, out=product)
+                np.putmask(block, np.greater_equal(index, degree,
+                                                   self.dead[:b * p].reshape(b, p)), 1.0)
+            negative = np.less(block, 0.0, signs[:b])
+            np.multiply.reduce(block, axis=0, out=product)
             np.add(count, np.add.reduce(negative.view(np.uint8), axis=0, dtype=np.uint8,
                                         out=sums), count)
             np.frexp(np.multiply(mantissa, product, mantissa), mantissa, e)
@@ -246,10 +251,6 @@ class _ArrayCount:
         return count, w
 
 
-def _einsum_outer(a, b, out):
-    return np.einsum("i,j->ij", a, b, out=out)
-
-
 @lru_cache(maxsize=1024)
 def _levels(brackets, N, steps):
     """Halvings h of a multisection pass over ``brackets`` brackets of degree
@@ -264,6 +265,16 @@ def _levels(brackets, N, steps):
     while h < steps and cost(h + 1) < cost(h):
         h += 1
     return h
+
+
+@lru_cache(maxsize=None)
+def _halves(h):
+    """Where, as fractions of its bracket, the two edges lie that each
+    interior edge i = 1 .. 2^h - 1 of an h-level subtree halves: i - 2^z and
+    i + 2^z over 2^h, z the trailing zeros of i."""
+    i = np.arange(1, 2 ** h)
+    low = i & -i
+    return np.array([i - low, i + low]) / 2.0 ** h
 
 
 # One record per zero still bisecting: its bracket, W_degree at the bracket's
@@ -283,6 +294,15 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
     its points in one ``_ArrayCount.count`` call, which also gives W_degree
     at them; a bracket carries W at its ends.
 
+    Every end a bracket can reach t halvings down is the dyadic
+    lo + (hi - lo) a / 2^t, for its index a among the 2^t brackets there:
+    exact to level 54, and at level 55, where the midpoint of adjacent
+    doubles rounds to one of them, rounded as bisection's midpoint is.  So
+    each point below is ``0.5 * (lo + hi)`` of two such ends, computed
+    without the levels between, and is the double bisection visits.  At
+    levels 55 and 56 a midpoint can round onto an end of its bracket;
+    bisection then takes that end's decision, and so does a prediction.
+
     A zero whose bracket holds only it, and across which W changes sign,
     follows a predicted path: the secant of W through the bracket ends
     crosses zero at x_hat, and the next K midpoints are those bisection visits
@@ -290,27 +310,20 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
     bracket.  K is the number of halvings the zero has taken, less
     ``_LEAD``.  The zero follows its path down to and including the first
     level whose count disagrees with the prediction, so each decision it
-    takes is read at the midpoint bisection visits.  Every point of a path is
-    ``0.5 * (lo + hi)`` of the bracket above it on the path, and that
-    bracket's ends are lo + (hi - lo) a / 2^t for its index a among the 2^t
-    brackets t levels down: exact dyadics to level 54, and at level 55, where
-    the midpoint of adjacent doubles rounds to one of them, rounded as
-    bisection's midpoint is.  There and at level 56 a midpoint can round onto
-    an end of its bracket; bisection then takes that end's decision, and so
-    does the prediction.  The path's bracket below such a point can shrink to
-    that end where bisection's keeps both, but the 56th midpoint and the
-    final ``0.5 * (lo + hi)`` are the same doubles.
+    takes is read at the midpoint bisection visits.  The path's bracket
+    below a point that rounds onto an end can shrink to that end where
+    bisection's keeps both, but the 56th midpoint and the final
+    ``0.5 * (lo + hi)`` are the same doubles.
 
     Any other bracket, one that several zeros share or with no usable W,
     takes a multisection subtree (Lo, Philippe & Sameh, SIAM J. Sci. Stat.
-    Comput. 8 (1987)): it fills, level by level and in place, one row of the
-    2^h + 1 edges that h halvings can leave, each midpoint by the same
-    ``0.5 * (lo + hi)``, and replays bisection's h decisions (count >= j at
-    the midpoint) from the counts of the 2^h - 1 interior ones.  h minimises
-    the pass's cost per halving (``_levels``), and a zero takes a path only
-    when K is at least the h of a pass over every bracket.  The replay walks
-    level by level, so every zero takes plain bisection's path, bit for bit,
-    whether or not the computed count is monotone in x.
+    Comput. 8 (1987)): the 2^h - 1 interior edges that h halvings can leave,
+    each the midpoint of the two edges it halves, and a replay of
+    bisection's h decisions (count >= j at the midpoint) from their counts.
+    h minimises the pass's cost per halving (``_levels``), and a zero takes a
+    path only when K is at least the h of a pass over every bracket.  The
+    replay walks level by level, so every zero takes plain bisection's path,
+    bit for bit, whether or not the computed count is monotone in x.
 
     The zeros still bisecting are one ``_ZERO`` record array.  A pass that
     sends them all one way updates it in place; one that splits them
@@ -389,17 +402,13 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                 h = _levels(len(brackets), N, _BISECTION_STEPS - brackets["done"].max())
                 width = 2 ** h - 1
                 m = len(brackets) * width
-                # the edges a level adds, every gap-th from gap / 2, are the
-                # midpoints of their neighbours on the level above
-                edges = np.empty((len(brackets), width + 2))
-                edges[:, 0] = brackets["lo"]
-                edges[:, -1] = brackets["hi"]
-                for level in range(h):
-                    gap = 2 ** (h - level)
-                    mid = edges[:, gap // 2::gap]
-                    np.add(edges[:, :-1:gap], edges[:, gap::gap], mid)
-                    np.multiply(0.5, mid, mid)
-                points.append(edges[:, 1:-1].ravel())
+                # the two edges each interior edge halves, side by side
+                lo = brackets["lo"]
+                halved = np.multiply.outer(brackets["hi"] - lo, _halves(h))
+                halved += lo[:, None, None]
+                mids = np.add(halved[:, 0], halved[:, 1])
+                mids *= 0.5
+                points.append(mids.ravel())
                 degrees.append(brackets["degree"].repeat(width) if per_point else None)
             if path is not None:
                 L = path["done"]
@@ -413,13 +422,15 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                 scale = _POWERS[t]
                 u = np.minimum(1.0 / (1.0 - rho), _BELOW_ONE)
                 # rows: each point's bracket ends, the point and a
-                left, mids, right, a = table = np.empty((4, len(t)))
+                table = np.empty((4, len(t)))
+                sides, mids, a = table[:2], table[2], table[3]
                 v = u.repeat(K) * scale
-                bits = v - np.floor(v, a) >= 0.5
+                bits = np.modf(v, v, a)[0] >= 0.5
                 lo = path["lo"]
                 base = lo.repeat(K)
                 step = (path["hi"] - lo).repeat(K) / scale
-                # each end is its dyadic rounded once, as bisection's are
+                # each end is its dyadic rounded once
+                left, right = sides
                 np.multiply(step, a, left)
                 np.add(base, np.add(left, step, right), right)
                 left += base
@@ -433,21 +444,22 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                                      np.concatenate(points) if len(points) > 1 else points[0])
             if tree is not None:
                 # the bracket between edges a and a + 2^(t+1) halves at edge
-                # a + 2^t, whose count sits 2^t past where edge a's would
+                # a + 2^t, whose count sits 2^t - 1 past where edge a + 1's
+                # would
                 jm = tree["j"]
-                offset = at = rows * width - 1
+                offset = at = rows * width
                 for t in reversed(range(h)):
-                    at = at + (counts[at + 2 ** t] >= jm) * 2 ** t
-                # the leaf's ends are the count's points at and after at,
-                # or the bracket's own ends, which keep their W
+                    at = at + (counts[2 ** t - 1:][at] >= jm) * 2 ** t
+                # the leaf's edges, of which the interior ones are the
+                # count's points; the bracket's own ends keep their W
                 leaf = at - offset
                 new_lo, new_hi = leaf > 0, leaf < width
-                up = at + 1
+                low = at - 1
                 tree_points, wt = points[0], w[:m]
-                np.copyto(tree["lo"], tree_points.take(at), where=new_lo)
-                np.copyto(tree["hi"], tree_points.take(up, mode="clip"), where=new_hi)
-                np.copyto(tree["wlo"], wt.take(at), where=new_lo)
-                np.copyto(tree["whi"], wt.take(up, mode="clip"), where=new_hi)
+                np.copyto(tree["lo"], tree_points[low], where=new_lo)
+                np.copyto(tree["hi"], tree_points.take(at, mode="clip"), where=new_hi)
+                np.copyto(tree["wlo"], wt[low], where=new_lo)
+                np.copyto(tree["whi"], wt.take(at, mode="clip"), where=new_hi)
                 tree["done"] += h
             if path is not None:
                 above = counts[m:] >= path["j"].repeat(K)
@@ -456,8 +468,7 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                 at = stop.nonzero()[0]
                 s = at[at.searchsorted(starts)]
                 ab = above[s]
-                below = ~ab
-                left_s, ms, right_s, a_s = table[:, s]
+                left_s, right_s, ms, a_s = table.take(s, axis=1)
                 # the end that stays was last moved at s - 1 - z, z the
                 # trailing zeros of the bracket's index a[s] (left end) or of
                 # a[s] + 1 (right end); a bit above the path's stands for the
@@ -471,6 +482,7 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                 # the midpoint is the new lower end where the zero lies above
                 # it, the new upper end where it lies below; the other end
                 # takes W from the point that last moved it
+                below = ~ab
                 np.copyto(path["lo"], left_s)
                 np.copyto(path["hi"], right_s)
                 np.copyto(path["lo"], ms, where=ab)

@@ -471,11 +471,13 @@ class TestMultisection:
                           plain_count_above(c, d, degree, xs))
 
 
-    @pytest.mark.parametrize("size", [recurrence._OUTER_POINTS, recurrence._OUTER_POINTS + 1])
+    @pytest.mark.parametrize("size", [recurrence._BUFFER // 3, recurrence._BUFFER // 3 + 1, 2731])
     def test_wide_counts(self, rng, size):
-        # einsum up to _OUTER_POINTS points and np.multiply.outer past it: the
-        # counts stay the per-step ones, and a zero ratio (c_1 = 0 at
-        # x = +-0.0) is counted again
+        # numpy runs a block's broadcast operands through its buffer where
+        # the rows are shorter than a third of it, and in place past that,
+        # as from 2731 points at its default buffer: the counts stay the
+        # per-step ones, and a zero ratio (c_1 = 0 at x = +-0.0) is counted
+        # again
         c = rng.uniform(-2.0, 2.0, 70)
         d = rng.uniform(0.05, 0.25, 69)
         c[0] = 0.0
@@ -486,6 +488,14 @@ class TestMultisection:
         assert_bits_equal(array_count_above(c, d, 70, xs), plain_count_above(c, d, 70, xs))
         degree = rng.integers(1, 71, size)
         assert_bits_equal(array_count_above(c, d, degree, xs), plain_count_above(c, d, degree, xs))
+
+    def test_quiet_sets_and_restores_the_buffer(self):
+        before = np.getbufsize()
+        with pytest.raises(ZeroDivisionError):
+            with recurrence._quiet():
+                assert np.getbufsize() == recurrence._BUFFER
+                1 / 0
+        assert np.getbufsize() == before
 
     @pytest.mark.parametrize("per_point", [False, True], ids=["one-degree", "per-point"])
     def test_count_leaves_w(self, rng, per_point):
