@@ -419,18 +419,16 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                 # a among the 2^t that t halvings leave; the binary digits of
                 # u, where the secant crosses zero, are the predicted decisions
                 t = np.arange(ends[-1]) - starts.repeat(K)
-                scale = _POWERS[t]
+                scale = _POWERS.take(t)
                 u = np.minimum(1.0 / (1.0 - rho), _BELOW_ONE)
                 # rows: each point's bracket ends, the point and a
-                table = np.empty((4, len(t)))
-                sides, mids, a = table[:2], table[2], table[3]
+                left, mids, right, a = table = np.empty((4, len(t)))
                 v = u.repeat(K) * scale
-                bits = np.modf(v, v, a)[0] >= 0.5
+                bits = v - np.floor(v, a) >= 0.5
                 lo = path["lo"]
                 base = lo.repeat(K)
                 step = (path["hi"] - lo).repeat(K) / scale
-                # each end is its dyadic rounded once
-                left, right = sides
+                # each end is its dyadic rounded once, as bisection's are
                 np.multiply(step, a, left)
                 np.add(base, np.add(left, step, right), right)
                 left += base
@@ -468,14 +466,14 @@ def _bisect_zeros(cd: CdParams, N: int, degree, j) -> np.ndarray:
                 at = stop.nonzero()[0]
                 s = at[at.searchsorted(starts)]
                 ab = above[s]
-                left_s, right_s, ms, a_s = table.take(s, axis=1)
+                left_s, ms, right_s, a_s = table.take(s, axis=1)
                 # the end that stays was last moved at s - 1 - z, z the
                 # trailing zeros of the bracket's index a[s] (left end) or of
                 # a[s] + 1 (right end); a bit above the path's stands for the
                 # bracket's own end, which keeps its W
                 n = s - starts
-                z = (a_s.astype(np.int64) + ab) | (1 << n)
-                q = s - np.frexp((z & -z).astype(float))[1]
+                z = np.add(a_s, ab, dtype=np.int64, casting="unsafe") | (1 << n)
+                q = s - np.frexp(z & -z)[1]
                 moved = q >= starts
                 wp = w[m:]
                 ws, wq = wp[s], wp[q]
