@@ -631,6 +631,37 @@ class TestMultisection:
         # the count does rise from one midpoint of the first pass to the next
         assert (np.diff(count(np.linspace(-1.0, 1.0, 1025))) > 0).any()
 
+    @pytest.mark.parametrize("zero", [0.6180339887498949, -0.7853981633974483, 0.3, 1e-3])
+    def test_subtree_points_are_bisection_midpoints(self, monkeypatch, zero):
+        # with no usable W every pass is a subtree, of 10 levels and then 6
+        # down to level 56; its 2^h - 1 points must be the midpoints that
+        # bisection of the pass's bracket visits or could visit, level by
+        # level, bit for bit: where |x| >= 1/4 the midpoints at levels 55
+        # and 56 are of ends a half ulp apart, and round
+        passes = []
+
+        def at_zero(kernel, degree, x):
+            passes.append(x.copy())
+            return (x < zero).astype(np.int64), np.full(len(x), complex(np.nan, 0.0))
+
+        monkeypatch.setattr(recurrence._ArrayCount, "count", at_zero)
+        got = _bisect_zeros(chebyshev_cd(3), 3, 3, np.array([1]))
+        lo, hi, level = -1.0, 1.0, 0
+        for x in passes:
+            h = len(x).bit_length()
+            edges = np.empty(2 ** h + 1)
+            edges[0], edges[-1] = lo, hi
+            for depth in range(h):
+                gap = 2 ** (h - depth)
+                edges[gap // 2::gap] = 0.5 * (edges[:-1:gap] + edges[gap::gap])
+            assert_bits_equal(x, edges[1:-1])
+            for _ in range(h):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if mid < zero else (lo, mid)
+            level += h
+        assert level == recurrence._BISECTION_STEPS and len(passes) == 6
+        assert_bits_equal(got, np.array([0.5 * (lo + hi)]))
+
     def test_paths_whose_secants_mislead(self, monkeypatch):
         # the count's W inverted at every point makes each secant cross zero
         # at the mirror image, in its bracket, of where the true one does: a
