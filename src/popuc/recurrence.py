@@ -42,13 +42,14 @@ appeal to the count being monotone in x or to the prediction being right.
 W_N comes with the count: the product of each block's ratios, which is also
 its check for a ratio that rounds to zero.  The array count runs ``_BLOCK``
 steps at a time on operands and buffers prepared once per bisection: each
-block's x - c_k s is one outer product, and each step one divide and one
-subtract by 0-d arrays into rows of a buffer the kernel keeps.  It sums each
-block's signs in uint8 and counts the few points that reach a zero ratio
-again on Python floats.  A pass costs its N divide-and-subtract pairs and a
-fixed part: about 20 us of count set-up, 10 us per block, and 50-100 us of
-bookkeeping plus 20 ns a point (2-vCPU Xeon, numpy 2.4).  Commands bisect
-only the zeros they print: ``tables`` its extreme ones.
+block's x - c_k s is one product and one subtraction, and each step one
+divide and one subtract by 0-d arrays into rows of a buffer the kernel
+keeps.  It sums each block's signs in uint8 and counts the few points that
+reach a zero ratio again on Python floats.  A pass costs its N
+divide-and-subtract pairs and a fixed part: about 16 us of count set-up,
+10 us per block, and 70 us of bookkeeping plus 30 ns a point (2-vCPU Xeon,
+numpy 2.4).  Commands bisect only the zeros they print: ``tables`` its
+extreme ones.
 """
 
 from __future__ import annotations
@@ -267,14 +268,14 @@ def _levels(brackets, N, steps):
     return h
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BISECTION_STEPS)
 def _halves(h):
     """Where, as fractions of its bracket, the two edges lie that each
     interior edge i = 1 .. 2^h - 1 of an h-level subtree halves: i - 2^z and
     i + 2^z over 2^h, z the trailing zeros of i."""
     i = np.arange(1, 2 ** h)
     low = i & -i
-    return np.array([i - low, i + low]) / 2.0 ** h
+    return _frozen(np.array([i - low, i + low]) / 2.0 ** h)
 
 
 # One record per zero still bisecting: its bracket, W_degree at the bracket's
